@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from triqes import (
     Branch,
-    FdConfig,
     ModeFrequencies,
     SubspaceLabel,
     bhe_operator_residual,
@@ -22,10 +21,10 @@ from triqes import (
     contains_eigenvalue,
     eig_sym,
     fock_to_rho_polynomial,
+    oracle_config,
     potential_spec,
     schrodinger_residual,
     split_sextic,
-    suggest_domain,
     wavefunction_spec,
 )
 from triqes.schroedinger import certification_grid
@@ -61,9 +60,7 @@ def main() -> int:
                         lam = 0.0
                     grid = certification_grid(vspec, wf, lam)
                     rep = schrodinger_residual(vspec, wf, lam, grid)
-                    x_min, x_max = suggest_domain(vspec, lam)
-                    n_pts = int(min(max((x_max - x_min) / 2.5e-3, 4000), 24000))
-                    cont = contains_eigenvalue(vspec, FdConfig(x_min, x_max, n_pts), lam)
+                    cont = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
                     ok = (
                         bhe_rel <= 1e-10
                         and rep.passes()

@@ -35,7 +35,13 @@ from .schroedinger import (
     split_sextic,
     wavefunction_spec,
 )
-from .fdoracle import FdConfig, contains_eigenvalue, fd_spectrum, suggest_domain
+from .fdoracle import (
+    FdConfig,
+    contains_eigenvalue,
+    fd_spectrum,
+    oracle_config,
+    suggest_domain,
+)
 
 __all__ = [
     "FockState",
@@ -70,5 +76,6 @@ __all__ = [
     "FdConfig",
     "contains_eigenvalue",
     "fd_spectrum",
+    "oracle_config",
     "suggest_domain",
 ]

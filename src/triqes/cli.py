@@ -3,8 +3,8 @@
 Commands: spectrum, basis, potential, wavefunction, verify, sweep.
 Curves are written as CSV (header x,V,chi,prob), everything else as JSON.
 Every output embeds a run manifest with the resolved parameters so that a
-run can be reproduced exactly.  Exit codes: 0 success, 1 verification or
-IO failure, 2 usage error.
+run can be reproduced exactly.  Exit codes: 0 success, 1 verification,
+numerical or IO failure, 2 usage error (bad arguments only).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .heun import (
     bhe_standard_residual,
     fock_to_rho_polynomial,
 )
-from .fdoracle import FdConfig, contains_eigenvalue, suggest_domain
+from .fdoracle import contains_eigenvalue, oracle_config
 from .schroedinger import (
     certification_grid,
     eval_potential,
@@ -92,7 +92,17 @@ def parse_w(text: str) -> ModeFrequencies:
         vals = [float(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"cannot parse --w {text!r}: {exc}") from None
-    return ModeFrequencies(*vals)
+    try:
+        return ModeFrequencies(*vals)
+    except ValueError as exc:
+        raise UsageError(f"bad --w {text!r}: {exc}") from None
+
+
+def parse_label(ell: int, m: int) -> SubspaceLabel:
+    try:
+        return SubspaceLabel(ell, m)
+    except ValueError as exc:
+        raise UsageError(f"bad --l/--m: {exc}") from None
 
 
 def parse_b(text: str) -> Fraction:
@@ -156,7 +166,7 @@ def _spectrum_payload(freqs: ModeFrequencies, label: SubspaceLabel) -> dict[str,
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     freqs = parse_w(args.w)
-    label = SubspaceLabel(args.l, args.m)
+    label = parse_label(args.l, args.m)
     manifest = RunManifest("spectrum", {"l": args.l, "m": args.m, "w": args.w})
     payload = {"manifest": manifest.as_dict(), **_spectrum_payload(freqs, label)}
     _write_json(payload, args.out)
@@ -164,7 +174,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    label = SubspaceLabel(args.l, args.m)
+    label = parse_label(args.l, args.m)
     manifest = RunManifest("basis", {"l": args.l, "m": args.m})
     payload = {
         "manifest": manifest.as_dict(),
@@ -177,15 +187,17 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 def _resolve_eigenpair(freqs, label, p_index):
     """Energy index p follows the worked tables: p = 1 is the largest eigenvalue."""
-    ham = build_hamiltonian(freqs, label)
-    spec = eig_sym(ham)
     if not (1 <= p_index <= label.dim):
         raise UsageError(f"--p must lie in 1..{label.dim}, got {p_index}")
+    ham = build_hamiltonian(freqs, label)
+    spec = eig_sym(ham)
     idx = label.dim - p_index
     return spec.pair(idx)
 
 
 def _curve_rows(args, freqs, label, bfrac, branch):
+    if args.points < 0:
+        raise UsageError(f"--points must be >= 0, got {args.points}")
     energy, vec = _resolve_eigenpair(freqs, label, args.p)
     phi = fock_to_rho_polynomial(label, vec, branch)
     wf = wavefunction_spec(bfrac, freqs, label, phi)
@@ -216,7 +228,7 @@ def _curve_rows(args, freqs, label, bfrac, branch):
 
 def cmd_potential(args: argparse.Namespace) -> int:
     freqs = parse_w(args.w)
-    label = SubspaceLabel(args.l, args.m)
+    label = parse_label(args.l, args.m)
     bfrac = parse_b(args.b)
     branch = parse_branch(args.branch)
     rows, energy, lam, shifted = _curve_rows(args, freqs, label, bfrac, branch)
@@ -282,21 +294,17 @@ def _verify_one(freqs, label, bfrac, branch, energy_override=None, oracle=True,
         ok = (
             op_rel <= BHE_RTOL
             and std_rel <= BHE_RTOL
-            and report.residual <= RESIDUAL_TOL
-            and report.order >= RESIDUAL_MIN_ORDER
+            and report.passes(RESIDUAL_TOL, RESIDUAL_MIN_ORDER)
         )
         if oracle:
-            x_min, x_max = suggest_domain(vspec, lam)
-            if oracle_points is None:
-                # aim for h ~ 2.5e-3 so singular boundaries stay resolved
-                points = int(min(max((x_max - x_min) / 2.5e-3, 4000), 24000))
-            else:
-                points = oracle_points
-            cfg = FdConfig(x_min, x_max, points)
+            cfg = oracle_config(vspec, lam, oracle_points)
             cont = contains_eigenvalue(vspec, cfg, lam)
             entry["oracle_nearest"] = cont.nearest
             entry["oracle_richardson_gap"] = cont.richardson_gap
             entry["oracle_hit"] = cont.hit
+            entry["oracle_points"] = cont.n_points
+            entry["oracle_h"] = cont.h
+            entry["oracle_solves"] = cont.solves
             ok = ok and cont.hit
         entry["pass"] = ok
         checks.append(entry)
@@ -344,7 +352,7 @@ def _b2_zero_search(freqs, label, branch):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     freqs = parse_w(args.w)
-    label = SubspaceLabel(args.l, args.m)
+    label = parse_label(args.l, args.m)
     bfrac = parse_b(args.b)
     branch = parse_branch(args.branch)
     checks = _verify_one(
@@ -373,8 +381,10 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     freqs = parse_w(args.w)
-    if args.lmax > 20 or args.mmax > 20:
-        raise UsageError("sweep bounds are limited to l, m <= 20")
+    if not (0 <= args.lmax <= 20 and 0 <= args.mmax <= 20):
+        raise UsageError("sweep bounds are limited to 0 <= l, m <= 20")
+    if args.oracle_points is not None and args.oracle_points < 100:
+        raise UsageError(f"--oracle-points must be >= 100, got {args.oracle_points}")
     b_values = [parse_b(tok) for tok in args.b.split(",")]
     branches = [parse_branch(args.branch)] if args.branch else [Branch.PLUS, Branch.MINUS]
     tuples = [
@@ -513,11 +523,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, AssertionError, OSError) as exc:
+        # numerical failures and IO errors: the arguments were fine
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -1,10 +1,15 @@
 """Independent finite-difference eigenvalue oracle.
 
 The Schroedinger operator is discretized on a uniform grid with the
-standard 3-point stencil (diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2)
-and the lowest eigenvalues are found by Sturm-sequence bisection.  The
-oracle never touches the closed-form wavefunctions; its only inputs are
-the potential terms and a grid configuration.
+standard 3-point stencil (diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2).
+A containment check needs one level only: bisection restricted to a
+window around the candidate lambda (LAPACK stebz by value) finds the
+level nearest lambda, widening the window geometrically until it holds
+one.  The same level is then found on the doubled grid by a window around
+the first result and the pair is Richardson-extrapolated, so the cost
+does not grow with the number of levels below lambda.  The oracle never
+touches the closed-form wavefunctions; its only inputs are the potential
+terms and a grid configuration.
 
 Potentials in this family can be singular at the origin, and the x^(-2)
 coefficient -1/4 (l = m cases) sits exactly at the limit-circle border,
@@ -32,6 +37,12 @@ from .schroedinger import PotentialSpec
 SINGULAR_XMIN = 0.2
 EXPONENT_TOL = 1e-9
 HIT_RTOL = 1e-3
+# Factor by which an empty search window around a candidate is widened.
+WINDOW_GROWTH = 4.0
+# Default containment grid: spacing aimed at, and the node-count clamp.
+ORACLE_H = 2.5e-3
+ORACLE_MIN_POINTS = 4000
+ORACLE_MAX_POINTS = 24000
 
 
 @dataclass(frozen=True)
@@ -145,23 +156,10 @@ def _left_boundary_ratio(
     return ratio
 
 
-def fd_spectrum(
-    spec: PotentialSpec,
-    config: FdConfig,
-    count: int,
-    bc_energy: float | None = None,
-) -> np.ndarray:
-    """Lowest `count` eigenvalues of the discretized operator, ascending.
-
-    Sturm-sequence bisection on the symmetric tridiagonal matrix (LAPACK
-    stebz) keeps the result deterministic to ~1e-10 relative.  When a
-    candidate eigenvalue `bc_energy` is supplied, the singular-boundary
-    series uses it for one extra order of accuracy near that level.
-    """
-    if count > config.n_points:
-        raise ValueError(f"count {count} exceeds grid size {config.n_points}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+def _tridiagonal(
+    spec: PotentialSpec, config: FdConfig, bc_energy: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the discretized operator on `config`."""
     xs = config.nodes()
     h = config.h
     vpot = _eval_terms(spec, xs)
@@ -171,19 +169,80 @@ def fd_spectrum(
     ratio = _left_boundary_ratio(spec, config.x_min, float(xs[0]), bc_energy)
     if ratio is not None:
         diag[0] = (2.0 - ratio) / (h * h) + vpot[0]
-    off = -np.ones(config.n_points - 1) / (h * h)
+    off = np.full(config.n_points - 1, -1.0 / (h * h))
+    return diag, off
+
+
+def fd_spectrum(
+    spec: PotentialSpec,
+    config: FdConfig,
+    count: int,
+    bc_energy: float | None = None,
+) -> np.ndarray:
+    """Lowest `count` eigenvalues of the discretized operator, ascending.
+
+    Bisection by index on the symmetric tridiagonal matrix (LAPACK stebz)
+    keeps the result deterministic to ~1e-10 relative.  When a candidate
+    eigenvalue `bc_energy` is supplied, the singular-boundary series uses
+    it for one extra order of accuracy near that level.  Containment
+    checks do not come through here: they search a window around the
+    candidate instead (see `contains_eigenvalue`).
+    """
+    if count > config.n_points:
+        raise ValueError(f"count {count} exceeds grid size {config.n_points}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    diag, off = _tridiagonal(spec, config, bc_energy)
     vals = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
     )
     return np.sort(vals)
 
 
+def _nearest_level(
+    diag: np.ndarray, off: np.ndarray, target: float, radius: float
+) -> tuple[float, int]:
+    """Eigenvalue nearest `target`, and the number of solves it took.
+
+    Bisection restricted to the window (target - r, target + r] touches
+    only the levels inside it.  The radius grows geometrically until the
+    window holds a level; a non-empty window centred on the target always
+    contains the globally nearest eigenvalue.  Past the Gershgorin reach
+    every level is inside, so an empty window there means non-finite input.
+    """
+    reach = abs(target) + np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0)
+    solves = 0
+    while True:
+        vals = eigh_tridiagonal(
+            diag, off, select="v", select_range=(target - radius, target + radius),
+            eigvals_only=True,
+        )
+        solves += 1
+        if vals.size:
+            return float(vals[np.argmin(np.abs(vals - target))]), solves
+        if not radius < reach:
+            raise ValueError(f"no fd eigenvalue found near {target}")
+        radius *= WINDOW_GROWTH
+
+
 @dataclass(frozen=True)
 class ContainmentResult:
+    """Outcome of one containment check.
+
+    `nearest` is the coarse-grid level nearest the candidate, `fine_nearest`
+    the same level on the doubled grid; `richardson_gap` is the distance of
+    their extrapolation from the candidate.  `n_points` and `h` describe the
+    coarse grid, `solves` counts eigensolver calls over both grids.
+    """
+
     hit: bool
     nearest: float
     gap: float
     richardson_gap: float
+    fine_nearest: float
+    n_points: int
+    h: float
+    solves: int
 
 
 def contains_eigenvalue(
@@ -191,27 +250,24 @@ def contains_eigenvalue(
 ) -> ContainmentResult:
     """Does lam sit in the fd spectrum after Richardson extrapolation?
 
-    Runs the oracle at the given configuration and at doubled resolution,
-    Richardson-extrapolates the second-order scheme and accepts when the
-    extrapolated nearest eigenvalue lies within max(1e-3, 1e-3 |lam|).
+    Finds the level nearest lam on the given grid, follows that level to
+    the doubled grid, Richardson-extrapolates the second-order scheme and
+    accepts when the extrapolated level lies within max(1e-3, 1e-3 |lam|).
     """
-    count = 8
-    vals = fd_spectrum(spec, config, count, bc_energy=lam)
-    while vals[-1] < lam and count < min(256, config.n_points):
-        count = min(2 * count, config.n_points)
-        vals = fd_spectrum(spec, config, count, bc_energy=lam)
-    vals2 = fd_spectrum(spec, config.doubled(), len(vals), bc_energy=lam)
-    rich = (4.0 * vals2 - vals) / 3.0
-    idx = int(np.argmin(np.abs(vals - lam)))
-    idx_r = int(np.argmin(np.abs(rich - lam)))
-    gap = float(abs(vals[idx] - lam))
-    richardson_gap = float(abs(rich[idx_r] - lam))
     tol = max(HIT_RTOL, HIT_RTOL * abs(lam))
+    mu, solves = _nearest_level(*_tridiagonal(spec, config, lam), lam, tol)
+    fine = config.doubled()
+    mu2, fine_solves = _nearest_level(*_tridiagonal(spec, fine, lam), mu, tol)
+    richardson_gap = float(abs((4.0 * mu2 - mu) / 3.0 - lam))
     return ContainmentResult(
         hit=richardson_gap <= tol,
-        nearest=float(vals[idx]),
-        gap=gap,
+        nearest=mu,
+        gap=float(abs(mu - lam)),
         richardson_gap=richardson_gap,
+        fine_nearest=mu2,
+        n_points=config.n_points,
+        h=config.h,
+        solves=solves + fine_solves,
     )
 
 
@@ -246,3 +302,19 @@ def suggest_domain(
         x += step
         step = min(step * 1.05, 1.0)
     return x_min, x
+
+
+def oracle_config(
+    spec: PotentialSpec, lam: float, n_points: int | None = None
+) -> FdConfig:
+    """Containment grid for lam: `suggest_domain` and a node count.
+
+    Unless `n_points` is given, the count aims for h ~ 2.5e-3 so singular
+    boundaries stay resolved, clamped to 4000 .. 24000 nodes.
+    """
+    x_min, x_max = suggest_domain(spec, lam)
+    if n_points is None:
+        n_points = int(
+            min(max((x_max - x_min) / ORACLE_H, ORACLE_MIN_POINTS), ORACLE_MAX_POINTS)
+        )
+    return FdConfig(x_min, x_max, n_points)

@@ -44,6 +44,34 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", "--l", "-1", "--m", "0")
         assert code == 2
 
+    def test_label_over_cap(self, capsys):
+        code, _, err = run_cli(capsys, "spectrum", "--l", "40", "--m", "30")
+        assert code == 2
+        assert "--l/--m" in err
+
+    def test_nonfinite_w_flag(self, capsys):
+        code, _, err = run_cli(capsys, "spectrum", "--l", "1", "--m", "1", "--w=inf,1,1")
+        assert code == 2
+
+    def test_numerical_failure_exits_1(self, capsys):
+        # valid arguments whose matrix overflows: a numerical failure
+        code, _, err = run_cli(
+            capsys, "spectrum", "--l", "1", "--m", "1", "--w=1e308,1e308,1e308"
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_assertion_exits_1(self, capsys, monkeypatch):
+        import triqes.cli
+
+        def broken(*args, **kwargs):
+            raise AssertionError
+
+        monkeypatch.setattr(triqes.cli, "eig_sym", broken)
+        code, _, err = run_cli(capsys, "spectrum", "--l", "1", "--m", "1")
+        assert code == 1
+        assert "AssertionError" in err
+
 
 class TestBasis:
     def test_basis(self, capsys):
@@ -85,6 +113,19 @@ class TestPotentialCurve:
     def test_energy_index_validation(self, capsys):
         code, _, err = run_cli(
             capsys, "potential", "--l", "1", "--m", "1", "--p", "3",
+        )
+        assert code == 2
+
+    def test_energy_index_zero(self, capsys):
+        code, _, err = run_cli(
+            capsys, "potential", "--l", "1", "--m", "1", "--p", "0",
+        )
+        assert code == 2
+        assert "--p" in err
+
+    def test_negative_points(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "potential", "--l", "1", "--m", "1", "--points", "-1",
         )
         assert code == 2
 
@@ -164,6 +205,36 @@ class TestVerify:
         assert payload["pass"] is False
         assert any(c["bhe_operator_residual"] > 1e-3 for c in payload["checks"])
 
+    def test_energy_override_fails_with_oracle(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--l", "1", "--m", "1", "--b", "1/2",
+            "--energy-override", "1.0",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert not any(c["oracle_hit"] for c in payload["checks"])
+
+    def test_residual_at_roundoff_floor_passes(self, capsys):
+        # the residual sits below the rounding floor, where the refinement
+        # order (~3.0) is noise; the pass rule is ResidualReport.passes()
+        code, out, _ = run_cli(
+            capsys, "verify", "--l", "0", "--m", "4", "--b", "3/2",
+            "--branch", "minus", "--w=2,0.5,-1",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["checks"][0]["refinement_order"] < 3.5
+
+    def test_oracle_grid_recorded(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--l", "1", "--m", "1", "--b", "1/2",
+        )
+        assert code == 0
+        for c in json.loads(out)["checks"]:
+            assert 4000 <= c["oracle_points"] <= 24000
+            assert 0.0 < c["oracle_h"] <= 2.5e-3
+            assert c["oracle_solves"] >= 2
+
     def test_vacuum_trivial(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--l", "0", "--m", "0", "--b", "1", "--no-oracle",
@@ -210,3 +281,22 @@ class TestSweep:
     def test_bounds_validation(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--lmax", "25", "--mmax", "1")
         assert code == 2
+
+    def test_oracle_points_validation(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--lmax", "0", "--mmax", "0", "--oracle-points", "50",
+        )
+        assert code == 2
+
+    def test_worst_stays_numeric(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--lmax", "1", "--mmax", "1", "--b", "1/2",
+            "--branch", "plus",
+        )
+        assert code == 0
+        for t in json.loads(out)["tuples"]:
+            assert set(t["worst"]) == {
+                "bhe_operator_residual", "bhe_standard_residual",
+                "schrodinger_residual", "oracle_richardson_gap",
+            }
+            assert all(isinstance(v, float) for v in t["worst"].values())

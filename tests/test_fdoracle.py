@@ -13,6 +13,7 @@ from triqes import (
     contains_eigenvalue,
     eig_sym,
     fd_spectrum,
+    oracle_config,
     potential_spec,
     split_sextic,
     suggest_domain,
@@ -20,6 +21,7 @@ from triqes import (
 from triqes.schroedinger import PotentialSpec
 
 SQRT2 = math.sqrt(2.0)
+HALF = Fraction(1, 2)
 
 
 def bare_spec(terms, freqs=None):
@@ -128,6 +130,97 @@ class TestContainsEigenvalue:
         # keep h comparable while growing the box
         wide = fd_spectrum(tilde, FdConfig(1e-2, 8.0, 12000), 3)
         assert np.max(np.abs(base - wide)) < 1e-6
+
+
+def lowest_k_containment(spec, cfg, lam):
+    """Nearest level and Richardson gap by the lowest-k scan with index
+    pairing, built from `fd_spectrum` as an independent reference."""
+    count = 8
+    vals = fd_spectrum(spec, cfg, count, bc_energy=lam)
+    while vals[-1] < lam:
+        count *= 2
+        vals = fd_spectrum(spec, cfg, count, bc_energy=lam)
+    fine = fd_spectrum(spec, cfg.doubled(), count, bc_energy=lam)
+    rich = (4.0 * fine - vals) / 3.0
+    return vals[np.argmin(np.abs(vals - lam))], np.min(np.abs(rich - lam))
+
+
+def certified_level(freqs, label, b, energy, branch=Branch.PLUS):
+    """Potential and its predicted level: eps(E) for b = 1/2, else the zero mode."""
+    if b == HALF:
+        tilde, eps = split_sextic(freqs, label, branch)
+        return tilde, eps(energy)
+    return potential_spec(b, freqs, label, energy, branch), 0.0
+
+
+class TestWindowedSearch:
+    @pytest.mark.parametrize("ell,m", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize("b", [Fraction(1), HALF], ids=["b=1", "b=1/2"])
+    def test_matches_lowest_k_reference(self, unit_freqs, ell, m, b):
+        label = SubspaceLabel(ell, m)
+        for energy in eig_sym(build_hamiltonian(unit_freqs, label)).eigenvalues:
+            vspec, lam = certified_level(unit_freqs, label, b, float(energy))
+            cfg = oracle_config(vspec, lam)
+            res = contains_eigenvalue(vspec, cfg, lam)
+            nearest, rich_gap = lowest_k_containment(vspec, cfg, lam)
+            assert res.hit
+            assert abs(res.nearest - nearest) <= 1e-8
+            assert abs(res.richardson_gap - rich_gap) <= 1e-8
+
+    def test_spurious_fine_level_does_not_shift_pairing(self):
+        # W(4,4), b = 2: the doubled grid grows a spurious deep level, which
+        # shifted index pairing by one and turned a true zero mode into a miss
+        freqs = ModeFrequencies(0.3, -1.2, 0.7)
+        label = SubspaceLabel(4, 4)
+        for energy in eig_sym(build_hamiltonian(freqs, label)).eigenvalues:
+            vspec, lam = certified_level(freqs, label, Fraction(2), float(energy))
+            res = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
+            assert res.hit, (float(energy), res)
+            assert res.richardson_gap < 1e-4
+
+    def test_midway_between_levels_rejected(self):
+        spec = bare_spec([(2.0, 1.0)])
+        cfg = FdConfig(-10.0, 10.0, 3000)
+        vals = fd_spectrum(spec, cfg, 4)
+        lam = 0.5 * (vals[1] + vals[2])
+        res = contains_eigenvalue(spec, cfg, lam)
+        assert not res.hit
+        assert min(abs(res.nearest - vals[1]), abs(res.nearest - vals[2])) < 1e-9
+        assert res.gap == pytest.approx(0.5 * (vals[2] - vals[1]), rel=1e-9)
+
+    def test_level_above_old_scan_cap(self):
+        # level 300 of the oscillator, beyond a scan of the lowest 256
+        spec = bare_spec([(2.0, 1.0)])
+        res = contains_eigenvalue(spec, FdConfig(-40.0, 40.0, 20000), 601.0)
+        assert res.hit
+        assert res.solves == 2
+
+    def test_observability_fields(self, unit_freqs):
+        tilde, eps = split_sextic(unit_freqs, SubspaceLabel(1, 1))
+        lam = -2.0 * SQRT2 * (3.0 + math.sqrt(5.0))
+        cfg = oracle_config(tilde, lam)
+        res = contains_eigenvalue(tilde, cfg, lam)
+        assert res.n_points == cfg.n_points
+        assert res.h == cfg.h
+        assert res.solves >= 2
+        assert res.richardson_gap == pytest.approx(
+            abs((4.0 * res.fine_nearest - res.nearest) / 3.0 - lam), abs=1e-12
+        )
+
+
+class TestOracleConfig:
+    def test_default_spacing_and_clamp(self, unit_freqs):
+        label = SubspaceLabel(1, 1)
+        energy = float(eig_sym(build_hamiltonian(unit_freqs, label)).eigenvalues[0])
+        vspec = potential_spec(Fraction(1), unit_freqs, label, energy)
+        x_min, x_max = suggest_domain(vspec, 0.0)
+        cfg = oracle_config(vspec, 0.0)
+        assert (cfg.x_min, cfg.x_max) == (x_min, x_max)
+        assert cfg.n_points == int(min(max((x_max - x_min) / 2.5e-3, 4000), 24000))
+
+    def test_explicit_points(self, unit_freqs):
+        tilde, _ = split_sextic(unit_freqs, SubspaceLabel(1, 1))
+        assert oracle_config(tilde, -5.0, n_points=1234).n_points == 1234
 
 
 class TestSingularAdaptation:
