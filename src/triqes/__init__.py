@@ -42,6 +42,7 @@ from .fdoracle import (
     oracle_config,
     suggest_domain,
 )
+from .certify import Certificate, certify_eigenpair, zero_mode_potential
 
 __all__ = [
     "FockState",
@@ -78,4 +79,7 @@ __all__ = [
     "fd_spectrum",
     "oracle_config",
     "suggest_domain",
+    "Certificate",
+    "certify_eigenpair",
+    "zero_mode_potential",
 ]

@@ -1,6 +1,6 @@
 """Command-line surface: spectra, plot-ready curves, verification, sweeps.
 
-Commands: spectrum, basis, potential, wavefunction, verify, sweep.
+Commands: spectrum, basis, potential (alias wavefunction), verify, sweep.
 Curves are written as CSV (header x,V,chi,prob), everything else as JSON.
 Every output embeds a run manifest with the resolved parameters so that a
 run can be reproduced exactly.  Exit codes: 0 success, 1 verification,
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -22,30 +21,17 @@ from typing import Any
 import numpy as np
 
 from . import __version__
+from .certify import SEXTIC_B, certify_eigenpair, zero_mode_potential
 from .fock import SubspaceLabel, subspace_basis
 from .hamiltonian import ModeFrequencies, build_hamiltonian
-from .heun import (
-    Branch,
-    bhe_operator_residual,
-    bhe_params,
-    bhe_standard_residual,
-    fock_to_rho_polynomial,
-)
-from .fdoracle import contains_eigenvalue, oracle_config
+from .heun import Branch, fock_to_rho_polynomial
 from .schroedinger import (
-    certification_grid,
     eval_potential,
     eval_wavefunction,
     potential_spec,
-    schrodinger_residual,
-    split_sextic,
     wavefunction_spec,
 )
 from .spectra import eig_sym
-
-BHE_RTOL = 1e-10
-RESIDUAL_TOL = 1e-6
-RESIDUAL_MIN_ORDER = 3.5
 
 
 def fmt(x: float) -> str:
@@ -198,23 +184,23 @@ def _resolve_eigenpair(freqs, label, p_index):
 def _curve_rows(args, freqs, label, bfrac, branch):
     if args.points < 0:
         raise UsageError(f"--points must be >= 0, got {args.points}")
+    if not 0.0 < args.xmin < args.xmax:
+        raise UsageError(
+            f"need 0 < --xmin < --xmax, got --xmin {args.xmin} --xmax {args.xmax}"
+        )
+    if args.shifted and bfrac != SEXTIC_B:
+        raise UsageError("--shifted applies to b=1/2 only")
     energy, vec = _resolve_eigenpair(freqs, label, args.p)
     phi = fock_to_rho_polynomial(label, vec, branch)
     wf = wavefunction_spec(bfrac, freqs, label, phi)
-    shifted = bool(getattr(args, "shifted", False))
-    if shifted:
-        if bfrac != Fraction(1, 2):
-            raise UsageError("--shifted applies to b=1/2 only")
-        vspec, eps_map = split_sextic(freqs, label, branch)
-        lam = eps_map(energy)
+    if args.shifted:
+        vspec, lam = zero_mode_potential(bfrac, freqs, label, energy, branch)
     else:
         vspec = potential_spec(bfrac, freqs, label, energy, branch)
         lam = 0.0
     rows = []
     if args.points > 0:
         xs = np.linspace(args.xmin, args.xmax, args.points)
-        if xs[0] <= 0.0:
-            raise UsageError("--xmin must be > 0")
         vvals = np.asarray(eval_potential(vspec, xs))
         cvals = np.asarray(eval_wavefunction(wf, xs))
         rows = [
@@ -223,7 +209,7 @@ def _curve_rows(args, freqs, label, bfrac, branch):
         ]
         if not all(np.isfinite(r).all() for r in map(np.asarray, rows)):
             raise IOError("non-finite values in curve output")
-    return rows, energy, lam, shifted
+    return rows, energy, lam
 
 
 def cmd_potential(args: argparse.Namespace) -> int:
@@ -231,17 +217,17 @@ def cmd_potential(args: argparse.Namespace) -> int:
     label = parse_label(args.l, args.m)
     bfrac = parse_b(args.b)
     branch = parse_branch(args.branch)
-    rows, energy, lam, shifted = _curve_rows(args, freqs, label, bfrac, branch)
+    rows, energy, lam = _curve_rows(args, freqs, label, bfrac, branch)
     manifest = RunManifest(
         args.command,
         {
             "l": args.l, "m": args.m, "w": args.w, "b": str(bfrac),
             "branch": branch.value, "p": args.p, "xmin": args.xmin,
-            "xmax": args.xmax, "points": args.points, "shifted": shifted,
+            "xmax": args.xmax, "points": args.points, "shifted": args.shifted,
             "energy": energy, "lambda": lam,
         },
     )
-    if shifted:
+    if args.shifted:
         print(f"epsilon(E) = {fmt(lam)}", file=sys.stderr)
     if args.format == "json":
         payload = {
@@ -255,58 +241,34 @@ def cmd_potential(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_one(freqs, label, bfrac, branch, energy_override=None, oracle=True,
-                oracle_points=None):
-    """Certification for every eigenpair of one (w, l, m, b, branch) tuple."""
-    ham = build_hamiltonian(freqs, label)
-    spec = eig_sym(ham)
+def _verify_one(freqs, label, spec, bfrac, branch, energy_override=None,
+                oracle=True, oracle_points=None):
+    """JSON entries of every eigenpair of W(l, m) in `spec` under one (b, branch)."""
     checks = []
     for i in range(label.dim):
         energy, vec = spec.pair(i)
         used_energy = energy if energy_override is None else energy_override
-        phi = fock_to_rho_polynomial(label, vec, branch)
-        scale = max(abs(x) for x in phi.coeffs)
-        op_res = bhe_operator_residual(freqs, label, used_energy, phi)
-        std_res = bhe_standard_residual(
-            bhe_params(freqs, label, used_energy, branch), phi
+        cert = certify_eigenpair(
+            freqs, label, used_energy, vec, bfrac, branch, oracle, oracle_points
         )
-        op_rel = float(np.max(np.abs(op_res))) / scale
-        std_rel = float(np.max(np.abs(std_res))) / scale
-        wf = wavefunction_spec(bfrac, freqs, label, phi)
-        if bfrac == Fraction(1, 2):
-            vspec, eps_map = split_sextic(freqs, label, branch)
-            lam = eps_map(used_energy)
-        else:
-            vspec = potential_spec(bfrac, freqs, label, used_energy, branch)
-            lam = 0.0
-        grid = certification_grid(vspec, wf, lam)
-        report = schrodinger_residual(vspec, wf, lam, grid)
         entry = {
             "p": label.dim - i,
             "energy": energy,
             "energy_used": used_energy,
-            "lambda": lam,
-            "bhe_operator_residual": op_rel,
-            "bhe_standard_residual": std_rel,
-            "schrodinger_residual": report.residual,
-            "refinement_order": report.order,
+            "lambda": cert.lam,
+            "bhe_operator_residual": cert.bhe_operator_residual,
+            "bhe_standard_residual": cert.bhe_standard_residual,
+            "schrodinger_residual": cert.report.residual,
+            "refinement_order": cert.report.order,
         }
-        ok = (
-            op_rel <= BHE_RTOL
-            and std_rel <= BHE_RTOL
-            and report.passes(RESIDUAL_TOL, RESIDUAL_MIN_ORDER)
-        )
-        if oracle:
-            cfg = oracle_config(vspec, lam, oracle_points)
-            cont = contains_eigenvalue(vspec, cfg, lam)
-            entry["oracle_nearest"] = cont.nearest
-            entry["oracle_richardson_gap"] = cont.richardson_gap
-            entry["oracle_hit"] = cont.hit
-            entry["oracle_points"] = cont.n_points
-            entry["oracle_h"] = cont.h
-            entry["oracle_solves"] = cont.solves
-            ok = ok and cont.hit
-        entry["pass"] = ok
+        if cert.oracle is not None:
+            entry["oracle_nearest"] = cert.oracle.nearest
+            entry["oracle_richardson_gap"] = cert.oracle.richardson_gap
+            entry["oracle_hit"] = cert.oracle.hit
+            entry["oracle_points"] = cert.oracle.n_points
+            entry["oracle_h"] = cert.oracle.h
+            entry["oracle_solves"] = cert.oracle.solves
+        entry["pass"] = cert.passed
         checks.append(entry)
     return checks
 
@@ -315,9 +277,12 @@ def _b2_zero_search(freqs, label, branch):
     """Search w3 values that null the x^(-3/2) term of the b=2 potential.
 
     The coefficient (A B - 2 D)/(2 b^2) depends on w3 both directly and
-    through the eigenvalue, so each energy index gets a bisection search
-    over w3 around the given frequencies.
+    through the eigenvalue, so each energy index gets a root search (Brent)
+    over w3 within 10 of the given w3, where the coefficient changes sign.
     """
+    # imported here: scipy.optimize adds ~0.15 s and ~19 MB to every CLI
+    # start, and only --find-b2-zero needs it
+    from scipy.optimize import brentq
 
     def coeff(w3: float, idx: int) -> float:
         f = ModeFrequencies(freqs.w1, freqs.w2, w3)
@@ -329,17 +294,9 @@ def _b2_zero_search(freqs, label, branch):
     results = []
     for idx in range(label.dim):
         lo, hi = freqs.w3 - 10.0, freqs.w3 + 10.0
-        flo, fhi = coeff(lo, idx), coeff(hi, idx)
         found = None
-        if flo * fhi <= 0.0:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fmid = coeff(mid, idx)
-                if flo * fmid <= 0.0:
-                    hi, fhi = mid, fmid
-                else:
-                    lo, flo = mid, fmid
-            found = 0.5 * (lo + hi)
+        if coeff(lo, idx) * coeff(hi, idx) <= 0.0:
+            found = brentq(coeff, lo, hi, args=(idx,))
         results.append(
             {
                 "p": label.dim - idx,
@@ -355,8 +312,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     label = parse_label(args.l, args.m)
     bfrac = parse_b(args.b)
     branch = parse_branch(args.branch)
+    if args.energy_override is not None and not math.isfinite(args.energy_override):
+        raise UsageError(f"--energy-override must be finite, got {args.energy_override}")
+    spec = eig_sym(build_hamiltonian(freqs, label))
     checks = _verify_one(
-        freqs, label, bfrac, branch,
+        freqs, label, spec, bfrac, branch,
         energy_override=args.energy_override,
         oracle=not args.no_oracle,
     )
@@ -375,8 +335,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
-def cmd_wavefunction(args: argparse.Namespace) -> int:
-    return cmd_potential(args)
+def _sweep_record(ell, m, bfrac, branch, checks):
+    """One sweep tuple: its verdict and the worst value of each residual."""
+    keys = ["bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual"]
+    if "oracle_richardson_gap" in checks[0]:
+        keys.append("oracle_richardson_gap")
+    return {
+        "l": ell, "m": m, "b": str(bfrac), "branch": branch.value,
+        "pass": all(c["pass"] for c in checks),
+        "worst": {k: max(c[k] for c in checks) for k in keys},
+    }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -387,47 +355,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"--oracle-points must be >= 100, got {args.oracle_points}")
     b_values = [parse_b(tok) for tok in args.b.split(",")]
     branches = [parse_branch(args.branch)] if args.branch else [Branch.PLUS, Branch.MINUS]
-    tuples = [
-        (ell, m, bf, br)
-        for ell in range(args.lmax + 1)
-        for m in range(args.mmax + 1)
-        for bf in b_values
-        for br in branches
-    ]
-
-    def work(tup):
-        ell, m, bf, br = tup
-        checks = _verify_one(
-            ModeFrequencies(*freqs.as_tuple()), SubspaceLabel(ell, m), bf, br,
-            oracle=not args.no_oracle, oracle_points=args.oracle_points,
-        )
-        worst = {
-            "bhe_operator_residual": max(c["bhe_operator_residual"] for c in checks),
-            "bhe_standard_residual": max(c["bhe_standard_residual"] for c in checks),
-            "schrodinger_residual": max(c["schrodinger_residual"] for c in checks),
-        }
-        if not args.no_oracle:
-            worst["oracle_richardson_gap"] = max(
-                c["oracle_richardson_gap"] for c in checks
-            )
-        return {
-            "l": ell, "m": m, "b": str(bf), "branch": br.value,
-            "pass": all(c["pass"] for c in checks), "worst": worst,
-        }
-
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tuples))
-    else:
-        results = [work(t) for t in tuples]
+    results = []
+    for ell in range(args.lmax + 1):
+        for m in range(args.mmax + 1):
+            label = SubspaceLabel(ell, m)
+            spec = eig_sym(build_hamiltonian(freqs, label))
+            for bf in b_values:
+                for br in branches:
+                    checks = _verify_one(
+                        freqs, label, spec, bf, br,
+                        oracle=not args.no_oracle, oracle_points=args.oracle_points,
+                    )
+                    results.append(_sweep_record(ell, m, bf, br, checks))
     results.sort(key=lambda r: (r["l"], r["m"], Fraction(r["b"]), r["branch"]))
     all_pass = all(r["pass"] for r in results)
     manifest = RunManifest(
         "sweep",
         {
             "lmax": args.lmax, "mmax": args.mmax, "w": args.w, "b": args.b,
-            "branch": args.branch, "threads": args.threads,
+            "branch": args.branch,
         },
     )
     payload = {
@@ -478,13 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_basis)
     p_basis.set_defaults(func=cmd_basis)
 
-    p_pot = sub.add_parser("potential", help="potential/wavefunction curve CSV")
+    p_pot = sub.add_parser("potential", aliases=["wavefunction"],
+                           help="potential/wavefunction curve CSV")
     common(p_pot, curve=True)
     p_pot.set_defaults(func=cmd_potential)
-
-    p_wf = sub.add_parser("wavefunction", help="wavefunction curve CSV")
-    common(p_wf, curve=True)
-    p_wf.set_defaults(func=cmd_wavefunction)
 
     p_ver = sub.add_parser("verify", help="run all certifications for one tuple")
     common(p_ver)
@@ -505,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--b", default="1,1/2", help="comma list of exponents")
     p_sweep.add_argument("--branch", default=None, choices=["plus", "minus"],
                          help="restrict to one branch (default: both)")
-    p_sweep.add_argument("--threads", type=int, default=None,
-                         help="worker threads (default: all available)")
     p_sweep.add_argument("--no-oracle", action="store_true")
     p_sweep.add_argument("--oracle-points", type=int, default=None,
                          help="fd oracle grid size (default: sized by domain)")

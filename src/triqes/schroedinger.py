@@ -249,14 +249,17 @@ def _residual_values(
 
 def _residual_on_grid(
     spec: PotentialSpec, wf: WavefunctionSpec, lam: float, grid: np.ndarray, h: float
-) -> float:
-    """max |r| / max |chi|, restricted to points carrying wavefunction mass."""
+) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """max |r| / max |chi|, restricted to points carrying wavefunction mass.
+
+    Also returns |r|, max |chi| and the mask of those points.
+    """
     r_abs, chi_abs = _residual_values(spec, wf, lam, grid, h)
     scale = float(np.max(chi_abs))
     if scale == 0.0:
         raise ValueError("wavefunction vanishes identically on the grid")
     mask = chi_abs > 1e-8 * scale
-    return float(np.max(r_abs[mask]) / scale)
+    return float(np.max(r_abs[mask]) / scale), r_abs, scale, mask
 
 
 def certification_grid(
@@ -277,7 +280,7 @@ def certification_grid(
     """
     h0 = 1e-2
     probe = np.arange(lo, hi + 0.5 * h0, h0)
-    r0 = _residual_on_grid(spec, wf, lam, probe, h0)
+    r0 = _residual_on_grid(spec, wf, lam, probe, h0)[0]
     h = h0 if r0 <= target else h0 * (target / r0) ** 0.25
     h = min(max(h, 5e-4), h0)
     return np.arange(lo, hi + 0.5 * h, h)
@@ -305,21 +308,13 @@ def schrodinger_residual(
     h = float(steps[0])
     if not np.allclose(steps, h, rtol=1e-9, atol=1e-12):
         raise ValueError("grid must be uniformly spaced")
-    r_abs, chi_abs = _residual_values(spec, wf, lam, grid, h)
-    scale = float(np.max(chi_abs))
-    if scale == 0.0:
-        raise ValueError("wavefunction vanishes identically on the grid")
-    mask = chi_abs > 1e-8 * scale
-    r_h = float(np.max(r_abs[mask]) / scale)
+    r_h, _, _, mask = _residual_on_grid(spec, wf, lam, grid, h)
     # half-spacing pass on the same nodes plus midpoints; comparing maxima
     # over the shared nodes keeps the order estimate free of peak-shift noise
     fine = np.empty(2 * grid.size - 1)
     fine[0::2] = grid
     fine[1::2] = 0.5 * (grid[:-1] + grid[1:])
-    r_abs_f, chi_abs_f = _residual_values(spec, wf, lam, fine, 0.5 * h)
-    scale_f = float(np.max(chi_abs_f))
-    mask_f = chi_abs_f > 1e-8 * scale_f
-    r_half = float(np.max(r_abs_f[mask_f]) / scale_f)
+    r_half, r_abs_f, scale_f, _ = _residual_on_grid(spec, wf, lam, fine, 0.5 * h)
     shared = float(np.max(r_abs_f[0::2][mask] / scale_f))
     order = math.log2(r_h / shared) if shared > 0.0 else math.inf
     return ResidualReport(

@@ -20,18 +20,17 @@ from triqes import (
     bhe_params,
     bhe_standard_residual,
     build_hamiltonian,
+    certify_eigenpair,
     contains_eigenvalue,
     eig_sym,
     eval_wavefunction,
     fock_to_rho_polynomial,
     potential_spec,
-    schrodinger_residual,
     split_sextic,
     wavefunction_spec,
 )
 from triqes.cli import main as cli_main
 from triqes.heun import residual_ok
-from triqes.schroedinger import certification_grid
 
 SQRT2 = math.sqrt(2.0)
 W111 = ModeFrequencies(1.0, 1.0, 1.0)
@@ -189,17 +188,10 @@ def test_criterion_5_zero_mode_residuals():
     worst_order = math.inf
     for label, (energy, vec) in worked_example_eigenpairs():
         for branch in Branch:
-            phi = fock_to_rho_polynomial(label, vec, branch)
             for b in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 2)):
-                wf = wavefunction_spec(b, W111, label, phi)
-                if b == Fraction(1, 2):
-                    vspec, eps = split_sextic(W111, label, branch)
-                    lam = eps(energy)
-                else:
-                    vspec = potential_spec(b, W111, label, energy, branch)
-                    lam = 0.0
-                grid = certification_grid(vspec, wf, lam)
-                rep = schrodinger_residual(vspec, wf, lam, grid)
+                rep = certify_eigenpair(
+                    W111, label, energy, vec, b, branch, oracle=False
+                ).report
                 ok &= rep.residual <= 1e-6 and rep.order >= 3.5
                 worst = max(worst, rep.residual)
                 worst_order = min(worst_order, rep.order)

@@ -154,6 +154,16 @@ class TestPotentialCurve:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("xmin,xmax", [("2", "1"), ("1", "1"), ("nan", "1")])
+    def test_xmax_not_above_xmin(self, capsys, xmin, xmax):
+        code, out, err = run_cli(
+            capsys, "potential", "--l", "1", "--m", "1", "--xmin", xmin,
+            "--xmax", xmax, "--points", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--xmax" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "potential", "--l", "1", "--m", "1", "--points", "5",
@@ -181,7 +191,10 @@ class TestWavefunction:
             "--xmin", "0.5", "--xmax", "1.5",
         )
         assert code == 0
-        assert out.splitlines()[1] == "x,V,chi,prob"
+        lines = out.splitlines()
+        assert lines[1] == "x,V,chi,prob"
+        manifest = json.loads(lines[0][len("# manifest "):])
+        assert manifest["command"] == "wavefunction"
 
 
 class TestVerify:
@@ -204,6 +217,16 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["pass"] is False
         assert any(c["bhe_operator_residual"] > 1e-3 for c in payload["checks"])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_energy_override(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "verify", "--l", "1", "--m", "1", "--no-oracle",
+            f"--energy-override={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--energy-override" in err
 
     def test_energy_override_fails_with_oracle(self, capsys):
         code, out, _ = run_cli(
@@ -300,3 +323,23 @@ class TestSweep:
                 "schrodinger_residual", "oracle_richardson_gap",
             }
             assert all(isinstance(v, float) for v in t["worst"].values())
+
+    def test_pass_matches_verify(self, capsys):
+        # one pass rule: every sweep tuple agrees with verify on that tuple,
+        # including the roundoff-floor pair l=0, m=4, minus at b=3/2
+        code, out, _ = run_cli(
+            capsys, "sweep", "--lmax", "1", "--mmax", "4", "--b", "3/2",
+            "--w=2,0.5,-1", "--no-oracle",
+        )
+        tuples = json.loads(out)["tuples"]
+        assert len(tuples) == 20
+        assert any((t["l"], t["m"], t["branch"]) == (0, 4, "minus") for t in tuples)
+        for t in tuples:
+            v_code, v_out, _ = run_cli(
+                capsys, "verify", "--l", str(t["l"]), "--m", str(t["m"]),
+                "--b", t["b"], "--branch", t["branch"], "--w=2,0.5,-1", "--no-oracle",
+            )
+            verified = json.loads(v_out)
+            assert verified["pass"] is t["pass"], t
+            assert v_code == (0 if t["pass"] else 1)
+        assert code == (0 if all(t["pass"] for t in tuples) else 1)

@@ -11,6 +11,7 @@ from triqes import (
     ModeFrequencies,
     SubspaceLabel,
     build_hamiltonian,
+    certify_eigenpair,
     eig_sym,
     epsilon_of,
     eval_potential,
@@ -379,13 +380,7 @@ class TestResidual:
             for i in range(label.dim):
                 energy, vec = spec_h.pair(i)
                 for b in (Fraction(1), Fraction(1, 2)):
-                    wf = make_wf(b, freqs, label, vec, branch)
-                    if b == Fraction(1, 2):
-                        vspec, eps = split_sextic(freqs, label, branch)
-                        lam = eps(energy)
-                    else:
-                        vspec = potential_spec(b, freqs, label, energy, branch)
-                        lam = 0.0
-                    grid = certification_grid(vspec, wf, lam)
-                    rep = schrodinger_residual(vspec, wf, lam, grid)
+                    rep = certify_eigenpair(
+                        freqs, label, energy, vec, b, branch, oracle=False
+                    ).report
                     assert rep.passes(), (freqs, label, branch, i, b, rep)
