@@ -271,6 +271,22 @@ def contains_eigenvalue(
     )
 
 
+def _march() -> list[float]:
+    """x = 1, then steps from 0.05 growing 5% each up to 1, until x >= 512."""
+    xs = [1.0]
+    step = 0.05
+    while xs[-1] < 512.0:
+        xs.append(xs[-1] + step)
+        step = min(step * 1.05, 1.0)
+    return xs
+
+
+# The march of `suggest_domain` (x_min <= 1e-2, so it starts at x = 1) does
+# not depend on the potential: it is laid out once, V evaluated on it at once.
+_MARCH = _march()
+_MARCH_NODES = np.array(_MARCH[:-1])
+
+
 def suggest_domain(
     spec: PotentialSpec, lam: float, phase: float = 18.0
 ) -> tuple[float, float]:
@@ -284,12 +300,12 @@ def suggest_domain(
     """
     c2, ladder = _singular_ladder(spec)
     x_min = 1e-2 if (c2 != 0.0 or ladder) else 1e-3
-    x = max(1.0, 2.0 * x_min)
+    vs = (_eval_terms(spec, _MARCH_NODES) - lam).tolist()
     acc = 0.0
     prev: tuple[float, float] | None = None
-    step = 0.05
-    while x < 512.0 and acc < phase:
-        v = float(_eval_terms(spec, np.array([x]))[0]) - lam
+    for x, v in zip(_MARCH, vs):
+        if acc >= phase:
+            return x_min, x
         if not math.isfinite(v) or v <= 0.0:
             acc = 0.0
             prev = None
@@ -299,9 +315,7 @@ def suggest_domain(
                 x_prev, f_prev = prev
                 acc += 0.5 * (f_prev + cur) * (x - x_prev)
             prev = (x, cur)
-        x += step
-        step = min(step * 1.05, 1.0)
-    return x_min, x
+    return x_min, _MARCH[-1]
 
 
 def oracle_config(

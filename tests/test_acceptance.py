@@ -29,6 +29,7 @@ from triqes import (
     split_sextic,
     wavefunction_spec,
 )
+from triqes.certify import SEXTIC_B, zero_mode_potential
 from triqes.cli import main as cli_main
 from triqes.heun import residual_ok
 
@@ -217,12 +218,13 @@ def test_criterion_6_oracle_containment():
         ok &= res.hit and res.richardson_gap <= 1e-3
         details.append(f"eps(1,1) gap {res.richardson_gap:.1e}")
 
-    # displaced sextic, (3,2): -4 sqrt(2) E_p within 1e-3 |lambda|
+    # displaced sextic, (3,2): the pipeline's (Vtilde, lambda), lambda the
+    # paper's -4 sqrt(2) E_p, contained within 1e-3 |lambda|
     label = SubspaceLabel(3, 2)
-    tilde, eps = split_sextic(W111, label)
     spec32 = eig_sym(build_hamiltonian(W111, label))
     for energy in spec32.eigenvalues:
-        lam = -4.0 * SQRT2 * float(energy)
+        tilde, lam = zero_mode_potential(SEXTIC_B, W111, label, float(energy))
+        ok &= math.isclose(lam, -4.0 * SQRT2 * float(energy), rel_tol=1e-12)
         res = contains_eigenvalue(tilde, cfg, lam)
         ok &= res.hit and res.richardson_gap <= 1e-3 * abs(lam)
         details.append(f"eps(3,2) gap {res.richardson_gap:.1e}")

@@ -1,7 +1,9 @@
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from triqes import (
@@ -52,14 +54,36 @@ class TestCertifyEigenpair:
         assert cert.oracle.n_points == 5000
 
 
-def test_worked_examples_script(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "certify_worked_examples", SCRIPTS / "certify_worked_examples.py"
-    )
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_worked_examples_script(capsys):
+    module = load_script("certify_worked_examples")
     assert module.main() == 0
     out = capsys.readouterr().out.splitlines()
     # 5 eigenpairs x 2 branches x 4 exponents, between header and footer
     assert len(out) == 2 + 40 + 2
     assert out[-1] == "all checks passed"
+
+
+def test_export_figure_data_script(tmp_path, monkeypatch):
+    module = load_script("export_figure_data")
+    monkeypatch.setattr(sys, "argv", ["export_figure_data.py", str(tmp_path)])
+    assert module.main() == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(f"{cfg[0]}.csv" for cfg in module.CONFIGS)
+    assert len(names) == 14
+    for name in names:
+        rows = [
+            line.split(",")
+            for line in (tmp_path / name).read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        assert rows[0] == ["x", "V", "chi", "prob"]
+        data = np.array([[float(v) for v in row[:2]] for row in rows[1:]])
+        assert data.shape == (1000, 2)
+        assert np.all(np.isfinite(data))

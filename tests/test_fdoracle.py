@@ -18,6 +18,7 @@ from triqes import (
     split_sextic,
     suggest_domain,
 )
+from triqes.fdoracle import _eval_terms, _singular_ladder
 from triqes.schroedinger import PotentialSpec
 
 SQRT2 = math.sqrt(2.0)
@@ -221,6 +222,53 @@ class TestOracleConfig:
     def test_explicit_points(self, unit_freqs):
         tilde, _ = split_sextic(unit_freqs, SubspaceLabel(1, 1))
         assert oracle_config(tilde, -5.0, n_points=1234).n_points == 1234
+
+
+def marching_domain(spec, lam, phase=18.0):
+    """suggest_domain as it was before the march was laid out once: one
+    potential evaluation per step."""
+    c2, ladder = _singular_ladder(spec)
+    x_min = 1e-2 if (c2 != 0.0 or ladder) else 1e-3
+    x = max(1.0, 2.0 * x_min)
+    acc = 0.0
+    prev = None
+    step = 0.05
+    while x < 512.0 and acc < phase:
+        v = float(_eval_terms(spec, np.array([x]))[0]) - lam
+        if not math.isfinite(v) or v <= 0.0:
+            acc = 0.0
+            prev = None
+        else:
+            cur = math.sqrt(v)
+            if prev is not None:
+                x_prev, f_prev = prev
+                acc += 0.5 * (f_prev + cur) * (x - x_prev)
+            prev = (x, cur)
+        x += step
+        step = min(step * 1.05, 1.0)
+    return x_min, x
+
+
+class TestSuggestDomain:
+    @pytest.mark.parametrize("w", [(1.0, 1.0, 1.0), (2.0, 0.5, -1.0), (0.3, -1.2, 0.7)])
+    def test_identical_to_marching_loop(self, w):
+        freqs = ModeFrequencies(*w)
+        for ell in range(3):
+            for m in range(3):
+                label = SubspaceLabel(ell, m)
+                for energy in eig_sym(build_hamiltonian(freqs, label)).eigenvalues:
+                    for b in (Fraction(1), HALF, Fraction(3, 2), Fraction(2)):
+                        for branch in Branch:
+                            vspec, lam = certified_level(freqs, label, b, float(energy), branch)
+                            assert suggest_domain(vspec, lam) == marching_domain(vspec, lam)
+
+    def test_march_cap_and_phase(self):
+        # a potential below lambda everywhere runs the march to its cap;
+        # phase 0 stops before the first step
+        flat = bare_spec([(0.0, 1.0)])
+        assert suggest_domain(flat, 2.0) == marching_domain(flat, 2.0)
+        assert suggest_domain(flat, 2.0)[1] >= 512.0
+        assert suggest_domain(flat, 0.0, phase=0.0) == marching_domain(flat, 0.0, phase=0.0)
 
 
 class TestSingularAdaptation:

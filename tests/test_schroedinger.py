@@ -22,6 +22,8 @@ from triqes import (
     split_sextic,
     wavefunction_spec,
 )
+from triqes import schroedinger
+from triqes.certify import zero_mode_potential
 from triqes.schroedinger import AuxConstants, PotentialSpec, certification_grid
 
 from conftest import frequencies, labels
@@ -384,3 +386,76 @@ class TestResidual:
                         freqs, label, energy, vec, b, branch, oracle=False
                     ).report
                     assert rep.passes(), (freqs, label, branch, i, b, rep)
+
+
+def shifted_stencil_residual(spec, wf, lam, grid):
+    """The residual as computed before the one-lattice stencil: chi at
+    grid + s h and at fine + s h/2 for s = -2..2, ten evaluations."""
+
+    def on_nodes(nodes, h):
+        chi = [np.asarray(eval_wavefunction(wf, nodes + s * h)) for s in (-2, -1, 0, 1, 2)]
+        d2 = (-chi[0] + 16.0 * chi[1] - 30.0 * chi[2] + 16.0 * chi[3] - chi[4]) / (12.0 * h * h)
+        r_abs = np.abs(-d2 + (np.asarray(eval_potential(spec, nodes)) - lam) * chi[2])
+        chi_abs = np.abs(chi[2])
+        scale = float(np.max(chi_abs))
+        mask = chi_abs > 1e-8 * scale
+        return float(np.max(r_abs[mask]) / scale), r_abs, scale, mask
+
+    h = float(grid[1] - grid[0])
+    r_h, _, _, mask = on_nodes(grid, h)
+    fine = np.empty(2 * grid.size - 1)
+    fine[0::2] = grid
+    fine[1::2] = 0.5 * (grid[:-1] + grid[1:])
+    r_half, r_abs_f, scale_f, _ = on_nodes(fine, 0.5 * h)
+    shared = float(np.max(r_abs_f[0::2][mask] / scale_f))
+    return r_h, r_half, math.log2(r_h / shared)
+
+
+class TestOneLattice:
+    @pytest.mark.parametrize("w", [(1.0, 1.0, 1.0), (2.0, 0.5, -1.0)])
+    @pytest.mark.parametrize("ell,m", [(1, 1), (3, 2)])
+    def test_matches_shifted_stencils(self, w, ell, m):
+        freqs = ModeFrequencies(*w)
+        label = SubspaceLabel(ell, m)
+        for energy, vec in eigenpairs(freqs, label):
+            for branch in Branch:
+                for b in (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2)):
+                    wf = make_wf(b, freqs, label, vec, branch)
+                    vspec, lam = zero_mode_potential(b, freqs, label, energy, branch)
+                    grid = certification_grid(vspec, wf, lam)
+                    rep = schrodinger_residual(vspec, wf, lam, grid)
+                    r_h, r_half, order = shifted_stencil_residual(vspec, wf, lam, grid)
+                    case = (w, label, branch, b)
+                    assert abs(rep.residual - r_h) <= 1e-9, case
+                    assert abs(rep.residual_half - r_half) <= 1e-9, case
+                    if r_h > 1e-7:
+                        assert abs(rep.order - order) <= 0.05, case
+
+    def test_one_wavefunction_evaluation_per_call(self, unit_freqs, monkeypatch):
+        calls = []
+
+        def counted(wf, x):
+            calls.append(np.size(x))
+            return eval_wavefunction(wf, x)
+
+        monkeypatch.setattr(schroedinger, "eval_wavefunction", counted)
+        label = SubspaceLabel(3, 2)
+        energy, vec = eigenpairs(unit_freqs, label)[1]
+        wf = make_wf(Fraction(1), unit_freqs, label, vec, Branch.PLUS)
+        spec = potential_spec(Fraction(1), unit_freqs, label, energy)
+        grid = certification_grid(spec, wf, 0.0)
+        assert len(calls) == 1
+        calls.clear()
+        schrodinger_residual(spec, wf, 0.0, grid)
+        assert calls == [2 * grid.size + 7]
+
+    def test_origin_margin_checked_before_evaluation(self, unit_freqs):
+        # the h stencil reaches 2h left of the grid; that point must be > 0
+        label = SubspaceLabel(1, 1)
+        energy, vec = eigenpairs(unit_freqs, label)[1]
+        wf = make_wf(Fraction(1), unit_freqs, label, vec, Branch.PLUS)
+        spec = potential_spec(Fraction(1), unit_freqs, label, energy)
+        with pytest.raises(ValueError, match="too close to the origin"):
+            schrodinger_residual(spec, wf, 0.0, np.arange(0.1, 1.0, 0.05))
+        with pytest.raises(ValueError, match="too close to the origin"):
+            certification_grid(spec, wf, 0.0, lo=0.02)
