@@ -2,7 +2,8 @@
 
 H = w1 N_a + w2 N_b + w3 N_c + a+ b c + a b+ c+ restricted to W(l, m)
 is a real symmetric tridiagonal matrix in the canonical basis (n_a
-ascending).  Matrices are stored dense; dimensions never exceed 65.
+ascending).  Matrices are stored dense; dimensions never exceed 33, since
+min(l, m) + 1 <= 33 when l + m <= 64.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from triqes import (
     eig_sym,
     fock_to_rho_polynomial,
 )
+from triqes.fock import MAX_TOTAL_LABEL
 from triqes.heun import BheParams, residual_ok
 
 from conftest import frequencies, labels
@@ -26,6 +27,17 @@ SQRT2 = math.sqrt(2.0)
 def eigenpairs(freqs, label):
     spec = eig_sym(build_hamiltonian(freqs, label))
     return [spec.pair(i) for i in range(label.dim)]
+
+
+def assert_both_residuals_ok(freqs, label):
+    """Every eigenpair and branch of W(l, m) passes both BHE recurrences."""
+    for energy, vec in eigenpairs(freqs, label):
+        for branch in Branch:
+            phi = fock_to_rho_polynomial(label, vec, branch)
+            op_res = bhe_operator_residual(freqs, label, energy, phi)
+            std_res = bhe_standard_residual(bhe_params(freqs, label, energy, branch), phi)
+            assert residual_ok(op_res, phi), (label, energy, branch)
+            assert residual_ok(std_res, phi), (label, energy, branch)
 
 
 class TestPolynomialMap:
@@ -151,17 +163,22 @@ class TestResiduals:
     @settings(max_examples=60, deadline=None)
     @given(frequencies(), labels(max_l=6, max_m=6))
     def test_all_eigenpairs_both_branches(self, freqs, label):
-        spec = eig_sym(build_hamiltonian(freqs, label))
-        for i in range(label.dim):
-            energy, vec = spec.pair(i)
-            for branch in Branch:
-                phi = fock_to_rho_polynomial(label, vec, branch)
-                op_res = bhe_operator_residual(freqs, label, energy, phi)
-                std_res = bhe_standard_residual(
-                    bhe_params(freqs, label, energy, branch), phi
-                )
-                assert residual_ok(op_res, phi)
-                assert residual_ok(std_res, phi)
+        assert_both_residuals_ok(freqs, label)
+
+    def test_largest_subspace_at_cap(self):
+        # W(32, 32) has the largest dimension (33) the label cap allows; at
+        # this w a cyclic Jacobi eigensolve left residuals up to 1.5e-9
+        freqs = ModeFrequencies(0.94169343811499, -0.32168507186038475, -1.3923645579391297)
+        assert_both_residuals_ok(freqs, SubspaceLabel(32, 32))
+
+    @pytest.mark.parametrize("ell", [4, 20, 32, 44, 60])
+    def test_random_frequencies_at_cap(self, ell):
+        # |w_i| <= 2 as in criterion 4; unbalanced splits at larger |w| can
+        # exceed the tolerance on their extreme levels (ROADMAP defect (d))
+        rng = np.random.default_rng(ell)
+        for _ in range(2):
+            freqs = ModeFrequencies(*rng.uniform(-2.0, 2.0, 3))
+            assert_both_residuals_ok(freqs, SubspaceLabel(ell, MAX_TOTAL_LABEL - ell))
 
     @settings(max_examples=30, deadline=None)
     @given(frequencies(), labels(max_l=6, max_m=6), st.floats(0.05, 2.0))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,26 @@ def symmetric_matrices(max_dim=65):
     ).map(build)
 
 
+def mpmath_spectrum(a):
+    """Ascending eigenvalues and eigenvector columns from mpmath at 25 digits."""
+    with mpmath.workdps(25):
+        vals, vecs = mpmath.eigsy(mpmath.matrix(a.tolist()))
+        order = sorted(range(a.shape[0]), key=lambda i: vals[i])
+        e = np.array([float(vals[i]) for i in order])
+        v = np.array([[float(vecs[r, i]) for i in order] for r in range(a.shape[0])])
+    return e, v
+
+
+def assert_matches_mpmath(a):
+    spec = eig_sym(a)
+    ref_vals, ref_vecs = mpmath_spectrum(a)
+    scale = max(1.0, np.max(np.abs(ref_vals)))
+    assert np.max(np.abs(spec.eigenvalues - ref_vals)) <= 1e-13 * scale
+    # columns are unit vectors, so |overlap| = 1 up to the angle between them
+    overlaps = np.abs(np.sum(spec.eigenvectors * ref_vecs, axis=0))
+    assert np.all(overlaps >= 1.0 - 1e-12)
+
+
 def test_h11_eigenvalues_exact(unit_freqs):
     spec = eig_sym(build_hamiltonian(unit_freqs, SubspaceLabel(1, 1)))
     expected = [(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2]
@@ -43,6 +64,11 @@ def test_identity_spectrum():
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_asymmetric_rejected():
+    with pytest.raises(ValueError, match="expected a symmetric matrix"):
+        eig_sym(np.array([[1.0, 1e-3], [0.0, 1.0]]))
 
 
 def test_sign_convention():
@@ -87,10 +113,17 @@ def test_model_swap_symmetry(freqs, label):
     assert np.allclose(spec1.eigenvalues, spec2.eigenvalues, atol=1e-12 * max(1.0, abs(spec1.eigenvalues).max()))
 
 
-@settings(max_examples=20, deadline=None)
-@given(symmetric_matrices(max_dim=30))
-def test_against_lapack(a):
-    # independent oracle: LAPACK via numpy
-    mine = eig_sym(a).eigenvalues
-    ref = np.linalg.eigvalsh(a)
-    assert np.allclose(mine, ref, atol=1e-11 * max(1.0, np.linalg.norm(a)))
+# W(32, 32) has dimension 33, the largest the label cap allows; the model
+# matrices are unreduced tridiagonal, so every level is simple and each
+# eigenvector is fixed up to sign
+@pytest.mark.parametrize(
+    "w", [(0.94169343811499, -0.32168507186038475, -1.3923645579391297), (2.0, 0.5, -1.0)]
+)
+@pytest.mark.parametrize("ell, m", [(32, 32), (20, 44), (0, 64)])
+def test_model_matrices_against_mpmath(w, ell, m):
+    assert_matches_mpmath(build_hamiltonian(ModeFrequencies(*w), SubspaceLabel(ell, m)).entries)
+
+
+def test_random_matrix_against_mpmath():
+    a = np.random.default_rng(12).standard_normal((12, 12))
+    assert_matches_mpmath((a + a.T) / 2.0)
