@@ -34,6 +34,7 @@ from .schroedinger import (
     schrodinger_residual,
     split_sextic,
     wavefunction_spec,
+    zero_mode_residual,
 )
 from .fdoracle import (
     FdConfig,
@@ -74,6 +75,7 @@ __all__ = [
     "schrodinger_residual",
     "split_sextic",
     "wavefunction_spec",
+    "zero_mode_residual",
     "FdConfig",
     "contains_eigenvalue",
     "fd_spectrum",

@@ -8,12 +8,16 @@ The chain checked link by link:
 3. the potential whose zero mode chi is: at b = 1/2 the displaced sextic
    Vtilde with lambda = eps(E), for any other b the plain V_b with
    lambda = 0;
-4. the Schroedinger residual of chi on a certification grid;
+4. the Schroedinger equation -chi'' + (V - lambda) chi = 0 as the exact
+   polynomial identity `zero_mode_residual`, relative to the largest phi
+   coefficient: no grid, no step size, no refinement order;
 5. optionally the independent finite-difference oracle at lambda.
 
-`certify_eigenpair` returns a `Certificate` whose `passed` is decided by one rule:
-both BHE residuals within `BHE_RTOL`, `ResidualReport.passes(RESIDUAL_TOL,
-RESIDUAL_MIN_ORDER)`, and the oracle hit when the oracle ran.
+`certify_eigenpair` returns a `Certificate` whose `failed` names the
+`STAGES` that missed, by one rule: "bhe" when either BHE residual exceeds
+`BHE_RTOL`, "schrodinger" when the zero-mode residual exceeds the same
+`BHE_RTOL`, and "oracle" when the oracle ran and missed.  `passed` is
+`not failed`.
 """
 
 from __future__ import annotations
@@ -36,35 +40,39 @@ from .heun import (
 )
 from .schroedinger import (
     PotentialSpec,
-    ResidualReport,
     RationalLike,
     as_fraction,
-    certification_grid,
     epsilon_of,
     potential_spec,
-    schrodinger_residual,
     split_sextic,
     wavefunction_spec,
+    zero_mode_residual,
 )
 
 BHE_RTOL = 1e-10
-RESIDUAL_TOL = 1e-6
-RESIDUAL_MIN_ORDER = 3.5
+STAGES = ("bhe", "schrodinger", "oracle")
 
 SEXTIC_B = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Every number the chain produced for one eigenpair, and its verdict."""
+    """Every number the chain produced for one eigenpair, and its verdict.
+
+    `failed` lists the stages that missed, in the order of `STAGES`.
+    """
 
     bhe_operator_residual: float
     bhe_standard_residual: float
     potential: PotentialSpec
     lam: float
-    report: ResidualReport
+    schrodinger_residual: float
     oracle: ContainmentResult | None
-    passed: bool
+    failed: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
 
 
 def zero_mode_potential(
@@ -112,23 +120,21 @@ def certify_eigenpair(
     )
     wf = wavefunction_spec(bf, freqs, label, phi)
     vspec, lam = zero_mode_potential(bf, freqs, label, energy, branch)
-    grid = certification_grid(vspec, wf, lam)
-    report = schrodinger_residual(vspec, wf, lam, grid)
-    passed = (
-        op_rel <= BHE_RTOL
-        and std_rel <= BHE_RTOL
-        and report.passes(RESIDUAL_TOL, RESIDUAL_MIN_ORDER)
-    )
+    schr_rel = _relative(zero_mode_residual(vspec, wf, lam), phi)
     cont = None
     if oracle:
         cont = contains_eigenvalue(vspec, oracle_config(vspec, lam, oracle_points), lam)
-        passed = passed and cont.hit
+    ok = (
+        op_rel <= BHE_RTOL and std_rel <= BHE_RTOL,
+        schr_rel <= BHE_RTOL,
+        cont is None or cont.hit,
+    )
     return Certificate(
         bhe_operator_residual=op_rel,
         bhe_standard_residual=std_rel,
         potential=vspec,
         lam=lam,
-        report=report,
+        schrodinger_residual=schr_rel,
         oracle=cont,
-        passed=passed,
+        failed=tuple(stage for stage, good in zip(STAGES, ok) if not good),
     )

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .certify import SEXTIC_B, certify_eigenpair, zero_mode_potential
+from .certify import SEXTIC_B, STAGES, certify_eigenpair, zero_mode_potential
 from .fock import SubspaceLabel, subspace_basis
 from .hamiltonian import ModeFrequencies, build_hamiltonian
 from .heun import Branch, fock_to_rho_polynomial
@@ -258,8 +258,7 @@ def _verify_one(freqs, label, spec, bfrac, branch, energy_override=None,
             "lambda": cert.lam,
             "bhe_operator_residual": cert.bhe_operator_residual,
             "bhe_standard_residual": cert.bhe_standard_residual,
-            "schrodinger_residual": cert.report.residual,
-            "refinement_order": cert.report.order,
+            "schrodinger_residual": cert.schrodinger_residual,
         }
         if cert.oracle is not None:
             entry["oracle_nearest"] = cert.oracle.nearest
@@ -268,6 +267,7 @@ def _verify_one(freqs, label, spec, bfrac, branch, energy_override=None,
             entry["oracle_points"] = cert.oracle.n_points
             entry["oracle_h"] = cert.oracle.h
             entry["oracle_solves"] = cert.oracle.solves
+        entry["failed"] = list(cert.failed)
         entry["pass"] = cert.passed
         checks.append(entry)
     return checks
@@ -336,13 +336,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_record(ell, m, bfrac, branch, checks):
-    """One sweep tuple: its verdict and the worst value of each residual."""
+    """One sweep tuple: its verdict, the stages any eigenpair failed and the
+    worst value of each residual."""
     keys = ["bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual"]
     if "oracle_richardson_gap" in checks[0]:
         keys.append("oracle_richardson_gap")
     return {
         "l": ell, "m": m, "b": str(bfrac), "branch": branch.value,
         "pass": all(c["pass"] for c in checks),
+        "failed": [s for s in STAGES if any(s in c["failed"] for c in checks)],
         "worst": {k: max(c[k] for c in checks) for k in keys},
     }
 
@@ -384,7 +386,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }
     _write_json(payload, args.out)
     for r in results:
-        status = "pass" if r["pass"] else "FAIL"
+        status = "pass" if r["pass"] else f"FAIL ({', '.join(r['failed'])})"
         print(
             f"l={r['l']} m={r['m']} b={r['b']} {r['branch']:>5}: {status}",
             file=sys.stderr,

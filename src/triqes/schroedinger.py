@@ -31,10 +31,16 @@ For b = 1/2 the x^0 term carries the only E dependence, so V splits as
 V = Vtilde - eps(E) with eps(E) = -4 c E: the displaced sextic potential
 Vtilde is E-independent and has genuine eigenvalues eps(E).
 
-`schrodinger_residual` checks -chi'' + V chi = lambda chi with 5-point
-central differences at spacings h and h/2.  Both stencils are strided
-slices of one lattice of spacing h/2, so chi is evaluated once per
-residual, on 2n + 7 points for a grid of n nodes.
+`zero_mode_residual` checks -chi'' + V chi = lambda chi exactly: with
+v = x^(1/b) the left side minus the right is x^(s-2) e^(g(v)) P(v) / b^2
+for a polynomial P of degree <= N' + 4, whose coefficients it returns.
+The certification pipeline gates on P.
+
+`schrodinger_residual` checks the same equation numerically, with 5-point
+central differences at spacings h and h/2 on a grid from
+`certification_grid`; acceptance criterion 5 and the stencil tests use it.
+Both stencils are strided slices of one lattice of spacing h/2, so chi is
+evaluated once per residual, on 2n + 7 points for a grid of n nodes.
 """
 
 from __future__ import annotations
@@ -231,6 +237,66 @@ def eval_wavefunction(wf: WavefunctionSpec, x: float | np.ndarray) -> float | np
         * wf.phi(v)
     )
     return val if np.ndim(x) else float(val)
+
+
+def zero_mode_residual(
+    spec: PotentialSpec, wf: WavefunctionSpec, lam: float
+) -> np.ndarray:
+    """Coefficients in v = x^(1/b) of the exact residual polynomial P.
+
+    With sigma = b s (s the prefactor exponent), g = -v (A + v) / 2 and
+    q = sigma - A v / 2 - v^2, chi = v^sigma e^g phi(v) gives
+
+        -chi'' + (V - lam) chi = x^(s - 2) e^g P(v) / b^2,
+        P = -(v^2 phi'' + 2 v q phi' + (q^2 - sigma - v^2) phi)
+            - (1 - b)(v phi' + q phi) + b^2 (sum_i c_i v^i - lam v^(2b)) phi,
+
+    where c_i is the coefficient of x^(-2 + i/b) in V.  P vanishes
+    identically exactly when chi is a zero mode at lam, so no grid is
+    involved.  P is built from `spec.terms` and `wf` alone.  Raises
+    ValueError when an exponent of V is off the ladder -2 + i/b,
+    i = 0..4, for b = `wf.b`, or when lam != 0 and 2b is not an integer.
+    """
+    b = float(wf.b)
+    c = [0.0] * 5
+    for exponent, coeff in spec.terms:
+        i = (exponent + 2.0) * b
+        rung = round(i)
+        if abs(i - rung) > 1e-9 or not 0 <= rung <= 4:
+            raise ValueError(
+                f"potential exponent {exponent} is not -2 + i/b with i in 0..4"
+                f" for b = {wf.b}"
+            )
+        c[rung] += coeff
+    lam_power = 0
+    if lam != 0.0:
+        if (2 * wf.b).denominator != 1:
+            raise ValueError(f"lambda != 0 needs an integer 2b, got b = {wf.b}")
+        lam_power = int(2 * wf.b)
+    sigma = b * wf.prefactor_exponent
+    q = (sigma, -0.5 * wf.A, -1.0)
+    # the part of P / (phi_n v^n) that does not depend on n, in powers of v
+    base = [0.0] * max(5, lam_power + 1)
+    for i in range(3):
+        for j in range(3):
+            base[i + j] -= q[i] * q[j]
+        base[i] -= (1.0 - b) * q[i]
+    base[0] += sigma
+    base[2] += 1.0
+    for i in range(5):
+        base[i] += b * b * c[i]
+    base[lam_power] -= b * b * lam
+    phi = wf.phi.coeffs
+    out = [0.0] * (len(phi) + len(base) - 1)
+    for n, p in enumerate(phi):
+        # v^2 (v^n)'' = n (n - 1) v^n and v (v^n)' = n v^n
+        r = list(base)
+        r[0] -= n * (n - 1) + 2.0 * n * q[0] + (1.0 - b) * n
+        r[1] -= 2.0 * n * q[1]
+        r[2] -= 2.0 * n * q[2]
+        for j, rj in enumerate(r):
+            out[n + j] += p * rj
+    return np.array(out)
 
 
 def _stencil_residual(

@@ -20,18 +20,19 @@ from triqes import (
     bhe_params,
     bhe_standard_residual,
     build_hamiltonian,
-    certify_eigenpair,
     contains_eigenvalue,
     eig_sym,
     eval_wavefunction,
     fock_to_rho_polynomial,
     potential_spec,
+    schrodinger_residual,
     split_sextic,
     wavefunction_spec,
 )
 from triqes.certify import SEXTIC_B, zero_mode_potential
 from triqes.cli import main as cli_main
 from triqes.heun import residual_ok
+from triqes.schroedinger import certification_grid
 
 SQRT2 = math.sqrt(2.0)
 W111 = ModeFrequencies(1.0, 1.0, 1.0)
@@ -190,9 +191,13 @@ def test_criterion_5_zero_mode_residuals():
     for label, (energy, vec) in worked_example_eigenpairs():
         for branch in Branch:
             for b in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 2)):
-                rep = certify_eigenpair(
-                    W111, label, energy, vec, b, branch, oracle=False
-                ).report
+                wf = wavefunction_spec(
+                    b, W111, label, fock_to_rho_polynomial(label, vec, branch)
+                )
+                vspec, lam = zero_mode_potential(b, W111, label, energy, branch)
+                rep = schrodinger_residual(
+                    vspec, wf, lam, certification_grid(vspec, wf, lam)
+                )
                 ok &= rep.residual <= 1e-6 and rep.order >= 3.5
                 worst = max(worst, rep.residual)
                 worst_order = min(worst_order, rep.order)

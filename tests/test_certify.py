@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,20 +9,45 @@ import pytest
 
 from triqes import (
     Branch,
+    ModeFrequencies,
     SubspaceLabel,
     build_hamiltonian,
     certify_eigenpair,
     eig_sym,
     epsilon_of,
+    fock_to_rho_polynomial,
     potential_spec,
     split_sextic,
+    wavefunction_spec,
+    zero_mode_residual,
 )
+from triqes import certify
+from triqes.certify import BHE_RTOL, zero_mode_potential
+from triqes.cli import main as cli_main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+B_VALUES = (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2))
+# the bhe-bulk benchmark anchor
+ANCHOR = ModeFrequencies(0.94169343811499, -0.32168507186038475, -1.3923645579391297)
 
 
 def eigenpair(freqs, label, i):
     return eig_sym(build_hamiltonian(freqs, label)).pair(i)
+
+
+def every_case(freqs, label):
+    """(energy, vec, b, branch) for every eigenpair of W(l, m), b and branch."""
+    spectrum = eig_sym(build_hamiltonian(freqs, label))
+    for i in range(label.dim):
+        energy, vec = spectrum.pair(i)
+        for b in B_VALUES:
+            for branch in Branch:
+                yield energy, vec, b, branch
+
+
+def exact_relative(vspec, wf, lam):
+    residual = zero_mode_residual(vspec, wf, lam)
+    return np.max(np.abs(residual)) / np.max(np.abs(wf.phi.coeffs))
 
 
 class TestCertifyEigenpair:
@@ -45,6 +71,24 @@ class TestCertifyEigenpair:
         assert cert.oracle is None
         assert cert.passed
 
+    def test_failed_names_stages(self, unit_freqs):
+        label = SubspaceLabel(3, 2)
+        energy, vec = eigenpair(unit_freqs, label, 1)
+        cert = certify_eigenpair(unit_freqs, label, energy + 1e-3, vec, 1, oracle=False)
+        assert cert.failed == ("bhe", "schrodinger")
+        assert not cert.passed
+
+    @pytest.mark.parametrize(
+        "freqs,ell,m", [(ANCHOR, 32, 32), (ModeFrequencies(1, 1, 1), 20, 20)]
+    )
+    def test_cap_labels_pass(self, freqs, ell, m):
+        # the exact zero-mode residual grows with the label like the BHE
+        # residuals; both stay under the one tolerance at the label cap
+        label = SubspaceLabel(ell, m)
+        for energy, vec, b, branch in every_case(freqs, label):
+            cert = certify_eigenpair(freqs, label, energy, vec, b, branch, oracle=False)
+            assert cert.passed, (energy, b, branch, cert)
+
     def test_oracle_hit(self, unit_freqs):
         label = SubspaceLabel(1, 1)
         energy, vec = eigenpair(unit_freqs, label, 1)
@@ -52,6 +96,56 @@ class TestCertifyEigenpair:
                                  oracle_points=5000)
         assert cert.oracle.hit and cert.passed
         assert cert.oracle.n_points == 5000
+
+
+class TestZeroModeResidual:
+    @pytest.mark.parametrize("ell,m", [(1, 1), (3, 2)])
+    def test_perturbations_fail(self, unit_freqs, ell, m):
+        label = SubspaceLabel(ell, m)
+        for energy, vec, b, branch in every_case(unit_freqs, label):
+            phi = fock_to_rho_polynomial(label, vec, branch)
+            wf = wavefunction_spec(b, unit_freqs, label, phi)
+            vspec, lam = zero_mode_potential(b, unit_freqs, label, energy, branch)
+            case = (energy, b, branch)
+            assert exact_relative(vspec, wf, lam) <= BHE_RTOL, case
+            off_e, off_lam = zero_mode_potential(
+                b, unit_freqs, label, energy * (1 + 1e-8), branch
+            )
+            assert exact_relative(off_e, wf, off_lam) > BHE_RTOL, case
+            terms = list(vspec.terms)
+            k = max(range(len(terms)), key=lambda j: abs(terms[j][1]))
+            terms[k] = (terms[k][0], terms[k][1] * (1 + 1e-8))
+            off_v = replace(vspec, terms=tuple(terms))
+            assert exact_relative(off_v, wf, lam) > BHE_RTOL, case
+            off_s = replace(wf, prefactor_exponent=wf.prefactor_exponent * (1 + 1e-8))
+            assert exact_relative(vspec, off_s, lam) > BHE_RTOL, case
+
+    def test_off_ladder_rejected(self, unit_freqs):
+        label = SubspaceLabel(1, 1)
+        energy, vec = eigenpair(unit_freqs, label, 1)
+        phi = fock_to_rho_polynomial(label, vec, Branch.PLUS)
+        for spec_b, wf_b in ((1, Fraction(3, 2)), (Fraction(1, 2), 1), (2, 1)):
+            vspec = potential_spec(spec_b, unit_freqs, label, energy)
+            wf = wavefunction_spec(wf_b, unit_freqs, label, phi)
+            with pytest.raises(ValueError, match="not -2 \\+ i/b"):
+                zero_mode_residual(vspec, wf, 0.0)
+        # lambda != 0 needs v^(2b) to be a power of v
+        third = Fraction(1, 3)
+        vspec = potential_spec(third, unit_freqs, label, energy)
+        wf = wavefunction_spec(third, unit_freqs, label, phi)
+        with pytest.raises(ValueError, match="integer 2b"):
+            zero_mode_residual(vspec, wf, 1.0)
+
+    def test_cli_exits_1_off_ladder(self, capsys, monkeypatch):
+        def wrong_b(b, freqs, label, energy, branch):
+            return potential_spec(1, freqs, label, energy, branch), 0.0
+
+        monkeypatch.setattr(certify, "zero_mode_potential", wrong_b)
+        code = cli_main(["verify", "--l", "1", "--m", "1", "--b", "3/2", "--no-oracle"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "not -2 + i/b" in captured.err
 
 
 def load_script(name):

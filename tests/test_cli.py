@@ -238,15 +238,16 @@ class TestVerify:
         assert not any(c["oracle_hit"] for c in payload["checks"])
 
     def test_residual_at_roundoff_floor_passes(self, capsys):
-        # the residual sits below the rounding floor, where the refinement
-        # order (~3.0) is noise; the pass rule is ResidualReport.passes()
+        # on the grid this residual sits below the rounding floor, where the
+        # refinement order (~3.0) is noise; the exact zero-mode check has no
+        # order to estimate
         code, out, _ = run_cli(
             capsys, "verify", "--l", "0", "--m", "4", "--b", "3/2",
             "--branch", "minus", "--w=2,0.5,-1",
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["checks"][0]["refinement_order"] < 3.5
+        assert payload["checks"][0]["schrodinger_residual"] <= 1e-10
 
     def test_oracle_grid_recorded(self, capsys):
         code, out, _ = run_cli(
@@ -323,6 +324,29 @@ class TestSweep:
                 "schrodinger_residual", "oracle_richardson_gap",
             }
             assert all(isinstance(v, float) for v in t["worst"].values())
+
+    def test_fail_line_names_stage(self, capsys):
+        # defect (a): the fd oracle misses this zero mode at a limit-circle
+        # left end while the exact checks pass
+        code, out, err = run_cli(
+            capsys, "sweep", "--lmax", "0", "--mmax", "0", "--b", "2",
+            "--branch", "plus", "--w=2,0.5,-1",
+        )
+        assert code == 1
+        assert json.loads(out)["tuples"][0]["failed"] == ["oracle"]
+        assert err.splitlines() == ["l=0 m=0 b=2  plus: FAIL (oracle)"]
+
+    def test_no_oracle_wide_sweep_passes(self, capsys):
+        # defect (c): the grid residual's refinement order failed 11 of these
+        # tuples just above the rounding floor; the exact check passes all
+        code, out, _ = run_cli(
+            capsys, "sweep", "--no-oracle", "--lmax", "6", "--mmax", "6",
+            "--b", "1,1/2,3/2,2", "--w=-1.5,0.8,1.9",
+        )
+        payload = json.loads(out)
+        assert payload["count"] == 392
+        assert [t for t in payload["tuples"] if not t["pass"]] == []
+        assert code == 0
 
     def test_pass_matches_verify(self, capsys):
         # one pass rule: every sweep tuple agrees with verify on that tuple,
