@@ -25,13 +25,11 @@ from .heun import (
 from .schroedinger import (
     AuxConstants,
     PotentialSpec,
-    ResidualReport,
     WavefunctionSpec,
     epsilon_of,
     eval_potential,
     eval_wavefunction,
     potential_spec,
-    schrodinger_residual,
     split_sextic,
     wavefunction_spec,
     zero_mode_residual,
@@ -66,13 +64,11 @@ __all__ = [
     "fock_to_rho_polynomial",
     "AuxConstants",
     "PotentialSpec",
-    "ResidualReport",
     "WavefunctionSpec",
     "epsilon_of",
     "eval_potential",
     "eval_wavefunction",
     "potential_spec",
-    "schrodinger_residual",
     "split_sextic",
     "wavefunction_spec",
     "zero_mode_residual",

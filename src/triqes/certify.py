@@ -41,7 +41,6 @@ from .heun import (
 from .schroedinger import (
     PotentialSpec,
     RationalLike,
-    as_fraction,
     epsilon_of,
     potential_spec,
     split_sextic,
@@ -87,7 +86,7 @@ def zero_mode_potential(
     b = 1/2 gives the E-free displaced sextic with lambda = eps(E); any
     other b gives V_b itself, whose zero mode sits at lambda = 0.
     """
-    if as_fraction(b) == SEXTIC_B:
+    if Fraction(b) == SEXTIC_B:
         return split_sextic(freqs, label, branch)[0], epsilon_of(energy, branch)
     return potential_spec(b, freqs, label, energy, branch), 0.0
 
@@ -112,7 +111,7 @@ def certify_eigenpair(
     wrong one to watch the certificate fail.  `oracle_points` overrides the
     oracle's node count (see `oracle_config`).
     """
-    bf = as_fraction(b)
+    bf = Fraction(b)
     phi = fock_to_rho_polynomial(label, vec, branch)
     op_rel = _relative(bhe_operator_residual(freqs, label, energy, phi), phi)
     std_rel = _relative(

@@ -355,7 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep bounds are limited to 0 <= l, m <= 20")
     if args.oracle_points is not None and args.oracle_points < 100:
         raise UsageError(f"--oracle-points must be >= 100, got {args.oracle_points}")
-    b_values = [parse_b(tok) for tok in args.b.split(",")]
+    b_values = sorted({parse_b(tok) for tok in args.b.split(",")})
     branches = [parse_branch(args.branch)] if args.branch else [Branch.PLUS, Branch.MINUS]
     results = []
     for ell in range(args.lmax + 1):

@@ -31,21 +31,16 @@ For b = 1/2 the x^0 term carries the only E dependence, so V splits as
 V = Vtilde - eps(E) with eps(E) = -4 c E: the displaced sextic potential
 Vtilde is E-independent and has genuine eigenvalues eps(E).
 
-`zero_mode_residual` checks -chi'' + V chi = lambda chi exactly: with
-v = x^(1/b) the left side minus the right is x^(s-2) e^(g(v)) P(v) / b^2
-for a polynomial P of degree <= N' + 4, whose coefficients it returns.
-The certification pipeline gates on P.
-
-`schrodinger_residual` checks the same equation numerically, with 5-point
-central differences at spacings h and h/2 on a grid from
-`certification_grid`; acceptance criterion 5 and the stencil tests use it.
-Both stencils are strided slices of one lattice of spacing h/2, so chi is
-evaluated once per residual, on 2n + 7 points for a grid of n nodes.
+`zero_mode_residual` is the one check of -chi'' + V chi = lambda chi, and
+it is exact: with v = x^(1/b) the left side minus the right is
+x^(s-2) e^(g(v)) P(v) / b^2 for a polynomial P of degree <= N' + 4, whose
+coefficients it returns.  No grid, step size or difference stencil is
+involved; the certification pipeline gates on P.  `eval_potential` and
+`eval_wavefunction` evaluate V and chi pointwise for the curve output.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,11 +51,6 @@ from .hamiltonian import ModeFrequencies
 from .heun import Branch, RhoPolynomial
 
 RationalLike = Fraction | int | float | str
-
-
-def as_fraction(b: RationalLike) -> Fraction:
-    frac = Fraction(b) if not isinstance(b, Fraction) else b
-    return frac
 
 
 @dataclass(frozen=True)
@@ -124,26 +114,6 @@ class WavefunctionSpec:
         return self.phi.branch
 
 
-ROUNDOFF_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Normalized Schroedinger residual at spacing h and h/2."""
-
-    residual: float
-    residual_half: float
-    order: float
-    lam: float
-    grid_spacing: float
-
-    def passes(self, tol: float = 1e-6, min_order: float = 3.5) -> bool:
-        # Below the rounding floor the order estimate is noise; a residual
-        # that small cannot hide an eigenvalue error near the tolerance.
-        at_floor = max(self.residual, self.residual_half) <= ROUNDOFF_FLOOR
-        return self.residual <= tol and (self.order >= min_order or at_floor)
-
-
 def potential_spec(
     b: RationalLike,
     freqs: ModeFrequencies,
@@ -152,7 +122,7 @@ def potential_spec(
     branch: Branch = Branch.PLUS,
 ) -> PotentialSpec:
     """Build V_b(x) for one eigenvalue E and branch."""
-    bf = as_fraction(b)
+    bf = Fraction(b)
     if bf <= 0:
         raise ValueError(f"transformation exponent b must be > 0, got {bf}")
     bb = float(bf)
@@ -210,7 +180,7 @@ def wavefunction_spec(
     label: SubspaceLabel,
     phi: RhoPolynomial,
 ) -> WavefunctionSpec:
-    bf = as_fraction(b)
+    bf = Fraction(b)
     if bf <= 0:
         raise ValueError(f"transformation exponent b must be > 0, got {bf}")
     bb = float(bf)
@@ -298,99 +268,3 @@ def zero_mode_residual(
             out[n + j] += p * rj
     return np.array(out)
 
-
-def _stencil_residual(
-    chi: np.ndarray, v: np.ndarray, lam: float, h: float, stride: int
-) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Normalized residual of the 5-point stencil with step h on a lattice.
-
-    `chi` holds chi on a uniform lattice of spacing h / stride that extends
-    2h past both ends of the nodes chi[2 stride : -2 stride : stride]; `v`
-    is V at those nodes.  Returns max |r| / max |chi| over the nodes whose
-    |chi| exceeds 1e-8 of the maximum, together with |r| at every node,
-    max |chi| and that mask.
-    """
-    end = chi.size
-    c = [chi[(2 + s) * stride : end - (2 - s) * stride : stride] for s in range(-2, 3)]
-    d2 = (-c[0] + 16.0 * c[1] - 30.0 * c[2] + 16.0 * c[3] - c[4]) / (12.0 * h * h)
-    r_abs = np.abs(-d2 + (v - lam) * c[2])
-    chi_abs = np.abs(c[2])
-    scale = float(np.max(chi_abs))
-    if scale == 0.0:
-        raise ValueError("wavefunction vanishes identically on the grid")
-    mask = chi_abs > 1e-8 * scale
-    return float(np.max(r_abs[mask]) / scale), r_abs, scale, mask
-
-
-def _lattice_values(
-    spec: PotentialSpec, wf: WavefunctionSpec, grid: np.ndarray, h: float, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """chi on the lattice grid[0] + j h / stride, 2h past both ends of the
-    grid, and V on the lattice points from grid[0] to grid[-1]."""
-    pad = 2 * stride
-    x = grid[0] + np.arange(-pad, (grid.size - 1) * stride + pad + 1) * (h / stride)
-    if x[0] <= 0.0:
-        raise ValueError("grid too close to the origin for the 5-point stencil")
-    chi = np.asarray(eval_wavefunction(wf, x))
-    return chi, np.asarray(eval_potential(spec, x[pad:-pad]))
-
-
-def certification_grid(
-    spec: PotentialSpec,
-    wf: WavefunctionSpec,
-    lam: float,
-    lo: float = 0.2,
-    hi: float = 5.0,
-    target: float = 5e-7,
-) -> np.ndarray:
-    """Uniform grid on [lo, hi] sized for a clean residual certification.
-
-    The 5-point stencil error scales as h^4 until it hits the rounding
-    floor, where the refinement-order estimate becomes meaningless.  A
-    cheap probe at h = 1e-2 fixes the per-case constant and h is then
-    set so the residual lands near `target`: small enough to certify,
-    large enough that halving h still shows fourth-order decay.
-    """
-    h0 = 1e-2
-    probe = np.arange(lo, hi + 0.5 * h0, h0)
-    chi, v = _lattice_values(spec, wf, probe, h0, 1)
-    r0 = _stencil_residual(chi, v, lam, h0, 1)[0]
-    h = h0 if r0 <= target else h0 * (target / r0) ** 0.25
-    h = min(max(h, 5e-4), h0)
-    return np.arange(lo, hi + 0.5 * h, h)
-
-
-def schrodinger_residual(
-    spec: PotentialSpec,
-    wf: WavefunctionSpec,
-    lam: float,
-    grid: np.ndarray,
-) -> ResidualReport:
-    """Certify -chi'' + V chi = lam chi numerically on a uniform grid.
-
-    The residual is reported in the scale-free form max|r| / max|chi|,
-    restricted to points where |chi| exceeds 1e-8 of its maximum.  The
-    same quantity at half the spacing gives an empirical convergence
-    order; true solutions converge at order about 4.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 5:
-        raise ValueError("grid must contain at least 5 points")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be positive and strictly ascending")
-    steps = np.diff(grid)
-    h = float(steps[0])
-    if not np.allclose(steps, h, rtol=1e-9, atol=1e-12):
-        raise ValueError("grid must be uniformly spaced")
-    # chi once on the h/2 lattice: the h stencil takes every second point,
-    # the h/2 stencil every point
-    chi, v = _lattice_values(spec, wf, grid, h, 2)
-    r_h, _, _, mask = _stencil_residual(chi, v[::2], lam, h, 2)
-    # half-spacing pass on the same nodes plus midpoints; comparing maxima
-    # over the shared nodes keeps the order estimate free of peak-shift noise
-    r_half, r_abs_f, scale_f, _ = _stencil_residual(chi[2:-2], v, lam, 0.5 * h, 1)
-    shared = float(np.max(r_abs_f[0::2][mask] / scale_f))
-    order = math.log2(r_h / shared) if shared > 0.0 else math.inf
-    return ResidualReport(
-        residual=r_h, residual_half=r_half, order=order, lam=lam, grid_spacing=h
-    )

@@ -8,6 +8,7 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,14 +26,13 @@ from triqes import (
     eval_wavefunction,
     fock_to_rho_polynomial,
     potential_spec,
-    schrodinger_residual,
     split_sextic,
     wavefunction_spec,
+    zero_mode_residual,
 )
-from triqes.certify import SEXTIC_B, zero_mode_potential
+from triqes.certify import BHE_RTOL, SEXTIC_B, certify_eigenpair, zero_mode_potential
 from triqes.cli import main as cli_main
 from triqes.heun import residual_ok
-from triqes.schroedinger import certification_grid
 
 SQRT2 = math.sqrt(2.0)
 W111 = ModeFrequencies(1.0, 1.0, 1.0)
@@ -184,27 +184,72 @@ def worked_example_eigenpairs():
             yield label, spec.pair(i)
 
 
+def mp_zero_mode(wf, vspec, lam, p):
+    """chi, V and the closed form x^(s-2) e^g P(v) / b^2 in mpmath, built
+    from the float data of `wf`, `vspec` and the coefficients `p` of P."""
+    b = mpmath.mpf(wf.b.numerator) / wf.b.denominator
+    s, a = mpmath.mpf(wf.prefactor_exponent), mpmath.mpf(wf.A)
+
+    def poly(coeffs, v):
+        return mpmath.fsum(c * v**n for n, c in enumerate(coeffs))
+
+    def envelope(v):
+        return mpmath.exp(-v * (a + v) / 2)
+
+    def chi(x):
+        v = x ** (1 / b)
+        return x**s * envelope(v) * poly(wf.phi.coeffs, v)
+
+    def potential(x):
+        return mpmath.fsum(c * x**e for e, c in vspec.terms)
+
+    def closed(x):
+        v = x ** (1 / b)
+        return x ** (s - 2) * envelope(v) * poly(p, v) / b**2
+
+    return chi, potential, closed
+
+
 def test_criterion_5_zero_mode_residuals():
+    # the pipeline's exact certificate, and at 40 digits the link from P to
+    # the chi that eval_wavefunction evaluates: at a perturbed energy, where
+    # P != 0, -chi'' + (V - lam) chi must equal x^(s-2) e^g P(v) / b^2
     ok = True
     worst = 0.0
-    worst_order = math.inf
-    for label, (energy, vec) in worked_example_eigenpairs():
-        for branch in Branch:
-            for b in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 2)):
-                wf = wavefunction_spec(
-                    b, W111, label, fock_to_rho_polynomial(label, vec, branch)
-                )
-                vspec, lam = zero_mode_potential(b, W111, label, energy, branch)
-                rep = schrodinger_residual(
-                    vspec, wf, lam, certification_grid(vspec, wf, lam)
-                )
-                ok &= rep.residual <= 1e-6 and rep.order >= 3.5
-                worst = max(worst, rep.residual)
-                worst_order = min(worst_order, rep.order)
+    worst_gap = 0.0
+    worst_chi = 0.0
+    with mpmath.workdps(40):
+        for label, (energy, vec) in worked_example_eigenpairs():
+            for branch in Branch:
+                for b in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 2)):
+                    cert = certify_eigenpair(
+                        W111, label, energy, vec, b, branch, oracle=False
+                    )
+                    ok &= cert.schrodinger_residual <= BHE_RTOL
+                    worst = max(worst, cert.schrodinger_residual)
+                    wf = wavefunction_spec(
+                        b, W111, label, fock_to_rho_polynomial(label, vec, branch)
+                    )
+                    vspec, lam = zero_mode_potential(
+                        b, W111, label, energy * (1.0 + 1e-3), branch
+                    )
+                    chi, potential, closed = mp_zero_mode(
+                        wf, vspec, lam, zero_mode_residual(vspec, wf, lam)
+                    )
+                    for x in map(mpmath.mpf, (0.3, 0.9, 1.7)):
+                        c = chi(x)
+                        lhs = -mpmath.diff(chi, x, 2) + (potential(x) - lam) * c
+                        gap = float(abs(lhs - closed(x)) / abs(c))
+                        mismatch = float(abs(eval_wavefunction(wf, float(x)) - c) / abs(c))
+                        ok &= gap <= 1e-12 and abs(lhs) >= 1e-6 * abs(c)
+                        ok &= mismatch <= 1e-13
+                        worst_gap = max(worst_gap, gap)
+                        worst_chi = max(worst_chi, mismatch)
     report(
         "5 zero-mode residuals",
         ok,
-        f"worst residual {worst:.2e}, worst order {worst_order:.2f}",
+        f"worst exact residual {worst:.2e}, worst identity gap {worst_gap:.2e},"
+        f" worst chi mismatch {worst_chi:.2e}",
     )
 
 

@@ -298,6 +298,18 @@ class TestSweep:
         assert payload["count"] == 16
         assert payload["pass"] is True
 
+    def test_repeated_b_certified_once(self, capsys):
+        # 1 and 2/2 are the same exponent: one tuple per (l, m, b, branch)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--lmax", "0", "--mmax", "0", "--b", "1,2/2",
+            "--no-oracle",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == 2
+        keys = [(t["l"], t["m"], t["b"], t["branch"]) for t in payload["tuples"]]
+        assert sorted(keys) == [(0, 0, "1", "minus"), (0, 0, "1", "plus")]
+
     def test_bad_b_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--lmax", "0", "--mmax", "0", "--b", "0")
         assert code == 2
