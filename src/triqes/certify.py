@@ -86,7 +86,7 @@ def zero_mode_potential(
     b = 1/2 gives the E-free displaced sextic with lambda = eps(E); any
     other b gives V_b itself, whose zero mode sits at lambda = 0.
     """
-    if Fraction(b) == SEXTIC_B:
+    if b == SEXTIC_B:
         return split_sextic(freqs, label, branch)[0], epsilon_of(energy, branch)
     return potential_spec(b, freqs, label, energy, branch), 0.0
 
@@ -111,14 +111,13 @@ def certify_eigenpair(
     wrong one to watch the certificate fail.  `oracle_points` overrides the
     oracle's node count (see `oracle_config`).
     """
-    bf = Fraction(b)
     phi = fock_to_rho_polynomial(label, vec, branch)
     op_rel = _relative(bhe_operator_residual(freqs, label, energy, phi), phi)
     std_rel = _relative(
         bhe_standard_residual(bhe_params(freqs, label, energy, branch), phi), phi
     )
-    wf = wavefunction_spec(bf, freqs, label, phi)
-    vspec, lam = zero_mode_potential(bf, freqs, label, energy, branch)
+    wf = wavefunction_spec(b, freqs, label, phi)
+    vspec, lam = zero_mode_potential(b, freqs, label, energy, branch)
     schr_rel = _relative(zero_mode_residual(vspec, wf, lam), phi)
     cont = None
     if oracle:

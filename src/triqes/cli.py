@@ -98,7 +98,14 @@ def parse_b(text: str) -> Fraction:
         raise UsageError(f"cannot parse --b {text!r}: {exc}") from None
     if frac <= 0:
         raise UsageError(f"--b must be positive, got {text!r}")
-    return frac
+    try:
+        if float(frac) ** 2 > 0.0:  # every potential coefficient divides by b^2
+            return frac
+    except OverflowError:
+        pass
+    raise UsageError(
+        f"--b {text!r} is out of range: b^2 must be a non-zero finite double"
+    )
 
 
 def parse_branch(text: str) -> Branch:
@@ -289,7 +296,7 @@ def _b2_zero_search(freqs, label, branch):
         spectrum = eig_sym(build_hamiltonian(f, label))
         energy = float(spectrum.eigenvalues[idx])
         vspec = potential_spec(Fraction(2), f, label, energy, branch)
-        return vspec.terms[1][1]
+        return vspec.coeffs[1]
 
     results = []
     for idx in range(label.dim):

@@ -8,16 +8,16 @@ level nearest lambda, widening the window geometrically until it holds
 one.  The same level is then found on the doubled grid by a window around
 the first result and the pair is Richardson-extrapolated, so the cost
 does not grow with the number of levels below lambda.  The oracle never
-touches the closed-form wavefunctions; its only inputs are the potential
-terms and a grid configuration.
+touches the closed-form wavefunctions; its only inputs are the five rung
+coefficients of the potential (`PotentialSpec`) and a grid configuration.
 
 Potentials in this family can be singular at the origin, and the x^(-2)
 coefficient -1/4 (l = m cases) sits exactly at the limit-circle border,
 where a plain Dirichlet cutoff converges only logarithmically.  The left
 boundary therefore uses the potential's own small-x data: the boundary
 value is tied to the first interior node by the indicial exponent p of
-the x^(-2) term (p(p-1) = c2) refined by a Frobenius series over the
-remaining terms (containment checks also feed the candidate eigenvalue
+the x^(-2) rung (p(p-1) = c_0) refined by a Frobenius series over the
+remaining rungs (containment checks also feed the candidate eigenvalue
 into the series).  The ratio condition folds into the first diagonal
 entry, so the matrix stays symmetric tridiagonal.
 """
@@ -35,7 +35,6 @@ from .schroedinger import PotentialSpec
 # Left-adaptation applies only when the domain actually approaches the
 # origin; beyond this point the plain Dirichlet cutoff is used.
 SINGULAR_XMIN = 0.2
-EXPONENT_TOL = 1e-9
 HIT_RTOL = 1e-3
 # Factor by which an empty search window around a candidate is widened.
 WINDOW_GROWTH = 4.0
@@ -75,85 +74,57 @@ class FdConfig:
         return FdConfig(self.x_min, self.x_max, 2 * self.n_points + 1)
 
 
-def _eval_terms(spec: PotentialSpec, xs: np.ndarray) -> np.ndarray:
-    """Term sum without the x > 0 guard: symmetric domains are allowed as
-    long as every term stays finite on the grid (checked by the caller)."""
-    vals = np.zeros_like(xs)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for e, cf in spec.terms:
-            vals += cf * np.power(xs, e)
-    return vals
+def _singular(spec: PotentialSpec) -> bool:
+    """Whether V has a non-zero rung of negative exponent (i < 2b)."""
+    two_b = 2 * spec.b
+    return any(cf != 0.0 for i, cf in enumerate(spec.coeffs) if i < two_b)
 
 
-def _singular_ladder(spec: PotentialSpec) -> tuple[float, list[tuple[float, float]]]:
-    """x^(-2) coefficient and the remaining singular terms, merged by exponent."""
-    c2 = 0.0
-    ladder: dict[float, float] = {}
-    for e, cf in spec.terms:
-        if cf == 0.0:
-            continue
-        if abs(e + 2.0) <= EXPONENT_TOL:
-            c2 += cf
-        elif e < -EXPONENT_TOL:
-            ladder[round(e, 9)] = ladder.get(round(e, 9), 0.0) + cf
-    return c2, sorted(ladder.items())
+def _frobenius_factors(
+    spec: PotentialSpec, p: float, xs: tuple[float, ...], bc_energy: float | None
+) -> list[float]:
+    """1 + sum a_j x^(j/b) at each x: series of the regular solution x^p.
 
-
-def _frobenius_factor(
-    spec: PotentialSpec, c2: float, p: float, x: float, bc_energy: float | None
-) -> float:
-    """1 + sum a_j x^(j s): series of the regular solution x^p near zero.
-
-    Terms of the potential at exponents -2 + j s feed the recurrence
-    a_j [(p+js)(p+js-1) - p(p-1)] = sum_i c_i a_(j-i).  When a candidate
-    eigenvalue is supplied, the constant term of the potential enters as
-    c - bc_energy and every term of the potential joins the ladder, so
-    the boundary value is series-exact through the highest rung; without
-    a candidate the ladder stops below the constant term (lambda-free).
+    Rung i >= 1 of the ladder (coefficient c_i of x^(-2 + i/b)) feeds the
+    recurrence a_j [(p + j/b)(p + j/b - 1) - p(p - 1)] = sum_i c_i a_(j-i).
+    Without a candidate eigenvalue the ladder stops below the constant
+    term (rungs i < 2b, lambda-free).  With a candidate every rung joins
+    and the candidate enters at rung 2b as c_2b - bc_energy, so the
+    boundary value is series-exact through the highest rung; when 2b is
+    not an integer that rung does not exist and the bare power is used.
     """
-    rungs: dict[float, float] = {}
-    for e, cf in spec.terms:
-        if cf == 0.0 or abs(e + 2.0) <= EXPONENT_TOL:
-            continue
-        if -2.0 < e < -EXPONENT_TOL or (bc_energy is not None and e > -EXPONENT_TOL):
-            rungs[e + 2.0] = rungs.get(e + 2.0, 0.0) + cf
-    if bc_energy is not None and bc_energy != 0.0:
-        rungs[2.0] = rungs.get(2.0, 0.0) - bc_energy
-    if not rungs:
-        return 1.0
-    s = min(rungs)
-    coeffs: dict[int, float] = {}
-    for step, cf in rungs.items():
-        j = step / s
-        if abs(j - round(j)) > 1e-6:
-            return 1.0  # incommensurate exponents; fall back to the bare power
-        coeffs[round(j)] = cf
-    jmax = max(coeffs)
-    a = {0: 1.0}
+    two_b = 2 * spec.b
+    if bc_energy is None:
+        c = [cf if i < two_b else 0.0 for i, cf in enumerate(spec.coeffs)]
+    else:
+        c = list(spec.coeffs)
+        if bc_energy != 0.0:
+            if two_b.denominator != 1:
+                return [1.0] * len(xs)
+            c += [0.0] * (int(two_b) + 1 - len(c))
+            c[int(two_b)] -= bc_energy
+    c[0] = 0.0  # the x^(-2) rung is carried by p
+    jmax = max((i for i, cf in enumerate(c) if cf != 0.0), default=0)
+    s = 1.0 / float(spec.b)
+    a = [1.0]
     for j in range(1, jmax + 1):
-        rhs = sum(coeffs.get(i, 0.0) * a.get(j - i, 0.0) for i in range(1, j + 1))
-        a[j] = rhs / ((p + j * s) * (p + j * s - 1.0) - p * (p - 1.0))
-    return 1.0 + sum(a[j] * x ** (j * s) for j in range(1, jmax + 1))
+        rhs = sum(c[i] * a[j - i] for i in range(1, j + 1))
+        a.append(rhs / ((p + j * s) * (p + j * s - 1.0) - p * (p - 1.0)))
+    return [1.0 + sum(a[j] * x ** (j * s) for j in range(1, jmax + 1)) for x in xs]
 
 
 def _left_boundary_ratio(
     spec: PotentialSpec, x0: float, x1: float, bc_energy: float | None
 ) -> float | None:
     """u(x0)/u(x1) of the regular solution, or None for plain Dirichlet."""
-    if not (0.0 < x0 < SINGULAR_XMIN):
+    if not (0.0 < x0 < SINGULAR_XMIN) or not _singular(spec):
         return None
-    c2, ladder = _singular_ladder(spec)
-    if c2 == 0.0 and not ladder:
-        return None
-    if 1.0 + 4.0 * c2 < 0.0:
+    c0 = spec.coeffs[0]
+    if 1.0 + 4.0 * c0 < 0.0:
         return None  # oscillatory fall to the center; no regular solution
-    p = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c2))
-    ratio = (x0 / x1) ** p
-    ratio *= (
-        _frobenius_factor(spec, c2, p, x0, bc_energy)
-        / _frobenius_factor(spec, c2, p, x1, bc_energy)
-    )
-    return ratio
+    p = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c0))
+    f0, f1 = _frobenius_factors(spec, p, (x0, x1), bc_energy)
+    return (x0 / x1) ** p * (f0 / f1)
 
 
 def _tridiagonal(
@@ -162,7 +133,7 @@ def _tridiagonal(
     """Diagonal and off-diagonal of the discretized operator on `config`."""
     xs = config.nodes()
     h = config.h
-    vpot = _eval_terms(spec, xs)
+    vpot = spec.values(xs)
     if not np.all(np.isfinite(vpot)):
         raise ValueError("potential is not finite on the grid")
     diag = 2.0 / (h * h) + vpot
@@ -298,9 +269,8 @@ def suggest_domain(
     Dirichlet truncation error is ~exp(-2 phase) regardless of how slowly
     the potential grows.
     """
-    c2, ladder = _singular_ladder(spec)
-    x_min = 1e-2 if (c2 != 0.0 or ladder) else 1e-3
-    vs = (_eval_terms(spec, _MARCH_NODES) - lam).tolist()
+    x_min = 1e-2 if _singular(spec) else 1e-3
+    vs = (spec.values(_MARCH_NODES) - lam).tolist()
     acc = 0.0
     prev: tuple[float, float] | None = None
     for x, v in zip(_MARCH, vs):

@@ -15,7 +15,9 @@ the potential carries exactly five powers of x:
            + (A / b^2)                    x^(-2 + 3/b)
            + (1 / b^2)                    x^(-2 + 4/b)
 
-and the closed-form zero mode is
+These five rungs are the data format: `PotentialSpec` holds b and the
+coefficients c_0 .. c_4 of x^(-2 + i/b), and every consumer reads rung i
+by index.  The closed-form zero mode is
 
     chi(x) = x^((k - N' + b) / (2 b))
              * exp(-(1/2) x^(1/b) (A + x^(1/b)))
@@ -50,7 +52,7 @@ from .fock import SubspaceLabel
 from .hamiltonian import ModeFrequencies
 from .heun import Branch, RhoPolynomial
 
-RationalLike = Fraction | int | float | str
+RationalLike = Fraction | int
 
 
 @dataclass(frozen=True)
@@ -83,21 +85,28 @@ class AuxConstants:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Five-term power potential V(x) = sum coeff * x^exponent.
+    """The five-rung ladder V(x) = sum_i coeffs[i] x^(-2 + i/b), i = 0..4.
 
-    Terms are kept distinct even if exponents coincide at evaluation time.
-    Provenance fields record what the potential was built from.
+    `coeffs[i]` is the coefficient of rung i; a zero coefficient is an
+    absent power.
     """
 
     b: Fraction
-    terms: tuple[tuple[float, float], ...]  # (exponent, coefficient)
-    label: SubspaceLabel
-    freqs: ModeFrequencies
-    energy: float
-    branch: Branch
+    coeffs: tuple[float, float, float, float, float]
 
-    def coefficient(self, exponent: float, tol: float = 1e-12) -> float:
-        return sum(c for e, c in self.terms if abs(e - exponent) <= tol)
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """V at every x, summed over the non-zero rungs in rung order.
+
+        No domain guard: symmetric domains are fine as long as every
+        non-zero rung stays finite on them (callers check).
+        """
+        inv = 1.0 / float(self.b)
+        vals = np.zeros_like(xs)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for i, cf in enumerate(self.coeffs):
+                if cf != 0.0:
+                    vals += cf * np.power(xs, -2.0 + i * inv)
+        return vals
 
 
 @dataclass(frozen=True)
@@ -121,25 +130,21 @@ def potential_spec(
     energy: float,
     branch: Branch = Branch.PLUS,
 ) -> PotentialSpec:
-    """Build V_b(x) for one eigenvalue E and branch."""
-    bf = Fraction(b)
-    if bf <= 0:
-        raise ValueError(f"transformation exponent b must be > 0, got {bf}")
-    bb = float(bf)
+    """Build the ladder of V_b(x) for one eigenvalue E and branch."""
+    if b <= 0:
+        raise ValueError(f"transformation exponent b must be > 0, got {b}")
+    bb = float(b)
     aux = AuxConstants.from_inputs(freqs, label, energy, branch)
     a_, b_, g_, d_ = aux.A, aux.B, aux.G, aux.D
     ell, m = label.ell, label.m
-    inv = 1.0 / bb
-    terms = (
-        (-2.0, -0.25 + (ell - m) ** 2 / (4.0 * bb * bb)),
-        (-2.0 + inv, (a_ * b_ - 2.0 * d_) / (2.0 * bb * bb)),
-        (-2.0 + 2.0 * inv, (a_ * a_ + 4.0 * b_ - 4.0 * g_ - 4.0) / (4.0 * bb * bb)),
-        (-2.0 + 3.0 * inv, a_ / (bb * bb)),
-        (-2.0 + 4.0 * inv, 1.0 / (bb * bb)),
+    coeffs = (
+        -0.25 + (ell - m) ** 2 / (4.0 * bb * bb),
+        (a_ * b_ - 2.0 * d_) / (2.0 * bb * bb),
+        (a_ * a_ + 4.0 * b_ - 4.0 * g_ - 4.0) / (4.0 * bb * bb),
+        a_ / (bb * bb),
+        1.0 / (bb * bb),
     )
-    return PotentialSpec(
-        b=bf, terms=terms, label=label, freqs=freqs, energy=energy, branch=branch
-    )
+    return PotentialSpec(b, coeffs)
 
 
 def epsilon_of(energy: float, branch: Branch = Branch.PLUS) -> float:
@@ -168,9 +173,7 @@ def eval_potential(spec: PotentialSpec, x: float | np.ndarray) -> float | np.nda
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("potential is defined for x > 0 only")
-    val = np.zeros_like(arr)
-    for e, cf in spec.terms:
-        val += cf * arr**e
+    val = spec.values(arr)
     return val if np.ndim(x) else float(val)
 
 
@@ -180,14 +183,13 @@ def wavefunction_spec(
     label: SubspaceLabel,
     phi: RhoPolynomial,
 ) -> WavefunctionSpec:
-    bf = Fraction(b)
-    if bf <= 0:
-        raise ValueError(f"transformation exponent b must be > 0, got {bf}")
-    bb = float(bf)
+    if b <= 0:
+        raise ValueError(f"transformation exponent b must be > 0, got {b}")
+    bb = float(b)
     k, n_prime = label.k, label.n_prime
     pref = (k - n_prime + bb) / (2.0 * bb)  # always > 0
     a_ = phi.branch.c * (freqs.w1 - freqs.w2 - freqs.w3)
-    return WavefunctionSpec(prefactor_exponent=pref, A=a_, phi=phi, b=bf)
+    return WavefunctionSpec(prefactor_exponent=pref, A=a_, phi=phi, b=b)
 
 
 def eval_wavefunction(wf: WavefunctionSpec, x: float | np.ndarray) -> float | np.ndarray:
@@ -221,23 +223,18 @@ def zero_mode_residual(
         P = -(v^2 phi'' + 2 v q phi' + (q^2 - sigma - v^2) phi)
             - (1 - b)(v phi' + q phi) + b^2 (sum_i c_i v^i - lam v^(2b)) phi,
 
-    where c_i is the coefficient of x^(-2 + i/b) in V.  P vanishes
-    identically exactly when chi is a zero mode at lam, so no grid is
-    involved.  P is built from `spec.terms` and `wf` alone.  Raises
-    ValueError when an exponent of V is off the ladder -2 + i/b,
-    i = 0..4, for b = `wf.b`, or when lam != 0 and 2b is not an integer.
+    where c_i = `spec.coeffs[i]` is the coefficient of x^(-2 + i/b) in V.
+    P vanishes identically exactly when chi is a zero mode at lam, so no
+    grid is involved.  P is built from `spec` and `wf` alone.  Raises
+    ValueError when the ladders differ (`spec.b` != `wf.b`), or when
+    lam != 0 and 2b is not an integer.
     """
+    if spec.b != wf.b:
+        raise ValueError(
+            f"potential ladder at b = {spec.b} is not -2 + i/b, i = 0..4,"
+            f" for b = {wf.b}"
+        )
     b = float(wf.b)
-    c = [0.0] * 5
-    for exponent, coeff in spec.terms:
-        i = (exponent + 2.0) * b
-        rung = round(i)
-        if abs(i - rung) > 1e-9 or not 0 <= rung <= 4:
-            raise ValueError(
-                f"potential exponent {exponent} is not -2 + i/b with i in 0..4"
-                f" for b = {wf.b}"
-            )
-        c[rung] += coeff
     lam_power = 0
     if lam != 0.0:
         if (2 * wf.b).denominator != 1:
@@ -253,8 +250,8 @@ def zero_mode_residual(
         base[i] -= (1.0 - b) * q[i]
     base[0] += sigma
     base[2] += 1.0
-    for i in range(5):
-        base[i] += b * b * c[i]
+    for i, ci in enumerate(spec.coeffs):
+        base[i] += b * b * ci
     base[lam_power] -= b * b * lam
     phi = wf.phi.coeffs
     out = [0.0] * (len(phi) + len(base) - 1)

@@ -201,7 +201,7 @@ def mp_zero_mode(wf, vspec, lam, p):
         return x**s * envelope(v) * poly(wf.phi.coeffs, v)
 
     def potential(x):
-        return mpmath.fsum(c * x**e for e, c in vspec.terms)
+        return mpmath.fsum(c * x ** (i / b - 2) for i, c in enumerate(vspec.coeffs))
 
     def closed(x):
         v = x ** (1 / b)
@@ -345,8 +345,8 @@ def test_criterion_7_property_suites():
         tilde, eps = split_sextic(freqs, label, branch)
         for energy in rng.uniform(-5, 5, 2):
             spec = potential_spec(Fraction(1, 2), freqs, label, float(energy), branch)
-            for (te, tc), (se, sc) in zip(tilde.terms, spec.terms):
-                shift = eps(float(energy)) if te == 0.0 else 0.0
+            for i, (tc, sc) in enumerate(zip(tilde.coeffs, spec.coeffs)):
+                shift = eps(float(energy)) if i == 1 else 0.0  # rung 1 is x^0
                 ok &= abs(tc - (sc + shift)) <= 1e-12 * max(1.0, abs(tc))
 
     # schroedinger: boundary decay of chi
@@ -374,14 +374,8 @@ def test_criterion_7_property_suites():
     for _ in range(100):
         a = float(rng.uniform(0.5, 2.0))
         c = float(rng.uniform(-3.0, 3.0))
-        spec = PotentialSpec(
-            b=Fraction(1),
-            terms=((2.0, a * a), (0.0, c)),
-            label=SubspaceLabel(0, 0),
-            freqs=W111,
-            energy=0.0,
-            branch=Branch.PLUS,
-        )
+        # a^2 x^2 + c: rungs 4 and 2 of the ladder at b = 1
+        spec = PotentialSpec(Fraction(1), (0.0, 0.0, c, 0.0, a * a))
         exact = a + c
         errs = []
         for n in (400, 801):

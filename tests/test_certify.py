@@ -55,8 +55,8 @@ class TestCertifyEigenpair:
         label = SubspaceLabel(3, 2)
         energy, vec = eigenpair(unit_freqs, label, 1)
         for branch in Branch:
-            cert = certify_eigenpair(unit_freqs, label, energy, vec, "1/2", branch,
-                                     oracle=False)
+            cert = certify_eigenpair(unit_freqs, label, energy, vec, Fraction(1, 2),
+                                     branch, oracle=False)
             assert cert.lam == epsilon_of(energy, branch)
             assert cert.potential == split_sextic(unit_freqs, label, branch)[0]
             assert cert.passed
@@ -112,10 +112,10 @@ class TestZeroModeResidual:
                 b, unit_freqs, label, energy * (1 + 1e-8), branch
             )
             assert exact_relative(off_e, wf, off_lam) > BHE_RTOL, case
-            terms = list(vspec.terms)
-            k = max(range(len(terms)), key=lambda j: abs(terms[j][1]))
-            terms[k] = (terms[k][0], terms[k][1] * (1 + 1e-8))
-            off_v = replace(vspec, terms=tuple(terms))
+            coeffs = list(vspec.coeffs)
+            k = max(range(5), key=lambda i: abs(coeffs[i]))
+            coeffs[k] *= 1 + 1e-8
+            off_v = replace(vspec, coeffs=tuple(coeffs))
             assert exact_relative(off_v, wf, lam) > BHE_RTOL, case
             off_s = replace(wf, prefactor_exponent=wf.prefactor_exponent * (1 + 1e-8))
             assert exact_relative(vspec, off_s, lam) > BHE_RTOL, case

@@ -379,3 +379,22 @@ class TestSweep:
             assert verified["pass"] is t["pass"], t
             assert v_code == (0 if t["pass"] else 1)
         assert code == (0 if all(t["pass"] for t in tuples) else 1)
+
+
+@pytest.mark.parametrize("b", ["1e-400", "1e-200", "1e400"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--l", "1", "--m", "1", "--no-oracle"],
+        ["sweep", "--lmax", "1", "--mmax", "1", "--no-oracle"],
+        ["potential", "--l", "1", "--m", "1"],
+    ],
+    ids=["verify", "sweep", "potential"],
+)
+def test_b_outside_double_range_is_usage_error(capsys, command, b):
+    # every potential coefficient divides by b^2: a b whose square
+    # underflows or overflows a double is a usage error, not a traceback
+    code, out, err = run_cli(capsys, *command, "--b", b)
+    assert code == 2
+    assert out == ""
+    assert "out of range" in err

@@ -18,28 +18,24 @@ from triqes import (
     split_sextic,
     suggest_domain,
 )
-from triqes.fdoracle import _eval_terms, _singular_ladder
 from triqes.schroedinger import PotentialSpec
 
 SQRT2 = math.sqrt(2.0)
 HALF = Fraction(1, 2)
 
 
-def bare_spec(terms, freqs=None):
-    return PotentialSpec(
-        b=Fraction(1),
-        terms=tuple(terms),
-        label=SubspaceLabel(0, 0),
-        freqs=freqs or ModeFrequencies(1.0, 1.0, 1.0),
-        energy=0.0,
-        branch=Branch.PLUS,
-    )
+def bare_spec(coeffs):
+    """Hand-built ladder at b = 1: coeffs[i] multiplies x^(i - 2)."""
+    return PotentialSpec(Fraction(1), coeffs)
+
+
+HARMONIC = (0.0, 0.0, 0.0, 0.0, 1.0)  # x^2
 
 
 class TestFdSpectrum:
     def test_harmonic_oscillator(self):
         # -u'' + x^2 u with odd levels 1, 3, 5 on a symmetric domain
-        spec = bare_spec([(2.0, 1.0)])
+        spec = bare_spec(HARMONIC)
         cfg = FdConfig(-10.0, 10.0, 4000)
         vals = fd_spectrum(spec, cfg, 3)
         assert np.allclose(vals, [1.0, 3.0, 5.0], atol=1e-4)
@@ -66,7 +62,7 @@ class TestFdSpectrum:
             assert np.min(np.abs(vals - target)) < 1e-3 * abs(target)
 
     def test_count_validation(self):
-        spec = bare_spec([(2.0, 1.0)])
+        spec = bare_spec(HARMONIC)
         cfg = FdConfig(-5.0, 5.0, 200)
         with pytest.raises(ValueError):
             fd_spectrum(spec, cfg, 201)
@@ -80,14 +76,14 @@ class TestFdSpectrum:
             FdConfig(0.0, 1.0, 50)
 
     def test_determinism(self):
-        spec = bare_spec([(2.0, 1.0)])
+        spec = bare_spec(HARMONIC)
         cfg = FdConfig(-8.0, 8.0, 1500)
         a = fd_spectrum(spec, cfg, 5)
         b = fd_spectrum(spec, cfg, 5)
         assert np.array_equal(a, b)
 
     def test_second_order_grid_convergence(self):
-        spec = bare_spec([(2.0, 1.0)])
+        spec = bare_spec(HARMONIC)
         errs = []
         for n in (500, 1001):
             vals = fd_spectrum(spec, FdConfig(-8.0, 8.0, n), 1)
@@ -99,7 +95,7 @@ class TestFdSpectrum:
 class TestContainsEigenvalue:
     def test_shifted_oscillator_hit(self):
         # ground state of x^2 - 1 sits exactly at 0
-        spec = bare_spec([(2.0, 1.0), (0.0, -1.0)])
+        spec = bare_spec((0.0, 0.0, -1.0, 0.0, 1.0))
         cfg = FdConfig(-10.0, 10.0, 3000)
         res = contains_eigenvalue(spec, cfg, 0.0)
         assert res.hit
@@ -180,7 +176,7 @@ class TestWindowedSearch:
             assert res.richardson_gap < 1e-4
 
     def test_midway_between_levels_rejected(self):
-        spec = bare_spec([(2.0, 1.0)])
+        spec = bare_spec(HARMONIC)
         cfg = FdConfig(-10.0, 10.0, 3000)
         vals = fd_spectrum(spec, cfg, 4)
         lam = 0.5 * (vals[1] + vals[2])
@@ -191,7 +187,7 @@ class TestWindowedSearch:
 
     def test_level_above_old_scan_cap(self):
         # level 300 of the oscillator, beyond a scan of the lowest 256
-        spec = bare_spec([(2.0, 1.0)])
+        spec = bare_spec(HARMONIC)
         res = contains_eigenvalue(spec, FdConfig(-40.0, 40.0, 20000), 601.0)
         assert res.hit
         assert res.solves == 2
@@ -227,14 +223,14 @@ class TestOracleConfig:
 def marching_domain(spec, lam, phase=18.0):
     """suggest_domain as it was before the march was laid out once: one
     potential evaluation per step."""
-    c2, ladder = _singular_ladder(spec)
-    x_min = 1e-2 if (c2 != 0.0 or ladder) else 1e-3
+    singular = any(cf != 0.0 for i, cf in enumerate(spec.coeffs) if i < 2 * spec.b)
+    x_min = 1e-2 if singular else 1e-3
     x = max(1.0, 2.0 * x_min)
     acc = 0.0
     prev = None
     step = 0.05
     while x < 512.0 and acc < phase:
-        v = float(_eval_terms(spec, np.array([x]))[0]) - lam
+        v = float(spec.values(np.array([x]))[0]) - lam
         if not math.isfinite(v) or v <= 0.0:
             acc = 0.0
             prev = None
@@ -265,7 +261,7 @@ class TestSuggestDomain:
     def test_march_cap_and_phase(self):
         # a potential below lambda everywhere runs the march to its cap;
         # phase 0 stops before the first step
-        flat = bare_spec([(0.0, 1.0)])
+        flat = bare_spec((0.0, 0.0, 1.0, 0.0, 0.0))
         assert suggest_domain(flat, 2.0) == marching_domain(flat, 2.0)
         assert suggest_domain(flat, 2.0)[1] >= 512.0
         assert suggest_domain(flat, 0.0, phase=0.0) == marching_domain(flat, 0.0, phase=0.0)
@@ -284,8 +280,16 @@ class TestSingularAdaptation:
             assert res.hit
             assert res.richardson_gap < 1e-3
 
+    def test_limit_circle_closed_form(self):
+        # x^2 - 1/(4x^2), rungs 0 and 2 of the ladder at b = 1/2, sits on
+        # the limit-circle border; its levels are 4n + 2
+        spec = PotentialSpec(HALF, (-0.25, 0.0, 1.0, 0.0, 0.0))
+        for lam, hit in ((2.0, True), (6.0, True), (10.0, True), (4.0, False), (2.01, False)):
+            res = contains_eigenvalue(spec, oracle_config(spec, lam), lam)
+            assert res.hit == hit, (lam, res.richardson_gap)
+
     def test_plain_dirichlet_far_from_origin(self):
         # domains away from the origin never engage the adaptation
-        spec = bare_spec([(2.0, 1.0), (-2.0, -0.25)])
+        spec = bare_spec((-0.25, 0.0, 0.0, 0.0, 1.0))
         vals = fd_spectrum(spec, FdConfig(5.0, 9.0, 500), 1)
         assert np.all(np.isfinite(vals))

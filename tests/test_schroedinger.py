@@ -41,30 +41,33 @@ def make_wf(b, freqs, label, vec, branch):
 
 class TestPotentialSpec:
     def test_exponent_set(self, unit_freqs):
+        # rung i of the ladder is the power x^(-2 + i/b)
         for b in (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(5, 3)):
             spec = potential_spec(b, unit_freqs, SubspaceLabel(2, 1), 0.3)
-            got = sorted(e for e, _ in spec.terms)
-            expected = sorted(-2.0 + j / float(b) for j in range(5))
-            assert got == pytest.approx(expected, abs=1e-15)
+            assert spec.b == b and len(spec.coeffs) == 5
+            for i in range(5):
+                rung = PotentialSpec(b, tuple(float(j == i) for j in range(5)))
+                expected = 1.7 ** float(i / b - 2)
+                assert eval_potential(rung, 1.7) == pytest.approx(expected, rel=1e-15)
 
     def test_leading_coefficients(self, unit_freqs):
         # the two highest-power coefficients are branch-independent
         for branch in Branch:
             spec = potential_spec(Fraction(1, 2), unit_freqs, SubspaceLabel(1, 1), 0.5, branch)
-            assert spec.coefficient(6.0) == pytest.approx(4.0, abs=0)
+            assert spec.coeffs[4] == pytest.approx(4.0, abs=0)  # x^6
             a_val = branch.c * (1.0 - 1.0 - 1.0)
-            assert spec.coefficient(4.0) == pytest.approx(4.0 * a_val, rel=1e-15)
+            assert spec.coeffs[3] == pytest.approx(4.0 * a_val, rel=1e-15)  # x^4
 
     def test_sextic_centrifugal_equal_labels(self, unit_freqs):
         spec = potential_spec(Fraction(1, 2), unit_freqs, SubspaceLabel(1, 1), 0.0)
-        assert spec.coefficient(-2.0) == pytest.approx(-0.25, abs=0)
+        assert spec.coeffs[0] == pytest.approx(-0.25, abs=0)
 
     def test_b2_constants(self, unit_freqs):
         freqs = ModeFrequencies(2.0, 0.5, -0.3)
         spec = potential_spec(Fraction(2), freqs, SubspaceLabel(1, 1), 0.1)
-        assert spec.coefficient(0.0) == pytest.approx(0.25, abs=0)
+        assert spec.coeffs[4] == pytest.approx(0.25, abs=0)  # x^0
         wbar = 2.0 - 0.5 + 0.3
-        assert spec.coefficient(-0.5) == pytest.approx(SQRT2 * wbar / 4.0, rel=1e-14)
+        assert spec.coeffs[3] == pytest.approx(SQRT2 * wbar / 4.0, rel=1e-14)  # x^(-1/2)
 
     def test_b_positive_required(self, unit_freqs):
         with pytest.raises(ValueError):
@@ -166,14 +169,15 @@ class TestPrintedSpecializations:
         bb = float(b)
         inv = 1.0 / bb
         scale = max(1.0, max(abs(v) for v in printed.values()))
-        for e, coeff in spec.terms:
+        for i, coeff in enumerate(spec.coeffs):
+            e = -2.0 + i * inv
             key = min(printed, key=lambda pk: abs(pk - e))
             assert abs(key - e) < 1e-9
             printed_coeff = printed[key]
-            if abs(e - (-2.0 + inv)) < 1e-9:
+            if i == 1:
                 # sign slip of the A*B part in print
                 expected_gap = aux.A * aux.B / (bb * bb)
-            elif abs(e - (-2.0 + 2.0 * inv)) < 1e-9:
+            elif i == 2:
                 # sign slip of the A^2 + 4B - 4 part in print
                 expected_gap = (aux.A**2 + 4.0 * aux.B - 4.0) / (2.0 * bb * bb)
                 if b == Fraction(2):
@@ -214,18 +218,15 @@ class TestSplitSextic:
             tilde, eps = split_sextic(freqs, label, branch)
             for energy in (e1, e2):
                 spec = potential_spec(Fraction(1, 2), freqs, label, energy, branch)
-                for (te, tc), (se, sc) in zip(tilde.terms, spec.terms):
-                    assert te == se
-                    shift = eps(energy) if te == 0.0 else 0.0
+                assert tilde.b == spec.b
+                for i, (tc, sc) in enumerate(zip(tilde.coeffs, spec.coeffs)):
+                    shift = eps(energy) if i == 1 else 0.0  # rung 1 is x^0
                     assert tc == pytest.approx(sc + shift, rel=1e-12, abs=1e-12)
 
 
 class TestEvaluation:
     def test_single_term(self, unit_freqs):
-        spec = PotentialSpec(
-            b=Fraction(1), terms=((0.0, 5.0),), label=SubspaceLabel(0, 0),
-            freqs=unit_freqs, energy=0.0, branch=Branch.PLUS,
-        )
+        spec = PotentialSpec(Fraction(1), (0.0, 0.0, 5.0, 0.0, 0.0))
         assert eval_potential(spec, 3.0) == 5.0
 
     def test_positive_domain_only(self, unit_freqs):
@@ -239,7 +240,7 @@ class TestEvaluation:
         energy = (3 + math.sqrt(5)) / 2
         spec = potential_spec(Fraction(1), unit_freqs, SubspaceLabel(1, 1), energy)
         x = 1.37
-        manual = sum(c * x**e for e, c in spec.terms)
+        manual = sum(c * x ** (i - 2) for i, c in enumerate(spec.coeffs))
         assert eval_potential(spec, x) == pytest.approx(manual, rel=1e-15)
 
 
