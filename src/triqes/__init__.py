@@ -36,6 +36,7 @@ from .schroedinger import (
 )
 from .fdoracle import (
     FdConfig,
+    LogGridConfig,
     contains_eigenvalue,
     fd_spectrum,
     oracle_config,
@@ -73,6 +74,7 @@ __all__ = [
     "wavefunction_spec",
     "zero_mode_residual",
     "FdConfig",
+    "LogGridConfig",
     "contains_eigenvalue",
     "fd_spectrum",
     "oracle_config",

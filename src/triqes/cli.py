@@ -459,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict to one branch (default: both)")
     p_sweep.add_argument("--no-oracle", action="store_true")
     p_sweep.add_argument("--oracle-points", type=int, default=None,
-                         help="fd oracle grid size (default: sized by domain)")
+                         help="fd oracle nodes, uniform in ln x on [1e-4, x_max]"
+                              " (default: 2000)")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -1,7 +1,16 @@
 """Independent finite-difference eigenvalue oracle.
 
-The Schroedinger operator is discretized on a uniform grid with the
+Two grids share one assembler.  `FdConfig` is uniform in x with the
 standard 3-point stencil (diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2).
+`LogGridConfig`, the grid of every containment check, is uniform in
+t = ln x: the Langer substitution x = e^t, u = e^(t/2) y turns
+-u'' + V u = lambda u into -y'' + (1/4 + x^2 V) y = lambda x^2 y, and
+scaling rows and columns by 1/x keeps the discretized problem one
+symmetric tridiagonal matrix (diagonal (2/h^2 + 1/4)/x_i^2 + V(x_i),
+off-diagonal -1/(h^2 x_i x_(i+1)), h the step in t).  Nodes crowd towards
+the origin, where the potentials of this family are singular, so 2000
+nodes on [1e-4, x_max] resolve the limit-circle left ends below.
+
 A containment check needs one level only: bisection restricted to a
 window around the candidate lambda (LAPACK stebz by value) finds the
 level nearest lambda, widening the window geometrically until it holds
@@ -11,6 +20,11 @@ does not grow with the number of levels below lambda.  The oracle never
 touches the closed-form wavefunctions; its only inputs are the five rung
 coefficients of the potential (`PotentialSpec`) and a grid configuration.
 
+Every bisection runs to the absolute tolerance `BISECTION_TOL`.  LAPACK's
+default, eps times the matrix 1-norm, is ~2e-3 on the log grid, whose
+entries reach 2/(h^2 x_min^2) ~ 1e13, and is no longer small against the
+hit tolerance.
+
 Potentials in this family can be singular at the origin, and the x^(-2)
 coefficient -1/4 (l = m cases) sits exactly at the limit-circle border,
 where a plain Dirichlet cutoff converges only logarithmically.  The left
@@ -18,14 +32,16 @@ boundary therefore uses the potential's own small-x data: the boundary
 value is tied to the first interior node by the indicial exponent p of
 the x^(-2) rung (p(p-1) = c_0) refined by a Frobenius series over the
 remaining rungs (containment checks also feed the candidate eigenvalue
-into the series).  The ratio condition folds into the first diagonal
-entry, so the matrix stays symmetric tridiagonal.
+into the series); this selects the principal solution, as SLEIGN2 does
+(Bailey, Everitt & Zettl, ACM TOMS 27, 2001).  On the log grid the ratio
+of u carries the factor sqrt(x_1/x_0) into y.  The ratio condition folds
+into the first diagonal entry, so the matrix stays symmetric tridiagonal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -38,10 +54,11 @@ SINGULAR_XMIN = 0.2
 HIT_RTOL = 1e-3
 # Factor by which an empty search window around a candidate is widened.
 WINDOW_GROWTH = 4.0
-# Default containment grid: spacing aimed at, and the node-count clamp.
-ORACLE_H = 2.5e-3
-ORACLE_MIN_POINTS = 4000
-ORACLE_MAX_POINTS = 24000
+# Absolute tolerance of every bisection (see the module docstring).
+BISECTION_TOL = 1e-10
+# Containment grid: left end and default node count of the log grid.
+ORACLE_X_MIN = 1e-4
+ORACLE_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -71,7 +88,28 @@ class FdConfig:
 
     def doubled(self) -> "FdConfig":
         # 2n+1 interior points halve h exactly
-        return FdConfig(self.x_min, self.x_max, 2 * self.n_points + 1)
+        return replace(self, n_points=2 * self.n_points + 1)
+
+
+@dataclass(frozen=True)
+class LogGridConfig(FdConfig):
+    """Grid uniform in t = ln x on [ln x_min, ln x_max], Dirichlet ends.
+
+    Interior nodes sit at x_i = x_min e^(i h), i = 1 .. n_points, with
+    h = ln(x_max / x_min) / (n_points + 1) the step in ln x.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.x_min > 0.0:
+            raise ValueError("a log grid needs x_min > 0")
+
+    @property
+    def h(self) -> float:
+        return math.log(self.x_max / self.x_min) / (self.n_points + 1)
+
+    def nodes(self) -> np.ndarray:
+        return self.x_min * np.exp(self.h * np.arange(1, self.n_points + 1))
 
 
 def _singular(spec: PotentialSpec) -> bool:
@@ -130,17 +168,29 @@ def _left_boundary_ratio(
 def _tridiagonal(
     spec: PotentialSpec, config: FdConfig, bc_energy: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the discretized operator on `config`."""
+    """Diagonal and off-diagonal of the discretized operator on `config`.
+
+    Row i of the stencil is scaled by s_i on both sides: s = 1 on a uniform
+    grid, s = 1/x on a log grid, whose equation also gains 1/4 y.
+    """
     xs = config.nodes()
-    h = config.h
+    h2 = config.h * config.h
     vpot = spec.values(xs)
     if not np.all(np.isfinite(vpot)):
         raise ValueError("potential is not finite on the grid")
-    diag = 2.0 / (h * h) + vpot
     ratio = _left_boundary_ratio(spec, config.x_min, float(xs[0]), bc_energy)
+    if isinstance(config, LogGridConfig):
+        scale = 1.0 / xs
+        shift = 0.25
+        if ratio is not None:
+            ratio *= math.sqrt(float(xs[0]) / config.x_min)  # u/sqrt(x) = y
+    else:
+        scale = np.ones_like(xs)
+        shift = 0.0
+    diag = (2.0 / h2 + shift) * scale * scale + vpot
     if ratio is not None:
-        diag[0] = (2.0 - ratio) / (h * h) + vpot[0]
-    off = np.full(config.n_points - 1, -1.0 / (h * h))
+        diag[0] -= ratio * scale[0] * scale[0] / h2
+    off = -scale[:-1] * scale[1:] / h2
     return diag, off
 
 
@@ -153,7 +203,8 @@ def fd_spectrum(
     """Lowest `count` eigenvalues of the discretized operator, ascending.
 
     Bisection by index on the symmetric tridiagonal matrix (LAPACK stebz)
-    keeps the result deterministic to ~1e-10 relative.  When a candidate
+    to `BISECTION_TOL` keeps the result deterministic.  `config` is either
+    grid (`FdConfig` or `LogGridConfig`).  When a candidate
     eigenvalue `bc_energy` is supplied, the singular-boundary series uses
     it for one extra order of accuracy near that level.  Containment
     checks do not come through here: they search a window around the
@@ -165,7 +216,8 @@ def fd_spectrum(
         raise ValueError("count must be >= 1")
     diag, off = _tridiagonal(spec, config, bc_energy)
     vals = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
+        diag, off, select="i", select_range=(0, count - 1), eigvals_only=True,
+        tol=BISECTION_TOL,
     )
     return np.sort(vals)
 
@@ -186,7 +238,7 @@ def _nearest_level(
     while True:
         vals = eigh_tridiagonal(
             diag, off, select="v", select_range=(target - radius, target + radius),
-            eigvals_only=True,
+            eigvals_only=True, tol=BISECTION_TOL,
         )
         solves += 1
         if vals.size:
@@ -290,15 +342,12 @@ def suggest_domain(
 
 def oracle_config(
     spec: PotentialSpec, lam: float, n_points: int | None = None
-) -> FdConfig:
-    """Containment grid for lam: `suggest_domain` and a node count.
+) -> LogGridConfig:
+    """Containment grid for lam: uniform in ln x on [1e-4, x_max].
 
-    Unless `n_points` is given, the count aims for h ~ 2.5e-3 so singular
-    boundaries stay resolved, clamped to 4000 .. 24000 nodes.
+    x_max comes from `suggest_domain`; `n_points` defaults to 2000.
     """
-    x_min, x_max = suggest_domain(spec, lam)
+    _, x_max = suggest_domain(spec, lam)
     if n_points is None:
-        n_points = int(
-            min(max((x_max - x_min) / ORACLE_H, ORACLE_MIN_POINTS), ORACLE_MAX_POINTS)
-        )
-    return FdConfig(x_min, x_max, n_points)
+        n_points = ORACLE_POINTS
+    return LogGridConfig(ORACLE_X_MIN, x_max, n_points)

@@ -64,6 +64,11 @@ class AuxConstants:
     G: float
     D: float
 
+    @staticmethod
+    def branch_a(freqs: ModeFrequencies, branch: Branch) -> float:
+        """A = c (w1 - w2 - w3), shared by the potential and the zero mode."""
+        return branch.c * (freqs.w1 - freqs.w2 - freqs.w3)
+
     @classmethod
     def from_inputs(
         cls,
@@ -76,7 +81,7 @@ class AuxConstants:
         w1, w2, w3 = freqs.as_tuple()
         ell, m = label.ell, label.m
         return cls(
-            A=c * (w1 - w2 - w3),
+            A=cls.branch_a(freqs, branch),
             B=float(m + ell - 1),
             G=float(2 * (m + ell)),
             D=c * (m * (w1 - w2) + ell * (w1 - w3) - energy),
@@ -188,7 +193,7 @@ def wavefunction_spec(
     bb = float(b)
     k, n_prime = label.k, label.n_prime
     pref = (k - n_prime + bb) / (2.0 * bb)  # always > 0
-    a_ = phi.branch.c * (freqs.w1 - freqs.w2 - freqs.w3)
+    a_ = AuxConstants.branch_a(freqs, phi.branch)
     return WavefunctionSpec(prefactor_exponent=pref, A=a_, phi=phi, b=b)
 
 

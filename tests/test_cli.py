@@ -1,9 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from triqes import ModeFrequencies, SubspaceLabel, suggest_domain, zero_mode_potential
 from triqes.cli import main
 
 
@@ -255,9 +257,26 @@ class TestVerify:
         )
         assert code == 0
         for c in json.loads(out)["checks"]:
-            assert 4000 <= c["oracle_points"] <= 24000
-            assert 0.0 < c["oracle_h"] <= 2.5e-3
+            # 2000 nodes uniform in ln x on [1e-4, x_max]; oracle_h is that step
+            vspec, lam = zero_mode_potential(
+                Fraction(1, 2), ModeFrequencies(1, 1, 1), SubspaceLabel(1, 1), c["energy"]
+            )
+            _, x_max = suggest_domain(vspec, lam)
+            assert c["oracle_points"] == 2000
+            assert c["oracle_h"] == pytest.approx(math.log(x_max / 1e-4) / 2001, rel=1e-12)
             assert c["oracle_solves"] >= 2
+
+    def test_limit_circle_zero_mode_confirmed(self, capsys):
+        # defect (a): on the uniform grid the oracle missed this zero mode at
+        # its limit-circle left end (Richardson gap 1.06e-2)
+        code, out, _ = run_cli(
+            capsys, "verify", "--l", "0", "--m", "0", "--b", "2",
+            "--branch", "minus", "--w=-1.5,0.8,1.9",
+        )
+        assert code == 0
+        for c in json.loads(out)["checks"]:
+            assert c["oracle_hit"]
+            assert c["oracle_richardson_gap"] <= 1e-6
 
     def test_vacuum_trivial(self, capsys):
         code, out, _ = run_cli(
@@ -338,15 +357,15 @@ class TestSweep:
             assert all(isinstance(v, float) for v in t["worst"].values())
 
     def test_fail_line_names_stage(self, capsys):
-        # defect (a): the fd oracle misses this zero mode at a limit-circle
-        # left end while the exact checks pass
+        # an oracle grid of 100 nodes under-resolves this zero mode, which
+        # the exact checks pass
         code, out, err = run_cli(
-            capsys, "sweep", "--lmax", "0", "--mmax", "0", "--b", "2",
-            "--branch", "plus", "--w=2,0.5,-1",
+            capsys, "sweep", "--lmax", "0", "--mmax", "0", "--b", "1/2",
+            "--branch", "plus", "--w=-1.5,0.8,1.9", "--oracle-points", "100",
         )
         assert code == 1
         assert json.loads(out)["tuples"][0]["failed"] == ["oracle"]
-        assert err.splitlines() == ["l=0 m=0 b=2  plus: FAIL (oracle)"]
+        assert err.splitlines() == ["l=0 m=0 b=1/2  plus: FAIL (oracle)"]
 
     def test_no_oracle_wide_sweep_passes(self, capsys):
         # defect (c): the grid residual's refinement order failed 11 of these

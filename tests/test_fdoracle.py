@@ -7,6 +7,7 @@ import pytest
 from triqes import (
     Branch,
     FdConfig,
+    LogGridConfig,
     ModeFrequencies,
     SubspaceLabel,
     build_hamiltonian,
@@ -192,6 +193,19 @@ class TestWindowedSearch:
         assert res.hit
         assert res.solves == 2
 
+    def test_bisection_tolerance_on_log_grid(self, unit_freqs):
+        # the log grid's matrix norm reaches ~1e13, so LAPACK's default
+        # bisection tolerance (eps times the norm) would miss some of these
+        lams = []
+        for ell, m in ((3, 4), (4, 3), (4, 4)):
+            label = SubspaceLabel(ell, m)
+            for energy in eig_sym(build_hamiltonian(unit_freqs, label)).eigenvalues:
+                tilde, lam = certified_level(unit_freqs, label, HALF, float(energy))
+                res = contains_eigenvalue(tilde, oracle_config(tilde, lam), lam)
+                assert res.hit, (ell, m, lam, res)
+                lams.append(lam)
+        assert min(lams) < -74.0
+
     def test_observability_fields(self, unit_freqs):
         tilde, eps = split_sextic(unit_freqs, SubspaceLabel(1, 1))
         lam = -2.0 * SQRT2 * (3.0 + math.sqrt(5.0))
@@ -207,13 +221,16 @@ class TestWindowedSearch:
 
 class TestOracleConfig:
     def test_default_spacing_and_clamp(self, unit_freqs):
+        # 2000 nodes uniform in ln x on [1e-4, x_max of suggest_domain]
         label = SubspaceLabel(1, 1)
         energy = float(eig_sym(build_hamiltonian(unit_freqs, label)).eigenvalues[0])
         vspec = potential_spec(Fraction(1), unit_freqs, label, energy)
-        x_min, x_max = suggest_domain(vspec, 0.0)
+        _, x_max = suggest_domain(vspec, 0.0)
         cfg = oracle_config(vspec, 0.0)
-        assert (cfg.x_min, cfg.x_max) == (x_min, x_max)
-        assert cfg.n_points == int(min(max((x_max - x_min) / 2.5e-3, 4000), 24000))
+        assert isinstance(cfg, LogGridConfig)
+        assert (cfg.x_min, cfg.x_max, cfg.n_points) == (1e-4, x_max, 2000)
+        assert cfg.h == pytest.approx(math.log(x_max / 1e-4) / 2001, rel=1e-14)
+        assert np.allclose(np.diff(np.log(cfg.nodes())), cfg.h, rtol=1e-9, atol=0.0)
 
     def test_explicit_points(self, unit_freqs):
         tilde, _ = split_sextic(unit_freqs, SubspaceLabel(1, 1))
@@ -287,6 +304,36 @@ class TestSingularAdaptation:
         for lam, hit in ((2.0, True), (6.0, True), (10.0, True), (4.0, False), (2.01, False)):
             res = contains_eigenvalue(spec, oracle_config(spec, lam), lam)
             assert res.hit == hit, (lam, res.richardson_gap)
+            if hit:
+                assert res.richardson_gap <= 1e-8, (lam, res.richardson_gap)
+
+    def test_limit_circle_random_frequencies(self):
+        # defect (a): every zero mode whose x^(-2) coefficient
+        # c2 = -1/4 + (l - m)^2 / (4 b^2) lies in the limit-circle range
+        # -1/4 <= c2 < 3/4, i.e. |l - m| < 2b, is confirmed on both branches
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for w in rng.uniform(-2.0, 2.0, size=(3, 3)):
+            freqs = ModeFrequencies(*w)
+            for ell in range(4):
+                for m in range(4):
+                    label = SubspaceLabel(ell, m)
+                    energies = eig_sym(build_hamiltonian(freqs, label)).eigenvalues
+                    for b in (HALF, Fraction(1), Fraction(3, 2), Fraction(2)):
+                        if abs(ell - m) >= 2 * b:
+                            continue
+                        for branch in Branch:
+                            for energy in energies:
+                                vspec, lam = certified_level(
+                                    freqs, label, b, float(energy), branch
+                                )
+                                assert -0.25 <= vspec.coeffs[0] + 1e-12 < 0.75 + 1e-12
+                                res = contains_eigenvalue(
+                                    vspec, oracle_config(vspec, lam), lam
+                                )
+                                assert res.hit, (w, ell, m, b, branch, lam, res)
+                                checked += 1
+        assert checked == 3 * 2 * 90
 
     def test_plain_dirichlet_far_from_origin(self):
         # domains away from the origin never engage the adaptation
