@@ -35,7 +35,6 @@ from .schroedinger import (
     zero_mode_residual,
 )
 from .fdoracle import (
-    FdConfig,
     LogGridConfig,
     contains_eigenvalue,
     fd_spectrum,
@@ -73,7 +72,6 @@ __all__ = [
     "split_sextic",
     "wavefunction_spec",
     "zero_mode_residual",
-    "FdConfig",
     "LogGridConfig",
     "contains_eigenvalue",
     "fd_spectrum",

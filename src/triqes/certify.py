@@ -103,13 +103,11 @@ def certify_eigenpair(
     b: RationalLike,
     branch: Branch = Branch.PLUS,
     oracle: bool = True,
-    oracle_points: int | None = None,
 ) -> Certificate:
     """Run the chain for the eigenvector `vec` of W(l, m) at `energy`.
 
     `energy` is the value every stage after phi is checked against; pass a
-    wrong one to watch the certificate fail.  `oracle_points` overrides the
-    oracle's node count (see `oracle_config`).
+    wrong one to watch the certificate fail.
     """
     phi = fock_to_rho_polynomial(label, vec, branch)
     op_rel = _relative(bhe_operator_residual(freqs, label, energy, phi), phi)
@@ -121,7 +119,7 @@ def certify_eigenpair(
     schr_rel = _relative(zero_mode_residual(vspec, wf, lam), phi)
     cont = None
     if oracle:
-        cont = contains_eigenvalue(vspec, oracle_config(vspec, lam, oracle_points), lam)
+        cont = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
     ok = (
         op_rel <= BHE_RTOL and std_rel <= BHE_RTOL,
         schr_rel <= BHE_RTOL,

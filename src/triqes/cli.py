@@ -115,16 +115,19 @@ def parse_branch(text: str) -> Branch:
         raise UsageError(f"--branch must be plus or minus, got {text!r}") from None
 
 
-def _write_json(payload: dict[str, Any], out: str | None) -> None:
-    text = json.dumps(_round15(payload), indent=2)
+def _write_text(text: str, out: str | None) -> None:
     if out is None:
-        print(text)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise IOError(f"cannot write {out}: {exc}") from exc
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IOError(f"cannot write {out}: {exc}") from exc
+
+
+def _write_json(payload: dict[str, Any], out: str | None) -> None:
+    _write_text(json.dumps(_round15(payload), indent=2) + "\n", out)
 
 
 def _write_csv(
@@ -134,15 +137,7 @@ def _write_csv(
     lines.append("x,V,chi,prob")
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IOError(f"cannot write {out}: {exc}") from exc
+    _write_text("\n".join(lines) + "\n", out)
 
 
 def _spectrum_payload(freqs: ModeFrequencies, label: SubspaceLabel) -> dict[str, Any]:
@@ -249,15 +244,13 @@ def cmd_potential(args: argparse.Namespace) -> int:
 
 
 def _verify_one(freqs, label, spec, bfrac, branch, energy_override=None,
-                oracle=True, oracle_points=None):
+                oracle=True):
     """JSON entries of every eigenpair of W(l, m) in `spec` under one (b, branch)."""
     checks = []
     for i in range(label.dim):
         energy, vec = spec.pair(i)
         used_energy = energy if energy_override is None else energy_override
-        cert = certify_eigenpair(
-            freqs, label, used_energy, vec, bfrac, branch, oracle, oracle_points
-        )
+        cert = certify_eigenpair(freqs, label, used_energy, vec, bfrac, branch, oracle)
         entry = {
             "p": label.dim - i,
             "energy": energy,
@@ -333,6 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         {
             "l": args.l, "m": args.m, "w": args.w, "b": str(bfrac),
             "branch": branch.value, "energy_override": args.energy_override,
+            "no_oracle": args.no_oracle, "find_b2_zero": args.find_b2_zero,
         },
     )
     payload = {"manifest": manifest.as_dict(), "checks": checks, "pass": all_pass}
@@ -360,8 +354,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     freqs = parse_w(args.w)
     if not (0 <= args.lmax <= 20 and 0 <= args.mmax <= 20):
         raise UsageError("sweep bounds are limited to 0 <= l, m <= 20")
-    if args.oracle_points is not None and args.oracle_points < 100:
-        raise UsageError(f"--oracle-points must be >= 100, got {args.oracle_points}")
     b_values = sorted({parse_b(tok) for tok in args.b.split(",")})
     branches = [parse_branch(args.branch)] if args.branch else [Branch.PLUS, Branch.MINUS]
     results = []
@@ -372,8 +364,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for bf in b_values:
                 for br in branches:
                     checks = _verify_one(
-                        freqs, label, spec, bf, br,
-                        oracle=not args.no_oracle, oracle_points=args.oracle_points,
+                        freqs, label, spec, bf, br, oracle=not args.no_oracle
                     )
                     results.append(_sweep_record(ell, m, bf, br, checks))
     results.sort(key=lambda r: (r["l"], r["m"], Fraction(r["b"]), r["branch"]))
@@ -382,7 +373,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "sweep",
         {
             "lmax": args.lmax, "mmax": args.mmax, "w": args.w, "b": args.b,
-            "branch": args.branch,
+            "branch": args.branch, "no_oracle": args.no_oracle,
         },
     )
     payload = {
@@ -458,9 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--branch", default=None, choices=["plus", "minus"],
                          help="restrict to one branch (default: both)")
     p_sweep.add_argument("--no-oracle", action="store_true")
-    p_sweep.add_argument("--oracle-points", type=int, default=None,
-                         help="fd oracle nodes, uniform in ln x on [1e-4, x_max]"
-                              " (default: 2000)")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

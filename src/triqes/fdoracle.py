@@ -1,15 +1,13 @@
-"""Independent finite-difference eigenvalue oracle.
+"""Independent finite-difference eigenvalue oracle on the half line.
 
-Two grids share one assembler.  `FdConfig` is uniform in x with the
-standard 3-point stencil (diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2).
-`LogGridConfig`, the grid of every containment check, is uniform in
-t = ln x: the Langer substitution x = e^t, u = e^(t/2) y turns
--u'' + V u = lambda u into -y'' + (1/4 + x^2 V) y = lambda x^2 y, and
-scaling rows and columns by 1/x keeps the discretized problem one
-symmetric tridiagonal matrix (diagonal (2/h^2 + 1/4)/x_i^2 + V(x_i),
-off-diagonal -1/(h^2 x_i x_(i+1)), h the step in t).  Nodes crowd towards
-the origin, where the potentials of this family are singular, so 2000
-nodes on [1e-4, x_max] resolve the limit-circle left ends below.
+The one grid, `LogGridConfig`, is uniform in t = ln x: the Langer
+substitution x = e^t, u = e^(t/2) y turns -u'' + V u = lambda u into
+-y'' + (1/4 + x^2 V) y = lambda x^2 y, and scaling rows and columns by 1/x
+keeps the discretized problem one symmetric tridiagonal matrix (diagonal
+(2/h^2 + 1/4)/x_i^2 + V(x_i), off-diagonal -1/(h^2 x_i x_(i+1)), h the
+step in t).  Nodes crowd towards the origin, where the potentials of this
+family are singular, so 2000 nodes on [1e-4, x_max] resolve the
+limit-circle left ends below.
 
 A containment check needs one level only: bisection restricted to a
 window around the candidate lambda (LAPACK stebz by value) finds the
@@ -33,9 +31,10 @@ value is tied to the first interior node by the indicial exponent p of
 the x^(-2) rung (p(p-1) = c_0) refined by a Frobenius series over the
 remaining rungs (containment checks also feed the candidate eigenvalue
 into the series); this selects the principal solution, as SLEIGN2 does
-(Bailey, Everitt & Zettl, ACM TOMS 27, 2001).  On the log grid the ratio
-of u carries the factor sqrt(x_1/x_0) into y.  The ratio condition folds
-into the first diagonal entry, so the matrix stays symmetric tridiagonal.
+(Bailey, Everitt & Zettl, ACM TOMS 27, 2001).  A regular left end
+(c_0 = 0) takes the same rule with p = 1.  The ratio of u carries the
+factor sqrt(x_1/x_0) into y, and the ratio condition folds into the
+first diagonal entry, so the matrix stays symmetric tridiagonal.
 """
 
 from __future__ import annotations
@@ -56,17 +55,19 @@ HIT_RTOL = 1e-3
 WINDOW_GROWTH = 4.0
 # Absolute tolerance of every bisection (see the module docstring).
 BISECTION_TOL = 1e-10
-# Containment grid: left end and default node count of the log grid.
+# Containment grid: left end and node count of the log grid.
 ORACLE_X_MIN = 1e-4
 ORACLE_POINTS = 2000
+# WKB tunneling phase past the outer turning point that fixes x_max.
+DOMAIN_PHASE = 18.0
 
 
 @dataclass(frozen=True)
-class FdConfig:
-    """Uniform-grid discretization of [x_min, x_max], Dirichlet ends.
+class LogGridConfig:
+    """Grid uniform in t = ln x on [ln x_min, ln x_max], Dirichlet ends.
 
-    Interior nodes sit at x_i = x_min + i h, i = 1 .. n_points, with
-    h = (x_max - x_min) / (n_points + 1).
+    Interior nodes sit at x_i = x_min e^(i h), i = 1 .. n_points, with
+    h = ln(x_max / x_min) / (n_points + 1) the step in ln x.
     """
 
     x_min: float
@@ -78,29 +79,6 @@ class FdConfig:
             raise ValueError("x_min must be below x_max")
         if self.n_points < 100:
             raise ValueError("need at least 100 grid points")
-
-    @property
-    def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points + 1)
-
-    def nodes(self) -> np.ndarray:
-        return self.x_min + self.h * np.arange(1, self.n_points + 1)
-
-    def doubled(self) -> "FdConfig":
-        # 2n+1 interior points halve h exactly
-        return replace(self, n_points=2 * self.n_points + 1)
-
-
-@dataclass(frozen=True)
-class LogGridConfig(FdConfig):
-    """Grid uniform in t = ln x on [ln x_min, ln x_max], Dirichlet ends.
-
-    Interior nodes sit at x_i = x_min e^(i h), i = 1 .. n_points, with
-    h = ln(x_max / x_min) / (n_points + 1) the step in ln x.
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
         if not self.x_min > 0.0:
             raise ValueError("a log grid needs x_min > 0")
 
@@ -111,11 +89,9 @@ class LogGridConfig(FdConfig):
     def nodes(self) -> np.ndarray:
         return self.x_min * np.exp(self.h * np.arange(1, self.n_points + 1))
 
-
-def _singular(spec: PotentialSpec) -> bool:
-    """Whether V has a non-zero rung of negative exponent (i < 2b)."""
-    two_b = 2 * spec.b
-    return any(cf != 0.0 for i, cf in enumerate(spec.coeffs) if i < two_b)
+    def doubled(self) -> "LogGridConfig":
+        # 2n+1 interior points halve h exactly
+        return replace(self, n_points=2 * self.n_points + 1)
 
 
 def _frobenius_factors(
@@ -155,7 +131,7 @@ def _left_boundary_ratio(
     spec: PotentialSpec, x0: float, x1: float, bc_energy: float | None
 ) -> float | None:
     """u(x0)/u(x1) of the regular solution, or None for plain Dirichlet."""
-    if not (0.0 < x0 < SINGULAR_XMIN) or not _singular(spec):
+    if not 0.0 < x0 < SINGULAR_XMIN:
         return None
     c0 = spec.coeffs[0]
     if 1.0 + 4.0 * c0 < 0.0:
@@ -166,29 +142,22 @@ def _left_boundary_ratio(
 
 
 def _tridiagonal(
-    spec: PotentialSpec, config: FdConfig, bc_energy: float | None
+    spec: PotentialSpec, config: LogGridConfig, bc_energy: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the discretized operator on `config`.
 
-    Row i of the stencil is scaled by s_i on both sides: s = 1 on a uniform
-    grid, s = 1/x on a log grid, whose equation also gains 1/4 y.
+    Row i of the stencil in y is scaled by 1/x_i on both sides.
     """
     xs = config.nodes()
     h2 = config.h * config.h
     vpot = spec.values(xs)
     if not np.all(np.isfinite(vpot)):
         raise ValueError("potential is not finite on the grid")
+    scale = 1.0 / xs
+    diag = (2.0 / h2 + 0.25) * scale * scale + vpot
     ratio = _left_boundary_ratio(spec, config.x_min, float(xs[0]), bc_energy)
-    if isinstance(config, LogGridConfig):
-        scale = 1.0 / xs
-        shift = 0.25
-        if ratio is not None:
-            ratio *= math.sqrt(float(xs[0]) / config.x_min)  # u/sqrt(x) = y
-    else:
-        scale = np.ones_like(xs)
-        shift = 0.0
-    diag = (2.0 / h2 + shift) * scale * scale + vpot
     if ratio is not None:
+        ratio *= math.sqrt(float(xs[0]) / config.x_min)  # u/sqrt(x) = y
         diag[0] -= ratio * scale[0] * scale[0] / h2
     off = -scale[:-1] * scale[1:] / h2
     return diag, off
@@ -196,17 +165,16 @@ def _tridiagonal(
 
 def fd_spectrum(
     spec: PotentialSpec,
-    config: FdConfig,
+    config: LogGridConfig,
     count: int,
     bc_energy: float | None = None,
 ) -> np.ndarray:
     """Lowest `count` eigenvalues of the discretized operator, ascending.
 
     Bisection by index on the symmetric tridiagonal matrix (LAPACK stebz)
-    to `BISECTION_TOL` keeps the result deterministic.  `config` is either
-    grid (`FdConfig` or `LogGridConfig`).  When a candidate
-    eigenvalue `bc_energy` is supplied, the singular-boundary series uses
-    it for one extra order of accuracy near that level.  Containment
+    to `BISECTION_TOL` keeps the result deterministic.  When a candidate
+    eigenvalue `bc_energy` is supplied, the left-boundary series uses it
+    for one extra order of accuracy near that level.  Containment
     checks do not come through here: they search a window around the
     candidate instead (see `contains_eigenvalue`).
     """
@@ -269,7 +237,7 @@ class ContainmentResult:
 
 
 def contains_eigenvalue(
-    spec: PotentialSpec, config: FdConfig, lam: float
+    spec: PotentialSpec, config: LogGridConfig, lam: float
 ) -> ContainmentResult:
     """Does lam sit in the fd spectrum after Richardson extrapolation?
 
@@ -304,30 +272,26 @@ def _march() -> list[float]:
     return xs
 
 
-# The march of `suggest_domain` (x_min <= 1e-2, so it starts at x = 1) does
-# not depend on the potential: it is laid out once, V evaluated on it at once.
+# The march of `suggest_domain` does not depend on the potential: it is
+# laid out once, V evaluated on it at once.
 _MARCH = _march()
 _MARCH_NODES = np.array(_MARCH[:-1])
 
 
-def suggest_domain(
-    spec: PotentialSpec, lam: float, phase: float = 18.0
-) -> tuple[float, float]:
-    """Heuristic [x_min, x_max] covering the bound state at lam.
+def suggest_domain(spec: PotentialSpec, lam: float) -> float:
+    """Heuristic right edge x_max of a grid covering the bound state at lam.
 
-    The left edge sits close to the origin when the potential is singular
-    there.  The right edge extends past the outer turning point until the
-    WKB tunneling integral of sqrt(V - lam) reaches `phase`, so the
-    Dirichlet truncation error is ~exp(-2 phase) regardless of how slowly
-    the potential grows.
+    It extends past the outer turning point until the WKB tunneling
+    integral of sqrt(V - lam) reaches `DOMAIN_PHASE`, so the Dirichlet
+    truncation error is ~exp(-2 DOMAIN_PHASE) regardless of how slowly the
+    potential grows.
     """
-    x_min = 1e-2 if _singular(spec) else 1e-3
     vs = (spec.values(_MARCH_NODES) - lam).tolist()
     acc = 0.0
     prev: tuple[float, float] | None = None
     for x, v in zip(_MARCH, vs):
-        if acc >= phase:
-            return x_min, x
+        if acc >= DOMAIN_PHASE:
+            return x
         if not math.isfinite(v) or v <= 0.0:
             acc = 0.0
             prev = None
@@ -337,17 +301,10 @@ def suggest_domain(
                 x_prev, f_prev = prev
                 acc += 0.5 * (f_prev + cur) * (x - x_prev)
             prev = (x, cur)
-    return x_min, _MARCH[-1]
+    return _MARCH[-1]
 
 
-def oracle_config(
-    spec: PotentialSpec, lam: float, n_points: int | None = None
-) -> LogGridConfig:
-    """Containment grid for lam: uniform in ln x on [1e-4, x_max].
-
-    x_max comes from `suggest_domain`; `n_points` defaults to 2000.
-    """
-    _, x_max = suggest_domain(spec, lam)
-    if n_points is None:
-        n_points = ORACLE_POINTS
-    return LogGridConfig(ORACLE_X_MIN, x_max, n_points)
+def oracle_config(spec: PotentialSpec, lam: float) -> LogGridConfig:
+    """Containment grid for lam: `ORACLE_POINTS` nodes uniform in ln x on
+    [`ORACLE_X_MIN`, x_max], x_max from `suggest_domain`."""
+    return LogGridConfig(ORACLE_X_MIN, suggest_domain(spec, lam), ORACLE_POINTS)

@@ -14,7 +14,7 @@ import pytest
 
 from triqes import (
     Branch,
-    FdConfig,
+    LogGridConfig,
     ModeFrequencies,
     SubspaceLabel,
     bhe_operator_residual,
@@ -25,6 +25,7 @@ from triqes import (
     eig_sym,
     eval_wavefunction,
     fock_to_rho_polynomial,
+    oracle_config,
     potential_spec,
     split_sextic,
     wavefunction_spec,
@@ -258,13 +259,13 @@ def test_criterion_6_oracle_containment():
     ok = True
     details = []
 
+    # every check on the pipeline's own grid, `oracle_config`
     # displaced sextic, (1,1): eps = -2 sqrt(2) (3 +- sqrt(5)) within 1e-3
     label = SubspaceLabel(1, 1)
     tilde, eps = split_sextic(W111, label)
-    cfg = FdConfig(1e-2, 6.0, 8000)
     for sign in (+1.0, -1.0):
         lam = -2.0 * SQRT2 * (3.0 + sign * math.sqrt(5.0))
-        res = contains_eigenvalue(tilde, cfg, lam)
+        res = contains_eigenvalue(tilde, oracle_config(tilde, lam), lam)
         ok &= res.hit and res.richardson_gap <= 1e-3
         details.append(f"eps(1,1) gap {res.richardson_gap:.1e}")
 
@@ -275,15 +276,14 @@ def test_criterion_6_oracle_containment():
     for energy in spec32.eigenvalues:
         tilde, lam = zero_mode_potential(SEXTIC_B, W111, label, float(energy))
         ok &= math.isclose(lam, -4.0 * SQRT2 * float(energy), rel_tol=1e-12)
-        res = contains_eigenvalue(tilde, cfg, lam)
+        res = contains_eigenvalue(tilde, oracle_config(tilde, lam), lam)
         ok &= res.hit and res.richardson_gap <= 1e-3 * abs(lam)
         details.append(f"eps(3,2) gap {res.richardson_gap:.1e}")
 
     # quarkonium-type b=1 potentials: zero mode within 1e-3
     for label, (energy, vec) in worked_example_eigenpairs():
         vspec = potential_spec(Fraction(1), W111, label, energy)
-        cfg1 = FdConfig(1e-2, 20.0, 12000)
-        res = contains_eigenvalue(vspec, cfg1, 0.0)
+        res = contains_eigenvalue(vspec, oracle_config(vspec, 0.0), 0.0)
         ok &= res.hit and res.richardson_gap <= 1e-3
         details.append(f"V1({label.ell},{label.m}) gap {res.richardson_gap:.1e}")
 
@@ -374,12 +374,13 @@ def test_criterion_7_property_suites():
     for _ in range(100):
         a = float(rng.uniform(0.5, 2.0))
         c = float(rng.uniform(-3.0, 3.0))
-        # a^2 x^2 + c: rungs 4 and 2 of the ladder at b = 1
+        # a^2 x^2 + c: rungs 4 and 2 of the ladder at b = 1; ground state
+        # 3a + c on the half line
         spec = PotentialSpec(Fraction(1), (0.0, 0.0, c, 0.0, a * a))
-        exact = a + c
+        exact = 3.0 * a + c
         errs = []
         for n in (400, 801):
-            cfg = FdConfig(-12.0 / math.sqrt(a), 12.0 / math.sqrt(a), n)
+            cfg = LogGridConfig(1e-4, 12.0 / math.sqrt(a), n)
             errs.append(abs(float(fd_spectrum(spec, cfg, 1)[0]) - exact))
         orders.append(math.log2(errs[0] / errs[1]))
     ok &= all(1.8 <= o <= 2.2 for o in orders)

@@ -92,10 +92,9 @@ class TestCertifyEigenpair:
     def test_oracle_hit(self, unit_freqs):
         label = SubspaceLabel(1, 1)
         energy, vec = eigenpair(unit_freqs, label, 1)
-        cert = certify_eigenpair(unit_freqs, label, energy, vec, Fraction(1, 2),
-                                 oracle_points=5000)
+        cert = certify_eigenpair(unit_freqs, label, energy, vec, Fraction(1, 2))
         assert cert.oracle.hit and cert.passed
-        assert cert.oracle.n_points == 5000
+        assert cert.oracle.n_points == 2000
 
 
 class TestZeroModeResidual:

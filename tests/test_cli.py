@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import triqes.fdoracle
 from triqes import ModeFrequencies, SubspaceLabel, suggest_domain, zero_mode_potential
 from triqes.cli import main
 
@@ -261,7 +262,7 @@ class TestVerify:
             vspec, lam = zero_mode_potential(
                 Fraction(1, 2), ModeFrequencies(1, 1, 1), SubspaceLabel(1, 1), c["energy"]
             )
-            _, x_max = suggest_domain(vspec, lam)
+            x_max = suggest_domain(vspec, lam)
             assert c["oracle_points"] == 2000
             assert c["oracle_h"] == pytest.approx(math.log(x_max / 1e-4) / 2001, rel=1e-12)
             assert c["oracle_solves"] >= 2
@@ -304,6 +305,17 @@ class TestVerify:
             if entry["w3_zeroing_term"] is not None:
                 assert abs(entry["residual_coefficient"]) < 1e-8
 
+    def test_manifest_records_flags(self, capsys):
+        # the manifest alone tells a --no-oracle run from an oracle run
+        for flags in ([], ["--no-oracle", "--find-b2-zero"]):
+            code, out, _ = run_cli(
+                capsys, "verify", "--l", "1", "--m", "1", "--b", "2", *flags
+            )
+            assert code == 0
+            params = json.loads(out)["manifest"]["params"]
+            assert params["no_oracle"] is bool(flags)
+            assert params["find_b2_zero"] is bool(flags)
+
 
 class TestSweep:
     def test_tiny_sweep(self, capsys):
@@ -337,11 +349,13 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--lmax", "25", "--mmax", "1")
         assert code == 2
 
-    def test_oracle_points_validation(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "sweep", "--lmax", "0", "--mmax", "0", "--oracle-points", "50",
-        )
-        assert code == 2
+    def test_manifest_records_no_oracle(self, capsys):
+        for flags in ([], ["--no-oracle"]):
+            code, out, _ = run_cli(
+                capsys, "sweep", "--lmax", "0", "--mmax", "0", "--b", "1", *flags
+            )
+            assert code == 0
+            assert json.loads(out)["manifest"]["params"]["no_oracle"] is bool(flags)
 
     def test_worst_stays_numeric(self, capsys):
         code, out, _ = run_cli(
@@ -356,12 +370,13 @@ class TestSweep:
             }
             assert all(isinstance(v, float) for v in t["worst"].values())
 
-    def test_fail_line_names_stage(self, capsys):
+    def test_fail_line_names_stage(self, capsys, monkeypatch):
         # an oracle grid of 100 nodes under-resolves this zero mode, which
         # the exact checks pass
+        monkeypatch.setattr(triqes.fdoracle, "ORACLE_POINTS", 100)
         code, out, err = run_cli(
             capsys, "sweep", "--lmax", "0", "--mmax", "0", "--b", "1/2",
-            "--branch", "plus", "--w=-1.5,0.8,1.9", "--oracle-points", "100",
+            "--branch", "plus", "--w=-1.5,0.8,1.9",
         )
         assert code == 1
         assert json.loads(out)["tuples"][0]["failed"] == ["oracle"]

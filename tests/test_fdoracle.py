@@ -6,7 +6,6 @@ import pytest
 
 from triqes import (
     Branch,
-    FdConfig,
     LogGridConfig,
     ModeFrequencies,
     SubspaceLabel,
@@ -18,6 +17,7 @@ from triqes import (
     potential_spec,
     split_sextic,
     suggest_domain,
+    zero_mode_potential,
 )
 from triqes.schroedinger import PotentialSpec
 
@@ -30,23 +30,20 @@ def bare_spec(coeffs):
     return PotentialSpec(Fraction(1), coeffs)
 
 
-HARMONIC = (0.0, 0.0, 0.0, 0.0, 1.0)  # x^2
+HARMONIC = (0.0, 0.0, 0.0, 0.0, 1.0)  # x^2, levels 4n + 3 on the half line
 
 
 class TestFdSpectrum:
     def test_harmonic_oscillator(self):
-        # -u'' + x^2 u with odd levels 1, 3, 5 on a symmetric domain
+        # -u'' + x^2 u on the half line: levels 3, 7, 11
         spec = bare_spec(HARMONIC)
-        cfg = FdConfig(-10.0, 10.0, 4000)
+        cfg = LogGridConfig(1e-4, 10.0, 4000)
         vals = fd_spectrum(spec, cfg, 3)
-        assert np.allclose(vals, [1.0, 3.0, 5.0], atol=1e-4)
+        assert np.allclose(vals, [3.0, 7.0, 11.0], atol=1e-4)
 
     def test_sextic_11_example(self, unit_freqs):
-        # at this configuration h is comparable to x_min, which limits the
-        # resolution of the sqrt(x) boundary layer; the tight containment
-        # runs in the acceptance suite with h << x_min
         tilde, eps = split_sextic(unit_freqs, SubspaceLabel(1, 1))
-        cfg = FdConfig(1e-3, 6.0, 8000)
+        cfg = LogGridConfig(1e-4, 6.0, 8000)
         vals = fd_spectrum(tilde, cfg, 4)
         spec_h = eig_sym(build_hamiltonian(unit_freqs, SubspaceLabel(1, 1)))
         targets = sorted(eps(e) for e in spec_h.eigenvalues)
@@ -55,7 +52,7 @@ class TestFdSpectrum:
 
     def test_sextic_32_example(self, unit_freqs):
         tilde, eps = split_sextic(unit_freqs, SubspaceLabel(3, 2))
-        cfg = FdConfig(1e-3, 6.0, 8000)
+        cfg = LogGridConfig(1e-4, 6.0, 8000)
         vals = fd_spectrum(tilde, cfg, 5)
         spec_h = eig_sym(build_hamiltonian(unit_freqs, SubspaceLabel(3, 2)))
         for energy in spec_h.eigenvalues:
@@ -64,7 +61,7 @@ class TestFdSpectrum:
 
     def test_count_validation(self):
         spec = bare_spec(HARMONIC)
-        cfg = FdConfig(-5.0, 5.0, 200)
+        cfg = LogGridConfig(1e-4, 5.0, 200)
         with pytest.raises(ValueError):
             fd_spectrum(spec, cfg, 201)
         with pytest.raises(ValueError):
@@ -72,13 +69,15 @@ class TestFdSpectrum:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            FdConfig(2.0, 1.0, 500)
+            LogGridConfig(2.0, 1.0, 500)
         with pytest.raises(ValueError):
-            FdConfig(0.0, 1.0, 50)
+            LogGridConfig(1e-4, 1.0, 50)
+        with pytest.raises(ValueError):
+            LogGridConfig(0.0, 1.0, 500)
 
     def test_determinism(self):
         spec = bare_spec(HARMONIC)
-        cfg = FdConfig(-8.0, 8.0, 1500)
+        cfg = LogGridConfig(1e-4, 8.0, 1500)
         a = fd_spectrum(spec, cfg, 5)
         b = fd_spectrum(spec, cfg, 5)
         assert np.array_equal(a, b)
@@ -87,17 +86,17 @@ class TestFdSpectrum:
         spec = bare_spec(HARMONIC)
         errs = []
         for n in (500, 1001):
-            vals = fd_spectrum(spec, FdConfig(-8.0, 8.0, n), 1)
-            errs.append(abs(vals[0] - 1.0))
+            vals = fd_spectrum(spec, LogGridConfig(1e-4, 8.0, n), 1)
+            errs.append(abs(vals[0] - 3.0))
         order = math.log2(errs[0] / errs[1])
         assert 1.8 <= order <= 2.2
 
 
 class TestContainsEigenvalue:
     def test_shifted_oscillator_hit(self):
-        # ground state of x^2 - 1 sits exactly at 0
-        spec = bare_spec((0.0, 0.0, -1.0, 0.0, 1.0))
-        cfg = FdConfig(-10.0, 10.0, 3000)
+        # ground state of x^2 - 3 on the half line sits exactly at 0
+        spec = bare_spec((0.0, 0.0, -3.0, 0.0, 1.0))
+        cfg = LogGridConfig(1e-4, 10.0, 3000)
         res = contains_eigenvalue(spec, cfg, 0.0)
         assert res.hit
         assert abs(res.nearest) < 1e-3
@@ -107,8 +106,7 @@ class TestContainsEigenvalue:
         spec_h = eig_sym(build_hamiltonian(unit_freqs, label))
         energy = float(spec_h.eigenvalues[0])
         vspec = potential_spec(Fraction(1), unit_freqs, label, energy)
-        x_min, x_max = suggest_domain(vspec, 0.0)
-        res = contains_eigenvalue(vspec, FdConfig(x_min, x_max, 6000), 0.0)
+        res = contains_eigenvalue(vspec, oracle_config(vspec, 0.0), 0.0)
         assert res.hit
 
     def test_no_nearby_level(self, unit_freqs):
@@ -116,17 +114,19 @@ class TestContainsEigenvalue:
         spec_h = eig_sym(build_hamiltonian(unit_freqs, label))
         energy = float(spec_h.eigenvalues[0])
         vspec = potential_spec(Fraction(1), unit_freqs, label, energy)
-        x_min, x_max = suggest_domain(vspec, 0.0)
-        res = contains_eigenvalue(vspec, FdConfig(x_min, x_max, 6000), 0.5)
+        res = contains_eigenvalue(vspec, oracle_config(vspec, 0.0), 0.5)
         assert not res.hit
         assert res.gap > 1e-3
 
     def test_domain_robustness(self, unit_freqs):
         # enlarging a sufficient domain moves bound levels by < 1e-6
         tilde, eps = split_sextic(unit_freqs, SubspaceLabel(3, 2))
-        base = fd_spectrum(tilde, FdConfig(1e-2, 6.0, 9000), 3)
-        # keep h comparable while growing the box
-        wide = fd_spectrum(tilde, FdConfig(1e-2, 8.0, 12000), 3)
+        cfg = LogGridConfig(1e-4, 6.0, 2000)
+        base = fd_spectrum(tilde, cfg, 3)
+        # keep h and the nodes while growing the box to ~8
+        extra = round(math.log(8.0 / 6.0) / cfg.h)
+        grown = LogGridConfig(1e-4, 1e-4 * math.exp(cfg.h * (2001 + extra)), 2000 + extra)
+        wide = fd_spectrum(tilde, grown, 3)
         assert np.max(np.abs(base - wide)) < 1e-6
 
 
@@ -143,21 +143,13 @@ def lowest_k_containment(spec, cfg, lam):
     return vals[np.argmin(np.abs(vals - lam))], np.min(np.abs(rich - lam))
 
 
-def certified_level(freqs, label, b, energy, branch=Branch.PLUS):
-    """Potential and its predicted level: eps(E) for b = 1/2, else the zero mode."""
-    if b == HALF:
-        tilde, eps = split_sextic(freqs, label, branch)
-        return tilde, eps(energy)
-    return potential_spec(b, freqs, label, energy, branch), 0.0
-
-
 class TestWindowedSearch:
     @pytest.mark.parametrize("ell,m", [(1, 1), (3, 2)])
     @pytest.mark.parametrize("b", [Fraction(1), HALF], ids=["b=1", "b=1/2"])
     def test_matches_lowest_k_reference(self, unit_freqs, ell, m, b):
         label = SubspaceLabel(ell, m)
         for energy in eig_sym(build_hamiltonian(unit_freqs, label)).eigenvalues:
-            vspec, lam = certified_level(unit_freqs, label, b, float(energy))
+            vspec, lam = zero_mode_potential(b, unit_freqs, label, float(energy))
             cfg = oracle_config(vspec, lam)
             res = contains_eigenvalue(vspec, cfg, lam)
             nearest, rich_gap = lowest_k_containment(vspec, cfg, lam)
@@ -171,14 +163,14 @@ class TestWindowedSearch:
         freqs = ModeFrequencies(0.3, -1.2, 0.7)
         label = SubspaceLabel(4, 4)
         for energy in eig_sym(build_hamiltonian(freqs, label)).eigenvalues:
-            vspec, lam = certified_level(freqs, label, Fraction(2), float(energy))
+            vspec, lam = zero_mode_potential(Fraction(2), freqs, label, float(energy))
             res = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
             assert res.hit, (float(energy), res)
             assert res.richardson_gap < 1e-4
 
     def test_midway_between_levels_rejected(self):
         spec = bare_spec(HARMONIC)
-        cfg = FdConfig(-10.0, 10.0, 3000)
+        cfg = LogGridConfig(1e-4, 10.0, 3000)
         vals = fd_spectrum(spec, cfg, 4)
         lam = 0.5 * (vals[1] + vals[2])
         res = contains_eigenvalue(spec, cfg, lam)
@@ -187,9 +179,10 @@ class TestWindowedSearch:
         assert res.gap == pytest.approx(0.5 * (vals[2] - vals[1]), rel=1e-9)
 
     def test_level_above_old_scan_cap(self):
-        # level 300 of the oscillator, beyond a scan of the lowest 256
+        # level 301 of the oscillator (603, level 150 on the half line),
+        # beyond a scan of the lowest 256
         spec = bare_spec(HARMONIC)
-        res = contains_eigenvalue(spec, FdConfig(-40.0, 40.0, 20000), 601.0)
+        res = contains_eigenvalue(spec, LogGridConfig(1e-4, 40.0, 20000), 603.0)
         assert res.hit
         assert res.solves == 2
 
@@ -200,7 +193,7 @@ class TestWindowedSearch:
         for ell, m in ((3, 4), (4, 3), (4, 4)):
             label = SubspaceLabel(ell, m)
             for energy in eig_sym(build_hamiltonian(unit_freqs, label)).eigenvalues:
-                tilde, lam = certified_level(unit_freqs, label, HALF, float(energy))
+                tilde, lam = zero_mode_potential(HALF, unit_freqs, label, float(energy))
                 res = contains_eigenvalue(tilde, oracle_config(tilde, lam), lam)
                 assert res.hit, (ell, m, lam, res)
                 lams.append(lam)
@@ -225,28 +218,23 @@ class TestOracleConfig:
         label = SubspaceLabel(1, 1)
         energy = float(eig_sym(build_hamiltonian(unit_freqs, label)).eigenvalues[0])
         vspec = potential_spec(Fraction(1), unit_freqs, label, energy)
-        _, x_max = suggest_domain(vspec, 0.0)
+        x_max = suggest_domain(vspec, 0.0)
         cfg = oracle_config(vspec, 0.0)
         assert isinstance(cfg, LogGridConfig)
         assert (cfg.x_min, cfg.x_max, cfg.n_points) == (1e-4, x_max, 2000)
         assert cfg.h == pytest.approx(math.log(x_max / 1e-4) / 2001, rel=1e-14)
         assert np.allclose(np.diff(np.log(cfg.nodes())), cfg.h, rtol=1e-9, atol=0.0)
 
-    def test_explicit_points(self, unit_freqs):
-        tilde, _ = split_sextic(unit_freqs, SubspaceLabel(1, 1))
-        assert oracle_config(tilde, -5.0, n_points=1234).n_points == 1234
 
 
-def marching_domain(spec, lam, phase=18.0):
-    """suggest_domain as it was before the march was laid out once: one
-    potential evaluation per step."""
-    singular = any(cf != 0.0 for i, cf in enumerate(spec.coeffs) if i < 2 * spec.b)
-    x_min = 1e-2 if singular else 1e-3
-    x = max(1.0, 2.0 * x_min)
+def marching_domain(spec, lam):
+    """x_max of suggest_domain as it was before the march was laid out
+    once: one potential evaluation per step."""
+    x = 1.0
     acc = 0.0
     prev = None
     step = 0.05
-    while x < 512.0 and acc < phase:
+    while x < 512.0 and acc < 18.0:
         v = float(spec.values(np.array([x]))[0]) - lam
         if not math.isfinite(v) or v <= 0.0:
             acc = 0.0
@@ -259,7 +247,7 @@ def marching_domain(spec, lam, phase=18.0):
             prev = (x, cur)
         x += step
         step = min(step * 1.05, 1.0)
-    return x_min, x
+    return x
 
 
 class TestSuggestDomain:
@@ -272,16 +260,19 @@ class TestSuggestDomain:
                 for energy in eig_sym(build_hamiltonian(freqs, label)).eigenvalues:
                     for b in (Fraction(1), HALF, Fraction(3, 2), Fraction(2)):
                         for branch in Branch:
-                            vspec, lam = certified_level(freqs, label, b, float(energy), branch)
+                            vspec, lam = zero_mode_potential(b, freqs, label, float(energy), branch)
                             assert suggest_domain(vspec, lam) == marching_domain(vspec, lam)
 
     def test_march_cap_and_phase(self):
         # a potential below lambda everywhere runs the march to its cap;
-        # phase 0 stops before the first step
+        # V - lambda = 1 from x = 1 on accumulates the phase 18 by x = 19,
+        # and the march stops one step (of 1 there) later
         flat = bare_spec((0.0, 0.0, 1.0, 0.0, 0.0))
         assert suggest_domain(flat, 2.0) == marching_domain(flat, 2.0)
-        assert suggest_domain(flat, 2.0)[1] >= 512.0
-        assert suggest_domain(flat, 0.0, phase=0.0) == marching_domain(flat, 0.0, phase=0.0)
+        assert suggest_domain(flat, 2.0) >= 512.0
+        x_max = suggest_domain(flat, 0.0)
+        assert x_max == marching_domain(flat, 0.0)
+        assert 20.0 <= x_max < 21.0
 
 
 class TestSingularAdaptation:
@@ -291,9 +282,9 @@ class TestSingularAdaptation:
         label = SubspaceLabel(1, 1)
         tilde, eps = split_sextic(unit_freqs, label)
         spec_h = eig_sym(build_hamiltonian(unit_freqs, label))
-        cfg = FdConfig(1e-2, 6.0, 8000)
         for energy in spec_h.eigenvalues:
-            res = contains_eigenvalue(tilde, cfg, eps(float(energy)))
+            lam = eps(float(energy))
+            res = contains_eigenvalue(tilde, oracle_config(tilde, lam), lam)
             assert res.hit
             assert res.richardson_gap < 1e-3
 
@@ -324,8 +315,8 @@ class TestSingularAdaptation:
                             continue
                         for branch in Branch:
                             for energy in energies:
-                                vspec, lam = certified_level(
-                                    freqs, label, b, float(energy), branch
+                                vspec, lam = zero_mode_potential(
+                                    b, freqs, label, float(energy), branch
                                 )
                                 assert -0.25 <= vspec.coeffs[0] + 1e-12 < 0.75 + 1e-12
                                 res = contains_eigenvalue(
@@ -335,8 +326,19 @@ class TestSingularAdaptation:
                                 checked += 1
         assert checked == 3 * 2 * 90
 
+    def test_regular_left_end(self):
+        # x^2 at b = 1 has no rung below 2b: the left end is regular and
+        # takes the principal solution with p = 1 (plain Dirichlet at 1e-4
+        # left Richardson gaps of 2.3e-4 to 4.2e-4); half-line levels 4n + 3
+        spec = bare_spec(HARMONIC)
+        for lam, hit in ((3.0, True), (7.0, True), (11.0, True), (5.0, False)):
+            res = contains_eigenvalue(spec, oracle_config(spec, lam), lam)
+            assert res.hit == hit, (lam, res.richardson_gap)
+            if hit:
+                assert res.richardson_gap <= 1e-8, (lam, res.richardson_gap)
+
     def test_plain_dirichlet_far_from_origin(self):
         # domains away from the origin never engage the adaptation
         spec = bare_spec((-0.25, 0.0, 0.0, 0.0, 1.0))
-        vals = fd_spectrum(spec, FdConfig(5.0, 9.0, 500), 1)
+        vals = fd_spectrum(spec, LogGridConfig(5.0, 9.0, 500), 1)
         assert np.all(np.isfinite(vals))
