@@ -3,9 +3,10 @@
 
 Runs, for every eigenpair of W(1,1) and W(3,2) at w = (1,1,1), every
 transformation exponent b in {1, 1/2, 3/2, 2} and both branches, the
-certification pipeline `triqes.certify_eigenpair`: exact BHE residuals, the
-exact zero-mode (Schroedinger) residual, and the independent
-finite-difference containment check.
+certification pipeline, one `triqes.certify_subspace` call per subspace and
+branch over the four exponents: exact BHE residuals, the exact zero-mode
+(Schroedinger) residual, and the independent finite-difference containment
+check.
 """
 
 import sys
@@ -16,7 +17,7 @@ from triqes import (
     ModeFrequencies,
     SubspaceLabel,
     build_hamiltonian,
-    certify_eigenpair,
+    certify_subspace,
     eig_sym,
 )
 
@@ -33,11 +34,17 @@ def main() -> int:
     for ell, m in ((1, 1), (3, 2)):
         label = SubspaceLabel(ell, m)
         spectrum = eig_sym(build_hamiltonian(W, label))
+        certs = {
+            branch: certify_subspace(
+                W, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES, branch
+            )
+            for branch in Branch
+        }
         for i in range(label.dim):
-            energy, vec = spectrum.pair(i)
+            energy = float(spectrum.eigenvalues[i])
             for branch in Branch:
-                for b in B_VALUES:
-                    cert = certify_eigenpair(W, label, energy, vec, b, branch)
+                for b, per_b in zip(B_VALUES, certs[branch]):
+                    cert = per_b[i]
                     bhe_rel = max(cert.bhe_operator_residual, cert.bhe_standard_residual)
                     all_ok &= cert.passed
                     print(

@@ -41,7 +41,7 @@ from .fdoracle import (
     oracle_config,
     suggest_domain,
 )
-from .certify import Certificate, certify_eigenpair, zero_mode_potential
+from .certify import Certificate, certify_eigenpair, certify_subspace, zero_mode_potential
 
 __all__ = [
     "FockState",
@@ -79,5 +79,6 @@ __all__ = [
     "suggest_domain",
     "Certificate",
     "certify_eigenpair",
+    "certify_subspace",
     "zero_mode_potential",
 ]

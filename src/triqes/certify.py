@@ -1,6 +1,7 @@
-"""One certification pipeline for one eigenpair under one (b, branch).
+"""One certification pipeline for a whole subspace under one branch.
 
-The chain checked link by link:
+The chain checked link by link, for every eigenvector of W(l, m) and every
+transformation exponent b:
 
 1. phi, the branch's BHE polynomial, from the eigenvector;
 2. both BHE residuals (operator form and standard form), each relative to
@@ -13,17 +14,26 @@ The chain checked link by link:
    coefficient: no grid, no step size, no refinement order;
 5. optionally the independent finite-difference oracle at lambda.
 
-`certify_eigenpair` returns a `Certificate` whose `failed` names the
-`STAGES` that missed, by one rule: "bhe" when either BHE residual exceeds
-`BHE_RTOL`, "schrodinger" when the zero-mode residual exceeds the same
-`BHE_RTOL`, and "oracle" when the oracle ran and missed.  `passed` is
-`not failed`.
+Stages 1-2 depend on the eigenvectors, the energies and the branch but
+not on b, so `certify_subspace` runs them once per (label, branch), as
+array operations over all eigenvectors, and shares them by every b.
+Stages 3-4 run once per b, again over all eigenvectors at once; E enters
+only through rung 1 of V_b (b != 1/2) or through lambda (b = 1/2).  The
+oracle runs per eigenvector.  `certify_eigenpair` is the one-column,
+one-b case.  Every certificate's numbers are the ones a scalar run of the
+chain on that eigenpair gives, bit for bit.
+
+Each `Certificate` names in `failed` the `STAGES` that missed, by one
+rule: "bhe" when either BHE residual exceeds `BHE_RTOL`, "schrodinger"
+when the zero-mode residual exceeds the same `BHE_RTOL`, and "oracle" when
+the oracle ran and missed.  `passed` is `not failed`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -32,20 +42,19 @@ from .fock import SubspaceLabel
 from .hamiltonian import ModeFrequencies
 from .heun import (
     Branch,
-    RhoPolynomial,
-    bhe_operator_residual,
     bhe_params,
-    bhe_standard_residual,
-    fock_to_rho_polynomial,
+    operator_residuals,
+    rho_coefficients,
+    standard_residuals,
 )
 from .schroedinger import (
     PotentialSpec,
     RationalLike,
     epsilon_of,
-    potential_spec,
+    potential_specs,
     split_sextic,
-    wavefunction_spec,
-    zero_mode_residual,
+    zero_mode_envelope,
+    zero_mode_residuals,
 )
 
 BHE_RTOL = 1e-10
@@ -74,6 +83,27 @@ class Certificate:
         return not self.failed
 
 
+def zero_mode_potentials(
+    b: RationalLike,
+    freqs: ModeFrequencies,
+    label: SubspaceLabel,
+    energies: np.ndarray,
+    branch: Branch = Branch.PLUS,
+) -> tuple[list[PotentialSpec], np.ndarray]:
+    """For each energy, the potential whose level lambda the zero mode sits
+    at, and the lambdas.
+
+    b = 1/2 gives the E-free displaced sextic, shared by every energy, with
+    lambda = eps(E); any other b gives V_b itself, whose zero mode sits at
+    lambda = 0.
+    """
+    energies = np.asarray(energies, dtype=float)
+    if b == SEXTIC_B:
+        tilde = split_sextic(freqs, label, branch)[0]
+        return [tilde] * energies.size, epsilon_of(energies, branch)
+    return potential_specs(b, freqs, label, energies, branch), np.zeros(energies.size)
+
+
 def zero_mode_potential(
     b: RationalLike,
     freqs: ModeFrequencies,
@@ -81,18 +111,68 @@ def zero_mode_potential(
     energy: float,
     branch: Branch = Branch.PLUS,
 ) -> tuple[PotentialSpec, float]:
-    """The potential whose level lambda the zero mode sits at, and lambda.
+    """The potential whose level lambda the zero mode sits at, and lambda:
+    the one-energy case of `zero_mode_potentials`."""
+    specs, lams = zero_mode_potentials(b, freqs, label, [energy], branch)
+    return specs[0], float(lams[0])
 
-    b = 1/2 gives the E-free displaced sextic with lambda = eps(E); any
-    other b gives V_b itself, whose zero mode sits at lambda = 0.
+
+def _relative(residuals: np.ndarray, scale: np.ndarray) -> list[float]:
+    return (np.max(np.abs(residuals), axis=0) / scale).tolist()
+
+
+def certify_subspace(
+    freqs: ModeFrequencies,
+    label: SubspaceLabel,
+    energies: Sequence[float] | np.ndarray,
+    vecs: np.ndarray,
+    b_values: Sequence[RationalLike],
+    branch: Branch = Branch.PLUS,
+    oracle: bool = True,
+) -> list[list[Certificate]]:
+    """Run the chain for every column of `vecs` under every b in `b_values`.
+
+    Column i of `vecs` is an eigenvector of W(l, m), checked against
+    `energies[i]`; pass a wrong energy to watch its certificates fail.
+    Returns one list per b, in the order of `b_values`, holding one
+    `Certificate` per column.
     """
-    if b == SEXTIC_B:
-        return split_sextic(freqs, label, branch)[0], epsilon_of(energy, branch)
-    return potential_spec(b, freqs, label, energy, branch), 0.0
-
-
-def _relative(residual: np.ndarray, phi: RhoPolynomial) -> float:
-    return float(np.max(np.abs(residual))) / max(abs(x) for x in phi.coeffs)
+    energies = np.asarray(energies, dtype=float)
+    phis = rho_coefficients(label, vecs, branch)
+    if energies.shape != (phis.shape[1],):
+        raise ValueError(
+            f"{energies.size} energies for {phis.shape[1]} eigenvectors"
+        )
+    scale = np.max(np.abs(phis), axis=0)
+    op_rel = _relative(operator_residuals(freqs, label, energies, phis, branch), scale)
+    std_rel = _relative(
+        standard_residuals(bhe_params(freqs, label, energies, branch), phis), scale
+    )
+    bhe_ok = [o <= BHE_RTOL and s <= BHE_RTOL for o, s in zip(op_rel, std_rel)]
+    out = []
+    for b in b_values:
+        vspecs, lams = zero_mode_potentials(b, freqs, label, energies, branch)
+        pref, a_ = zero_mode_envelope(b, freqs, label, branch)
+        schr_rel = _relative(
+            zero_mode_residuals(vspecs, lams, b, pref, a_, phis), scale
+        )
+        certs = []
+        for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
+            cont = None
+            if oracle:
+                cont = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
+            ok = (bhe_ok[i], schr_rel[i] <= BHE_RTOL, cont is None or cont.hit)
+            certs.append(Certificate(
+                bhe_operator_residual=op_rel[i],
+                bhe_standard_residual=std_rel[i],
+                potential=vspec,
+                lam=lam,
+                schrodinger_residual=schr_rel[i],
+                oracle=cont,
+                failed=tuple(stage for stage, good in zip(STAGES, ok) if not good),
+            ))
+        out.append(certs)
+    return out
 
 
 def certify_eigenpair(
@@ -104,33 +184,15 @@ def certify_eigenpair(
     branch: Branch = Branch.PLUS,
     oracle: bool = True,
 ) -> Certificate:
-    """Run the chain for the eigenvector `vec` of W(l, m) at `energy`.
+    """Run the chain for the eigenvector `vec` of W(l, m) at `energy`: the
+    one-column, one-b case of `certify_subspace`.
 
     `energy` is the value every stage after phi is checked against; pass a
     wrong one to watch the certificate fail.
     """
-    phi = fock_to_rho_polynomial(label, vec, branch)
-    op_rel = _relative(bhe_operator_residual(freqs, label, energy, phi), phi)
-    std_rel = _relative(
-        bhe_standard_residual(bhe_params(freqs, label, energy, branch), phi), phi
-    )
-    wf = wavefunction_spec(b, freqs, label, phi)
-    vspec, lam = zero_mode_potential(b, freqs, label, energy, branch)
-    schr_rel = _relative(zero_mode_residual(vspec, wf, lam), phi)
-    cont = None
-    if oracle:
-        cont = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
-    ok = (
-        op_rel <= BHE_RTOL and std_rel <= BHE_RTOL,
-        schr_rel <= BHE_RTOL,
-        cont is None or cont.hit,
-    )
-    return Certificate(
-        bhe_operator_residual=op_rel,
-        bhe_standard_residual=std_rel,
-        potential=vspec,
-        lam=lam,
-        schrodinger_residual=schr_rel,
-        oracle=cont,
-        failed=tuple(stage for stage, good in zip(STAGES, ok) if not good),
-    )
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (label.dim,):
+        raise ValueError(f"eigenvector length {vec.shape} does not match dim {label.dim}")
+    return certify_subspace(
+        freqs, label, [energy], vec[:, None], [b], branch, oracle
+    )[0][0]

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .certify import SEXTIC_B, STAGES, certify_eigenpair, zero_mode_potential
+from .certify import SEXTIC_B, STAGES, certify_subspace, zero_mode_potential
 from .fock import SubspaceLabel, subspace_basis
 from .hamiltonian import ModeFrequencies, build_hamiltonian
 from .heun import Branch, fock_to_rho_polynomial
@@ -243,34 +243,47 @@ def cmd_potential(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_one(freqs, label, spec, bfrac, branch, energy_override=None,
+def _check_entry(p, energy, energy_used, cert):
+    """JSON entry of one eigenpair's certificate; p = 1 is the largest E."""
+    entry = {
+        "p": p,
+        "energy": energy,
+        "energy_used": energy_used,
+        "lambda": cert.lam,
+        "bhe_operator_residual": cert.bhe_operator_residual,
+        "bhe_standard_residual": cert.bhe_standard_residual,
+        "schrodinger_residual": cert.schrodinger_residual,
+    }
+    if cert.oracle is not None:
+        entry["oracle_nearest"] = cert.oracle.nearest
+        entry["oracle_richardson_gap"] = cert.oracle.richardson_gap
+        entry["oracle_hit"] = cert.oracle.hit
+        entry["oracle_points"] = cert.oracle.n_points
+        entry["oracle_h"] = cert.oracle.h
+        entry["oracle_solves"] = cert.oracle.solves
+    entry["failed"] = list(cert.failed)
+    entry["pass"] = cert.passed
+    return entry
+
+
+def _verify_one(freqs, label, spec, b_values, branch, energy_override=None,
                 oracle=True):
-    """JSON entries of every eigenpair of W(l, m) in `spec` under one (b, branch)."""
-    checks = []
-    for i in range(label.dim):
-        energy, vec = spec.pair(i)
-        used_energy = energy if energy_override is None else energy_override
-        cert = certify_eigenpair(freqs, label, used_energy, vec, bfrac, branch, oracle)
-        entry = {
-            "p": label.dim - i,
-            "energy": energy,
-            "energy_used": used_energy,
-            "lambda": cert.lam,
-            "bhe_operator_residual": cert.bhe_operator_residual,
-            "bhe_standard_residual": cert.bhe_standard_residual,
-            "schrodinger_residual": cert.schrodinger_residual,
-        }
-        if cert.oracle is not None:
-            entry["oracle_nearest"] = cert.oracle.nearest
-            entry["oracle_richardson_gap"] = cert.oracle.richardson_gap
-            entry["oracle_hit"] = cert.oracle.hit
-            entry["oracle_points"] = cert.oracle.n_points
-            entry["oracle_h"] = cert.oracle.h
-            entry["oracle_solves"] = cert.oracle.solves
-        entry["failed"] = list(cert.failed)
-        entry["pass"] = cert.passed
-        checks.append(entry)
-    return checks
+    """JSON entries of every eigenpair of W(l, m) in `spec` under one branch,
+    one list per b in `b_values`, from one `certify_subspace` call."""
+    energies = spec.eigenvalues
+    if energy_override is not None:
+        energies = np.full(label.dim, energy_override)
+    per_b = certify_subspace(
+        freqs, label, energies, spec.eigenvectors, b_values, branch, oracle
+    )
+    found, used = spec.eigenvalues.tolist(), energies.tolist()
+    return [
+        [
+            _check_entry(label.dim - i, found[i], used[i], cert)
+            for i, cert in enumerate(certs)
+        ]
+        for certs in per_b
+    ]
 
 
 def _b2_zero_search(freqs, label, branch):
@@ -315,8 +328,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.energy_override is not None and not math.isfinite(args.energy_override):
         raise UsageError(f"--energy-override must be finite, got {args.energy_override}")
     spec = eig_sym(build_hamiltonian(freqs, label))
-    checks = _verify_one(
-        freqs, label, spec, bfrac, branch,
+    (checks,) = _verify_one(
+        freqs, label, spec, [bfrac], branch,
         energy_override=args.energy_override,
         oracle=not args.no_oracle,
     )
@@ -361,11 +374,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for m in range(args.mmax + 1):
             label = SubspaceLabel(ell, m)
             spec = eig_sym(build_hamiltonian(freqs, label))
-            for bf in b_values:
-                for br in branches:
-                    checks = _verify_one(
-                        freqs, label, spec, bf, br, oracle=not args.no_oracle
-                    )
+            for br in branches:
+                per_b = _verify_one(
+                    freqs, label, spec, b_values, br, oracle=not args.no_oracle
+                )
+                for bf, checks in zip(b_values, per_b):
                     results.append(_sweep_record(ell, m, bf, br, checks))
     results.sort(key=lambda r: (r["l"], r["m"], Fraction(r["b"]), r["branch"]))
     all_pass = all(r["pass"] for r in results)

@@ -53,6 +53,11 @@ SINGULAR_XMIN = 0.2
 HIT_RTOL = 1e-3
 # Factor by which an empty search window around a candidate is widened.
 WINDOW_GROWTH = 4.0
+# The left-boundary Frobenius series stops once as many consecutive terms
+# at the first interior node as the recurrence is deep are below this, or
+# after this many terms.
+FROBENIUS_TAIL = 1e-17
+FROBENIUS_MAX_TERMS = 200
 # Absolute tolerance of every bisection (see the module docstring).
 BISECTION_TOL = 1e-10
 # Containment grid: left end and node count of the log grid.
@@ -103,9 +108,13 @@ def _frobenius_factors(
     recurrence a_j [(p + j/b)(p + j/b - 1) - p(p - 1)] = sum_i c_i a_(j-i).
     Without a candidate eigenvalue the ladder stops below the constant
     term (rungs i < 2b, lambda-free).  With a candidate every rung joins
-    and the candidate enters at rung 2b as c_2b - bc_energy, so the
-    boundary value is series-exact through the highest rung; when 2b is
+    and the candidate enters at rung 2b as c_2b - bc_energy; when 2b is
     not an integer that rung does not exist and the bare power is used.
+    The recurrence runs on past the highest rung jmax until the last jmax
+    terms at the largest x are all below `FROBENIUS_TAIL`, for at most
+    `FROBENIUS_MAX_TERMS` terms: cut off at the highest rung, a large
+    rung-1 coefficient at b = 2 leaves a boundary error that no grid
+    refinement removes.
     """
     two_b = 2 * spec.b
     if bc_energy is None:
@@ -120,11 +129,17 @@ def _frobenius_factors(
     c[0] = 0.0  # the x^(-2) rung is carried by p
     jmax = max((i for i, cf in enumerate(c) if cf != 0.0), default=0)
     s = 1.0 / float(spec.b)
+    x_top = max(xs)
     a = [1.0]
-    for j in range(1, jmax + 1):
-        rhs = sum(c[i] * a[j - i] for i in range(1, j + 1))
+    j = small = 0  # small: how many of the last terms are below the tail
+    while jmax and j < FROBENIUS_MAX_TERMS:
+        j += 1
+        rhs = sum(c[i] * a[j - i] for i in range(1, min(j, jmax) + 1))
         a.append(rhs / ((p + j * s) * (p + j * s - 1.0) - p * (p - 1.0)))
-    return [1.0 + sum(a[j] * x ** (j * s) for j in range(1, jmax + 1)) for x in xs]
+        small = small + 1 if abs(a[j]) * x_top ** (j * s) < FROBENIUS_TAIL else 0
+        if j >= jmax and small >= jmax:
+            break
+    return [1.0 + sum(a[j] * x ** (j * s) for j in range(1, len(a))) for x in xs]
 
 
 def _left_boundary_ratio(

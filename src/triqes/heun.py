@@ -12,7 +12,10 @@ the eigenvalue E.  Two independent residual recurrences certify this:
 one applies the derivation-adjacent operator directly, the other the
 standard-form BHE with the mapped parameters (alpha, beta, gamma, delta).
 Both recurrences are exact in the polynomial coefficients; no grids are
-involved.
+involved.  The map and both recurrences are array operations over one
+column per eigenvector (`rho_coefficients`, `operator_residuals`,
+`standard_residuals`), with E entering as a vector; the scalar functions
+are their one-column cases.
 """
 
 from __future__ import annotations
@@ -107,12 +110,44 @@ class RhoPolynomial:
 
 @dataclass(frozen=True)
 class BheParams:
-    """Standard-form BHE parameters."""
+    """Standard-form BHE parameters.
+
+    Only delta depends on E; built from an array of energies it is an array.
+    """
 
     alpha: float
     beta: float
     gamma: float
-    delta: float
+    delta: float | np.ndarray
+
+
+def _rho_weights(label: SubspaceLabel, branch: Branch) -> np.ndarray:
+    """Weight of coefficient n: c^(k+n) / sqrt(j! (l-j)! (m-j)!), j = N' - n.
+
+    Factorials are evaluated exactly as integers before the single rounding
+    to double.
+    """
+    ell, m, k, n_prime = label.ell, label.m, label.k, label.n_prime
+    c = branch.c
+    weights = []
+    for n in range(n_prime + 1):
+        j = n_prime - n
+        weights.append(c ** (k + n) / math.sqrt(
+            math.factorial(j) * math.factorial(ell - j) * math.factorial(m - j)
+        ))
+    return np.array(weights)
+
+
+def rho_coefficients(label: SubspaceLabel, vecs: np.ndarray, branch: Branch) -> np.ndarray:
+    """phi coefficients of every column of `vecs`, one column each.
+
+    Row n of the result is coefficient b_n: the canonical component
+    j = N' - n times its weight (`_rho_weights`).
+    """
+    vecs = np.asarray(vecs, dtype=float)
+    if vecs.ndim != 2 or vecs.shape[0] != label.dim:
+        raise ValueError(f"eigenvector length {vecs.shape[:1]} does not match dim {label.dim}")
+    return vecs[::-1] * _rho_weights(label, branch)[:, None]
 
 
 def fock_to_rho_polynomial(
@@ -120,23 +155,15 @@ def fock_to_rho_polynomial(
 ) -> RhoPolynomial:
     """Map an eigenvector in the canonical basis to phi(rho).
 
-    Coefficient n receives the canonical component j = n_prime - n with
-    weight c^(k+n) / sqrt(j! (l-j)! (m-j)!).  Factorials are evaluated
-    exactly as integers before the single rounding to double.
+    The one-column case of `rho_coefficients`: coefficient n receives the
+    canonical component j = n_prime - n with weight
+    c^(k+n) / sqrt(j! (l-j)! (m-j)!).
     """
     vec = np.asarray(eigvec, dtype=float)
     if vec.shape != (label.dim,):
         raise ValueError(f"eigenvector length {vec.shape} does not match dim {label.dim}")
-    ell, m, k, n_prime = label.ell, label.m, label.k, label.n_prime
-    c = branch.c
-    coeffs = []
-    for n in range(n_prime + 1):
-        j = n_prime - n
-        weight = c ** (k + n) / math.sqrt(
-            math.factorial(j) * math.factorial(ell - j) * math.factorial(m - j)
-        )
-        coeffs.append(float(vec[j]) * weight)
-    return RhoPolynomial(coeffs=tuple(coeffs), label=label, branch=branch)
+    coeffs = rho_coefficients(label, vec[:, None], branch)[:, 0]
+    return RhoPolynomial(coeffs=tuple(coeffs.tolist()), label=label, branch=branch)
 
 
 def _swap_for_k(freqs: ModeFrequencies, label: SubspaceLabel) -> tuple[float, float, float, int, int]:
@@ -151,7 +178,10 @@ def _swap_for_k(freqs: ModeFrequencies, label: SubspaceLabel) -> tuple[float, fl
 
 
 def bhe_params(
-    freqs: ModeFrequencies, label: SubspaceLabel, energy: float, branch: Branch
+    freqs: ModeFrequencies,
+    label: SubspaceLabel,
+    energy: float | np.ndarray,
+    branch: Branch,
 ) -> BheParams:
     """Standard-form parameters (alpha, beta, gamma, delta) of phi's BHE."""
     w1, w2, w3, ell, m = _swap_for_k(freqs, label)
@@ -165,6 +195,36 @@ def bhe_params(
         + (w1 - w2 - w3 + 2.0 * energy)
     )
     return BheParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
+
+
+def operator_residuals(
+    freqs: ModeFrequencies,
+    label: SubspaceLabel,
+    energies: np.ndarray,
+    phis: np.ndarray,
+    branch: Branch,
+) -> np.ndarray:
+    """Residual coefficients of the direct BHE operator, one column per phi.
+
+    Column i applies the operator at `energies[i]` to the phi whose
+    coefficients are `phis[:, i]`; see `bhe_operator_residual`.  Each
+    coefficient sums its three band terms in the same order as a scalar
+    loop over the columns would.
+    """
+    ell, m, k = label.ell, label.m, label.k
+    w1, w2, w3 = freqs.as_tuple()
+    c = branch.c
+    wbar = w1 - w2 - w3
+    q1 = 1 + 2 * k - ell - m
+    p_const = m * (w1 - w2) + ell * (w1 - w3) - np.asarray(energies, dtype=float) - k * wbar
+    zero_pole = (m - k) * (ell - k)  # identically zero since k = max(l, m)
+    n_top = phis.shape[0] - 1
+    j = np.arange(n_top + 3)
+    res = np.zeros((n_top + 3, phis.shape[1]))
+    res[: n_top + 1] += (j * (j - 1) + q1 * j + zero_pole)[: n_top + 1, None] * phis
+    res[1 : n_top + 2] += (-c * wbar * (j[1 : n_top + 2] - 1)[:, None] + c * p_const) * phis
+    res[2:] += (c * c * ((ell + m - k) - (j[2:] - 2)))[:, None] * phis
+    return res
 
 
 def bhe_operator_residual(
@@ -185,27 +245,27 @@ def bhe_operator_residual(
     with q1 = 1 + 2k - l - m, wbar = w1 - w2 - w3 and
     P = m (w1 - w2) + l (w1 - w3) - E - k wbar, has polynomial
     coefficients, so the residual is itself a polynomial.  For a true
-    eigenpair every returned coefficient vanishes.
+    eigenpair every returned coefficient vanishes.  The one-column case of
+    `operator_residuals`.
     """
-    ell, m, k = label.ell, label.m, label.k
-    w1, w2, w3 = freqs.as_tuple()
-    c = phi.branch.c
-    wbar = w1 - w2 - w3
-    q1 = 1 + 2 * k - ell - m
-    p_const = m * (w1 - w2) + ell * (w1 - w3) - energy - k * wbar
-    zero_pole = (m - k) * (ell - k)  # identically zero since k = max(l, m)
-    b = phi.coeffs
-    n_top = len(b) - 1
-    res = np.zeros(n_top + 3)
-    for j in range(n_top + 3):
-        val = 0.0
-        if j <= n_top:
-            val += (j * (j - 1) + q1 * j + zero_pole) * b[j]
-        if 1 <= j <= n_top + 1:
-            val += (-c * wbar * (j - 1) + c * p_const) * b[j - 1]
-        if 2 <= j <= n_top + 2:
-            val += c * c * ((ell + m - k) - (j - 2)) * b[j - 2]
-        res[j] = val
+    phis = np.array(phi.coeffs)[:, None]
+    return operator_residuals(freqs, label, np.array([energy]), phis, phi.branch)[:, 0]
+
+
+def standard_residuals(params: BheParams, phis: np.ndarray) -> np.ndarray:
+    """Residual coefficients of the standard-form BHE, one column per phi.
+
+    `params.delta` is a scalar or holds one value per column; see
+    `bhe_standard_residual`.
+    """
+    a, bt, g, d = params.alpha, params.beta, params.gamma, params.delta
+    pole = (d + (1.0 + a) * bt) / 2.0
+    n_top = phis.shape[0] - 1
+    j = np.arange(n_top + 2)
+    res = np.zeros((n_top + 2, phis.shape[1]))
+    res[:n_top] += ((j + 1) * j + (1.0 + a) * (j + 1))[:n_top, None] * phis[1:]
+    res[: n_top + 1] += (bt * j[: n_top + 1, None] - pole) * phis
+    res[1:] += (-2.0 * (j[1:] - 1) + (g - a - 2.0))[:, None] * phis
     return res
 
 
@@ -218,23 +278,10 @@ def bhe_standard_residual(params: BheParams, phi: RhoPolynomial) -> np.ndarray:
             + (-(delta + (1+alpha) beta)/(2x) + gamma - alpha - 2) y = 0
 
     is multiplied by x to clear the simple pole.  Agreement with
-    bhe_operator_residual certifies the parameter identification.
+    bhe_operator_residual certifies the parameter identification.  The
+    one-column case of `standard_residuals`.
     """
-    a, bt, g, d = params.alpha, params.beta, params.gamma, params.delta
-    pole = (d + (1.0 + a) * bt) / 2.0
-    b = phi.coeffs
-    n_top = len(b) - 1
-    res = np.zeros(n_top + 2)
-    for j in range(n_top + 2):
-        val = 0.0
-        if j + 1 <= n_top:
-            val += ((j + 1) * j + (1.0 + a) * (j + 1)) * b[j + 1]
-        if j <= n_top:
-            val += (bt * j - pole) * b[j]
-        if 1 <= j <= n_top + 1:
-            val += (-2.0 * (j - 1) + (g - a - 2.0)) * b[j - 1]
-        res[j] = val
-    return res
+    return standard_residuals(params, np.array(phi.coeffs)[:, None])[:, 0]
 
 
 def residual_ok(residual: np.ndarray, phi: RhoPolynomial, rtol: float = 1e-10) -> bool:

@@ -37,14 +37,18 @@ Vtilde is E-independent and has genuine eigenvalues eps(E).
 it is exact: with v = x^(1/b) the left side minus the right is
 x^(s-2) e^(g(v)) P(v) / b^2 for a polynomial P of degree <= N' + 4, whose
 coefficients it returns.  No grid, step size or difference stencil is
-involved; the certification pipeline gates on P.  `eval_potential` and
-`eval_wavefunction` evaluate V and chi pointwise for the curve output.
+involved; the certification pipeline gates on P, which
+`zero_mode_residuals` forms for all eigenvectors of a subspace at once
+(`potential_specs` builds their ladders, sharing the E-free rungs).
+`eval_potential` and `eval_wavefunction` evaluate V and chi pointwise for
+the curve output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -57,12 +61,15 @@ RationalLike = Fraction | int
 
 @dataclass(frozen=True)
 class AuxConstants:
-    """The four potential constants; A and D carry the branch sign."""
+    """The four potential constants; A and D carry the branch sign.
+
+    Only D depends on E; built from an array of energies it is an array.
+    """
 
     A: float
     B: float
     G: float
-    D: float
+    D: float | np.ndarray
 
     @staticmethod
     def branch_a(freqs: ModeFrequencies, branch: Branch) -> float:
@@ -74,7 +81,7 @@ class AuxConstants:
         cls,
         freqs: ModeFrequencies,
         label: SubspaceLabel,
-        energy: float,
+        energy: float | np.ndarray,
         branch: Branch = Branch.PLUS,
     ) -> "AuxConstants":
         c = branch.c
@@ -128,6 +135,31 @@ class WavefunctionSpec:
         return self.phi.branch
 
 
+def potential_specs(
+    b: RationalLike,
+    freqs: ModeFrequencies,
+    label: SubspaceLabel,
+    energies: np.ndarray,
+    branch: Branch = Branch.PLUS,
+) -> list[PotentialSpec]:
+    """Build the ladder of V_b(x) for each eigenvalue in `energies`.
+
+    Only rung 1 depends on E; the other four are built once.
+    """
+    if b <= 0:
+        raise ValueError(f"transformation exponent b must be > 0, got {b}")
+    bb = float(b)
+    aux = AuxConstants.from_inputs(freqs, label, np.asarray(energies, dtype=float), branch)
+    a_, b_, g_, d_ = aux.A, aux.B, aux.G, aux.D
+    ell, m = label.ell, label.m
+    c0 = -0.25 + (ell - m) ** 2 / (4.0 * bb * bb)
+    c2 = (a_ * a_ + 4.0 * b_ - 4.0 * g_ - 4.0) / (4.0 * bb * bb)
+    c3 = a_ / (bb * bb)
+    c4 = 1.0 / (bb * bb)
+    rung1 = ((a_ * b_ - 2.0 * d_) / (2.0 * bb * bb)).tolist()
+    return [PotentialSpec(b, (c0, c1, c2, c3, c4)) for c1 in rung1]
+
+
 def potential_spec(
     b: RationalLike,
     freqs: ModeFrequencies,
@@ -136,23 +168,12 @@ def potential_spec(
     branch: Branch = Branch.PLUS,
 ) -> PotentialSpec:
     """Build the ladder of V_b(x) for one eigenvalue E and branch."""
-    if b <= 0:
-        raise ValueError(f"transformation exponent b must be > 0, got {b}")
-    bb = float(b)
-    aux = AuxConstants.from_inputs(freqs, label, energy, branch)
-    a_, b_, g_, d_ = aux.A, aux.B, aux.G, aux.D
-    ell, m = label.ell, label.m
-    coeffs = (
-        -0.25 + (ell - m) ** 2 / (4.0 * bb * bb),
-        (a_ * b_ - 2.0 * d_) / (2.0 * bb * bb),
-        (a_ * a_ + 4.0 * b_ - 4.0 * g_ - 4.0) / (4.0 * bb * bb),
-        a_ / (bb * bb),
-        1.0 / (bb * bb),
-    )
-    return PotentialSpec(b, coeffs)
+    return potential_specs(b, freqs, label, [energy], branch)[0]
 
 
-def epsilon_of(energy: float, branch: Branch = Branch.PLUS) -> float:
+def epsilon_of(
+    energy: float | np.ndarray, branch: Branch = Branch.PLUS
+) -> float | np.ndarray:
     """Pseudo-eigenvalue eps(E) = -4 c E of the displaced sextic potential."""
     return -4.0 * branch.c * energy
 
@@ -182,18 +203,24 @@ def eval_potential(spec: PotentialSpec, x: float | np.ndarray) -> float | np.nda
     return val if np.ndim(x) else float(val)
 
 
+def zero_mode_envelope(
+    b: RationalLike, freqs: ModeFrequencies, label: SubspaceLabel, branch: Branch
+) -> tuple[float, float]:
+    """(s, A) of the zero mode's factor x^s exp(-v (A + v) / 2), v = x^(1/b)."""
+    if b <= 0:
+        raise ValueError(f"transformation exponent b must be > 0, got {b}")
+    bb = float(b)
+    pref = (label.k - label.n_prime + bb) / (2.0 * bb)  # always > 0
+    return pref, AuxConstants.branch_a(freqs, branch)
+
+
 def wavefunction_spec(
     b: RationalLike,
     freqs: ModeFrequencies,
     label: SubspaceLabel,
     phi: RhoPolynomial,
 ) -> WavefunctionSpec:
-    if b <= 0:
-        raise ValueError(f"transformation exponent b must be > 0, got {b}")
-    bb = float(b)
-    k, n_prime = label.k, label.n_prime
-    pref = (k - n_prime + bb) / (2.0 * bb)  # always > 0
-    a_ = AuxConstants.branch_a(freqs, phi.branch)
+    pref, a_ = zero_mode_envelope(b, freqs, label, phi.branch)
     return WavefunctionSpec(prefactor_exponent=pref, A=a_, phi=phi, b=b)
 
 
@@ -232,41 +259,68 @@ def zero_mode_residual(
     P vanishes identically exactly when chi is a zero mode at lam, so no
     grid is involved.  P is built from `spec` and `wf` alone.  Raises
     ValueError when the ladders differ (`spec.b` != `wf.b`), or when
-    lam != 0 and 2b is not an integer.
+    lam != 0 and 2b is not an integer.  The one-column case of
+    `zero_mode_residuals`.
     """
-    if spec.b != wf.b:
-        raise ValueError(
-            f"potential ladder at b = {spec.b} is not -2 + i/b, i = 0..4,"
-            f" for b = {wf.b}"
-        )
-    b = float(wf.b)
+    phis = np.array(wf.phi.coeffs)[:, None]
+    return zero_mode_residuals(
+        [spec], np.array([lam]), wf.b, wf.prefactor_exponent, wf.A, phis
+    )[:, 0]
+
+
+def zero_mode_residuals(
+    specs: Sequence[PotentialSpec],
+    lams: np.ndarray,
+    b: RationalLike,
+    prefactor_exponent: float,
+    A: float,
+    phis: np.ndarray,
+) -> np.ndarray:
+    """P of `zero_mode_residual` for many zero modes at one b, one column each.
+
+    Column i is P for the potential `specs[i]` at `lams[i]` and the zero
+    mode with envelope (`prefactor_exponent`, `A`) and phi coefficients
+    `phis[:, i]`.  Only the rungs and lambda differ between columns, so the
+    part of P that depends on neither is built once; every coefficient
+    accumulates its terms in the same order as a scalar loop over the
+    columns would.  Raises ValueError when a ladder is not at `b`, or when
+    some lam != 0 and 2b is not an integer.
+    """
+    for spec in specs:
+        if spec.b != b:
+            raise ValueError(
+                f"potential ladder at b = {spec.b} is not -2 + i/b, i = 0..4,"
+                f" for b = {b}"
+            )
+    lams = np.asarray(lams, dtype=float)
+    bf = float(b)
     lam_power = 0
-    if lam != 0.0:
-        if (2 * wf.b).denominator != 1:
-            raise ValueError(f"lambda != 0 needs an integer 2b, got b = {wf.b}")
-        lam_power = int(2 * wf.b)
-    sigma = b * wf.prefactor_exponent
-    q = (sigma, -0.5 * wf.A, -1.0)
-    # the part of P / (phi_n v^n) that does not depend on n, in powers of v
+    if np.any(lams != 0.0):
+        if (2 * b).denominator != 1:
+            raise ValueError(f"lambda != 0 needs an integer 2b, got b = {b}")
+        lam_power = int(2 * b)
+    sigma = bf * prefactor_exponent
+    q = (sigma, -0.5 * A, -1.0)
+    # the part of P / (phi_n v^n) that depends on neither n nor the column,
+    # in powers of v
     base = [0.0] * max(5, lam_power + 1)
     for i in range(3):
         for j in range(3):
             base[i + j] -= q[i] * q[j]
-        base[i] -= (1.0 - b) * q[i]
+        base[i] -= (1.0 - bf) * q[i]
     base[0] += sigma
     base[2] += 1.0
-    for i, ci in enumerate(spec.coeffs):
-        base[i] += b * b * ci
-    base[lam_power] -= b * b * lam
-    phi = wf.phi.coeffs
-    out = [0.0] * (len(phi) + len(base) - 1)
-    for n, p in enumerate(phi):
-        # v^2 (v^n)'' = n (n - 1) v^n and v (v^n)' = n v^n
-        r = list(base)
-        r[0] -= n * (n - 1) + 2.0 * n * q[0] + (1.0 - b) * n
-        r[1] -= 2.0 * n * q[1]
-        r[2] -= 2.0 * n * q[2]
-        for j, rj in enumerate(r):
-            out[n + j] += p * rj
-    return np.array(out)
-
+    cols = np.repeat(np.array(base)[:, None], len(specs), axis=1)
+    cols[:5] += bf * bf * np.array([spec.coeffs for spec in specs]).T
+    cols[lam_power] -= bf * bf * lams
+    # v^2 (v^n)'' = n (n - 1) v^n and v (v^n)' = n v^n
+    n = np.arange(phis.shape[0])
+    shift = np.zeros((n.size, len(base)))
+    shift[:, 0] = n * (n - 1) + 2.0 * n * q[0] + (1.0 - bf) * n
+    shift[:, 1] = 2.0 * n * q[1]
+    shift[:, 2] = 2.0 * n * q[2]
+    terms = phis[:, None, :] * (cols[None, :, :] - shift[:, :, None])
+    out = np.zeros((n.size + len(base) - 1, phis.shape[1]))
+    for i, term in enumerate(terms):
+        out[i : i + len(base)] += term
+    return out

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -6,13 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triqes import (
     Branch,
     ModeFrequencies,
+    RhoPolynomial,
     SubspaceLabel,
+    bhe_params,
     build_hamiltonian,
     certify_eigenpair,
+    certify_subspace,
     eig_sym,
     epsilon_of,
     fock_to_rho_polynomial,
@@ -24,6 +30,9 @@ from triqes import (
 from triqes import certify
 from triqes.certify import BHE_RTOL, zero_mode_potential
 from triqes.cli import main as cli_main
+from triqes.fock import MAX_TOTAL_LABEL
+
+from conftest import frequencies
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 B_VALUES = (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2))
@@ -48,6 +57,132 @@ def every_case(freqs, label):
 def exact_relative(vspec, wf, lam):
     residual = zero_mode_residual(vspec, wf, lam)
     return np.max(np.abs(residual)) / np.max(np.abs(wf.phi.coeffs))
+
+
+def loop_chain(freqs, label, energy, vec, b, branch):
+    """The three relative residuals of the chain by plain loops, one
+    coefficient and one term at a time: the reference whose arithmetic
+    order the array kernels keep."""
+    ell, m, k, n_prime = label.ell, label.m, label.k, label.n_prime
+    w1, w2, w3 = freqs.as_tuple()
+    c = branch.c
+    phi = []
+    for n in range(n_prime + 1):
+        j = n_prime - n
+        weight = c ** (k + n) / math.sqrt(
+            math.factorial(j) * math.factorial(ell - j) * math.factorial(m - j)
+        )
+        phi.append(float(vec[j]) * weight)
+    scale = max(abs(x) for x in phi)
+    # operator form
+    wbar = w1 - w2 - w3
+    q1 = 1 + 2 * k - ell - m
+    p_const = m * (w1 - w2) + ell * (w1 - w3) - energy - k * wbar
+    op = []
+    for j in range(n_prime + 3):
+        val = 0.0
+        if j <= n_prime:
+            val += (j * (j - 1) + q1 * j) * phi[j]
+        if 1 <= j <= n_prime + 1:
+            val += (-c * wbar * (j - 1) + c * p_const) * phi[j - 1]
+        if 2 <= j:
+            val += c * c * ((ell + m - k) - (j - 2)) * phi[j - 2]
+        op.append(val)
+    # standard form
+    prm = bhe_params(freqs, label, energy, branch)
+    a, bt, g = prm.alpha, prm.beta, prm.gamma
+    pole = (prm.delta + (1.0 + a) * bt) / 2.0
+    std = []
+    for j in range(n_prime + 2):
+        val = 0.0
+        if j + 1 <= n_prime:
+            val += ((j + 1) * j + (1.0 + a) * (j + 1)) * phi[j + 1]
+        if j <= n_prime:
+            val += (bt * j - pole) * phi[j]
+        if 1 <= j:
+            val += (-2.0 * (j - 1) + (g - a - 2.0)) * phi[j - 1]
+        std.append(val)
+    # zero mode: P = sum_n phi_n v^n (base - n-dependent terms)
+    vspec, lam = zero_mode_potential(b, freqs, label, energy, branch)
+    wf = wavefunction_spec(b, freqs, label, RhoPolynomial(tuple(phi), label, branch))
+    bf = float(b)
+    lam_power = int(2 * b) if lam != 0.0 else 0
+    sigma = bf * wf.prefactor_exponent
+    q = (sigma, -0.5 * wf.A, -1.0)
+    base = [0.0] * max(5, lam_power + 1)
+    for i in range(3):
+        for j in range(3):
+            base[i + j] -= q[i] * q[j]
+        base[i] -= (1.0 - bf) * q[i]
+    base[0] += sigma
+    base[2] += 1.0
+    for i, ci in enumerate(vspec.coeffs):
+        base[i] += bf * bf * ci
+    base[lam_power] -= bf * bf * lam
+    out = [0.0] * (len(phi) + len(base) - 1)
+    for n, p in enumerate(phi):
+        r = list(base)
+        r[0] -= n * (n - 1) + 2.0 * n * q[0] + (1.0 - bf) * n
+        r[1] -= 2.0 * n * q[1]
+        r[2] -= 2.0 * n * q[2]
+        for j, rj in enumerate(r):
+            out[n + j] += p * rj
+    return tuple(max(abs(x) for x in res) / scale for res in (op, std, out))
+
+
+def cap_labels():
+    """Every label up to the cap l + m = MAX_TOTAL_LABEL."""
+    return st.integers(0, MAX_TOTAL_LABEL).flatmap(
+        lambda ell: st.builds(
+            SubspaceLabel, st.just(ell), st.integers(0, MAX_TOTAL_LABEL - ell)
+        )
+    )
+
+
+class TestCertifySubspace:
+    @settings(max_examples=30, deadline=None)
+    @given(frequencies(), cap_labels(), st.sampled_from((0.0, 1e-9, -1e-4)))
+    def test_columns_match_eigenpairs(self, freqs, label, shift):
+        # one pipeline: column i under b is certify_eigenpair on eigenpair
+        # i, field for field, also for the failing certificates of a
+        # perturbed energy; its residuals are the loop reference's, exactly
+        spectrum = eig_sym(build_hamiltonian(freqs, label))
+        energies = spectrum.eigenvalues + shift * np.maximum(
+            1.0, np.abs(spectrum.eigenvalues)
+        )
+        for branch in Branch:
+            per_b = certify_subspace(
+                freqs, label, energies, spectrum.eigenvectors, B_VALUES, branch,
+                oracle=False,
+            )
+            assert len(per_b) == len(B_VALUES)
+            for b, certs in zip(B_VALUES, per_b):
+                assert len(certs) == label.dim
+                for i, cert in enumerate(certs):
+                    energy, vec = float(energies[i]), spectrum.eigenvectors[:, i]
+                    single = certify_eigenpair(
+                        freqs, label, energy, vec, b, branch, oracle=False
+                    )
+                    assert cert == single, (b, branch, i)
+                    assert (
+                        cert.bhe_operator_residual,
+                        cert.bhe_standard_residual,
+                        cert.schrodinger_residual,
+                    ) == loop_chain(freqs, label, energy, vec, b, branch), (b, branch, i)
+
+    def test_shape_validation(self, unit_freqs):
+        label = SubspaceLabel(3, 2)
+        spectrum = eig_sym(build_hamiltonian(unit_freqs, label))
+        with pytest.raises(ValueError, match="2 energies for 3 eigenvectors"):
+            certify_subspace(
+                unit_freqs, label, spectrum.eigenvalues[:2], spectrum.eigenvectors,
+                B_VALUES, oracle=False,
+            )
+        with pytest.raises(ValueError, match="does not match dim"):
+            certify_subspace(
+                unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors[:2],
+                B_VALUES, oracle=False,
+            )
 
 
 class TestCertifyEigenpair:
@@ -136,10 +271,11 @@ class TestZeroModeResidual:
             zero_mode_residual(vspec, wf, 1.0)
 
     def test_cli_exits_1_off_ladder(self, capsys, monkeypatch):
-        def wrong_b(b, freqs, label, energy, branch):
-            return potential_spec(1, freqs, label, energy, branch), 0.0
+        def wrong_b(b, freqs, label, energies, branch):
+            specs = [potential_spec(1, freqs, label, e, branch) for e in energies]
+            return specs, np.zeros(len(specs))
 
-        monkeypatch.setattr(certify, "zero_mode_potential", wrong_b)
+        monkeypatch.setattr(certify, "zero_mode_potentials", wrong_b)
         code = cli_main(["verify", "--l", "1", "--m", "1", "--b", "3/2", "--no-oracle"])
         captured = capsys.readouterr()
         assert code == 1

@@ -7,6 +7,7 @@ import pytest
 
 import triqes.fdoracle
 from triqes import ModeFrequencies, SubspaceLabel, suggest_domain, zero_mode_potential
+from triqes.certify import STAGES
 from triqes.cli import main
 
 
@@ -395,23 +396,35 @@ class TestSweep:
         assert code == 0
 
     def test_pass_matches_verify(self, capsys):
-        # one pass rule: every sweep tuple agrees with verify on that tuple,
+        # one pass rule: sweep shares the BHE stage across b and verify
+        # does not, yet every sweep tuple agrees with verify on that tuple,
         # including the roundoff-floor pair l=0, m=4, minus at b=3/2
         code, out, _ = run_cli(
-            capsys, "sweep", "--lmax", "1", "--mmax", "4", "--b", "3/2",
+            capsys, "sweep", "--lmax", "1", "--mmax", "4", "--b", "1,1/2,3/2,2",
             "--w=2,0.5,-1", "--no-oracle",
         )
         tuples = json.loads(out)["tuples"]
-        assert len(tuples) == 20
-        assert any((t["l"], t["m"], t["branch"]) == (0, 4, "minus") for t in tuples)
+        assert len(tuples) == 80
+        assert any(
+            (t["l"], t["m"], t["b"], t["branch"]) == (0, 4, "3/2", "minus")
+            for t in tuples
+        )
         for t in tuples:
             v_code, v_out, _ = run_cli(
                 capsys, "verify", "--l", str(t["l"]), "--m", str(t["m"]),
                 "--b", t["b"], "--branch", t["branch"], "--w=2,0.5,-1", "--no-oracle",
             )
             verified = json.loads(v_out)
+            checks = verified["checks"]
             assert verified["pass"] is t["pass"], t
             assert v_code == (0 if t["pass"] else 1)
+            assert t["worst"] == {k: max(c[k] for c in checks) for k in t["worst"]}, t
+            assert set(t["worst"]) == {
+                "bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual",
+            }
+            assert t["failed"] == [
+                s for s in STAGES if any(s in c["failed"] for c in checks)
+            ], t
         assert code == (0 if all(t["pass"] for t in tuples) else 1)
 
 

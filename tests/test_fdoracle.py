@@ -337,6 +337,24 @@ class TestSingularAdaptation:
             if hit:
                 assert res.richardson_gap <= 1e-8, (lam, res.richardson_gap)
 
+    @pytest.mark.parametrize("ell,p", [(4, 1), (6, 1), (6, 2)])
+    def test_frobenius_series_past_the_ladder(self, ell, p):
+        # defect (e): minus branch, b = 2, on the limit-circle border with a
+        # rung-1 coefficient of -11.4 to -16.9; a series cut off at the
+        # highest rung left Richardson gaps of 1.5e-5 to 3.5e-5 here
+        freqs = ModeFrequencies(
+            -2.9684081726065514, 1.9273705102965977, 1.7824165725122771
+        )
+        label = SubspaceLabel(ell, ell)
+        energy = eig_sym(build_hamiltonian(freqs, label)).eigenvalues[label.dim - p]
+        vspec, lam = zero_mode_potential(
+            Fraction(2), freqs, label, float(energy), Branch.MINUS
+        )
+        assert vspec.coeffs[1] < -11.0
+        res = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
+        assert res.hit
+        assert res.richardson_gap <= 1e-8, res.richardson_gap
+
     def test_plain_dirichlet_far_from_origin(self):
         # domains away from the origin never engage the adaptation
         spec = bare_spec((-0.25, 0.0, 0.0, 0.0, 1.0))
