@@ -266,56 +266,33 @@ def _check_entry(p, energy, energy_used, cert):
     return entry
 
 
-def _verify_one(freqs, label, spec, b_values, branch, energy_override=None,
-                oracle=True):
-    """JSON entries of every eigenpair of W(l, m) in `spec` under one branch,
-    one list per b in `b_values`, from one `certify_subspace` call."""
-    energies = spec.eigenvalues
-    if energy_override is not None:
-        energies = np.full(label.dim, energy_override)
-    per_b = certify_subspace(
-        freqs, label, energies, spec.eigenvectors, b_values, branch, oracle
-    )
-    found, used = spec.eigenvalues.tolist(), energies.tolist()
-    return [
-        [
-            _check_entry(label.dim - i, found[i], used[i], cert)
-            for i, cert in enumerate(certs)
-        ]
-        for certs in per_b
-    ]
-
-
 def _b2_zero_search(freqs, label, branch):
-    """Search w3 values that null the x^(-3/2) term of the b=2 potential.
+    """Per level p, the w3 that nulls the x^(-3/2) rung of the b = 2
+    potential, and the rung re-evaluated there.
 
-    The coefficient (A B - 2 D)/(2 b^2) depends on w3 both directly and
-    through the eigenvalue, so each energy index gets a root search (Brent)
-    over w3 within 10 of the given w3, where the coefficient changes sign.
+    The rung vanishes exactly when E = alpha + beta w3 (B = l + m - 1,
+    alpha = m (w1 - w2) + l w1 - B (w1 - w2) / 2, beta = B / 2 - l; the
+    branch sign cancels).  With H(w) = H0 + w3 N_c the roots are the
+    eigenvalues of the pencil (alpha I - H0) x = w3 D x, where
+    D = N_c - beta I = diag((l + m + 1)/2 - j) >= (|l - m| + 1) / 2 > 0,
+    so they are real.  E_i - alpha - beta w3 rises in w3 with slope
+    <v|D|v> > 0, so each level has one root, the p-th smallest for p.
     """
-    # imported here: scipy.optimize adds ~0.15 s and ~19 MB to every CLI
-    # start, and only --find-b2-zero needs it
-    from scipy.optimize import brentq
-
-    def coeff(w3: float, idx: int) -> float:
-        f = ModeFrequencies(freqs.w1, freqs.w2, w3)
-        spectrum = eig_sym(build_hamiltonian(f, label))
-        energy = float(spectrum.eigenvalues[idx])
-        vspec = potential_spec(Fraction(2), f, label, energy, branch)
-        return vspec.coeffs[1]
-
+    w1, w2 = freqs.w1, freqs.w2
+    ell, m = label.ell, label.m
+    alpha = m * (w1 - w2) + ell * w1 - (ell + m - 1) * (w1 - w2) / 2
+    h0 = build_hamiltonian(ModeFrequencies(w1, w2, 0.0), label).entries
+    scale = 1.0 / np.sqrt((ell + m + 1) / 2 - np.arange(label.dim))
+    pencil = (alpha * np.eye(label.dim) - h0) * np.outer(scale, scale)
+    roots = np.linalg.eigvalsh(pencil).tolist()
     results = []
     for idx in range(label.dim):
-        lo, hi = freqs.w3 - 10.0, freqs.w3 + 10.0
-        found = None
-        if coeff(lo, idx) * coeff(hi, idx) <= 0.0:
-            found = brentq(coeff, lo, hi, args=(idx,))
+        p = label.dim - idx
+        f = ModeFrequencies(w1, w2, roots[p - 1])
+        energy = float(eig_sym(build_hamiltonian(f, label)).eigenvalues[idx])
+        vspec = potential_spec(Fraction(2), f, label, energy, branch)
         results.append(
-            {
-                "p": label.dim - idx,
-                "w3_zeroing_term": found,
-                "residual_coefficient": None if found is None else coeff(found, idx),
-            }
+            {"p": p, "w3_zeroing_term": f.w3, "residual_coefficient": vspec.coeffs[1]}
         )
     return results
 
@@ -328,11 +305,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.energy_override is not None and not math.isfinite(args.energy_override):
         raise UsageError(f"--energy-override must be finite, got {args.energy_override}")
     spec = eig_sym(build_hamiltonian(freqs, label))
-    (checks,) = _verify_one(
-        freqs, label, spec, [bfrac], branch,
-        energy_override=args.energy_override,
+    energies = spec.eigenvalues
+    if args.energy_override is not None:
+        energies = np.full(label.dim, args.energy_override)
+    (certs,) = certify_subspace(
+        freqs, label, energies, spec.eigenvectors, [bfrac], branch,
         oracle=not args.no_oracle,
     )
+    found, used = spec.eigenvalues.tolist(), energies.tolist()
+    checks = [
+        _check_entry(label.dim - i, found[i], used[i], cert)
+        for i, cert in enumerate(certs)
+    ]
     all_pass = all(c["pass"] for c in checks)
     manifest = RunManifest(
         "verify",
@@ -349,17 +333,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
-def _sweep_record(ell, m, bfrac, branch, checks):
+def _sweep_record(ell, m, bfrac, branch, certs):
     """One sweep tuple: its verdict, the stages any eigenpair failed and the
     worst value of each residual."""
     keys = ["bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual"]
-    if "oracle_richardson_gap" in checks[0]:
-        keys.append("oracle_richardson_gap")
+    worst = {k: max(getattr(c, k) for c in certs) for k in keys}
+    if certs[0].oracle is not None:
+        worst["oracle_richardson_gap"] = max(c.oracle.richardson_gap for c in certs)
     return {
         "l": ell, "m": m, "b": str(bfrac), "branch": branch.value,
-        "pass": all(c["pass"] for c in checks),
-        "failed": [s for s in STAGES if any(s in c["failed"] for c in checks)],
-        "worst": {k: max(c[k] for c in checks) for k in keys},
+        "pass": all(c.passed for c in certs),
+        "failed": [s for s in STAGES if any(s in c.failed for c in certs)],
+        "worst": worst,
     }
 
 
@@ -368,19 +353,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not (0 <= args.lmax <= 20 and 0 <= args.mmax <= 20):
         raise UsageError("sweep bounds are limited to 0 <= l, m <= 20")
     b_values = sorted({parse_b(tok) for tok in args.b.split(",")})
-    branches = [parse_branch(args.branch)] if args.branch else [Branch.PLUS, Branch.MINUS]
+    # minus before plus: tuples come out in (l, m, b, branch) order
+    branches = [parse_branch(args.branch)] if args.branch else [Branch.MINUS, Branch.PLUS]
     results = []
     for ell in range(args.lmax + 1):
         for m in range(args.mmax + 1):
             label = SubspaceLabel(ell, m)
             spec = eig_sym(build_hamiltonian(freqs, label))
-            for br in branches:
-                per_b = _verify_one(
-                    freqs, label, spec, b_values, br, oracle=not args.no_oracle
+            per_branch = [
+                certify_subspace(
+                    freqs, label, spec.eigenvalues, spec.eigenvectors, b_values,
+                    br, oracle=not args.no_oracle,
                 )
-                for bf, checks in zip(b_values, per_b):
-                    results.append(_sweep_record(ell, m, bf, br, checks))
-    results.sort(key=lambda r: (r["l"], r["m"], Fraction(r["b"]), r["branch"]))
+                for br in branches
+            ]
+            for i, bf in enumerate(b_values):
+                for br, per_b in zip(branches, per_branch):
+                    results.append(_sweep_record(ell, m, bf, br, per_b[i]))
     all_pass = all(r["pass"] for r in results)
     manifest = RunManifest(
         "sweep",
@@ -451,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--no-oracle", action="store_true",
                        help="skip the finite-difference containment check")
     p_ver.add_argument("--find-b2-zero", action="store_true",
-                       help="search w3 values nulling the b=2 x^(-3/2) term")
+                       help="w3 values nulling the b=2 x^(-3/2) term, one per level")
     p_ver.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="verification matrix over (l, m)")

@@ -3,7 +3,8 @@
 The model conserves L = N_a + N_b and M = N_a + N_c, so the Fock space
 splits into finite invariant subspaces W(l, m) of dimension min(l, m) + 1.
 This module enumerates those subspaces and applies the cubic interaction
-a+ b c + a b+ c+ to individual basis states.
+a+ b c + a b+ c+ to individual basis states, the state-by-state reference
+for the closed-form bands of `hamiltonian.build_hamiltonian`.
 """
 
 from __future__ import annotations

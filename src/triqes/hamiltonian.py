@@ -1,9 +1,17 @@
 """Restricted Hamiltonian matrices on the invariant subspaces.
 
 H = w1 N_a + w2 N_b + w3 N_c + a+ b c + a b+ c+ restricted to W(l, m)
-is a real symmetric tridiagonal matrix in the canonical basis (n_a
-ascending).  Matrices are stored dense; dimensions never exceed 33, since
-min(l, m) + 1 <= 33 when l + m <= 64.
+is a real symmetric tridiagonal (Jacobi) matrix in the canonical basis
+|j, l - j, m - j>, j = 0 .. min(l, m), and it is linear in w.  Its two
+bands are closed forms:
+
+    H[j, j]     = w1 j + w2 (l - j) + w3 (m - j),
+    H[j, j + 1] = sqrt((j + 1) (l - j) (m - j)),
+
+the off-diagonal being the amplitude of a+ b c on state j
+(`fock.apply_interaction` is the state-by-state reference).  Matrices
+are stored dense; dimensions never exceed 33, since min(l, m) + 1 <= 33
+when l + m <= 64.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, SubspaceLabel, apply_interaction, subspace_basis
+from .fock import SubspaceLabel
 
 
 @dataclass(frozen=True)
@@ -45,30 +53,21 @@ class RestrictedHamiltonian:
         return self.entries.shape[0]
 
 
-def diagonal_energy(freqs: ModeFrequencies, state: FockState) -> float:
-    return freqs.w1 * state.n_a + freqs.w2 * state.n_b + freqs.w3 * state.n_c
-
-
 def build_hamiltonian(freqs: ModeFrequencies, label: SubspaceLabel) -> RestrictedHamiltonian:
-    """Assemble H restricted to W(ell, m).
+    """Assemble H restricted to W(ell, m) from its two bands.
 
-    The diagonal carries the mode energies; off-diagonal entries come from
-    the interaction amplitudes.  Each amplitude is written symmetrically
-    into (u, v) and (v, u), so the result is exactly symmetric.
+    The off-diagonal is the square root of an exact integer product and
+    is written into both (j, j + 1) and (j + 1, j), so the result is
+    exactly symmetric.  j runs over floats, so integer frequencies give a
+    float matrix too.  Frequencies near the double range may overflow
+    the diagonal; `eig_sym` rejects the non-finite matrix.
     """
-    basis = subspace_basis(label)
-    index = {s: i for i, s in enumerate(basis)}
-    d = len(basis)
-    h = np.zeros((d, d))
-    for i, state in enumerate(basis):
-        h[i, i] = diagonal_energy(freqs, state)
-        for w in apply_interaction(state):
-            j = index.get(w.state)
-            if j is None:
-                raise AssertionError(
-                    f"interaction left the subspace: {state} -> {w.state}"
-                )
-            if j > i:
-                h[i, j] = w.amplitude
-                h[j, i] = w.amplitude
+    ell, m = label.ell, label.m
+    j = np.arange(label.dim, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.diag(freqs.w1 * j + freqs.w2 * (ell - j) + freqs.w3 * (m - j))
+    k = np.arange(label.dim - 1)
+    off = np.sqrt((k + 1) * (ell - k) * (m - k))
+    h[k, k + 1] = off
+    h[k + 1, k] = off
     return RestrictedHamiltonian(label=label, entries=h)

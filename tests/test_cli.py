@@ -1,14 +1,30 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
+import triqes
 import triqes.fdoracle
-from triqes import ModeFrequencies, SubspaceLabel, suggest_domain, zero_mode_potential
+from triqes import (
+    Branch,
+    ModeFrequencies,
+    SubspaceLabel,
+    build_hamiltonian,
+    eig_sym,
+    suggest_domain,
+    zero_mode_potential,
+)
 from triqes.certify import STAGES
-from triqes.cli import main
+from triqes.cli import _b2_zero_search, main
+
+from conftest import frequencies, labels
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +77,14 @@ class TestSpectrum:
         # valid arguments whose matrix overflows: a numerical failure
         code, _, err = run_cli(
             capsys, "spectrum", "--l", "1", "--m", "1", "--w=1e308,1e308,1e308"
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_overflow_to_nan_exits_1(self, capsys):
+        # inf - inf on the diagonal: a nan matrix, rejected by the eigensolver
+        code, _, err = run_cli(
+            capsys, "spectrum", "--l", "4", "--m", "4", "--w=1e308,-1e308,0"
         )
         assert code == 1
         assert err.startswith("error: ")
@@ -295,16 +319,64 @@ class TestVerify:
         assert all(c["oracle_hit"] for c in payload["checks"])
 
     def test_b2_zero_search(self, capsys):
+        # W(1,1), w = (1,1,1): E = 1 - w3 / 2 and (1 + w3 - E)(1 - E) = 1
+        # give w3 = +-2/sqrt(3), the smaller one for the larger E
         code, out, _ = run_cli(
             capsys, "verify", "--l", "1", "--m", "1", "--b", "2",
             "--no-oracle", "--find-b2-zero",
         )
         assert code == 0
-        payload = json.loads(out)
-        assert "b2_zero_search" in payload
-        for entry in payload["b2_zero_search"]:
-            if entry["w3_zeroing_term"] is not None:
-                assert abs(entry["residual_coefficient"]) < 1e-8
+        entries = json.loads(out)["b2_zero_search"]
+        assert [e["p"] for e in entries] == [2, 1]
+        roots = [e["w3_zeroing_term"] for e in entries]
+        assert roots == pytest.approx([2 / math.sqrt(3), -2 / math.sqrt(3)], rel=1e-14)
+        for entry in entries:
+            assert abs(entry["residual_coefficient"]) < 1e-8
+
+    def test_b2_zero_beyond_old_window(self, capsys):
+        # the p = 4 root lies more than 10 above w3; every level has its root
+        code, out, _ = run_cli(
+            capsys, "verify", "--l", "3", "--m", "3", "--b", "2", "--no-oracle",
+            "--find-b2-zero", "--w=2.629,-2.378,-2.794",
+        )
+        assert code == 0
+        entries = json.loads(out)["b2_zero_search"]
+        assert [e["p"] for e in entries] == [4, 3, 2, 1]
+        assert entries[0]["w3_zeroing_term"] == pytest.approx(7.56278612733246, rel=1e-12)
+        for e in entries:
+            assert abs(e["residual_coefficient"]) <= 1e-12
+
+    @given(frequencies(), labels())
+    def test_b2_zero_every_level(self, freqs, label):
+        per_branch = [_b2_zero_search(freqs, label, br) for br in Branch]
+        entries = per_branch[0]
+        assert [e["p"] for e in entries] == list(range(label.dim, 0, -1))
+        roots = [e["w3_zeroing_term"] for e in entries]
+        assert all(math.isfinite(r) for r in roots)
+        assert roots == sorted(roots, reverse=True)  # ascending in p
+        for other in per_branch[1:]:
+            assert [e["w3_zeroing_term"] for e in other] == roots
+        for branch_entries in per_branch:
+            for e in branch_entries:
+                at_root = ModeFrequencies(freqs.w1, freqs.w2, e["w3_zeroing_term"])
+                spec = eig_sym(build_hamiltonian(at_root, label))
+                energy = spec.eigenvalues[label.dim - e["p"]]
+                assert abs(e["residual_coefficient"]) <= 1e-12 * max(1.0, abs(energy))
+
+    def test_b2_zero_search_skips_scipy_optimize(self):
+        src = str(Path(triqes.__file__).resolve().parents[1])
+        code = (
+            "import sys; from triqes.cli import main; "
+            "rc = main(['verify', '--l', '2', '--m', '3', '--b', '2', "
+            "'--no-oracle', '--find-b2-zero', '--out', sys.argv[1]]); "
+            "assert rc == 0; assert 'scipy.optimize' not in sys.modules"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, os.devnull],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_manifest_records_flags(self, capsys):
         # the manifest alone tells a --no-oracle run from an oracle run

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from triqes import ModeFrequencies, SubspaceLabel, build_hamiltonian
+from triqes import (
+    ModeFrequencies,
+    SubspaceLabel,
+    apply_interaction,
+    build_hamiltonian,
+    subspace_basis,
+)
 
 from conftest import frequencies, labels
 
@@ -68,3 +74,37 @@ def test_swap_covariance(freqs, label):
     assert np.array_equal(h1 - np.diag(np.diag(h1)), h2 - np.diag(np.diag(h2)))
     scale = max(1.0, np.abs(np.diag(h1)).max())
     assert np.max(np.abs(np.diag(h1) - np.diag(h2))) <= 1e-14 * scale
+
+
+def _reference_matrix(freqs, label):
+    """H on W(l, m) assembled state by state from the Fock reference."""
+    basis = subspace_basis(label)
+    index = {s: i for i, s in enumerate(basis)}
+    h = np.zeros((len(basis), len(basis)))
+    for i, state in enumerate(basis):
+        h[i, i] = freqs.w1 * state.n_a + freqs.w2 * state.n_b + freqs.w3 * state.n_c
+        for image in apply_interaction(state):
+            j = index[image.state]  # a KeyError means the image left W(l, m)
+            h[i, j] = image.amplitude
+    return h
+
+
+@given(frequencies(), labels())
+def test_closed_form_matches_fock_reference(freqs, label):
+    h = build_hamiltonian(freqs, label).entries
+    assert np.array_equal(h, _reference_matrix(freqs, label))
+
+
+@pytest.mark.parametrize("ell,m", [(32, 32), (20, 44), (0, 64)])
+@given(freqs=frequencies())
+def test_closed_form_matches_fock_reference_at_cap(ell, m, freqs):
+    label = SubspaceLabel(ell, m)
+    h = build_hamiltonian(freqs, label).entries
+    assert np.array_equal(h, _reference_matrix(freqs, label))
+
+
+def test_integer_frequencies_give_float_matrix():
+    freqs, label = ModeFrequencies(1, 2, -1), SubspaceLabel(20, 20)
+    h = build_hamiltonian(freqs, label).entries
+    assert h.dtype == np.float64
+    assert np.array_equal(h, _reference_matrix(freqs, label))
