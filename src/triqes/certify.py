@@ -19,9 +19,11 @@ not on b, so `certify_subspace` runs them once per (label, branch), as
 array operations over all eigenvectors, and shares them by every b.
 Stages 3-4 run once per b, again over all eigenvectors at once; E enters
 only through rung 1 of V_b (b != 1/2) or through lambda (b = 1/2).  The
-oracle runs per eigenvector.  `certify_eigenpair` is the one-column,
-one-b case.  Every certificate's numbers are the ones a scalar run of the
-chain on that eigenpair gives, bit for bit.
+oracle runs per eigenvector, once per distinct (potential, lambda) when
+the caller shares an `OracleMemo` across calls, as `sweep` does.
+`certify_eigenpair` is the one-column, one-b case.  Every certificate's
+numbers are the ones a scalar run of the chain on that eigenpair gives,
+bit for bit.
 
 Each `Certificate` names in `failed` the `STAGES` that missed, by one
 rule: "bhe" when either BHE residual exceeds `BHE_RTOL`, "schrodinger"
@@ -61,6 +63,9 @@ BHE_RTOL = 1e-10
 STAGES = ("bhe", "schrodinger", "oracle")
 
 SEXTIC_B = Fraction(1, 2)
+
+# Oracle checks already made, by (potential, lambda).
+OracleMemo = dict[tuple[PotentialSpec, float], ContainmentResult]
 
 
 @dataclass(frozen=True)
@@ -129,14 +134,18 @@ def certify_subspace(
     b_values: Sequence[RationalLike],
     branch: Branch = Branch.PLUS,
     oracle: bool = True,
+    oracle_memo: OracleMemo | None = None,
 ) -> list[list[Certificate]]:
     """Run the chain for every column of `vecs` under every b in `b_values`.
 
     Column i of `vecs` is an eigenvector of W(l, m), checked against
     `energies[i]`; pass a wrong energy to watch its certificates fail.
     Returns one list per b, in the order of `b_values`, holding one
-    `Certificate` per column.
+    `Certificate` per column.  An oracle check depends on (potential,
+    lambda) alone: a pair already in `oracle_memo` (a fresh one per call
+    when none is given) is not solved again, and every new one is added.
     """
+    memo: OracleMemo = {} if oracle_memo is None else oracle_memo
     energies = np.asarray(energies, dtype=float)
     phis = rho_coefficients(label, vecs, branch)
     if energies.shape != (phis.shape[1],):
@@ -160,7 +169,10 @@ def certify_subspace(
         for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
             cont = None
             if oracle:
-                cont = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
+                key = (vspec, lam)
+                if key not in memo:
+                    memo[key] = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
+                cont = memo[key]
             ok = (bhe_ok[i], schr_rel[i] <= BHE_RTOL, cont is None or cont.hit)
             certs.append(Certificate(
                 bhe_operator_residual=op_rel[i],

@@ -21,7 +21,13 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .certify import SEXTIC_B, STAGES, certify_subspace, zero_mode_potential
+from .certify import (
+    SEXTIC_B,
+    STAGES,
+    OracleMemo,
+    certify_subspace,
+    zero_mode_potential,
+)
 from .fock import SubspaceLabel, subspace_basis
 from .hamiltonian import ModeFrequencies, build_hamiltonian
 from .heun import Branch, fock_to_rho_polynomial
@@ -355,6 +361,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     b_values = sorted({parse_b(tok) for tok in args.b.split(",")})
     # minus before plus: tuples come out in (l, m, b, branch) order
     branches = [parse_branch(args.branch)] if args.branch else [Branch.MINUS, Branch.PLUS]
+    # lives for this command only: W(l, m) and W(m, l) pose the same
+    # oracle problems, often bit for bit
+    oracle_memo: OracleMemo = {}
     results = []
     for ell in range(args.lmax + 1):
         for m in range(args.mmax + 1):
@@ -363,7 +372,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             per_branch = [
                 certify_subspace(
                     freqs, label, spec.eigenvalues, spec.eigenvectors, b_values,
-                    br, oracle=not args.no_oracle,
+                    br, oracle=not args.no_oracle, oracle_memo=oracle_memo,
                 )
                 for br in branches
             ]

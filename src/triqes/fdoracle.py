@@ -12,11 +12,18 @@ limit-circle left ends below.
 A containment check needs one level only: bisection restricted to a
 window around the candidate lambda (LAPACK stebz by value) finds the
 level nearest lambda, widening the window geometrically until it holds
-one.  The same level is then found on the doubled grid by a window around
-the first result and the pair is Richardson-extrapolated, so the cost
-does not grow with the number of levels below lambda.  The oracle never
-touches the closed-form wavefunctions; its only inputs are the five rung
-coefficients of the potential (`PotentialSpec`) and a grid configuration.
+one.  The same level is then found on the doubled grid by a window
+centred on the first result mu, whose radius starts at the coarse gap
+|mu - lambda| (a true level moves by about 3/4 of it) clamped to
+[`BISECTION_TOL`, tol], tol the hit tolerance, and the pair is
+Richardson-extrapolated, so the cost does not grow with the number of
+levels below lambda.  The doubled grid's nodes at odd positions are the
+coarse nodes bit for bit, so the nodes and V are evaluated once, on the
+doubled grid, and shared by both matrices.  A check is a pure function
+of (potential, lambda), and `sweep` solves a repeated pair once.  The
+oracle never touches the closed-form wavefunctions; its only inputs are
+the five rung coefficients of the potential (`PotentialSpec`) and a grid
+configuration.
 
 Every bisection runs to the absolute tolerance `BISECTION_TOL`.  LAPACK's
 default, eps times the matrix 1-norm, is ~2e-3 on the log grid, whose
@@ -156,18 +163,30 @@ def _left_boundary_ratio(
     return (x0 / x1) ** p * (f0 / f1)
 
 
-def _tridiagonal(
-    spec: PotentialSpec, config: LogGridConfig, bc_energy: float | None
+def _grid_values(
+    spec: PotentialSpec, config: LogGridConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the discretized operator on `config`.
-
-    Row i of the stencil in y is scaled by 1/x_i on both sides.
-    """
+    """The nodes of `config` and V on them."""
     xs = config.nodes()
-    h2 = config.h * config.h
     vpot = spec.values(xs)
     if not np.all(np.isfinite(vpot)):
         raise ValueError("potential is not finite on the grid")
+    return xs, vpot
+
+
+def _tridiagonal(
+    spec: PotentialSpec,
+    config: LogGridConfig,
+    xs: np.ndarray,
+    vpot: np.ndarray,
+    bc_energy: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the discretized operator on `config`,
+    whose nodes are `xs` with V = `vpot` there.
+
+    Row i of the stencil in y is scaled by 1/x_i on both sides.
+    """
+    h2 = config.h * config.h
     scale = 1.0 / xs
     diag = (2.0 / h2 + 0.25) * scale * scale + vpot
     ratio = _left_boundary_ratio(spec, config.x_min, float(xs[0]), bc_energy)
@@ -197,7 +216,7 @@ def fd_spectrum(
         raise ValueError(f"count {count} exceeds grid size {config.n_points}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    diag, off = _tridiagonal(spec, config, bc_energy)
+    diag, off = _tridiagonal(spec, config, *_grid_values(spec, config), bc_energy)
     vals = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, count - 1), eigvals_only=True,
         tol=BISECTION_TOL,
@@ -259,11 +278,18 @@ def contains_eigenvalue(
     Finds the level nearest lam on the given grid, follows that level to
     the doubled grid, Richardson-extrapolates the second-order scheme and
     accepts when the extrapolated level lies within max(1e-3, 1e-3 |lam|).
+    A pure function of its arguments: `sweep` solves a repeated
+    (potential, lam) once.
     """
     tol = max(HIT_RTOL, HIT_RTOL * abs(lam))
-    mu, solves = _nearest_level(*_tridiagonal(spec, config, lam), lam, tol)
     fine = config.doubled()
-    mu2, fine_solves = _nearest_level(*_tridiagonal(spec, fine, lam), mu, tol)
+    # the doubled grid's odd positions are the given grid's nodes, bit for bit
+    xf, vf = _grid_values(spec, fine)
+    coarse = _tridiagonal(spec, config, xf[1::2], vf[1::2], lam)
+    mu, solves = _nearest_level(*coarse, lam, tol)
+    # a true level moves by ~3/4 |mu - lam| under halving h
+    radius = min(tol, max(abs(mu - lam), BISECTION_TOL))
+    mu2, fine_solves = _nearest_level(*_tridiagonal(spec, fine, xf, vf, lam), mu, radius)
     richardson_gap = float(abs((4.0 * mu2 - mu) / 3.0 - lam))
     return ContainmentResult(
         hit=richardson_gap <= tol,

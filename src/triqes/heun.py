@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import SubspaceLabel
-from .hamiltonian import ModeFrequencies
+from .hamiltonian import ModeFrequencies, check_finite
 
 SQRT2 = math.sqrt(2.0)
 
@@ -183,17 +183,22 @@ def bhe_params(
     energy: float | np.ndarray,
     branch: Branch,
 ) -> BheParams:
-    """Standard-form parameters (alpha, beta, gamma, delta) of phi's BHE."""
+    """Standard-form parameters (alpha, beta, gamma, delta) of phi's BHE.
+
+    Raises ValueError naming the first of them that is not finite.
+    """
     w1, w2, w3, ell, m = _swap_for_k(freqs, label)
     c = branch.c
     alpha = float(m - ell)
     beta = -c * (w1 - w2 - w3)
+    check_finite("BHE beta", beta)
     gamma = float(m + ell + 2)
     delta = c * (
         m * (w1 - w2 - 3.0 * w3)
         - ell * (3.0 * w1 - w2 - 3.0 * w3)
         + (w1 - w2 - w3 + 2.0 * energy)
     )
+    check_finite("BHE delta", *np.ravel(delta).tolist())
     return BheParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
 
 
@@ -209,14 +214,20 @@ def operator_residuals(
     Column i applies the operator at `energies[i]` to the phi whose
     coefficients are `phis[:, i]`; see `bhe_operator_residual`.  Each
     coefficient sums its three band terms in the same order as a scalar
-    loop over the columns would.
+    loop over the columns would.  Raises ValueError naming the first of
+    its constants (wbar, then P) that is not finite.
     """
     ell, m, k = label.ell, label.m, label.k
     w1, w2, w3 = freqs.as_tuple()
     c = branch.c
     wbar = w1 - w2 - w3
+    check_finite("w1 - w2 - w3", wbar)
     q1 = 1 + 2 * k - ell - m
-    p_const = m * (w1 - w2) + ell * (w1 - w3) - np.asarray(energies, dtype=float) - k * wbar
+    # the E-free part in floats first, so no inf - inf reaches numpy
+    p_w = m * (w1 - w2) + ell * (w1 - w3)
+    check_finite("m (w1 - w2) + l (w1 - w3)", p_w)
+    p_const = p_w - np.asarray(energies, dtype=float) - k * wbar
+    check_finite("BHE operator constant P", *p_const.tolist())
     zero_pole = (m - k) * (ell - k)  # identically zero since k = max(l, m)
     n_top = phis.shape[0] - 1
     j = np.arange(n_top + 3)

@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import SubspaceLabel
-from .hamiltonian import ModeFrequencies
+from .hamiltonian import ModeFrequencies, check_finite
 from .heun import Branch, RhoPolynomial
 
 RationalLike = Fraction | int
@@ -144,7 +144,8 @@ def potential_specs(
 ) -> list[PotentialSpec]:
     """Build the ladder of V_b(x) for each eigenvalue in `energies`.
 
-    Only rung 1 depends on E; the other four are built once.
+    Only rung 1 depends on E; the other four are built once.  Raises
+    ValueError naming the first rung that is not finite.
     """
     if b <= 0:
         raise ValueError(f"transformation exponent b must be > 0, got {b}")
@@ -156,7 +157,11 @@ def potential_specs(
     c2 = (a_ * a_ + 4.0 * b_ - 4.0 * g_ - 4.0) / (4.0 * bb * bb)
     c3 = a_ / (bb * bb)
     c4 = 1.0 / (bb * bb)
-    rung1 = ((a_ * b_ - 2.0 * d_) / (2.0 * bb * bb)).tolist()
+    # rung 1 in floats, by the same operations: numpy would warn on overflow
+    ab, den = a_ * b_, 2.0 * bb * bb
+    rung1 = [(ab - 2.0 * d) / den for d in d_.tolist()]
+    for i, rung in enumerate(([c0], rung1, [c2], [c3], [c4])):
+        check_finite(f"rung {i} of V_b", *rung)
     return [PotentialSpec(b, (c0, c1, c2, c3, c4)) for c1 in rung1]
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 
 import triqes
+import triqes.certify
 import triqes.fdoracle
 from triqes import (
     Branch,
@@ -256,6 +257,27 @@ class TestVerify:
         assert out == ""
         assert "--energy-override" in err
 
+    @pytest.mark.parametrize(
+        "w,b,constant",
+        [
+            ("1e308,-1e308,0", "2", "w1 - w2 - w3"),
+            ("1e308,0,0", "2", "m (w1 - w2) + l (w1 - w3)"),
+            ("1e200,0,0", "2", "rung 2 of V_b"),
+            ("1,1,1", "1e-154", "rung 0 of V_b"),
+        ],
+    )
+    def test_overflowing_constant_exits_1(self, capsys, w, b, constant):
+        # each w_i is finite, but a constant of the chain overflows: the
+        # chain stops there instead of certifying inf and nan (pytest turns
+        # any numpy RuntimeWarning into an error)
+        code, out, err = run_cli(
+            capsys, "verify", "--l", "0", "--m", "3", "--b", b, "--no-oracle",
+            f"--w={w}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {constant} is not finite: it overflows a double\n"
+
     def test_energy_override_fails_with_oracle(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--l", "1", "--m", "1", "--b", "1/2",
@@ -466,6 +488,76 @@ class TestSweep:
         assert payload["count"] == 392
         assert [t for t in payload["tuples"] if not t["pass"]] == []
         assert code == 0
+
+    @staticmethod
+    def count_eigensolves(monkeypatch):
+        calls = []
+        solver = triqes.fdoracle.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(triqes.fdoracle, "eigh_tridiagonal", counting)
+        return calls
+
+    def test_oracle_memo_lives_for_one_sweep(self, capsys, monkeypatch):
+        # a memo that outlived the command would answer the second sweep
+        # without a single eigensolve
+        calls = self.count_eigensolves(monkeypatch)
+        argv = ["sweep", "--lmax", "1", "--mmax", "1", "--b", "1/2", "--branch", "plus"]
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
+    def test_oracle_memo_solves_each_problem_once(self, capsys, monkeypatch):
+        # W(l, m) and W(m, l) pose the same oracle problems; each distinct
+        # (potential, lambda) costs one coarse and one seeded fine solve
+        calls = self.count_eigensolves(monkeypatch)
+        problems = []
+        contains = triqes.certify.contains_eigenvalue
+
+        def recording(spec, config, lam):
+            problems.append((spec, lam))
+            return contains(spec, config, lam)
+
+        monkeypatch.setattr(triqes.certify, "contains_eigenvalue", recording)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--lmax", "2", "--mmax", "2", "--b", "3/2,2",
+            "--w=2,0.5,-1",
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 36
+        assert len(set(problems)) == len(problems)
+        assert len(calls) <= 2 * len(problems)
+
+    def test_oracle_sweep_matches_verify(self, capsys):
+        # the memo only skips repeated problems: every tuple's verdict and
+        # worst oracle gap are those of verify on that tuple alone
+        code, out, _ = run_cli(
+            capsys, "sweep", "--lmax", "1", "--mmax", "2", "--b", "1/2,2",
+        )
+        tuples = json.loads(out)["tuples"]
+        assert len(tuples) == 24
+        for t in tuples:
+            v_code, v_out, _ = run_cli(
+                capsys, "verify", "--l", str(t["l"]), "--m", str(t["m"]),
+                "--b", t["b"], "--branch", t["branch"],
+            )
+            checks = json.loads(v_out)["checks"]
+            assert json.loads(v_out)["pass"] is t["pass"], t
+            assert t["failed"] == [
+                s for s in STAGES if any(s in c["failed"] for c in checks)
+            ], t
+            assert t["worst"]["oracle_richardson_gap"] == max(
+                c["oracle_richardson_gap"] for c in checks
+            ), t
+        assert code == (0 if all(t["pass"] for t in tuples) else 1)
 
     def test_pass_matches_verify(self, capsys):
         # one pass rule: sweep shares the BHE stage across b and verify

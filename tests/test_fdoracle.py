@@ -19,6 +19,7 @@ from triqes import (
     suggest_domain,
     zero_mode_potential,
 )
+from triqes import fdoracle
 from triqes.schroedinger import PotentialSpec
 
 SQRT2 = math.sqrt(2.0)
@@ -167,6 +168,34 @@ class TestWindowedSearch:
             res = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
             assert res.hit, (float(energy), res)
             assert res.richardson_gap < 1e-4
+
+    def test_seeded_fine_search_finds_the_same_level(self):
+        # the doubled-grid window starts at the coarse gap, not at the hit
+        # tolerance; the level it finds is the one a window of the full
+        # tolerance finds, up to the bisection tolerance
+        freqs = ModeFrequencies(0.3, -1.2, 0.7)
+        label = SubspaceLabel(4, 4)
+        for energy in eig_sym(build_hamiltonian(freqs, label)).eigenvalues:
+            vspec, lam = zero_mode_potential(Fraction(2), freqs, label, float(energy))
+            cfg = oracle_config(vspec, lam)
+            res = contains_eigenvalue(vspec, cfg, lam)
+            fine = cfg.doubled()
+            matrix = fdoracle._tridiagonal(
+                vspec, fine, *fdoracle._grid_values(vspec, fine), lam
+            )
+            tol = max(fdoracle.HIT_RTOL, fdoracle.HIT_RTOL * abs(lam))
+            wide, _ = fdoracle._nearest_level(*matrix, res.nearest, tol)
+            assert res.hit
+            assert abs(res.fine_nearest - wide) <= 2e-10
+
+    @pytest.mark.parametrize("x_max", [6.0, 21.35, 512.0])
+    def test_doubled_grid_holds_the_nodes(self, x_max):
+        # both matrices of a check share one evaluation of the nodes and V
+        cfg = LogGridConfig(1e-4, x_max, 2000)
+        spec = PotentialSpec(Fraction(3, 2), (-0.25, 1.3, -2.1, 0.7, 0.44))
+        xf, vf = fdoracle._grid_values(spec, cfg.doubled())
+        assert np.array_equal(xf[1::2], cfg.nodes())
+        assert np.array_equal(vf[1::2], spec.values(cfg.nodes()))
 
     def test_midway_between_levels_rejected(self):
         spec = bare_spec(HARMONIC)
