@@ -36,7 +36,8 @@ def main() -> int:
         spectrum = eig_sym(build_hamiltonian(W, label))
         certs = {
             branch: certify_subspace(
-                W, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES, branch
+                W, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES, branch,
+                oracle={},
             )
             for branch in Branch
         }

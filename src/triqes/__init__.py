@@ -11,7 +11,7 @@ from .fock import (
     subspace_basis,
     symmetry_eigenvalues,
 )
-from .hamiltonian import ModeFrequencies, RestrictedHamiltonian, build_hamiltonian
+from .hamiltonian import ModeFrequencies, build_hamiltonian
 from .spectra import Spectrum, eig_sym
 from .heun import (
     Branch,
@@ -23,14 +23,12 @@ from .heun import (
     fock_to_rho_polynomial,
 )
 from .schroedinger import (
-    AuxConstants,
     PotentialSpec,
     WavefunctionSpec,
     epsilon_of,
     eval_potential,
     eval_wavefunction,
-    potential_spec,
-    split_sextic,
+    potential_specs,
     wavefunction_spec,
     zero_mode_residual,
 )
@@ -41,7 +39,7 @@ from .fdoracle import (
     oracle_config,
     suggest_domain,
 )
-from .certify import Certificate, certify_eigenpair, certify_subspace, zero_mode_potential
+from .certify import Certificate, certify_subspace, zero_mode_potentials
 
 __all__ = [
     "FockState",
@@ -51,7 +49,6 @@ __all__ = [
     "subspace_basis",
     "symmetry_eigenvalues",
     "ModeFrequencies",
-    "RestrictedHamiltonian",
     "build_hamiltonian",
     "Spectrum",
     "eig_sym",
@@ -62,14 +59,12 @@ __all__ = [
     "bhe_params",
     "bhe_standard_residual",
     "fock_to_rho_polynomial",
-    "AuxConstants",
     "PotentialSpec",
     "WavefunctionSpec",
     "epsilon_of",
     "eval_potential",
     "eval_wavefunction",
-    "potential_spec",
-    "split_sextic",
+    "potential_specs",
     "wavefunction_spec",
     "zero_mode_residual",
     "LogGridConfig",
@@ -78,7 +73,6 @@ __all__ = [
     "oracle_config",
     "suggest_domain",
     "Certificate",
-    "certify_eigenpair",
     "certify_subspace",
-    "zero_mode_potential",
+    "zero_mode_potentials",
 ]

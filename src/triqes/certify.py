@@ -12,18 +12,18 @@ transformation exponent b:
 4. the Schroedinger equation -chi'' + (V - lambda) chi = 0 as the exact
    polynomial identity `zero_mode_residual`, relative to the largest phi
    coefficient: no grid, no step size, no refinement order;
-5. optionally the independent finite-difference oracle at lambda.
+5. when the caller asks for it, the independent finite-difference oracle
+   at lambda.
 
 Stages 1-2 depend on the eigenvectors, the energies and the branch but
 not on b, so `certify_subspace` runs them once per (label, branch), as
 array operations over all eigenvectors, and shares them by every b.
 Stages 3-4 run once per b, again over all eigenvectors at once; E enters
 only through rung 1 of V_b (b != 1/2) or through lambda (b = 1/2).  The
-oracle runs per eigenvector, once per distinct (potential, lambda) when
-the caller shares an `OracleMemo` across calls, as `sweep` does.
-`certify_eigenpair` is the one-column, one-b case.  Every certificate's
-numbers are the ones a scalar run of the chain on that eigenpair gives,
-bit for bit.
+oracle runs per eigenvector, once per distinct (potential, lambda) in the
+`OracleMemo` the caller passes; `sweep` shares one across its calls.  A
+one-column, one-b call gives every certificate the same numbers, bit for
+bit.
 
 Each `Certificate` names in `failed` the `STAGES` that missed, by one
 rule: "bhe" when either BHE residual exceeds `BHE_RTOL`, "schrodinger"
@@ -43,6 +43,7 @@ from .fdoracle import ContainmentResult, contains_eigenvalue, oracle_config
 from .fock import SubspaceLabel
 from .hamiltonian import ModeFrequencies
 from .heun import (
+    BHE_RTOL,
     Branch,
     bhe_params,
     operator_residuals,
@@ -54,12 +55,10 @@ from .schroedinger import (
     RationalLike,
     epsilon_of,
     potential_specs,
-    split_sextic,
     zero_mode_envelope,
     zero_mode_residuals,
 )
 
-BHE_RTOL = 1e-10
 STAGES = ("bhe", "schrodinger", "oracle")
 
 SEXTIC_B = Fraction(1, 2)
@@ -104,22 +103,10 @@ def zero_mode_potentials(
     """
     energies = np.asarray(energies, dtype=float)
     if b == SEXTIC_B:
-        tilde = split_sextic(freqs, label, branch)[0]
+        # built at E = 0, where V_(1/2) is Vtilde exactly
+        tilde = potential_specs(SEXTIC_B, freqs, label, [0.0], branch)[0]
         return [tilde] * energies.size, epsilon_of(energies, branch)
     return potential_specs(b, freqs, label, energies, branch), np.zeros(energies.size)
-
-
-def zero_mode_potential(
-    b: RationalLike,
-    freqs: ModeFrequencies,
-    label: SubspaceLabel,
-    energy: float,
-    branch: Branch = Branch.PLUS,
-) -> tuple[PotentialSpec, float]:
-    """The potential whose level lambda the zero mode sits at, and lambda:
-    the one-energy case of `zero_mode_potentials`."""
-    specs, lams = zero_mode_potentials(b, freqs, label, [energy], branch)
-    return specs[0], float(lams[0])
 
 
 def _relative(residuals: np.ndarray, scale: np.ndarray) -> list[float]:
@@ -133,19 +120,17 @@ def certify_subspace(
     vecs: np.ndarray,
     b_values: Sequence[RationalLike],
     branch: Branch = Branch.PLUS,
-    oracle: bool = True,
-    oracle_memo: OracleMemo | None = None,
+    oracle: OracleMemo | None = None,
 ) -> list[list[Certificate]]:
     """Run the chain for every column of `vecs` under every b in `b_values`.
 
     Column i of `vecs` is an eigenvector of W(l, m), checked against
     `energies[i]`; pass a wrong energy to watch its certificates fail.
     Returns one list per b, in the order of `b_values`, holding one
-    `Certificate` per column.  An oracle check depends on (potential,
-    lambda) alone: a pair already in `oracle_memo` (a fresh one per call
-    when none is given) is not solved again, and every new one is added.
+    `Certificate` per column.  `oracle=None` skips the oracle; a dict runs
+    it.  An oracle check depends on (potential, lambda) alone: a pair
+    already in `oracle` is not solved again, and every new one is added.
     """
-    memo: OracleMemo = {} if oracle_memo is None else oracle_memo
     energies = np.asarray(energies, dtype=float)
     phis = rho_coefficients(label, vecs, branch)
     if energies.shape != (phis.shape[1],):
@@ -168,11 +153,11 @@ def certify_subspace(
         certs = []
         for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
             cont = None
-            if oracle:
+            if oracle is not None:
                 key = (vspec, lam)
-                if key not in memo:
-                    memo[key] = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
-                cont = memo[key]
+                if key not in oracle:
+                    oracle[key] = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
+                cont = oracle[key]
             ok = (bhe_ok[i], schr_rel[i] <= BHE_RTOL, cont is None or cont.hit)
             certs.append(Certificate(
                 bhe_operator_residual=op_rel[i],
@@ -185,26 +170,3 @@ def certify_subspace(
             ))
         out.append(certs)
     return out
-
-
-def certify_eigenpair(
-    freqs: ModeFrequencies,
-    label: SubspaceLabel,
-    energy: float,
-    vec: np.ndarray,
-    b: RationalLike,
-    branch: Branch = Branch.PLUS,
-    oracle: bool = True,
-) -> Certificate:
-    """Run the chain for the eigenvector `vec` of W(l, m) at `energy`: the
-    one-column, one-b case of `certify_subspace`.
-
-    `energy` is the value every stage after phi is checked against; pass a
-    wrong one to watch the certificate fail.
-    """
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (label.dim,):
-        raise ValueError(f"eigenvector length {vec.shape} does not match dim {label.dim}")
-    return certify_subspace(
-        freqs, label, [energy], vec[:, None], [b], branch, oracle
-    )[0][0]

@@ -26,7 +26,7 @@ from .certify import (
     STAGES,
     OracleMemo,
     certify_subspace,
-    zero_mode_potential,
+    zero_mode_potentials,
 )
 from .fock import SubspaceLabel, subspace_basis
 from .hamiltonian import ModeFrequencies, build_hamiltonian
@@ -34,7 +34,7 @@ from .heun import Branch, fock_to_rho_polynomial
 from .schroedinger import (
     eval_potential,
     eval_wavefunction,
-    potential_spec,
+    potential_specs,
     wavefunction_spec,
 )
 from .spectra import eig_sym
@@ -202,9 +202,10 @@ def _curve_rows(args, freqs, label, bfrac, branch):
     phi = fock_to_rho_polynomial(label, vec, branch)
     wf = wavefunction_spec(bfrac, freqs, label, phi)
     if args.shifted:
-        vspec, lam = zero_mode_potential(bfrac, freqs, label, energy, branch)
+        vspecs, lams = zero_mode_potentials(bfrac, freqs, label, [energy], branch)
+        vspec, lam = vspecs[0], float(lams[0])
     else:
-        vspec = potential_spec(bfrac, freqs, label, energy, branch)
+        vspec = potential_specs(bfrac, freqs, label, [energy], branch)[0]
         lam = 0.0
     rows = []
     if args.points > 0:
@@ -287,7 +288,7 @@ def _b2_zero_search(freqs, label, branch):
     w1, w2 = freqs.w1, freqs.w2
     ell, m = label.ell, label.m
     alpha = m * (w1 - w2) + ell * w1 - (ell + m - 1) * (w1 - w2) / 2
-    h0 = build_hamiltonian(ModeFrequencies(w1, w2, 0.0), label).entries
+    h0 = build_hamiltonian(ModeFrequencies(w1, w2, 0.0), label)
     scale = 1.0 / np.sqrt((ell + m + 1) / 2 - np.arange(label.dim))
     pencil = (alpha * np.eye(label.dim) - h0) * np.outer(scale, scale)
     roots = np.linalg.eigvalsh(pencil).tolist()
@@ -296,7 +297,7 @@ def _b2_zero_search(freqs, label, branch):
         p = label.dim - idx
         f = ModeFrequencies(w1, w2, roots[p - 1])
         energy = float(eig_sym(build_hamiltonian(f, label)).eigenvalues[idx])
-        vspec = potential_spec(Fraction(2), f, label, energy, branch)
+        vspec = potential_specs(Fraction(2), f, label, [energy], branch)[0]
         results.append(
             {"p": p, "w3_zeroing_term": f.w3, "residual_coefficient": vspec.coeffs[1]}
         )
@@ -316,7 +317,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         energies = np.full(label.dim, args.energy_override)
     (certs,) = certify_subspace(
         freqs, label, energies, spec.eigenvectors, [bfrac], branch,
-        oracle=not args.no_oracle,
+        oracle=None if args.no_oracle else {},
     )
     found, used = spec.eigenvalues.tolist(), energies.tolist()
     checks = [
@@ -363,7 +364,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     branches = [parse_branch(args.branch)] if args.branch else [Branch.MINUS, Branch.PLUS]
     # lives for this command only: W(l, m) and W(m, l) pose the same
     # oracle problems, often bit for bit
-    oracle_memo: OracleMemo = {}
+    oracle: OracleMemo | None = None if args.no_oracle else {}
     results = []
     for ell in range(args.lmax + 1):
         for m in range(args.mmax + 1):
@@ -372,7 +373,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             per_branch = [
                 certify_subspace(
                     freqs, label, spec.eigenvalues, spec.eigenvectors, b_values,
-                    br, oracle=not args.no_oracle, oracle_memo=oracle_memo,
+                    br, oracle=oracle,
                 )
                 for br in branches
             ]

@@ -54,9 +54,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .schroedinger import PotentialSpec
 
-# Left-adaptation applies only when the domain actually approaches the
-# origin; beyond this point the plain Dirichlet cutoff is used.
-SINGULAR_XMIN = 0.2
 HIT_RTOL = 1e-3
 # Factor by which an empty search window around a candidate is widened.
 WINDOW_GROWTH = 4.0
@@ -76,30 +73,28 @@ DOMAIN_PHASE = 18.0
 
 @dataclass(frozen=True)
 class LogGridConfig:
-    """Grid uniform in t = ln x on [ln x_min, ln x_max], Dirichlet ends.
+    """Grid uniform in t = ln x on [ln x_min, ln x_max], x_min =
+    `ORACLE_X_MIN`; Frobenius ratio at the left end, Dirichlet at the right.
 
     Interior nodes sit at x_i = x_min e^(i h), i = 1 .. n_points, with
     h = ln(x_max / x_min) / (n_points + 1) the step in ln x.
     """
 
-    x_min: float
     x_max: float
     n_points: int
 
     def __post_init__(self) -> None:
-        if not (self.x_min < self.x_max):
-            raise ValueError("x_min must be below x_max")
+        if not (ORACLE_X_MIN < self.x_max):
+            raise ValueError(f"x_max must be above x_min = {ORACLE_X_MIN}")
         if self.n_points < 100:
             raise ValueError("need at least 100 grid points")
-        if not self.x_min > 0.0:
-            raise ValueError("a log grid needs x_min > 0")
 
     @property
     def h(self) -> float:
-        return math.log(self.x_max / self.x_min) / (self.n_points + 1)
+        return math.log(self.x_max / ORACLE_X_MIN) / (self.n_points + 1)
 
     def nodes(self) -> np.ndarray:
-        return self.x_min * np.exp(self.h * np.arange(1, self.n_points + 1))
+        return ORACLE_X_MIN * np.exp(self.h * np.arange(1, self.n_points + 1))
 
     def doubled(self) -> "LogGridConfig":
         # 2n+1 interior points halve h exactly
@@ -152,9 +147,8 @@ def _frobenius_factors(
 def _left_boundary_ratio(
     spec: PotentialSpec, x0: float, x1: float, bc_energy: float | None
 ) -> float | None:
-    """u(x0)/u(x1) of the regular solution, or None for plain Dirichlet."""
-    if not 0.0 < x0 < SINGULAR_XMIN:
-        return None
+    """u(x0)/u(x1) of the regular solution, or None for plain Dirichlet
+    where there is none."""
     c0 = spec.coeffs[0]
     if 1.0 + 4.0 * c0 < 0.0:
         return None  # oscillatory fall to the center; no regular solution
@@ -189,9 +183,9 @@ def _tridiagonal(
     h2 = config.h * config.h
     scale = 1.0 / xs
     diag = (2.0 / h2 + 0.25) * scale * scale + vpot
-    ratio = _left_boundary_ratio(spec, config.x_min, float(xs[0]), bc_energy)
+    ratio = _left_boundary_ratio(spec, ORACLE_X_MIN, float(xs[0]), bc_energy)
     if ratio is not None:
-        ratio *= math.sqrt(float(xs[0]) / config.x_min)  # u/sqrt(x) = y
+        ratio *= math.sqrt(float(xs[0]) / ORACLE_X_MIN)  # u/sqrt(x) = y
         diag[0] -= ratio * scale[0] * scale[0] / h2
     off = -scale[:-1] * scale[1:] / h2
     return diag, off
@@ -348,4 +342,4 @@ def suggest_domain(spec: PotentialSpec, lam: float) -> float:
 def oracle_config(spec: PotentialSpec, lam: float) -> LogGridConfig:
     """Containment grid for lam: `ORACLE_POINTS` nodes uniform in ln x on
     [`ORACLE_X_MIN`, x_max], x_max from `suggest_domain`."""
-    return LogGridConfig(ORACLE_X_MIN, suggest_domain(spec, lam), ORACLE_POINTS)
+    return LogGridConfig(suggest_domain(spec, lam), ORACLE_POINTS)

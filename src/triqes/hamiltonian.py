@@ -54,20 +54,9 @@ def check_finite(name: str, *values: float) -> None:
         raise ValueError(f"{name} is not finite: it overflows a double")
 
 
-@dataclass(frozen=True)
-class RestrictedHamiltonian:
-    """Dense symmetric matrix of H on W(ell, m) in the canonical basis."""
-
-    label: SubspaceLabel
-    entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def build_hamiltonian(freqs: ModeFrequencies, label: SubspaceLabel) -> RestrictedHamiltonian:
-    """Assemble H restricted to W(ell, m) from its two bands.
+def build_hamiltonian(freqs: ModeFrequencies, label: SubspaceLabel) -> np.ndarray:
+    """The dense symmetric matrix of H on W(ell, m) in the canonical basis,
+    assembled from its two bands.
 
     The off-diagonal is the square root of an exact integer product and
     is written into both (j, j + 1) and (j + 1, j), so the result is
@@ -83,4 +72,4 @@ def build_hamiltonian(freqs: ModeFrequencies, label: SubspaceLabel) -> Restricte
     off = np.sqrt((k + 1) * (ell - k) * (m - k))
     h[k, k + 1] = off
     h[k + 1, k] = off
-    return RestrictedHamiltonian(label=label, entries=h)
+    return h

@@ -31,6 +31,9 @@ from .fock import SubspaceLabel
 from .hamiltonian import ModeFrequencies, check_finite
 
 SQRT2 = math.sqrt(2.0)
+# The chain's one pass rule: a residual passes when every coefficient is at
+# most this times the largest phi coefficient.
+BHE_RTOL = 1e-10
 
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp splitting constant
 
@@ -295,7 +298,8 @@ def bhe_standard_residual(params: BheParams, phi: RhoPolynomial) -> np.ndarray:
     return standard_residuals(params, np.array(phi.coeffs)[:, None])[:, 0]
 
 
-def residual_ok(residual: np.ndarray, phi: RhoPolynomial, rtol: float = 1e-10) -> bool:
-    """Coefficient-wise residual test relative to the largest phi coefficient."""
+def residual_ok(residual: np.ndarray, phi: RhoPolynomial) -> bool:
+    """Coefficient-wise residual test relative to the largest phi
+    coefficient, at `BHE_RTOL`."""
     scale = max(abs(x) for x in phi.coeffs)
-    return bool(np.all(np.abs(residual) <= rtol * scale))
+    return bool(np.all(np.abs(residual) <= BHE_RTOL * scale))

@@ -60,42 +60,6 @@ RationalLike = Fraction | int
 
 
 @dataclass(frozen=True)
-class AuxConstants:
-    """The four potential constants; A and D carry the branch sign.
-
-    Only D depends on E; built from an array of energies it is an array.
-    """
-
-    A: float
-    B: float
-    G: float
-    D: float | np.ndarray
-
-    @staticmethod
-    def branch_a(freqs: ModeFrequencies, branch: Branch) -> float:
-        """A = c (w1 - w2 - w3), shared by the potential and the zero mode."""
-        return branch.c * (freqs.w1 - freqs.w2 - freqs.w3)
-
-    @classmethod
-    def from_inputs(
-        cls,
-        freqs: ModeFrequencies,
-        label: SubspaceLabel,
-        energy: float | np.ndarray,
-        branch: Branch = Branch.PLUS,
-    ) -> "AuxConstants":
-        c = branch.c
-        w1, w2, w3 = freqs.as_tuple()
-        ell, m = label.ell, label.m
-        return cls(
-            A=cls.branch_a(freqs, branch),
-            B=float(m + ell - 1),
-            G=float(2 * (m + ell)),
-            D=c * (m * (w1 - w2) + ell * (w1 - w3) - energy),
-        )
-
-
-@dataclass(frozen=True)
 class PotentialSpec:
     """The five-rung ladder V(x) = sum_i coeffs[i] x^(-2 + i/b), i = 0..4.
 
@@ -130,10 +94,6 @@ class WavefunctionSpec:
     phi: RhoPolynomial
     b: Fraction
 
-    @property
-    def branch(self) -> Branch:
-        return self.phi.branch
-
 
 def potential_specs(
     b: RationalLike,
@@ -144,15 +104,18 @@ def potential_specs(
 ) -> list[PotentialSpec]:
     """Build the ladder of V_b(x) for each eigenvalue in `energies`.
 
-    Only rung 1 depends on E; the other four are built once.  Raises
-    ValueError naming the first rung that is not finite.
+    Only rung 1 depends on E, through D; the other four are built once.
+    Raises ValueError naming the first rung that is not finite.
     """
     if b <= 0:
         raise ValueError(f"transformation exponent b must be > 0, got {b}")
     bb = float(b)
-    aux = AuxConstants.from_inputs(freqs, label, np.asarray(energies, dtype=float), branch)
-    a_, b_, g_, d_ = aux.A, aux.B, aux.G, aux.D
+    w1, w2, w3 = freqs.as_tuple()
     ell, m = label.ell, label.m
+    a_ = branch.c * (w1 - w2 - w3)
+    b_ = float(m + ell - 1)
+    g_ = float(2 * (m + ell))
+    d_ = branch.c * (m * (w1 - w2) + ell * (w1 - w3) - np.asarray(energies, dtype=float))
     c0 = -0.25 + (ell - m) ** 2 / (4.0 * bb * bb)
     c2 = (a_ * a_ + 4.0 * b_ - 4.0 * g_ - 4.0) / (4.0 * bb * bb)
     c3 = a_ / (bb * bb)
@@ -165,38 +128,11 @@ def potential_specs(
     return [PotentialSpec(b, (c0, c1, c2, c3, c4)) for c1 in rung1]
 
 
-def potential_spec(
-    b: RationalLike,
-    freqs: ModeFrequencies,
-    label: SubspaceLabel,
-    energy: float,
-    branch: Branch = Branch.PLUS,
-) -> PotentialSpec:
-    """Build the ladder of V_b(x) for one eigenvalue E and branch."""
-    return potential_specs(b, freqs, label, [energy], branch)[0]
-
-
 def epsilon_of(
     energy: float | np.ndarray, branch: Branch = Branch.PLUS
 ) -> float | np.ndarray:
     """Pseudo-eigenvalue eps(E) = -4 c E of the displaced sextic potential."""
     return -4.0 * branch.c * energy
-
-
-def split_sextic(
-    freqs: ModeFrequencies,
-    label: SubspaceLabel,
-    branch: Branch = Branch.PLUS,
-):
-    """Displaced sextic potential Vtilde (E-free) and the map E -> eps(E).
-
-    Vtilde equals potential_spec(1/2, ..., E, ...) + eps(E) for every E;
-    building at E = 0 realizes the cancellation exactly.
-    """
-    from functools import partial
-
-    tilde = potential_spec(Fraction(1, 2), freqs, label, 0.0, branch)
-    return tilde, partial(epsilon_of, branch=branch)
 
 
 def eval_potential(spec: PotentialSpec, x: float | np.ndarray) -> float | np.ndarray:
@@ -216,7 +152,7 @@ def zero_mode_envelope(
         raise ValueError(f"transformation exponent b must be > 0, got {b}")
     bb = float(b)
     pref = (label.k - label.n_prime + bb) / (2.0 * bb)  # always > 0
-    return pref, AuxConstants.branch_a(freqs, branch)
+    return pref, branch.c * (freqs.w1 - freqs.w2 - freqs.w3)
 
 
 def wavefunction_spec(

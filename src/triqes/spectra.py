@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import RestrictedHamiltonian
+from .hamiltonian import check_finite
 
 RESIDUAL_TOL = 1e-10
 
@@ -46,13 +46,14 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_sym(h: RestrictedHamiltonian | np.ndarray) -> Spectrum:
+def eig_sym(h: np.ndarray) -> Spectrum:
     """Eigendecomposition of a symmetric matrix, ascending eigenvalues.
 
     Certifies ||H v - E v|| <= 1e-10 ||H||_F for every pair and raises if
-    the input is not square, not finite or not exactly symmetric.
+    the input is not square, not finite or not exactly symmetric, or if
+    ||H||_F overflows a double.
     """
-    a = h.entries if isinstance(h, RestrictedHamiltonian) else np.asarray(h, dtype=float)
+    a = np.asarray(h, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(a)):
@@ -61,9 +62,12 @@ def eig_sym(h: RestrictedHamiltonian | np.ndarray) -> Spectrum:
     # as some other matrix
     if not np.array_equal(a, a.T):
         raise ValueError("expected a symmetric matrix")
+    # finite entries near the double range can still square past it
+    with np.errstate(over="ignore"):
+        scale = max(np.linalg.norm(a), 1.0)
+    check_finite("||H||_F", scale)
     vals, vecs = np.linalg.eigh(a)
     vecs = _fix_signs(vecs)
-    scale = max(np.linalg.norm(a), 1.0)
     residual = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
     if np.any(residual > RESIDUAL_TOL * scale):
         raise AssertionError(

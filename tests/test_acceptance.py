@@ -24,16 +24,18 @@ from triqes import (
     contains_eigenvalue,
     eig_sym,
     eval_wavefunction,
+    certify_subspace,
+    epsilon_of,
     fock_to_rho_polynomial,
     oracle_config,
-    potential_spec,
-    split_sextic,
+    potential_specs,
     wavefunction_spec,
+    zero_mode_potentials,
     zero_mode_residual,
 )
-from triqes.certify import BHE_RTOL, SEXTIC_B, certify_eigenpair, zero_mode_potential
+from triqes.certify import SEXTIC_B
 from triqes.cli import main as cli_main
-from triqes.heun import residual_ok
+from triqes.heun import BHE_RTOL, residual_ok
 
 SQRT2 = math.sqrt(2.0)
 W111 = ModeFrequencies(1.0, 1.0, 1.0)
@@ -58,8 +60,8 @@ def test_criterion_1_golden_matrices():
     best = math.inf
     for _ in range(10):
         t0 = time.perf_counter()
-        h11 = build_hamiltonian(W111, SubspaceLabel(1, 1)).entries
-        h32 = build_hamiltonian(W111, SubspaceLabel(3, 2)).entries
+        h11 = build_hamiltonian(W111, SubspaceLabel(1, 1))
+        h32 = build_hamiltonian(W111, SubspaceLabel(3, 2))
         best = min(best, time.perf_counter() - t0)
     # permute canonical -> table ordering and compare entries
     p11 = h11[np.ix_(PERM_11, PERM_11)]
@@ -177,12 +179,10 @@ def test_criterion_4_bhe_certification():
     )
 
 
-def worked_example_eigenpairs():
+def worked_example_spectra():
     for ell, m in ((1, 1), (3, 2)):
         label = SubspaceLabel(ell, m)
-        spec = eig_sym(build_hamiltonian(W111, label))
-        for i in range(label.dim):
-            yield label, spec.pair(i)
+        yield label, eig_sym(build_hamiltonian(W111, label))
 
 
 def mp_zero_mode(wf, vspec, lam, p):
@@ -219,33 +219,37 @@ def test_criterion_5_zero_mode_residuals():
     worst = 0.0
     worst_gap = 0.0
     worst_chi = 0.0
+    b_values = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 2))
     with mpmath.workdps(40):
-        for label, (energy, vec) in worked_example_eigenpairs():
+        for label, spec in worked_example_spectra():
+            energies, vecs = spec.eigenvalues, spec.eigenvectors
             for branch in Branch:
-                for b in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 2)):
-                    cert = certify_eigenpair(
-                        W111, label, energy, vec, b, branch, oracle=False
+                per_b = certify_subspace(W111, label, energies, vecs, b_values, branch)
+                for b, certs in zip(b_values, per_b):
+                    ok &= all(c.schrodinger_residual <= BHE_RTOL for c in certs)
+                    worst = max([worst] + [c.schrodinger_residual for c in certs])
+                    vspecs, lams = zero_mode_potentials(
+                        b, W111, label, energies * (1.0 + 1e-3), branch
                     )
-                    ok &= cert.schrodinger_residual <= BHE_RTOL
-                    worst = max(worst, cert.schrodinger_residual)
-                    wf = wavefunction_spec(
-                        b, W111, label, fock_to_rho_polynomial(label, vec, branch)
-                    )
-                    vspec, lam = zero_mode_potential(
-                        b, W111, label, energy * (1.0 + 1e-3), branch
-                    )
-                    chi, potential, closed = mp_zero_mode(
-                        wf, vspec, lam, zero_mode_residual(vspec, wf, lam)
-                    )
-                    for x in map(mpmath.mpf, (0.3, 0.9, 1.7)):
-                        c = chi(x)
-                        lhs = -mpmath.diff(chi, x, 2) + (potential(x) - lam) * c
-                        gap = float(abs(lhs - closed(x)) / abs(c))
-                        mismatch = float(abs(eval_wavefunction(wf, float(x)) - c) / abs(c))
-                        ok &= gap <= 1e-12 and abs(lhs) >= 1e-6 * abs(c)
-                        ok &= mismatch <= 1e-13
-                        worst_gap = max(worst_gap, gap)
-                        worst_chi = max(worst_chi, mismatch)
+                    for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
+                        wf = wavefunction_spec(
+                            b, W111, label,
+                            fock_to_rho_polynomial(label, vecs[:, i], branch),
+                        )
+                        chi, potential, closed = mp_zero_mode(
+                            wf, vspec, lam, zero_mode_residual(vspec, wf, lam)
+                        )
+                        for x in map(mpmath.mpf, (0.3, 0.9, 1.7)):
+                            c = chi(x)
+                            lhs = -mpmath.diff(chi, x, 2) + (potential(x) - lam) * c
+                            gap = float(abs(lhs - closed(x)) / abs(c))
+                            mismatch = float(
+                                abs(eval_wavefunction(wf, float(x)) - c) / abs(c)
+                            )
+                            ok &= gap <= 1e-12 and abs(lhs) >= 1e-6 * abs(c)
+                            ok &= mismatch <= 1e-13
+                            worst_gap = max(worst_gap, gap)
+                            worst_chi = max(worst_chi, mismatch)
     report(
         "5 zero-mode residuals",
         ok,
@@ -261,8 +265,7 @@ def test_criterion_6_oracle_containment():
 
     # every check on the pipeline's own grid, `oracle_config`
     # displaced sextic, (1,1): eps = -2 sqrt(2) (3 +- sqrt(5)) within 1e-3
-    label = SubspaceLabel(1, 1)
-    tilde, eps = split_sextic(W111, label)
+    tilde = potential_specs(SEXTIC_B, W111, SubspaceLabel(1, 1), [0.0])[0]
     for sign in (+1.0, -1.0):
         lam = -2.0 * SQRT2 * (3.0 + sign * math.sqrt(5.0))
         res = contains_eigenvalue(tilde, oracle_config(tilde, lam), lam)
@@ -272,20 +275,20 @@ def test_criterion_6_oracle_containment():
     # displaced sextic, (3,2): the pipeline's (Vtilde, lambda), lambda the
     # paper's -4 sqrt(2) E_p, contained within 1e-3 |lambda|
     label = SubspaceLabel(3, 2)
-    spec32 = eig_sym(build_hamiltonian(W111, label))
-    for energy in spec32.eigenvalues:
-        tilde, lam = zero_mode_potential(SEXTIC_B, W111, label, float(energy))
-        ok &= math.isclose(lam, -4.0 * SQRT2 * float(energy), rel_tol=1e-12)
+    energies = eig_sym(build_hamiltonian(W111, label)).eigenvalues
+    tildes, lams = zero_mode_potentials(SEXTIC_B, W111, label, energies)
+    for energy, tilde, lam in zip(energies.tolist(), tildes, lams.tolist()):
+        ok &= math.isclose(lam, -4.0 * SQRT2 * energy, rel_tol=1e-12)
         res = contains_eigenvalue(tilde, oracle_config(tilde, lam), lam)
         ok &= res.hit and res.richardson_gap <= 1e-3 * abs(lam)
         details.append(f"eps(3,2) gap {res.richardson_gap:.1e}")
 
     # quarkonium-type b=1 potentials: zero mode within 1e-3
-    for label, (energy, vec) in worked_example_eigenpairs():
-        vspec = potential_spec(Fraction(1), W111, label, energy)
-        res = contains_eigenvalue(vspec, oracle_config(vspec, 0.0), 0.0)
-        ok &= res.hit and res.richardson_gap <= 1e-3
-        details.append(f"V1({label.ell},{label.m}) gap {res.richardson_gap:.1e}")
+    for label, spec in worked_example_spectra():
+        for vspec in potential_specs(Fraction(1), W111, label, spec.eigenvalues):
+            res = contains_eigenvalue(vspec, oracle_config(vspec, 0.0), 0.0)
+            ok &= res.hit and res.richardson_gap <= 1e-3
+            details.append(f"V1({label.ell},{label.m}) gap {res.richardson_gap:.1e}")
 
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
@@ -300,7 +303,7 @@ def test_criterion_7_property_suites():
     for _ in range(100):
         freqs = ModeFrequencies(*rng.uniform(-3, 3, 3))
         label = SubspaceLabel(int(rng.integers(0, 11)), int(rng.integers(0, 11)))
-        h = build_hamiltonian(freqs, label).entries
+        h = build_hamiltonian(freqs, label)
         ok &= np.array_equal(h, h.T)
         ok &= all(
             h[i, j] == 0.0
@@ -342,11 +345,12 @@ def test_criterion_7_property_suites():
         freqs = ModeFrequencies(*rng.uniform(-3, 3, 3))
         label = SubspaceLabel(int(rng.integers(0, 7)), int(rng.integers(0, 7)))
         branch = Branch.PLUS if rng.integers(0, 2) else Branch.MINUS
-        tilde, eps = split_sextic(freqs, label, branch)
-        for energy in rng.uniform(-5, 5, 2):
-            spec = potential_spec(Fraction(1, 2), freqs, label, float(energy), branch)
+        tilde = potential_specs(SEXTIC_B, freqs, label, [0.0], branch)[0]
+        energies = rng.uniform(-5, 5, 2)
+        specs = potential_specs(SEXTIC_B, freqs, label, energies, branch)
+        for energy, spec in zip(energies.tolist(), specs):
             for i, (tc, sc) in enumerate(zip(tilde.coeffs, spec.coeffs)):
-                shift = eps(float(energy)) if i == 1 else 0.0  # rung 1 is x^0
+                shift = epsilon_of(energy, branch) if i == 1 else 0.0  # rung 1 is x^0
                 ok &= abs(tc - (sc + shift)) <= 1e-12 * max(1.0, abs(tc))
 
     # schroedinger: boundary decay of chi
@@ -380,7 +384,7 @@ def test_criterion_7_property_suites():
         exact = 3.0 * a + c
         errs = []
         for n in (400, 801):
-            cfg = LogGridConfig(1e-4, 12.0 / math.sqrt(a), n)
+            cfg = LogGridConfig(12.0 / math.sqrt(a), n)
             errs.append(abs(float(fd_spectrum(spec, cfg, 1)[0]) - exact))
         orders.append(math.log2(errs[0] / errs[1]))
     ok &= all(1.8 <= o <= 2.2 for o in orders)

@@ -1,7 +1,8 @@
 import importlib.util
+import inspect
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triqes
 from triqes import (
     Branch,
     ModeFrequencies,
@@ -17,20 +19,20 @@ from triqes import (
     SubspaceLabel,
     bhe_params,
     build_hamiltonian,
-    certify_eigenpair,
     certify_subspace,
     eig_sym,
     epsilon_of,
     fock_to_rho_polynomial,
-    potential_spec,
-    split_sextic,
+    potential_specs,
     wavefunction_spec,
+    zero_mode_potentials,
     zero_mode_residual,
 )
 from triqes import certify
-from triqes.certify import BHE_RTOL, zero_mode_potential
+from triqes.certify import SEXTIC_B
 from triqes.cli import main as cli_main
 from triqes.fock import MAX_TOTAL_LABEL
+from triqes.heun import BHE_RTOL
 
 from conftest import frequencies
 
@@ -40,18 +42,8 @@ B_VALUES = (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2))
 ANCHOR = ModeFrequencies(0.94169343811499, -0.32168507186038475, -1.3923645579391297)
 
 
-def eigenpair(freqs, label, i):
-    return eig_sym(build_hamiltonian(freqs, label)).pair(i)
-
-
-def every_case(freqs, label):
-    """(energy, vec, b, branch) for every eigenpair of W(l, m), b and branch."""
-    spectrum = eig_sym(build_hamiltonian(freqs, label))
-    for i in range(label.dim):
-        energy, vec = spectrum.pair(i)
-        for b in B_VALUES:
-            for branch in Branch:
-                yield energy, vec, b, branch
+def spectrum_of(freqs, label):
+    return eig_sym(build_hamiltonian(freqs, label))
 
 
 def exact_relative(vspec, wf, lam):
@@ -103,7 +95,7 @@ def loop_chain(freqs, label, energy, vec, b, branch):
             val += (-2.0 * (j - 1) + (g - a - 2.0)) * phi[j - 1]
         std.append(val)
     # zero mode: P = sum_n phi_n v^n (base - n-dependent terms)
-    vspec, lam = zero_mode_potential(b, freqs, label, energy, branch)
+    (vspec,), (lam,) = zero_mode_potentials(b, freqs, label, [energy], branch)
     wf = wavefunction_spec(b, freqs, label, RhoPolynomial(tuple(phi), label, branch))
     bf = float(b)
     lam_power = int(2 * b) if lam != 0.0 else 0
@@ -143,27 +135,25 @@ class TestCertifySubspace:
     @settings(max_examples=30, deadline=None)
     @given(frequencies(), cap_labels(), st.sampled_from((0.0, 1e-9, -1e-4)))
     def test_columns_match_eigenpairs(self, freqs, label, shift):
-        # one pipeline: column i under b is certify_eigenpair on eigenpair
-        # i, field for field, also for the failing certificates of a
-        # perturbed energy; its residuals are the loop reference's, exactly
-        spectrum = eig_sym(build_hamiltonian(freqs, label))
+        # column i under b is the one-column, one-b call on eigenpair i,
+        # field for field, also for the failing certificates of a perturbed
+        # energy; its residuals are the loop reference's, exactly
+        spectrum = spectrum_of(freqs, label)
         energies = spectrum.eigenvalues + shift * np.maximum(
             1.0, np.abs(spectrum.eigenvalues)
         )
+        vecs = spectrum.eigenvectors
         for branch in Branch:
-            per_b = certify_subspace(
-                freqs, label, energies, spectrum.eigenvectors, B_VALUES, branch,
-                oracle=False,
-            )
+            per_b = certify_subspace(freqs, label, energies, vecs, B_VALUES, branch)
             assert len(per_b) == len(B_VALUES)
             for b, certs in zip(B_VALUES, per_b):
                 assert len(certs) == label.dim
                 for i, cert in enumerate(certs):
-                    energy, vec = float(energies[i]), spectrum.eigenvectors[:, i]
-                    single = certify_eigenpair(
-                        freqs, label, energy, vec, b, branch, oracle=False
-                    )
+                    single = certify_subspace(
+                        freqs, label, energies[i : i + 1], vecs[:, i : i + 1], [b], branch
+                    )[0][0]
                     assert cert == single, (b, branch, i)
+                    energy, vec = float(energies[i]), vecs[:, i]
                     assert (
                         cert.bhe_operator_residual,
                         cert.bhe_standard_residual,
@@ -172,46 +162,59 @@ class TestCertifySubspace:
 
     def test_shape_validation(self, unit_freqs):
         label = SubspaceLabel(3, 2)
-        spectrum = eig_sym(build_hamiltonian(unit_freqs, label))
+        spectrum = spectrum_of(unit_freqs, label)
         with pytest.raises(ValueError, match="2 energies for 3 eigenvectors"):
             certify_subspace(
                 unit_freqs, label, spectrum.eigenvalues[:2], spectrum.eigenvectors,
-                B_VALUES, oracle=False,
+                B_VALUES,
             )
         with pytest.raises(ValueError, match="does not match dim"):
             certify_subspace(
                 unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors[:2],
-                B_VALUES, oracle=False,
+                B_VALUES,
             )
 
 
 class TestCertifyEigenpair:
+    """The certificate of each eigenpair of a subspace."""
+
     def test_sextic_at_b_half(self, unit_freqs):
         label = SubspaceLabel(3, 2)
-        energy, vec = eigenpair(unit_freqs, label, 1)
+        spectrum = spectrum_of(unit_freqs, label)
         for branch in Branch:
-            cert = certify_eigenpair(unit_freqs, label, energy, vec, Fraction(1, 2),
-                                     branch, oracle=False)
-            assert cert.lam == epsilon_of(energy, branch)
-            assert cert.potential == split_sextic(unit_freqs, label, branch)[0]
-            assert cert.passed
+            tilde = potential_specs(SEXTIC_B, unit_freqs, label, [0.0], branch)[0]
+            (certs,) = certify_subspace(
+                unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors,
+                [SEXTIC_B], branch,
+            )
+            for energy, cert in zip(spectrum.eigenvalues.tolist(), certs):
+                assert cert.lam == epsilon_of(energy, branch)
+                assert cert.potential == tilde
+                assert cert.passed
 
     @pytest.mark.parametrize("b", [Fraction(1), Fraction(3, 2), Fraction(2)])
     def test_plain_potential_otherwise(self, unit_freqs, b):
         label = SubspaceLabel(1, 1)
-        energy, vec = eigenpair(unit_freqs, label, 0)
-        cert = certify_eigenpair(unit_freqs, label, energy, vec, b, oracle=False)
-        assert cert.lam == 0.0
-        assert cert.potential == potential_spec(b, unit_freqs, label, energy)
-        assert cert.oracle is None
-        assert cert.passed
+        spectrum = spectrum_of(unit_freqs, label)
+        (certs,) = certify_subspace(
+            unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, [b]
+        )
+        vspecs = potential_specs(b, unit_freqs, label, spectrum.eigenvalues)
+        for cert, vspec in zip(certs, vspecs):
+            assert cert.lam == 0.0
+            assert cert.potential == vspec
+            assert cert.oracle is None
+            assert cert.passed
 
     def test_failed_names_stages(self, unit_freqs):
         label = SubspaceLabel(3, 2)
-        energy, vec = eigenpair(unit_freqs, label, 1)
-        cert = certify_eigenpair(unit_freqs, label, energy + 1e-3, vec, 1, oracle=False)
-        assert cert.failed == ("bhe", "schrodinger")
-        assert not cert.passed
+        spectrum = spectrum_of(unit_freqs, label)
+        (certs,) = certify_subspace(
+            unit_freqs, label, spectrum.eigenvalues + 1e-3, spectrum.eigenvectors, [1]
+        )
+        for cert in certs:
+            assert cert.failed == ("bhe", "schrodinger")
+            assert not cert.passed
 
     @pytest.mark.parametrize(
         "freqs,ell,m", [(ANCHOR, 32, 32), (ModeFrequencies(1, 1, 1), 20, 20)]
@@ -220,59 +223,78 @@ class TestCertifyEigenpair:
         # the exact zero-mode residual grows with the label like the BHE
         # residuals; both stay under the one tolerance at the label cap
         label = SubspaceLabel(ell, m)
-        for energy, vec, b, branch in every_case(freqs, label):
-            cert = certify_eigenpair(freqs, label, energy, vec, b, branch, oracle=False)
-            assert cert.passed, (energy, b, branch, cert)
+        spectrum = spectrum_of(freqs, label)
+        for branch in Branch:
+            per_b = certify_subspace(
+                freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES,
+                branch,
+            )
+            for b, certs in zip(B_VALUES, per_b):
+                for energy, cert in zip(spectrum.eigenvalues.tolist(), certs):
+                    assert cert.passed, (energy, b, branch, cert)
 
     def test_oracle_hit(self, unit_freqs):
         label = SubspaceLabel(1, 1)
-        energy, vec = eigenpair(unit_freqs, label, 1)
-        cert = certify_eigenpair(unit_freqs, label, energy, vec, Fraction(1, 2))
-        assert cert.oracle.hit and cert.passed
-        assert cert.oracle.n_points == 2000
+        spectrum = spectrum_of(unit_freqs, label)
+        memo = {}
+        (certs,) = certify_subspace(
+            unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors,
+            [SEXTIC_B], oracle=memo,
+        )
+        for cert in certs:
+            assert cert.oracle.hit and cert.passed
+            assert cert.oracle.n_points == 2000
+            assert memo[(cert.potential, cert.lam)] is cert.oracle
+        assert len(memo) == label.dim
 
 
 class TestZeroModeResidual:
     @pytest.mark.parametrize("ell,m", [(1, 1), (3, 2)])
     def test_perturbations_fail(self, unit_freqs, ell, m):
         label = SubspaceLabel(ell, m)
-        for energy, vec, b, branch in every_case(unit_freqs, label):
-            phi = fock_to_rho_polynomial(label, vec, branch)
-            wf = wavefunction_spec(b, unit_freqs, label, phi)
-            vspec, lam = zero_mode_potential(b, unit_freqs, label, energy, branch)
-            case = (energy, b, branch)
-            assert exact_relative(vspec, wf, lam) <= BHE_RTOL, case
-            off_e, off_lam = zero_mode_potential(
-                b, unit_freqs, label, energy * (1 + 1e-8), branch
-            )
-            assert exact_relative(off_e, wf, off_lam) > BHE_RTOL, case
-            coeffs = list(vspec.coeffs)
-            k = max(range(5), key=lambda i: abs(coeffs[i]))
-            coeffs[k] *= 1 + 1e-8
-            off_v = replace(vspec, coeffs=tuple(coeffs))
-            assert exact_relative(off_v, wf, lam) > BHE_RTOL, case
-            off_s = replace(wf, prefactor_exponent=wf.prefactor_exponent * (1 + 1e-8))
-            assert exact_relative(vspec, off_s, lam) > BHE_RTOL, case
+        spectrum = spectrum_of(unit_freqs, label)
+        energies = spectrum.eigenvalues
+        for b in B_VALUES:
+            for branch in Branch:
+                vspecs, lams = zero_mode_potentials(b, unit_freqs, label, energies, branch)
+                offs = zip(*zero_mode_potentials(
+                    b, unit_freqs, label, energies * (1 + 1e-8), branch
+                ))
+                for i, (vspec, lam, (off_e, off_lam)) in enumerate(zip(vspecs, lams, offs)):
+                    phi = fock_to_rho_polynomial(label, spectrum.eigenvectors[:, i], branch)
+                    wf = wavefunction_spec(b, unit_freqs, label, phi)
+                    case = (energies[i], b, branch)
+                    assert exact_relative(vspec, wf, lam) <= BHE_RTOL, case
+                    assert exact_relative(off_e, wf, off_lam) > BHE_RTOL, case
+                    coeffs = list(vspec.coeffs)
+                    k = max(range(5), key=lambda r: abs(coeffs[r]))
+                    coeffs[k] *= 1 + 1e-8
+                    off_v = replace(vspec, coeffs=tuple(coeffs))
+                    assert exact_relative(off_v, wf, lam) > BHE_RTOL, case
+                    off_s = replace(
+                        wf, prefactor_exponent=wf.prefactor_exponent * (1 + 1e-8)
+                    )
+                    assert exact_relative(vspec, off_s, lam) > BHE_RTOL, case
 
     def test_off_ladder_rejected(self, unit_freqs):
         label = SubspaceLabel(1, 1)
-        energy, vec = eigenpair(unit_freqs, label, 1)
+        energy, vec = spectrum_of(unit_freqs, label).pair(1)
         phi = fock_to_rho_polynomial(label, vec, Branch.PLUS)
         for spec_b, wf_b in ((1, Fraction(3, 2)), (Fraction(1, 2), 1), (2, 1)):
-            vspec = potential_spec(spec_b, unit_freqs, label, energy)
+            vspec = potential_specs(spec_b, unit_freqs, label, [energy])[0]
             wf = wavefunction_spec(wf_b, unit_freqs, label, phi)
             with pytest.raises(ValueError, match="not -2 \\+ i/b"):
                 zero_mode_residual(vspec, wf, 0.0)
         # lambda != 0 needs v^(2b) to be a power of v
         third = Fraction(1, 3)
-        vspec = potential_spec(third, unit_freqs, label, energy)
+        vspec = potential_specs(third, unit_freqs, label, [energy])[0]
         wf = wavefunction_spec(third, unit_freqs, label, phi)
         with pytest.raises(ValueError, match="integer 2b"):
             zero_mode_residual(vspec, wf, 1.0)
 
     def test_cli_exits_1_off_ladder(self, capsys, monkeypatch):
         def wrong_b(b, freqs, label, energies, branch):
-            specs = [potential_spec(1, freqs, label, e, branch) for e in energies]
+            specs = potential_specs(1, freqs, label, energies, branch)
             return specs, np.zeros(len(specs))
 
         monkeypatch.setattr(certify, "zero_mode_potentials", wrong_b)
@@ -281,6 +303,35 @@ class TestZeroModeResidual:
         assert code == 1
         assert captured.out == ""
         assert "not -2 + i/b" in captured.err
+
+
+# names a module once defined and no longer does, by module
+REMOVED = {
+    "certify": ("certify_eigenpair", "zero_mode_potential"),
+    "schroedinger": ("potential_spec", "split_sextic", "AuxConstants"),
+    "hamiltonian": ("RestrictedHamiltonian",),
+    "fdoracle": ("SINGULAR_XMIN",),
+}
+
+
+def test_public_surface():
+    # `__all__` is exactly what a star import binds, and one function per
+    # stage: no removed twin, wrapper or knob is left anywhere
+    namespace = {}
+    exec("from triqes import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(set(triqes.__all__))
+    assert len(triqes.__all__) == len(set(triqes.__all__))
+    for module, names in REMOVED.items():
+        for name in names:
+            assert not hasattr(getattr(triqes, module), name), (module, name)
+            assert name not in triqes.__all__
+    assert {"potential_specs", "zero_mode_potentials"} <= set(triqes.__all__)
+    assert [f.name for f in fields(triqes.LogGridConfig)] == ["x_max", "n_points"]
+    assert not hasattr(triqes.WavefunctionSpec, "branch")
+    assert "rtol" not in inspect.signature(triqes.heun.residual_ok).parameters
+    oracle = inspect.signature(certify.certify_subspace).parameters["oracle"]
+    assert oracle.default is None
 
 
 def load_script(name):

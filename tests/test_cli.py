@@ -20,7 +20,7 @@ from triqes import (
     build_hamiltonian,
     eig_sym,
     suggest_domain,
-    zero_mode_potential,
+    zero_mode_potentials,
 )
 from triqes.certify import STAGES
 from triqes.cli import _b2_zero_search, main
@@ -89,6 +89,15 @@ class TestSpectrum:
         )
         assert code == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_frobenius_norm_overflow_exits_1(self, capsys, command):
+        # finite entries whose squares overflow: ||H||_F is inf, and a
+        # residual bound of 1e-10 * inf would check nothing
+        code, out, err = run_cli(capsys, command, "--l", "2", "--m", "3", "--w=1e200,0,0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: ||H||_F is not finite: it overflows a double\n"
 
     def test_assertion_exits_1(self, capsys, monkeypatch):
         import triqes.cli
@@ -304,11 +313,13 @@ class TestVerify:
             capsys, "verify", "--l", "1", "--m", "1", "--b", "1/2",
         )
         assert code == 0
-        for c in json.loads(out)["checks"]:
+        checks = json.loads(out)["checks"]
+        vspecs, lams = zero_mode_potentials(
+            Fraction(1, 2), ModeFrequencies(1, 1, 1), SubspaceLabel(1, 1),
+            [c["energy"] for c in checks],
+        )
+        for c, vspec, lam in zip(checks, vspecs, lams.tolist()):
             # 2000 nodes uniform in ln x on [1e-4, x_max]; oracle_h is that step
-            vspec, lam = zero_mode_potential(
-                Fraction(1, 2), ModeFrequencies(1, 1, 1), SubspaceLabel(1, 1), c["energy"]
-            )
             x_max = suggest_domain(vspec, lam)
             assert c["oracle_points"] == 2000
             assert c["oracle_h"] == pytest.approx(math.log(x_max / 1e-4) / 2001, rel=1e-12)

@@ -14,10 +14,9 @@ from triqes import (
     eig_sym,
     fd_spectrum,
     oracle_config,
-    potential_spec,
-    split_sextic,
+    potential_specs,
     suggest_domain,
-    zero_mode_potential,
+    zero_mode_potentials,
 )
 from triqes import fdoracle
 from triqes.schroedinger import PotentialSpec
@@ -34,51 +33,58 @@ def bare_spec(coeffs):
 HARMONIC = (0.0, 0.0, 0.0, 0.0, 1.0)  # x^2, levels 4n + 3 on the half line
 
 
+def zero_modes(b, freqs, label, branch=Branch.PLUS):
+    """(potential, lambda) of the zero mode of every eigenpair of W(l, m),
+    ascending in E; at b = 1/2 every potential is Vtilde."""
+    energies = eig_sym(build_hamiltonian(freqs, label)).eigenvalues
+    vspecs, lams = zero_mode_potentials(b, freqs, label, energies, branch)
+    return list(zip(vspecs, lams.tolist()))
+
+
+def ground_potential(freqs, label):
+    """V_1 at the lowest eigenvalue of W(l, m)."""
+    energy = eig_sym(build_hamiltonian(freqs, label)).eigenvalues[0]
+    return potential_specs(Fraction(1), freqs, label, [energy])[0]
+
+
 class TestFdSpectrum:
     def test_harmonic_oscillator(self):
         # -u'' + x^2 u on the half line: levels 3, 7, 11
         spec = bare_spec(HARMONIC)
-        cfg = LogGridConfig(1e-4, 10.0, 4000)
+        cfg = LogGridConfig(10.0, 4000)
         vals = fd_spectrum(spec, cfg, 3)
         assert np.allclose(vals, [3.0, 7.0, 11.0], atol=1e-4)
 
     def test_sextic_11_example(self, unit_freqs):
-        tilde, eps = split_sextic(unit_freqs, SubspaceLabel(1, 1))
-        cfg = LogGridConfig(1e-4, 6.0, 8000)
-        vals = fd_spectrum(tilde, cfg, 4)
-        spec_h = eig_sym(build_hamiltonian(unit_freqs, SubspaceLabel(1, 1)))
-        targets = sorted(eps(e) for e in spec_h.eigenvalues)
-        for t_val in targets:
+        modes = zero_modes(HALF, unit_freqs, SubspaceLabel(1, 1))
+        vals = fd_spectrum(modes[0][0], LogGridConfig(6.0, 8000), 4)
+        for _, t_val in modes:
             assert np.min(np.abs(vals - t_val)) < 5e-2
 
     def test_sextic_32_example(self, unit_freqs):
-        tilde, eps = split_sextic(unit_freqs, SubspaceLabel(3, 2))
-        cfg = LogGridConfig(1e-4, 6.0, 8000)
-        vals = fd_spectrum(tilde, cfg, 5)
-        spec_h = eig_sym(build_hamiltonian(unit_freqs, SubspaceLabel(3, 2)))
-        for energy in spec_h.eigenvalues:
-            target = eps(float(energy))
+        modes = zero_modes(HALF, unit_freqs, SubspaceLabel(3, 2))
+        vals = fd_spectrum(modes[0][0], LogGridConfig(6.0, 8000), 5)
+        for _, target in modes:
             assert np.min(np.abs(vals - target)) < 1e-3 * abs(target)
 
     def test_count_validation(self):
         spec = bare_spec(HARMONIC)
-        cfg = LogGridConfig(1e-4, 5.0, 200)
+        cfg = LogGridConfig(5.0, 200)
         with pytest.raises(ValueError):
             fd_spectrum(spec, cfg, 201)
         with pytest.raises(ValueError):
             fd_spectrum(spec, cfg, 0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LogGridConfig(2.0, 1.0, 500)
-        with pytest.raises(ValueError):
-            LogGridConfig(1e-4, 1.0, 50)
-        with pytest.raises(ValueError):
-            LogGridConfig(0.0, 1.0, 500)
+        for x_max in (fdoracle.ORACLE_X_MIN, 0.0):
+            with pytest.raises(ValueError, match="x_max must be above"):
+                LogGridConfig(x_max, 500)
+        with pytest.raises(ValueError, match="at least 100"):
+            LogGridConfig(1.0, 50)
 
     def test_determinism(self):
         spec = bare_spec(HARMONIC)
-        cfg = LogGridConfig(1e-4, 8.0, 1500)
+        cfg = LogGridConfig(8.0, 1500)
         a = fd_spectrum(spec, cfg, 5)
         b = fd_spectrum(spec, cfg, 5)
         assert np.array_equal(a, b)
@@ -87,7 +93,7 @@ class TestFdSpectrum:
         spec = bare_spec(HARMONIC)
         errs = []
         for n in (500, 1001):
-            vals = fd_spectrum(spec, LogGridConfig(1e-4, 8.0, n), 1)
+            vals = fd_spectrum(spec, LogGridConfig(8.0, n), 1)
             errs.append(abs(vals[0] - 3.0))
         order = math.log2(errs[0] / errs[1])
         assert 1.8 <= order <= 2.2
@@ -97,36 +103,31 @@ class TestContainsEigenvalue:
     def test_shifted_oscillator_hit(self):
         # ground state of x^2 - 3 on the half line sits exactly at 0
         spec = bare_spec((0.0, 0.0, -3.0, 0.0, 1.0))
-        cfg = LogGridConfig(1e-4, 10.0, 3000)
+        cfg = LogGridConfig(10.0, 3000)
         res = contains_eigenvalue(spec, cfg, 0.0)
         assert res.hit
         assert abs(res.nearest) < 1e-3
 
     def test_quarkonium_zero_mode_hit(self, unit_freqs):
-        label = SubspaceLabel(1, 1)
-        spec_h = eig_sym(build_hamiltonian(unit_freqs, label))
-        energy = float(spec_h.eigenvalues[0])
-        vspec = potential_spec(Fraction(1), unit_freqs, label, energy)
+        vspec = ground_potential(unit_freqs, SubspaceLabel(1, 1))
         res = contains_eigenvalue(vspec, oracle_config(vspec, 0.0), 0.0)
         assert res.hit
 
     def test_no_nearby_level(self, unit_freqs):
-        label = SubspaceLabel(1, 1)
-        spec_h = eig_sym(build_hamiltonian(unit_freqs, label))
-        energy = float(spec_h.eigenvalues[0])
-        vspec = potential_spec(Fraction(1), unit_freqs, label, energy)
+        vspec = ground_potential(unit_freqs, SubspaceLabel(1, 1))
         res = contains_eigenvalue(vspec, oracle_config(vspec, 0.0), 0.5)
         assert not res.hit
         assert res.gap > 1e-3
 
     def test_domain_robustness(self, unit_freqs):
         # enlarging a sufficient domain moves bound levels by < 1e-6
-        tilde, eps = split_sextic(unit_freqs, SubspaceLabel(3, 2))
-        cfg = LogGridConfig(1e-4, 6.0, 2000)
+        tilde = zero_modes(HALF, unit_freqs, SubspaceLabel(3, 2))[0][0]
+        cfg = LogGridConfig(6.0, 2000)
         base = fd_spectrum(tilde, cfg, 3)
         # keep h and the nodes while growing the box to ~8
         extra = round(math.log(8.0 / 6.0) / cfg.h)
-        grown = LogGridConfig(1e-4, 1e-4 * math.exp(cfg.h * (2001 + extra)), 2000 + extra)
+        x_max = fdoracle.ORACLE_X_MIN * math.exp(cfg.h * (2001 + extra))
+        grown = LogGridConfig(x_max, 2000 + extra)
         wide = fd_spectrum(tilde, grown, 3)
         assert np.max(np.abs(base - wide)) < 1e-6
 
@@ -148,9 +149,7 @@ class TestWindowedSearch:
     @pytest.mark.parametrize("ell,m", [(1, 1), (3, 2)])
     @pytest.mark.parametrize("b", [Fraction(1), HALF], ids=["b=1", "b=1/2"])
     def test_matches_lowest_k_reference(self, unit_freqs, ell, m, b):
-        label = SubspaceLabel(ell, m)
-        for energy in eig_sym(build_hamiltonian(unit_freqs, label)).eigenvalues:
-            vspec, lam = zero_mode_potential(b, unit_freqs, label, float(energy))
+        for vspec, lam in zero_modes(b, unit_freqs, SubspaceLabel(ell, m)):
             cfg = oracle_config(vspec, lam)
             res = contains_eigenvalue(vspec, cfg, lam)
             nearest, rich_gap = lowest_k_containment(vspec, cfg, lam)
@@ -162,11 +161,9 @@ class TestWindowedSearch:
         # W(4,4), b = 2: the doubled grid grows a spurious deep level, which
         # shifted index pairing by one and turned a true zero mode into a miss
         freqs = ModeFrequencies(0.3, -1.2, 0.7)
-        label = SubspaceLabel(4, 4)
-        for energy in eig_sym(build_hamiltonian(freqs, label)).eigenvalues:
-            vspec, lam = zero_mode_potential(Fraction(2), freqs, label, float(energy))
+        for vspec, lam in zero_modes(Fraction(2), freqs, SubspaceLabel(4, 4)):
             res = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
-            assert res.hit, (float(energy), res)
+            assert res.hit, (lam, res)
             assert res.richardson_gap < 1e-4
 
     def test_seeded_fine_search_finds_the_same_level(self):
@@ -174,9 +171,7 @@ class TestWindowedSearch:
         # tolerance; the level it finds is the one a window of the full
         # tolerance finds, up to the bisection tolerance
         freqs = ModeFrequencies(0.3, -1.2, 0.7)
-        label = SubspaceLabel(4, 4)
-        for energy in eig_sym(build_hamiltonian(freqs, label)).eigenvalues:
-            vspec, lam = zero_mode_potential(Fraction(2), freqs, label, float(energy))
+        for vspec, lam in zero_modes(Fraction(2), freqs, SubspaceLabel(4, 4)):
             cfg = oracle_config(vspec, lam)
             res = contains_eigenvalue(vspec, cfg, lam)
             fine = cfg.doubled()
@@ -191,7 +186,7 @@ class TestWindowedSearch:
     @pytest.mark.parametrize("x_max", [6.0, 21.35, 512.0])
     def test_doubled_grid_holds_the_nodes(self, x_max):
         # both matrices of a check share one evaluation of the nodes and V
-        cfg = LogGridConfig(1e-4, x_max, 2000)
+        cfg = LogGridConfig(x_max, 2000)
         spec = PotentialSpec(Fraction(3, 2), (-0.25, 1.3, -2.1, 0.7, 0.44))
         xf, vf = fdoracle._grid_values(spec, cfg.doubled())
         assert np.array_equal(xf[1::2], cfg.nodes())
@@ -199,7 +194,7 @@ class TestWindowedSearch:
 
     def test_midway_between_levels_rejected(self):
         spec = bare_spec(HARMONIC)
-        cfg = LogGridConfig(1e-4, 10.0, 3000)
+        cfg = LogGridConfig(10.0, 3000)
         vals = fd_spectrum(spec, cfg, 4)
         lam = 0.5 * (vals[1] + vals[2])
         res = contains_eigenvalue(spec, cfg, lam)
@@ -211,7 +206,7 @@ class TestWindowedSearch:
         # level 301 of the oscillator (603, level 150 on the half line),
         # beyond a scan of the lowest 256
         spec = bare_spec(HARMONIC)
-        res = contains_eigenvalue(spec, LogGridConfig(1e-4, 40.0, 20000), 603.0)
+        res = contains_eigenvalue(spec, LogGridConfig(40.0, 20000), 603.0)
         assert res.hit
         assert res.solves == 2
 
@@ -220,16 +215,14 @@ class TestWindowedSearch:
         # bisection tolerance (eps times the norm) would miss some of these
         lams = []
         for ell, m in ((3, 4), (4, 3), (4, 4)):
-            label = SubspaceLabel(ell, m)
-            for energy in eig_sym(build_hamiltonian(unit_freqs, label)).eigenvalues:
-                tilde, lam = zero_mode_potential(HALF, unit_freqs, label, float(energy))
+            for tilde, lam in zero_modes(HALF, unit_freqs, SubspaceLabel(ell, m)):
                 res = contains_eigenvalue(tilde, oracle_config(tilde, lam), lam)
                 assert res.hit, (ell, m, lam, res)
                 lams.append(lam)
         assert min(lams) < -74.0
 
     def test_observability_fields(self, unit_freqs):
-        tilde, eps = split_sextic(unit_freqs, SubspaceLabel(1, 1))
+        tilde = zero_modes(HALF, unit_freqs, SubspaceLabel(1, 1))[0][0]
         lam = -2.0 * SQRT2 * (3.0 + math.sqrt(5.0))
         cfg = oracle_config(tilde, lam)
         res = contains_eigenvalue(tilde, cfg, lam)
@@ -244,13 +237,11 @@ class TestWindowedSearch:
 class TestOracleConfig:
     def test_default_spacing_and_clamp(self, unit_freqs):
         # 2000 nodes uniform in ln x on [1e-4, x_max of suggest_domain]
-        label = SubspaceLabel(1, 1)
-        energy = float(eig_sym(build_hamiltonian(unit_freqs, label)).eigenvalues[0])
-        vspec = potential_spec(Fraction(1), unit_freqs, label, energy)
+        vspec = ground_potential(unit_freqs, SubspaceLabel(1, 1))
         x_max = suggest_domain(vspec, 0.0)
         cfg = oracle_config(vspec, 0.0)
         assert isinstance(cfg, LogGridConfig)
-        assert (cfg.x_min, cfg.x_max, cfg.n_points) == (1e-4, x_max, 2000)
+        assert (cfg.x_max, cfg.n_points) == (x_max, 2000)
         assert cfg.h == pytest.approx(math.log(x_max / 1e-4) / 2001, rel=1e-14)
         assert np.allclose(np.diff(np.log(cfg.nodes())), cfg.h, rtol=1e-9, atol=0.0)
 
@@ -286,10 +277,9 @@ class TestSuggestDomain:
         for ell in range(3):
             for m in range(3):
                 label = SubspaceLabel(ell, m)
-                for energy in eig_sym(build_hamiltonian(freqs, label)).eigenvalues:
-                    for b in (Fraction(1), HALF, Fraction(3, 2), Fraction(2)):
-                        for branch in Branch:
-                            vspec, lam = zero_mode_potential(b, freqs, label, float(energy), branch)
+                for b in (Fraction(1), HALF, Fraction(3, 2), Fraction(2)):
+                    for branch in Branch:
+                        for vspec, lam in zero_modes(b, freqs, label, branch):
                             assert suggest_domain(vspec, lam) == marching_domain(vspec, lam)
 
     def test_march_cap_and_phase(self):
@@ -308,11 +298,7 @@ class TestSingularAdaptation:
     def test_limit_circle_sextic(self, unit_freqs):
         # l = m sextic carries the borderline -1/(4x^2) term; the
         # adapted left boundary recovers the displaced eigenvalues
-        label = SubspaceLabel(1, 1)
-        tilde, eps = split_sextic(unit_freqs, label)
-        spec_h = eig_sym(build_hamiltonian(unit_freqs, label))
-        for energy in spec_h.eigenvalues:
-            lam = eps(float(energy))
+        for tilde, lam in zero_modes(HALF, unit_freqs, SubspaceLabel(1, 1)):
             res = contains_eigenvalue(tilde, oracle_config(tilde, lam), lam)
             assert res.hit
             assert res.richardson_gap < 1e-3
@@ -338,15 +324,11 @@ class TestSingularAdaptation:
             for ell in range(4):
                 for m in range(4):
                     label = SubspaceLabel(ell, m)
-                    energies = eig_sym(build_hamiltonian(freqs, label)).eigenvalues
                     for b in (HALF, Fraction(1), Fraction(3, 2), Fraction(2)):
                         if abs(ell - m) >= 2 * b:
                             continue
                         for branch in Branch:
-                            for energy in energies:
-                                vspec, lam = zero_mode_potential(
-                                    b, freqs, label, float(energy), branch
-                                )
+                            for vspec, lam in zero_modes(b, freqs, label, branch):
                                 assert -0.25 <= vspec.coeffs[0] + 1e-12 < 0.75 + 1e-12
                                 res = contains_eigenvalue(
                                     vspec, oracle_config(vspec, lam), lam
@@ -376,16 +358,10 @@ class TestSingularAdaptation:
         )
         label = SubspaceLabel(ell, ell)
         energy = eig_sym(build_hamiltonian(freqs, label)).eigenvalues[label.dim - p]
-        vspec, lam = zero_mode_potential(
-            Fraction(2), freqs, label, float(energy), Branch.MINUS
+        (vspec,), (lam,) = zero_mode_potentials(
+            Fraction(2), freqs, label, [energy], Branch.MINUS
         )
         assert vspec.coeffs[1] < -11.0
         res = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
         assert res.hit
         assert res.richardson_gap <= 1e-8, res.richardson_gap
-
-    def test_plain_dirichlet_far_from_origin(self):
-        # domains away from the origin never engage the adaptation
-        spec = bare_spec((-0.25, 0.0, 0.0, 0.0, 1.0))
-        vals = fd_spectrum(spec, LogGridConfig(5.0, 9.0, 500), 1)
-        assert np.all(np.isfinite(vals))

@@ -16,7 +16,7 @@ from conftest import frequencies, labels
 
 
 def test_h11_golden(unit_freqs):
-    h = build_hamiltonian(unit_freqs, SubspaceLabel(1, 1)).entries
+    h = build_hamiltonian(unit_freqs, SubspaceLabel(1, 1))
     assert h.tolist() == [[2.0, 1.0], [1.0, 1.0]]
     # permuting to the ordering {|1,0,0>, |0,1,1>} reproduces [[1,1],[1,2]]
     perm = np.array([[0, 1], [1, 0]])
@@ -24,7 +24,7 @@ def test_h11_golden(unit_freqs):
 
 
 def test_h32_golden(unit_freqs):
-    h = build_hamiltonian(unit_freqs, SubspaceLabel(3, 2)).entries
+    h = build_hamiltonian(unit_freqs, SubspaceLabel(3, 2))
     assert np.allclose(np.diag(h), [5.0, 4.0, 3.0], atol=0)
     assert h[0, 1] == pytest.approx(math.sqrt(6.0), abs=1e-15)
     assert h[1, 2] == pytest.approx(2.0, abs=0)
@@ -32,7 +32,7 @@ def test_h32_golden(unit_freqs):
 
 
 def test_vacuum(unit_freqs):
-    h = build_hamiltonian(unit_freqs, SubspaceLabel(0, 0)).entries
+    h = build_hamiltonian(unit_freqs, SubspaceLabel(0, 0))
     assert h.tolist() == [[0.0]]
 
 
@@ -43,7 +43,7 @@ def test_non_finite_frequency_rejected():
 
 @given(frequencies(), labels())
 def test_exact_symmetry_and_tridiagonality(freqs, label):
-    h = build_hamiltonian(freqs, label).entries
+    h = build_hamiltonian(freqs, label)
     assert np.array_equal(h, h.T)
     d = h.shape[0]
     for i in range(d):
@@ -54,7 +54,7 @@ def test_exact_symmetry_and_tridiagonality(freqs, label):
 
 @given(frequencies(), labels())
 def test_diagonal_and_trace_identity(freqs, label):
-    h = build_hamiltonian(freqs, label).entries
+    h = build_hamiltonian(freqs, label)
     ell, m = label.ell, label.m
     expected = [
         freqs.w1 * j + freqs.w2 * (ell - j) + freqs.w3 * (m - j)
@@ -68,9 +68,9 @@ def test_diagonal_and_trace_identity(freqs, label):
 def test_swap_covariance(freqs, label):
     # the interaction treats modes b and c symmetrically; diagonals are the
     # same sums taken in a different order, so compare to rounding accuracy
-    h1 = build_hamiltonian(freqs, label).entries
+    h1 = build_hamiltonian(freqs, label)
     swapped = ModeFrequencies(freqs.w1, freqs.w3, freqs.w2)
-    h2 = build_hamiltonian(swapped, SubspaceLabel(label.m, label.ell)).entries
+    h2 = build_hamiltonian(swapped, SubspaceLabel(label.m, label.ell))
     assert np.array_equal(h1 - np.diag(np.diag(h1)), h2 - np.diag(np.diag(h2)))
     scale = max(1.0, np.abs(np.diag(h1)).max())
     assert np.max(np.abs(np.diag(h1) - np.diag(h2))) <= 1e-14 * scale
@@ -91,7 +91,7 @@ def _reference_matrix(freqs, label):
 
 @given(frequencies(), labels())
 def test_closed_form_matches_fock_reference(freqs, label):
-    h = build_hamiltonian(freqs, label).entries
+    h = build_hamiltonian(freqs, label)
     assert np.array_equal(h, _reference_matrix(freqs, label))
 
 
@@ -99,12 +99,12 @@ def test_closed_form_matches_fock_reference(freqs, label):
 @given(freqs=frequencies())
 def test_closed_form_matches_fock_reference_at_cap(ell, m, freqs):
     label = SubspaceLabel(ell, m)
-    h = build_hamiltonian(freqs, label).entries
+    h = build_hamiltonian(freqs, label)
     assert np.array_equal(h, _reference_matrix(freqs, label))
 
 
 def test_integer_frequencies_give_float_matrix():
     freqs, label = ModeFrequencies(1, 2, -1), SubspaceLabel(20, 20)
-    h = build_hamiltonian(freqs, label).entries
+    h = build_hamiltonian(freqs, label)
     assert h.dtype == np.float64
     assert np.array_equal(h, _reference_matrix(freqs, label))

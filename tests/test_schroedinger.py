@@ -16,17 +16,17 @@ from triqes import (
     eval_potential,
     eval_wavefunction,
     fock_to_rho_polynomial,
-    potential_spec,
-    split_sextic,
+    potential_specs,
     wavefunction_spec,
+    zero_mode_potentials,
     zero_mode_residual,
 )
-from triqes.certify import zero_mode_potential
-from triqes.schroedinger import AuxConstants, PotentialSpec
+from triqes.schroedinger import PotentialSpec
 
 from conftest import frequencies, labels
 
 SQRT2 = math.sqrt(2.0)
+HALF = Fraction(1, 2)
 
 
 def eigenpairs(freqs, label):
@@ -43,7 +43,7 @@ class TestPotentialSpec:
     def test_exponent_set(self, unit_freqs):
         # rung i of the ladder is the power x^(-2 + i/b)
         for b in (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(5, 3)):
-            spec = potential_spec(b, unit_freqs, SubspaceLabel(2, 1), 0.3)
+            (spec,) = potential_specs(b, unit_freqs, SubspaceLabel(2, 1), [0.3])
             assert spec.b == b and len(spec.coeffs) == 5
             for i in range(5):
                 rung = PotentialSpec(b, tuple(float(j == i) for j in range(5)))
@@ -53,37 +53,27 @@ class TestPotentialSpec:
     def test_leading_coefficients(self, unit_freqs):
         # the two highest-power coefficients are branch-independent
         for branch in Branch:
-            spec = potential_spec(Fraction(1, 2), unit_freqs, SubspaceLabel(1, 1), 0.5, branch)
+            (spec,) = potential_specs(HALF, unit_freqs, SubspaceLabel(1, 1), [0.5], branch)
             assert spec.coeffs[4] == pytest.approx(4.0, abs=0)  # x^6
             a_val = branch.c * (1.0 - 1.0 - 1.0)
             assert spec.coeffs[3] == pytest.approx(4.0 * a_val, rel=1e-15)  # x^4
 
     def test_sextic_centrifugal_equal_labels(self, unit_freqs):
-        spec = potential_spec(Fraction(1, 2), unit_freqs, SubspaceLabel(1, 1), 0.0)
+        (spec,) = potential_specs(HALF, unit_freqs, SubspaceLabel(1, 1), [0.0])
         assert spec.coeffs[0] == pytest.approx(-0.25, abs=0)
 
     def test_b2_constants(self, unit_freqs):
         freqs = ModeFrequencies(2.0, 0.5, -0.3)
-        spec = potential_spec(Fraction(2), freqs, SubspaceLabel(1, 1), 0.1)
+        (spec,) = potential_specs(Fraction(2), freqs, SubspaceLabel(1, 1), [0.1])
         assert spec.coeffs[4] == pytest.approx(0.25, abs=0)  # x^0
         wbar = 2.0 - 0.5 + 0.3
         assert spec.coeffs[3] == pytest.approx(SQRT2 * wbar / 4.0, rel=1e-14)  # x^(-1/2)
 
     def test_b_positive_required(self, unit_freqs):
         with pytest.raises(ValueError):
-            potential_spec(Fraction(0), unit_freqs, SubspaceLabel(1, 1), 0.0)
+            potential_specs(Fraction(0), unit_freqs, SubspaceLabel(1, 1), [0.0])
         with pytest.raises(ValueError):
-            potential_spec(Fraction(-1, 2), unit_freqs, SubspaceLabel(1, 1), 0.0)
-
-    @given(frequencies(), labels(max_l=8, max_m=8), st.floats(-5, 5))
-    def test_aux_constants(self, freqs, label, energy):
-        for branch in Branch:
-            aux = AuxConstants.from_inputs(freqs, label, energy, branch)
-            assert aux.B == label.ell + label.m - 1
-            assert aux.G == 2 * (label.ell + label.m)
-            assert float(aux.B).is_integer() and float(aux.G).is_integer()
-            c = branch.c
-            assert aux.A == pytest.approx(c * (freqs.w1 - freqs.w2 - freqs.w3), rel=1e-15, abs=1e-300)
+            potential_specs(Fraction(-1, 2), unit_freqs, SubspaceLabel(1, 1), [0.0])
 
 
 # Literal transcriptions of the printed b-specializations.  The printed
@@ -163,9 +153,10 @@ class TestPrintedSpecializations:
     @settings(max_examples=30, deadline=None)
     @given(frequencies(), labels(max_l=5, max_m=5), st.floats(-4, 4))
     def test_deviation_localizes(self, b, freqs, label, energy):
-        spec = potential_spec(b, freqs, label, energy, Branch.PLUS)
+        (spec,) = potential_specs(b, freqs, label, [energy], Branch.PLUS)
         printed = PRINTED[b](freqs, label, energy)
-        aux = AuxConstants.from_inputs(freqs, label, energy, Branch.PLUS)
+        a_ = SQRT2 * (freqs.w1 - freqs.w2 - freqs.w3)
+        b_ = label.ell + label.m - 1
         bb = float(b)
         inv = 1.0 / bb
         scale = max(1.0, max(abs(v) for v in printed.values()))
@@ -176,10 +167,10 @@ class TestPrintedSpecializations:
             printed_coeff = printed[key]
             if i == 1:
                 # sign slip of the A*B part in print
-                expected_gap = aux.A * aux.B / (bb * bb)
+                expected_gap = a_ * b_ / (bb * bb)
             elif i == 2:
                 # sign slip of the A^2 + 4B - 4 part in print
-                expected_gap = (aux.A**2 + 4.0 * aux.B - 4.0) / (2.0 * bb * bb)
+                expected_gap = (a_**2 + 4.0 * b_ - 4.0) / (2.0 * bb * bb)
                 if b == Fraction(2):
                     # the printed b=2 term additionally lacks its /16
                     printed_coeff = printed_coeff / 16.0
@@ -215,12 +206,12 @@ class TestSplitSextic:
     @given(frequencies(), labels(max_l=5, max_m=5), st.floats(-4, 4), st.floats(-4, 4))
     def test_tilde_is_energy_independent(self, freqs, label, e1, e2):
         for branch in Branch:
-            tilde, eps = split_sextic(freqs, label, branch)
-            for energy in (e1, e2):
-                spec = potential_spec(Fraction(1, 2), freqs, label, energy, branch)
+            (tilde,) = potential_specs(HALF, freqs, label, [0.0], branch)
+            specs = potential_specs(HALF, freqs, label, [e1, e2], branch)
+            for energy, spec in zip((e1, e2), specs):
                 assert tilde.b == spec.b
                 for i, (tc, sc) in enumerate(zip(tilde.coeffs, spec.coeffs)):
-                    shift = eps(energy) if i == 1 else 0.0  # rung 1 is x^0
+                    shift = epsilon_of(energy, branch) if i == 1 else 0.0  # rung 1 is x^0
                     assert tc == pytest.approx(sc + shift, rel=1e-12, abs=1e-12)
 
 
@@ -230,7 +221,7 @@ class TestEvaluation:
         assert eval_potential(spec, 3.0) == 5.0
 
     def test_positive_domain_only(self, unit_freqs):
-        spec = potential_spec(Fraction(1), unit_freqs, SubspaceLabel(1, 1), 0.0)
+        (spec,) = potential_specs(Fraction(1), unit_freqs, SubspaceLabel(1, 1), [0.0])
         with pytest.raises(ValueError):
             eval_potential(spec, 0.0)
         with pytest.raises(ValueError):
@@ -238,7 +229,7 @@ class TestEvaluation:
 
     def test_five_term_sum_matches_manual(self, unit_freqs):
         energy = (3 + math.sqrt(5)) / 2
-        spec = potential_spec(Fraction(1), unit_freqs, SubspaceLabel(1, 1), energy)
+        (spec,) = potential_specs(Fraction(1), unit_freqs, SubspaceLabel(1, 1), [energy])
         x = 1.37
         manual = sum(c * x ** (i - 2) for i, c in enumerate(spec.coeffs))
         assert eval_potential(spec, x) == pytest.approx(manual, rel=1e-15)
@@ -333,21 +324,21 @@ class TestResidual:
         energy, vec = eigenpairs(unit_freqs, label)[1]
         assert energy == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-14)
         wf = make_wf(Fraction(1), unit_freqs, label, vec, Branch.PLUS)
-        spec = potential_spec(Fraction(1), unit_freqs, label, energy)
+        (spec,) = potential_specs(Fraction(1), unit_freqs, label, [energy])
         assert relative(zero_mode_residual(spec, wf, 0.0), wf) <= 1e-10
 
     def test_sextic_displaced_eigenvalue(self, unit_freqs):
         label = SubspaceLabel(1, 1)
         energy, vec = eigenpairs(unit_freqs, label)[1]
         wf = make_wf(Fraction(1, 2), unit_freqs, label, vec, Branch.PLUS)
-        tilde, eps = split_sextic(unit_freqs, label)
-        assert relative(zero_mode_residual(tilde, wf, eps(energy)), wf) <= 1e-10
+        (tilde,), (lam,) = zero_mode_potentials(HALF, unit_freqs, label, [energy])
+        assert relative(zero_mode_residual(tilde, wf, lam), wf) <= 1e-10
 
     def test_perturbed_lambda_detected(self, unit_freqs):
         label = SubspaceLabel(1, 1)
         energy, vec = eigenpairs(unit_freqs, label)[1]
         wf = make_wf(Fraction(1), unit_freqs, label, vec, Branch.PLUS)
-        spec = potential_spec(Fraction(1), unit_freqs, label, energy)
+        (spec,) = potential_specs(Fraction(1), unit_freqs, label, [energy])
         assert relative(zero_mode_residual(spec, wf, 0.1), wf) >= 1e-2
 
     @settings(max_examples=15, deadline=None)
@@ -355,10 +346,11 @@ class TestResidual:
     def test_random_zero_modes(self, freqs, label):
         spec_h = eig_sym(build_hamiltonian(freqs, label))
         for branch in Branch:
-            for i in range(label.dim):
-                energy, vec = spec_h.pair(i)
-                for b in (Fraction(1), Fraction(1, 2)):
-                    wf = make_wf(b, freqs, label, vec, branch)
-                    vspec, lam = zero_mode_potential(b, freqs, label, energy, branch)
+            for b in (Fraction(1), HALF):
+                vspecs, lams = zero_mode_potentials(
+                    b, freqs, label, spec_h.eigenvalues, branch
+                )
+                for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
+                    wf = make_wf(b, freqs, label, spec_h.eigenvectors[:, i], branch)
                     rel = relative(zero_mode_residual(vspec, wf, lam), wf)
                     assert rel <= 1e-10, (freqs, label, branch, i, b, rel)
