@@ -2,8 +2,8 @@
 
 Commands: spectrum, basis, potential (alias wavefunction), verify, sweep.
 Curves are written as CSV (header x,V,chi,prob), everything else as JSON.
-Every output embeds a run manifest with the resolved parameters so that a
-run can be reproduced exactly.  Exit codes: 0 success, 1 verification,
+Every output embeds a run manifest, built from the parsed arguments, so that
+a run can be reproduced exactly.  Exit codes: 0 success, 1 verification,
 numerical or IO failure, 2 usage error (bad arguments only).
 """
 
@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any
@@ -54,22 +53,21 @@ def _round15(obj: Any) -> Any:
     return obj
 
 
-@dataclass
-class RunManifest:
-    command: str
-    params: dict[str, Any]
-    version: str = __version__
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat()
-    )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "params": _round15(self.params),
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
+def _manifest(args: argparse.Namespace, **resolved: Any) -> dict[str, Any]:
+    """Run manifest: every parsed argument except the command and the output
+    choices, in parser order; `resolved` values replace the typed ones in
+    place, and new keys are appended."""
+    params = {
+        k: v for k, v in vars(args).items()
+        if k not in ("command", "func", "out", "format")
+    }
+    params.update(resolved)
+    return {
+        "command": args.command,
+        "params": params,
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 class UsageError(Exception):
@@ -114,13 +112,6 @@ def parse_b(text: str) -> Fraction:
     )
 
 
-def parse_branch(text: str) -> Branch:
-    try:
-        return Branch(text)
-    except ValueError:
-        raise UsageError(f"--branch must be plus or minus, got {text!r}") from None
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -136,60 +127,35 @@ def _write_json(payload: dict[str, Any], out: str | None) -> None:
     _write_text(json.dumps(_round15(payload), indent=2) + "\n", out)
 
 
-def _write_csv(
-    manifest: RunManifest, rows: list[tuple[float, float, float, float]], out: str | None
-) -> None:
-    lines = ["# manifest " + json.dumps(manifest.as_dict(), separators=(",", ":"))]
-    lines.append("x,V,chi,prob")
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    _write_text("\n".join(lines) + "\n", out)
-
-
-def _spectrum_payload(freqs: ModeFrequencies, label: SubspaceLabel) -> dict[str, Any]:
-    ham = build_hamiltonian(freqs, label)
-    spec = eig_sym(ham)
-    basis = subspace_basis(label)
+def _basis_payload(args: argparse.Namespace, label: SubspaceLabel) -> dict[str, Any]:
     return {
+        "manifest": _manifest(args),
         "label": {"l": label.ell, "m": label.m, "k": label.k, "dim": label.dim},
-        "basis": [[s.n_a, s.n_b, s.n_c] for s in basis],
-        "eigenvalues": [float(v) for v in spec.eigenvalues],
-        "eigenvectors": [list(map(float, spec.eigenvectors[:, i])) for i in range(spec.dim)],
+        "basis": [[s.n_a, s.n_b, s.n_c] for s in subspace_basis(label)],
     }
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     freqs = parse_w(args.w)
     label = parse_label(args.l, args.m)
-    manifest = RunManifest("spectrum", {"l": args.l, "m": args.m, "w": args.w})
-    payload = {"manifest": manifest.as_dict(), **_spectrum_payload(freqs, label)}
+    spec = eig_sym(build_hamiltonian(freqs, label))
+    payload = _basis_payload(args, label)
+    payload["eigenvalues"] = spec.eigenvalues.tolist()
+    payload["eigenvectors"] = spec.eigenvectors.T.tolist()
     _write_json(payload, args.out)
     return 0
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    label = parse_label(args.l, args.m)
-    manifest = RunManifest("basis", {"l": args.l, "m": args.m})
-    payload = {
-        "manifest": manifest.as_dict(),
-        "label": {"l": label.ell, "m": label.m, "k": label.k, "dim": label.dim},
-        "basis": [[s.n_a, s.n_b, s.n_c] for s in subspace_basis(label)],
-    }
-    _write_json(payload, args.out)
+    _write_json(_basis_payload(args, parse_label(args.l, args.m)), args.out)
     return 0
 
 
-def _resolve_eigenpair(freqs, label, p_index):
-    """Energy index p follows the worked tables: p = 1 is the largest eigenvalue."""
-    if not (1 <= p_index <= label.dim):
-        raise UsageError(f"--p must lie in 1..{label.dim}, got {p_index}")
-    ham = build_hamiltonian(freqs, label)
-    spec = eig_sym(ham)
-    idx = label.dim - p_index
-    return spec.pair(idx)
-
-
-def _curve_rows(args, freqs, label, bfrac, branch):
+def cmd_potential(args: argparse.Namespace) -> int:
+    freqs = parse_w(args.w)
+    label = parse_label(args.l, args.m)
+    bfrac = parse_b(args.b)
+    branch = Branch(args.branch)
     if args.points < 0:
         raise UsageError(f"--points must be >= 0, got {args.points}")
     if not 0.0 < args.xmin < args.xmax:
@@ -198,55 +164,35 @@ def _curve_rows(args, freqs, label, bfrac, branch):
         )
     if args.shifted and bfrac != SEXTIC_B:
         raise UsageError("--shifted applies to b=1/2 only")
-    energy, vec = _resolve_eigenpair(freqs, label, args.p)
+    # the energy index follows the worked tables: p = 1 is the largest eigenvalue
+    if not (1 <= args.p <= label.dim):
+        raise UsageError(f"--p must lie in 1..{label.dim}, got {args.p}")
+    energy, vec = eig_sym(build_hamiltonian(freqs, label)).pair(label.dim - args.p)
     phi = fock_to_rho_polynomial(label, vec, branch)
     wf = wavefunction_spec(bfrac, freqs, label, phi)
     if args.shifted:
         vspecs, lams = zero_mode_potentials(bfrac, freqs, label, [energy], branch)
         vspec, lam = vspecs[0], float(lams[0])
     else:
-        vspec = potential_specs(bfrac, freqs, label, [energy], branch)[0]
-        lam = 0.0
-    rows = []
-    if args.points > 0:
-        xs = np.linspace(args.xmin, args.xmax, args.points)
-        vvals = np.asarray(eval_potential(vspec, xs))
-        cvals = np.asarray(eval_wavefunction(wf, xs))
-        rows = [
-            (float(x), float(v), float(c), float(c * c))
-            for x, v, c in zip(xs, vvals, cvals)
-        ]
-        if not all(np.isfinite(r).all() for r in map(np.asarray, rows)):
-            raise IOError("non-finite values in curve output")
-    return rows, energy, lam
-
-
-def cmd_potential(args: argparse.Namespace) -> int:
-    freqs = parse_w(args.w)
-    label = parse_label(args.l, args.m)
-    bfrac = parse_b(args.b)
-    branch = parse_branch(args.branch)
-    rows, energy, lam = _curve_rows(args, freqs, label, bfrac, branch)
-    manifest = RunManifest(
-        args.command,
-        {
-            "l": args.l, "m": args.m, "w": args.w, "b": str(bfrac),
-            "branch": branch.value, "p": args.p, "xmin": args.xmin,
-            "xmax": args.xmax, "points": args.points, "shifted": args.shifted,
-            "energy": energy, "lambda": lam,
-        },
-    )
+        vspec, lam = potential_specs(bfrac, freqs, label, [energy], branch)[0], 0.0
+    xs = np.linspace(args.xmin, args.xmax, args.points)
+    vvals = eval_potential(vspec, xs)
+    chi = eval_wavefunction(wf, xs)
+    table = np.stack([xs, vvals, chi, chi * chi], axis=1)
+    if not np.isfinite(table).all():
+        raise IOError("non-finite values in curve output")
+    manifest = _manifest(args, b=str(bfrac), energy=energy, **{"lambda": lam})
     if args.shifted:
         print(f"epsilon(E) = {fmt(lam)}", file=sys.stderr)
+    rows = table.tolist()
     if args.format == "json":
-        payload = {
-            "manifest": manifest.as_dict(),
-            "columns": ["x", "V", "chi", "prob"],
-            "rows": [list(r) for r in rows],
-        }
-        _write_json(payload, args.out)
+        columns = ["x", "V", "chi", "prob"]
+        _write_json({"manifest": manifest, "columns": columns, "rows": rows}, args.out)
     else:
-        _write_csv(manifest, rows, args.out)
+        lines = ["# manifest " + json.dumps(_round15(manifest), separators=(",", ":"))]
+        lines.append("x,V,chi,prob")
+        lines += [",".join(map(fmt, row)) for row in rows]
+        _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -308,7 +254,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     freqs = parse_w(args.w)
     label = parse_label(args.l, args.m)
     bfrac = parse_b(args.b)
-    branch = parse_branch(args.branch)
+    branch = Branch(args.branch)
     if args.energy_override is not None and not math.isfinite(args.energy_override):
         raise UsageError(f"--energy-override must be finite, got {args.energy_override}")
     spec = eig_sym(build_hamiltonian(freqs, label))
@@ -325,15 +271,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for i, cert in enumerate(certs)
     ]
     all_pass = all(c["pass"] for c in checks)
-    manifest = RunManifest(
-        "verify",
-        {
-            "l": args.l, "m": args.m, "w": args.w, "b": str(bfrac),
-            "branch": branch.value, "energy_override": args.energy_override,
-            "no_oracle": args.no_oracle, "find_b2_zero": args.find_b2_zero,
-        },
-    )
-    payload = {"manifest": manifest.as_dict(), "checks": checks, "pass": all_pass}
+    manifest = _manifest(args, b=str(bfrac))
+    payload = {"manifest": manifest, "checks": checks, "pass": all_pass}
     if args.find_b2_zero:
         payload["b2_zero_search"] = _b2_zero_search(freqs, label, branch)
     _write_json(payload, args.out)
@@ -361,7 +300,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep bounds are limited to 0 <= l, m <= 20")
     b_values = sorted({parse_b(tok) for tok in args.b.split(",")})
     # minus before plus: tuples come out in (l, m, b, branch) order
-    branches = [parse_branch(args.branch)] if args.branch else [Branch.MINUS, Branch.PLUS]
+    branches = [Branch(args.branch)] if args.branch else [Branch.MINUS, Branch.PLUS]
     # lives for this command only: W(l, m) and W(m, l) pose the same
     # oracle problems, often bit for bit
     oracle: OracleMemo | None = None if args.no_oracle else {}
@@ -381,15 +320,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 for br, per_b in zip(branches, per_branch):
                     results.append(_sweep_record(ell, m, bf, br, per_b[i]))
     all_pass = all(r["pass"] for r in results)
-    manifest = RunManifest(
-        "sweep",
-        {
-            "lmax": args.lmax, "mmax": args.mmax, "w": args.w, "b": args.b,
-            "branch": args.branch, "no_oracle": args.no_oracle,
-        },
-    )
     payload = {
-        "manifest": manifest.as_dict(),
+        "manifest": _manifest(args),
         "tuples": results,
         "count": len(results),
         "pass": all_pass,
@@ -411,38 +343,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, curve=False):
-        p.add_argument("--l", type=int, required=True, help="L eigenvalue (>= 0)")
-        p.add_argument("--m", type=int, required=True, help="M eigenvalue (>= 0)")
-        p.add_argument("--w", default="1,1,1", help="scaled frequencies w1,w2,w3")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        if curve:
-            p.add_argument("--b", default="1", help="transformation exponent p/q")
-            p.add_argument("--branch", default="plus", choices=["plus", "minus"])
-            p.add_argument("--p", type=int, default=1,
-                           help="energy index, 1 = largest eigenvalue")
-            p.add_argument("--xmin", type=float, default=0.05)
-            p.add_argument("--xmax", type=float, default=4.0)
-            p.add_argument("--points", type=int, default=400)
-            p.add_argument("--shifted", action="store_true",
-                           help="b=1/2 only: displaced sextic and eps(E)")
-            p.add_argument("--format", default="csv", choices=["csv", "json"])
+    # option groups shared as parents; the order arguments are added in is
+    # the manifest's key order
+    label = argparse.ArgumentParser(add_help=False)
+    label.add_argument("--l", type=int, required=True, help="L eigenvalue (>= 0)")
+    label.add_argument("--m", type=int, required=True, help="M eigenvalue (>= 0)")
+    labelw = argparse.ArgumentParser(add_help=False, parents=[label])
+    labelw.add_argument("--w", default="1,1,1", help="scaled frequencies w1,w2,w3")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p_spec = sub.add_parser("spectrum", help="eigenvalues and eigenvectors")
-    common(p_spec)
+    p_spec = sub.add_parser("spectrum", parents=[labelw, out],
+                            help="eigenvalues and eigenvectors")
     p_spec.set_defaults(func=cmd_spectrum)
 
-    p_basis = sub.add_parser("basis", help="canonical Fock basis of W(l, m)")
-    common(p_basis)
+    p_basis = sub.add_parser("basis", parents=[label, out],
+                             help="canonical Fock basis of W(l, m)")
     p_basis.set_defaults(func=cmd_basis)
 
-    p_pot = sub.add_parser("potential", aliases=["wavefunction"],
+    p_pot = sub.add_parser("potential", aliases=["wavefunction"], parents=[labelw, out],
                            help="potential/wavefunction curve CSV")
-    common(p_pot, curve=True)
+    p_pot.add_argument("--b", default="1", help="transformation exponent p/q")
+    p_pot.add_argument("--branch", default="plus", choices=["plus", "minus"])
+    p_pot.add_argument("--p", type=int, default=1,
+                       help="energy index, 1 = largest eigenvalue")
+    p_pot.add_argument("--xmin", type=float, default=0.05)
+    p_pot.add_argument("--xmax", type=float, default=4.0)
+    p_pot.add_argument("--points", type=int, default=400)
+    p_pot.add_argument("--shifted", action="store_true",
+                       help="b=1/2 only: displaced sextic and eps(E)")
+    p_pot.add_argument("--format", default="csv", choices=["csv", "json"])
     p_pot.set_defaults(func=cmd_potential)
 
-    p_ver = sub.add_parser("verify", help="run all certifications for one tuple")
-    common(p_ver)
+    p_ver = sub.add_parser("verify", parents=[labelw, out],
+                           help="run all certifications for one tuple")
     p_ver.add_argument("--b", default="1/2", help="transformation exponent p/q")
     p_ver.add_argument("--branch", default="plus", choices=["plus", "minus"])
     p_ver.add_argument("--energy-override", type=float, default=None,

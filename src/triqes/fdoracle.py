@@ -39,7 +39,8 @@ the x^(-2) rung (p(p-1) = c_0) refined by a Frobenius series over the
 remaining rungs (containment checks also feed the candidate eigenvalue
 into the series); this selects the principal solution, as SLEIGN2 does
 (Bailey, Everitt & Zettl, ACM TOMS 27, 2001).  A regular left end
-(c_0 = 0) takes the same rule with p = 1.  The ratio of u carries the
+(c_0 = 0) takes the same rule with p = 1, and c_0 < -1/4, a fall to the
+centre that no V_b has, is an error.  The ratio of u carries the
 factor sqrt(x_1/x_0) into y, and the ratio condition folds into the
 first diagonal entry, so the matrix stays symmetric tridiagonal.
 """
@@ -146,12 +147,16 @@ def _frobenius_factors(
 
 def _left_boundary_ratio(
     spec: PotentialSpec, x0: float, x1: float, bc_energy: float | None
-) -> float | None:
-    """u(x0)/u(x1) of the regular solution, or None for plain Dirichlet
-    where there is none."""
+) -> float:
+    """u(x0)/u(x1) of the principal solution.
+
+    Raises ValueError when the x^(-2) coefficient c_0 is below -1/4: the
+    operator then falls to the centre, with no principal solution and no
+    meaningful eigenvalue.  Every V_b has 1 + 4 c_0 = (l - m)^2 / b^2 >= 0.
+    """
     c0 = spec.coeffs[0]
     if 1.0 + 4.0 * c0 < 0.0:
-        return None  # oscillatory fall to the center; no regular solution
+        raise ValueError(f"c_0 = {c0!r} < -1/4: the potential falls to the centre")
     p = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c0))
     f0, f1 = _frobenius_factors(spec, p, (x0, x1), bc_energy)
     return (x0 / x1) ** p * (f0 / f1)
@@ -184,9 +189,8 @@ def _tridiagonal(
     scale = 1.0 / xs
     diag = (2.0 / h2 + 0.25) * scale * scale + vpot
     ratio = _left_boundary_ratio(spec, ORACLE_X_MIN, float(xs[0]), bc_energy)
-    if ratio is not None:
-        ratio *= math.sqrt(float(xs[0]) / ORACLE_X_MIN)  # u/sqrt(x) = y
-        diag[0] -= ratio * scale[0] * scale[0] / h2
+    ratio *= math.sqrt(float(xs[0]) / ORACLE_X_MIN)  # u/sqrt(x) = y
+    diag[0] -= ratio * scale[0] * scale[0] / h2
     off = -scale[:-1] * scale[1:] / h2
     return diag, off
 

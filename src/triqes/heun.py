@@ -231,11 +231,10 @@ def operator_residuals(
     check_finite("m (w1 - w2) + l (w1 - w3)", p_w)
     p_const = p_w - np.asarray(energies, dtype=float) - k * wbar
     check_finite("BHE operator constant P", *p_const.tolist())
-    zero_pole = (m - k) * (ell - k)  # identically zero since k = max(l, m)
     n_top = phis.shape[0] - 1
     j = np.arange(n_top + 3)
     res = np.zeros((n_top + 3, phis.shape[1]))
-    res[: n_top + 1] += (j * (j - 1) + q1 * j + zero_pole)[: n_top + 1, None] * phis
+    res[: n_top + 1] += (j * (j - 1) + q1 * j)[: n_top + 1, None] * phis
     res[1 : n_top + 2] += (-c * wbar * (j[1 : n_top + 2] - 1)[:, None] + c * p_const) * phis
     res[2:] += (c * c * ((ell + m - k) - (j[2:] - 2)))[:, None] * phis
     return res
@@ -257,7 +256,8 @@ def bhe_operator_residual(
         + ((m-k)(l-k) + c P rho + (l+m-k) c^2 rho^2) phi
 
     with q1 = 1 + 2k - l - m, wbar = w1 - w2 - w3 and
-    P = m (w1 - w2) + l (w1 - w3) - E - k wbar, has polynomial
+    P = m (w1 - w2) + l (w1 - w3) - E - k wbar (the constant (m-k)(l-k)
+    is 0, since k = max(l, m)), has polynomial
     coefficients, so the residual is itself a polynomial.  For a true
     eigenpair every returned coefficient vanishes.  The one-column case of
     `operator_residuals`.

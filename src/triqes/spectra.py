@@ -24,10 +24,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def pair(self, i: int) -> tuple[float, np.ndarray]:
         return float(self.eigenvalues[i]), self.eigenvectors[:, i]
 

@@ -117,6 +117,13 @@ class TestBasis:
         payload = json.loads(out)
         assert payload["basis"] == [[0, 3, 2], [1, 2, 1], [2, 1, 0]]
 
+    def test_w_rejected(self, capsys):
+        # the basis does not depend on the frequencies: --w is an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main(["basis", "--l", "3", "--m", "2", "--w", "1,1,1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --w" in capsys.readouterr().err
+
 
 class TestPotentialCurve:
     def test_csv_schema(self, capsys, tmp_path):
@@ -412,15 +419,17 @@ class TestVerify:
         assert proc.returncode == 0, proc.stderr
 
     def test_manifest_records_flags(self, capsys):
-        # the manifest alone tells a --no-oracle run from an oracle run
+        # the manifest alone tells a --no-oracle run from an oracle run,
+        # and records b in its reduced form
         for flags in ([], ["--no-oracle", "--find-b2-zero"]):
             code, out, _ = run_cli(
-                capsys, "verify", "--l", "1", "--m", "1", "--b", "2", *flags
+                capsys, "verify", "--l", "1", "--m", "1", "--b", "4/2", *flags
             )
             assert code == 0
             params = json.loads(out)["manifest"]["params"]
             assert params["no_oracle"] is bool(flags)
             assert params["find_b2_zero"] is bool(flags)
+            assert params["b"] == "2"
 
 
 class TestSweep:
@@ -601,6 +610,44 @@ class TestSweep:
                 s for s in STAGES if any(s in c["failed"] for c in checks)
             ], t
         assert code == (0 if all(t["pass"] for t in tuples) else 1)
+
+
+CURVE_PARAMS = [
+    "l", "m", "w", "b", "branch", "p", "xmin", "xmax", "points", "shifted",
+    "energy", "lambda",
+]
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        (["spectrum", "--l", "1", "--m", "1"], ["l", "m", "w"]),
+        (["basis", "--l", "1", "--m", "1"], ["l", "m"]),
+        (["potential", "--l", "1", "--m", "1", "--format", "json"], CURVE_PARAMS),
+        (["wavefunction", "--l", "1", "--m", "1", "--format", "json"], CURVE_PARAMS),
+        (
+            ["verify", "--l", "1", "--m", "1", "--no-oracle"],
+            ["l", "m", "w", "b", "branch", "energy_override", "no_oracle",
+             "find_b2_zero"],
+        ),
+        (
+            ["sweep", "--lmax", "0", "--mmax", "0", "--no-oracle"],
+            ["lmax", "mmax", "w", "b", "branch", "no_oracle"],
+        ),
+    ],
+    ids=["spectrum", "basis", "potential", "wavefunction", "verify", "sweep"],
+)
+def test_manifest_shape(capsys, tmp_path, argv, keys):
+    # every argument but --out and --format, in parser order, under the
+    # command name as typed
+    out_file = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0
+    assert out == ""
+    manifest = json.loads(out_file.read_text())["manifest"]
+    assert list(manifest) == ["command", "params", "version", "timestamp"]
+    assert manifest["command"] == argv[0]
+    assert list(manifest["params"]) == keys
 
 
 @pytest.mark.parametrize("b", ["1e-400", "1e-200", "1e400"])

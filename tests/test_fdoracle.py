@@ -348,6 +348,16 @@ class TestSingularAdaptation:
             if hit:
                 assert res.richardson_gap <= 1e-8, (lam, res.richardson_gap)
 
+    def test_fall_to_centre_rejected(self):
+        # c_0 = -0.3 < -1/4 has no principal solution at the left end: an
+        # error, not a silent Dirichlet cutoff (no V_b has c_0 < -1/4)
+        spec = bare_spec((-0.3, 0, 0, 0, 1.0))
+        config = oracle_config(spec, 3.0)
+        with pytest.raises(ValueError, match="c_0 = -0.3"):
+            contains_eigenvalue(spec, config, 3.0)
+        with pytest.raises(ValueError, match="c_0 = -0.3"):
+            fd_spectrum(spec, config, 3)
+
     @pytest.mark.parametrize("ell,p", [(4, 1), (6, 1), (6, 2)])
     def test_frobenius_series_past_the_ladder(self, ell, p):
         # defect (e): minus branch, b = 2, on the limit-circle border with a
