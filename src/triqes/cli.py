@@ -176,9 +176,10 @@ def cmd_potential(args: argparse.Namespace) -> int:
     else:
         vspec, lam = potential_specs(bfrac, freqs, label, [energy], branch)[0], 0.0
     xs = np.linspace(args.xmin, args.xmax, args.points)
-    vvals = eval_potential(vspec, xs)
-    chi = eval_wavefunction(wf, xs)
-    table = np.stack([xs, vvals, chi, chi * chi], axis=1)
+    with np.errstate(all="ignore"):  # the finiteness check below reports
+        vvals = eval_potential(vspec, xs)
+        chi = eval_wavefunction(wf, xs)
+        table = np.stack([xs, vvals, chi, chi * chi], axis=1)
     if not np.isfinite(table).all():
         raise IOError("non-finite values in curve output")
     manifest = _manifest(args, b=str(bfrac), energy=energy, **{"lambda": lam})
@@ -321,7 +322,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     results.append(_sweep_record(ell, m, bf, br, per_b[i]))
     all_pass = all(r["pass"] for r in results)
     payload = {
-        "manifest": _manifest(args),
+        "manifest": _manifest(args, b=",".join(map(str, b_values))),
         "tuples": results,
         "count": len(results),
         "pass": all_pass,

@@ -13,16 +13,20 @@ A containment check needs one level only: bisection restricted to a
 window around the candidate lambda (LAPACK stebz by value) finds the
 level nearest lambda, widening the window geometrically until it holds
 one.  The same level is then found on the doubled grid by a window
-centred on the first result mu, whose radius starts at the coarse gap
-|mu - lambda| (a true level moves by about 3/4 of it) clamped to
-[`BISECTION_TOL`, tol], tol the hit tolerance, and the pair is
-Richardson-extrapolated, so the cost does not grow with the number of
-levels below lambda.  The doubled grid's nodes at odd positions are the
-coarse nodes bit for bit, so the nodes and V are evaluated once, on the
-doubled grid, and shared by both matrices.  A check is a pure function
-of (potential, lambda), and `sweep` solves a repeated pair once.  The
-oracle never touches the closed-form wavefunctions; its only inputs are
-the five rung coefficients of the potential (`PotentialSpec`) and a grid
+centred where Richardson extrapolation puts it were lambda a level,
+mu + 3/4 (lambda - mu), mu the first result.  That point lies 3/4 of the
+coarse gap g = |mu - lambda| from mu's continuation and farther from
+every other level, and a true level lands within ~1e-3 g of it, so the
+radius starts at g / `WINDOW_GROWTH`^5 clamped to [`BISECTION_TOL`, tol],
+tol the hit tolerance; a candidate that is no level pays up to five
+widenings.  The pair is Richardson-extrapolated, so the cost does not
+grow with the number of levels below lambda.  The doubled grid's nodes
+at odd positions are the coarse nodes bit for bit, so the nodes and V
+are evaluated once, on the doubled grid, and one left-boundary series
+serves both matrices.  A check is a pure function of (potential,
+lambda), and `sweep` solves a repeated pair once.  The oracle never
+touches the closed-form wavefunctions; its only inputs are the five rung
+coefficients of the potential (`PotentialSpec`) and a grid
 configuration.
 
 Every bisection runs to the absolute tolerance `BISECTION_TOL`.  LAPACK's
@@ -145,21 +149,23 @@ def _frobenius_factors(
     return [1.0 + sum(a[j] * x ** (j * s) for j in range(1, len(a))) for x in xs]
 
 
-def _left_boundary_ratio(
-    spec: PotentialSpec, x0: float, x1: float, bc_energy: float | None
-) -> float:
-    """u(x0)/u(x1) of the principal solution.
+def _left_boundary_ratios(
+    spec: PotentialSpec, xs: tuple[float, ...], bc_energy: float | None
+) -> list[float]:
+    """y(x_min)/y(x) of the principal solution at each x of `xs`, y = u/sqrt(x).
 
-    Raises ValueError when the x^(-2) coefficient c_0 is below -1/4: the
-    operator then falls to the centre, with no principal solution and no
-    meaningful eigenvalue.  Every V_b has 1 + 4 c_0 = (l - m)^2 / b^2 >= 0.
+    One Frobenius series serves every x.  Raises ValueError when the x^(-2)
+    coefficient c_0 is below -1/4: the operator then falls to the centre,
+    with no principal solution and no meaningful eigenvalue.  Every V_b has
+    1 + 4 c_0 = (l - m)^2 / b^2 >= 0.
     """
     c0 = spec.coeffs[0]
     if 1.0 + 4.0 * c0 < 0.0:
         raise ValueError(f"c_0 = {c0!r} < -1/4: the potential falls to the centre")
     p = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c0))
-    f0, f1 = _frobenius_factors(spec, p, (x0, x1), bc_energy)
-    return (x0 / x1) ** p * (f0 / f1)
+    x0 = ORACLE_X_MIN
+    f0, *fs = _frobenius_factors(spec, p, (x0, *xs), bc_energy)
+    return [(x0 / x) ** p * (f0 / f) * math.sqrt(x / x0) for x, f in zip(xs, fs)]
 
 
 def _grid_values(
@@ -174,22 +180,17 @@ def _grid_values(
 
 
 def _tridiagonal(
-    spec: PotentialSpec,
-    config: LogGridConfig,
-    xs: np.ndarray,
-    vpot: np.ndarray,
-    bc_energy: float | None,
+    config: LogGridConfig, xs: np.ndarray, vpot: np.ndarray, ratio: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the discretized operator on `config`,
-    whose nodes are `xs` with V = `vpot` there.
+    whose nodes are `xs` with V = `vpot` there and y(x_min)/y(xs[0]) =
+    `ratio` at the left end.
 
     Row i of the stencil in y is scaled by 1/x_i on both sides.
     """
     h2 = config.h * config.h
     scale = 1.0 / xs
     diag = (2.0 / h2 + 0.25) * scale * scale + vpot
-    ratio = _left_boundary_ratio(spec, ORACLE_X_MIN, float(xs[0]), bc_energy)
-    ratio *= math.sqrt(float(xs[0]) / ORACLE_X_MIN)  # u/sqrt(x) = y
     diag[0] -= ratio * scale[0] * scale[0] / h2
     off = -scale[:-1] * scale[1:] / h2
     return diag, off
@@ -214,7 +215,9 @@ def fd_spectrum(
         raise ValueError(f"count {count} exceeds grid size {config.n_points}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    diag, off = _tridiagonal(spec, config, *_grid_values(spec, config), bc_energy)
+    xs, vpot = _grid_values(spec, config)
+    (ratio,) = _left_boundary_ratios(spec, (float(xs[0]),), bc_energy)
+    diag, off = _tridiagonal(config, xs, vpot, ratio)
     vals = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, count - 1), eigvals_only=True,
         tol=BISECTION_TOL,
@@ -233,7 +236,7 @@ def _nearest_level(
     contains the globally nearest eigenvalue.  Past the Gershgorin reach
     every level is inside, so an empty window there means non-finite input.
     """
-    reach = abs(target) + np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0)
+    reach = None  # needed only once a window comes back empty
     solves = 0
     while True:
         vals = eigh_tridiagonal(
@@ -243,6 +246,8 @@ def _nearest_level(
         solves += 1
         if vals.size:
             return float(vals[np.argmin(np.abs(vals - target))]), solves
+        if reach is None:
+            reach = abs(target) + np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0)
         if not radius < reach:
             raise ValueError(f"no fd eigenvalue found near {target}")
         radius *= WINDOW_GROWTH
@@ -274,8 +279,10 @@ def contains_eigenvalue(
     """Does lam sit in the fd spectrum after Richardson extrapolation?
 
     Finds the level nearest lam on the given grid, follows that level to
-    the doubled grid, Richardson-extrapolates the second-order scheme and
-    accepts when the extrapolated level lies within max(1e-3, 1e-3 |lam|).
+    the doubled grid through a narrow window centred at the Richardson
+    prediction mu + 3/4 (lam - mu), Richardson-extrapolates the
+    second-order scheme and accepts when the extrapolated level lies
+    within max(1e-3, 1e-3 |lam|).
     A pure function of its arguments: `sweep` solves a repeated
     (potential, lam) once.
     """
@@ -283,16 +290,23 @@ def contains_eigenvalue(
     fine = config.doubled()
     # the doubled grid's odd positions are the given grid's nodes, bit for bit
     xf, vf = _grid_values(spec, fine)
-    coarse = _tridiagonal(spec, config, xf[1::2], vf[1::2], lam)
+    ratio_fine, ratio_coarse = _left_boundary_ratios(
+        spec, (float(xf[0]), float(xf[1])), lam
+    )
+    coarse = _tridiagonal(config, xf[1::2], vf[1::2], ratio_coarse)
     mu, solves = _nearest_level(*coarse, lam, tol)
-    # a true level moves by ~3/4 |mu - lam| under halving h
-    radius = min(tol, max(abs(mu - lam), BISECTION_TOL))
-    mu2, fine_solves = _nearest_level(*_tridiagonal(spec, fine, xf, vf, lam), mu, radius)
+    # were lam a level, halving h would move mu to where Richardson lands
+    # on lam: mu + 3/4 (lam - mu); that point is nearer mu's continuation
+    # than any other level, so a narrow window there finds it
+    gap = abs(mu - lam)
+    radius = min(tol, max(BISECTION_TOL, gap / WINDOW_GROWTH**5))
+    fine_matrix = _tridiagonal(fine, xf, vf, ratio_fine)
+    mu2, fine_solves = _nearest_level(*fine_matrix, mu + 0.75 * (lam - mu), radius)
     richardson_gap = float(abs((4.0 * mu2 - mu) / 3.0 - lam))
     return ContainmentResult(
         hit=richardson_gap <= tol,
         nearest=mu,
-        gap=float(abs(mu - lam)),
+        gap=float(gap),
         richardson_gap=richardson_gap,
         fine_nearest=mu2,
         n_points=config.n_points,

@@ -78,7 +78,7 @@ class PotentialSpec:
         """
         inv = 1.0 / float(self.b)
         vals = np.zeros_like(xs)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i, cf in enumerate(self.coeffs):
                 if cf != 0.0:
                     vals += cf * np.power(xs, -2.0 + i * inv)

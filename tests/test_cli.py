@@ -456,6 +456,16 @@ class TestSweep:
         keys = [(t["l"], t["m"], t["b"], t["branch"]) for t in payload["tuples"]]
         assert sorted(keys) == [(0, 0, "1", "minus"), (0, 0, "1", "plus")]
 
+    @pytest.mark.parametrize("flags,b", [(["--b", "2/2,1"], "1"), ([], "1/2,1")])
+    def test_manifest_records_resolved_b(self, capsys, flags, b):
+        # the manifest records the reduced, de-duplicated, sorted b list
+        # that the tuples use, not the text as typed
+        code, out, _ = run_cli(
+            capsys, "sweep", "--lmax", "0", "--mmax", "0", "--no-oracle", *flags
+        )
+        assert code == 0
+        assert json.loads(out)["manifest"]["params"]["b"] == b
+
     def test_bad_b_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--lmax", "0", "--mmax", "0", "--b", "0")
         assert code == 2
@@ -556,6 +566,16 @@ class TestSweep:
         assert len(set(problems)) == len(problems)
         assert len(calls) <= 2 * len(problems)
 
+    def test_oracle_eigensolve_count(self, capsys, monkeypatch):
+        # the doubled-grid window centred at the Richardson prediction holds
+        # every true level at once: at most the 162 eigensolves a window
+        # centred on the coarse level takes (the sweep of the test above
+        # stays at two per problem, 80)
+        calls = self.count_eigensolves(monkeypatch)
+        code, _, _ = run_cli(capsys, "sweep", "--lmax", "3", "--mmax", "3", "--b", "1,1/2")
+        assert code == 0
+        assert len(calls) <= 162
+
     def test_oracle_sweep_matches_verify(self, capsys):
         # the memo only skips repeated problems: every tuple's verdict and
         # worst oracle gap are those of verify on that tuple alone
@@ -648,6 +668,24 @@ def test_manifest_shape(capsys, tmp_path, argv, keys):
     assert list(manifest) == ["command", "params", "version", "timestamp"]
     assert manifest["command"] == argv[0]
     assert list(manifest["params"]) == keys
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["verify"], "potential is not finite on the grid"),
+        (["potential"], "non-finite values in curve output"),
+    ],
+    ids=["verify", "potential"],
+)
+def test_tiny_b_fails_without_numpy_warnings(capsys, command, message):
+    # b = 1e-150 is accepted, but c_i ~ 1/b^2 overflows once multiplied by
+    # x^(-2 + i/b): the command says so and prints nothing else (a leaked
+    # numpy RuntimeWarning would also raise here, warnings being errors)
+    code, out, err = run_cli(capsys, *command, "--l", "1", "--m", "1", "--b", "1e-150")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("b", ["1e-400", "1e-200", "1e400"])

@@ -167,21 +167,52 @@ class TestWindowedSearch:
             assert res.richardson_gap < 1e-4
 
     def test_seeded_fine_search_finds_the_same_level(self):
-        # the doubled-grid window starts at the coarse gap, not at the hit
-        # tolerance; the level it finds is the one a window of the full
-        # tolerance finds, up to the bisection tolerance
+        # the doubled-grid window is centred at the Richardson prediction
+        # mu + 3/4 (lam - mu) and starts ~1000x narrower than the coarse
+        # gap; on true levels and on candidates that are none, the level it
+        # finds is the one a tol-wide window centred on mu finds, up to the
+        # bisection tolerance
         freqs = ModeFrequencies(0.3, -1.2, 0.7)
-        for vspec, lam in zero_modes(Fraction(2), freqs, SubspaceLabel(4, 4)):
+        cases = [
+            (vspec, lam, True)
+            for vspec, lam in zero_modes(Fraction(2), freqs, SubspaceLabel(4, 4))
+        ]
+        # x^2 on the half line, levels 3, 7, 11: 0.3 of a spacing above a
+        # level, and midway between two
+        cases += [(bare_spec(HARMONIC), lam, False) for lam in (3.0 + 0.3 * 4.0, 9.0)]
+        for vspec, lam, hit in cases:
             cfg = oracle_config(vspec, lam)
             res = contains_eigenvalue(vspec, cfg, lam)
             fine = cfg.doubled()
-            matrix = fdoracle._tridiagonal(
-                vspec, fine, *fdoracle._grid_values(vspec, fine), lam
-            )
+            xf, vf = fdoracle._grid_values(vspec, fine)
+            (ratio,) = fdoracle._left_boundary_ratios(vspec, (float(xf[0]),), lam)
+            matrix = fdoracle._tridiagonal(fine, xf, vf, ratio)
             tol = max(fdoracle.HIT_RTOL, fdoracle.HIT_RTOL * abs(lam))
             wide, _ = fdoracle._nearest_level(*matrix, res.nearest, tol)
-            assert res.hit
-            assert abs(res.fine_nearest - wide) <= 2e-10
+            assert res.hit == hit, (lam, res)
+            assert abs(res.fine_nearest - wide) <= 2e-10, (lam, res)
+
+    def test_nearest_level_rejects_infinite_target(self, capfd, monkeypatch):
+        # the Gershgorin reach is only computed once a window comes back
+        # empty; an infinite target must still end in an error at once,
+        # not in a widening loop (LAPACK rejects the window (inf, inf])
+        calls = []
+        solver = fdoracle.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(fdoracle, "eigh_tridiagonal", counting)
+        spec = bare_spec(HARMONIC)
+        cfg = LogGridConfig(10.0, 200)
+        xs, vpot = fdoracle._grid_values(spec, cfg)
+        (ratio,) = fdoracle._left_boundary_ratios(spec, (float(xs[0]),), None)
+        matrix = fdoracle._tridiagonal(cfg, xs, vpot, ratio)
+        with pytest.raises(ValueError):
+            fdoracle._nearest_level(*matrix, math.inf, 1e-3)
+        assert len(calls) == 1
+        capfd.readouterr()  # LAPACK's own complaint about the window
 
     @pytest.mark.parametrize("x_max", [6.0, 21.35, 512.0])
     def test_doubled_grid_holds_the_nodes(self, x_max):
