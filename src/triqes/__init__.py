@@ -24,13 +24,10 @@ from .heun import (
 )
 from .schroedinger import (
     PotentialSpec,
-    WavefunctionSpec,
     epsilon_of,
     eval_potential,
     eval_wavefunction,
     potential_specs,
-    wavefunction_spec,
-    zero_mode_residual,
 )
 from .fdoracle import (
     LogGridConfig,
@@ -60,13 +57,10 @@ __all__ = [
     "bhe_standard_residual",
     "fock_to_rho_polynomial",
     "PotentialSpec",
-    "WavefunctionSpec",
     "epsilon_of",
     "eval_potential",
     "eval_wavefunction",
     "potential_specs",
-    "wavefunction_spec",
-    "zero_mode_residual",
     "LogGridConfig",
     "contains_eigenvalue",
     "fd_spectrum",

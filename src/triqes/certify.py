@@ -9,9 +9,10 @@ transformation exponent b:
 3. the potential whose zero mode chi is: at b = 1/2 the displaced sextic
    Vtilde with lambda = eps(E), for any other b the plain V_b with
    lambda = 0;
-4. the Schroedinger equation -chi'' + (V - lambda) chi = 0 as the exact
-   polynomial identity `zero_mode_residual`, relative to the largest phi
-   coefficient: no grid, no step size, no refinement order;
+4. the Schroedinger equation -chi'' + (V - lambda) chi = 0 for the zero
+   mode chi with envelope `zero_mode_envelope` and the phi of stage 1, as
+   the exact polynomial identity `zero_mode_residuals`, relative to the
+   largest phi coefficient: no grid, no step size, no refinement order;
 5. when the caller asks for it, the independent finite-difference oracle
    at lambda.
 

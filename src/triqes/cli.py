@@ -29,12 +29,12 @@ from .certify import (
 )
 from .fock import SubspaceLabel, subspace_basis
 from .hamiltonian import ModeFrequencies, build_hamiltonian
-from .heun import Branch, fock_to_rho_polynomial
+from .heun import Branch, rho_coefficients
 from .schroedinger import (
     eval_potential,
     eval_wavefunction,
     potential_specs,
-    wavefunction_spec,
+    zero_mode_envelope,
 )
 from .spectra import eig_sym
 
@@ -168,8 +168,8 @@ def cmd_potential(args: argparse.Namespace) -> int:
     if not (1 <= args.p <= label.dim):
         raise UsageError(f"--p must lie in 1..{label.dim}, got {args.p}")
     energy, vec = eig_sym(build_hamiltonian(freqs, label)).pair(label.dim - args.p)
-    phi = fock_to_rho_polynomial(label, vec, branch)
-    wf = wavefunction_spec(bfrac, freqs, label, phi)
+    phi = rho_coefficients(label, vec[:, None], branch)[:, 0]
+    pref, a_ = zero_mode_envelope(bfrac, freqs, label, branch)
     if args.shifted:
         vspecs, lams = zero_mode_potentials(bfrac, freqs, label, [energy], branch)
         vspec, lam = vspecs[0], float(lams[0])
@@ -178,7 +178,7 @@ def cmd_potential(args: argparse.Namespace) -> int:
     xs = np.linspace(args.xmin, args.xmax, args.points)
     with np.errstate(all="ignore"):  # the finiteness check below reports
         vvals = eval_potential(vspec, xs)
-        chi = eval_wavefunction(wf, xs)
+        chi = eval_wavefunction(bfrac, pref, a_, phi, xs)
         table = np.stack([xs, vvals, chi, chi * chi], axis=1)
     if not np.isfinite(table).all():
         raise IOError("non-finite values in curve output")

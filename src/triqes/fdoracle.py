@@ -231,12 +231,14 @@ def _nearest_level(
     """Eigenvalue nearest `target`, and the number of solves it took.
 
     Bisection restricted to the window (target - r, target + r] touches
-    only the levels inside it.  The radius grows geometrically until the
-    window holds a level; a non-empty window centred on the target always
-    contains the globally nearest eigenvalue.  Past the Gershgorin reach
-    every level is inside, so an empty window there means non-finite input.
+    only the levels inside it.  Each round solves, then widens the radius
+    by `WINDOW_GROWTH` until the window holds a level; a non-empty window
+    centred on the target always contains the globally nearest eigenvalue.
+    For finite input the loop ends once the radius reaches any level.  A
+    non-finite target or matrix makes the first solve raise ValueError:
+    scipy rejects a non-finite matrix, LAPACK an infinite window, and
+    bisection on a NaN window does not converge.
     """
-    reach = None  # needed only once a window comes back empty
     solves = 0
     while True:
         vals = eigh_tridiagonal(
@@ -246,10 +248,6 @@ def _nearest_level(
         solves += 1
         if vals.size:
             return float(vals[np.argmin(np.abs(vals - target))]), solves
-        if reach is None:
-            reach = abs(target) + np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0)
-        if not radius < reach:
-            raise ValueError(f"no fd eigenvalue found near {target}")
         radius *= WINDOW_GROWTH
 
 

@@ -14,8 +14,11 @@ standard-form BHE with the mapped parameters (alpha, beta, gamma, delta).
 Both recurrences are exact in the polynomial coefficients; no grids are
 involved.  The map and both recurrences are array operations over one
 column per eigenvector (`rho_coefficients`, `operator_residuals`,
-`standard_residuals`), with E entering as a vector; the scalar functions
-are their one-column cases.
+`standard_residuals`), with E entering as a vector.  The BHE twins
+`fock_to_rho_polynomial` (which returns a `RhoPolynomial`),
+`bhe_operator_residual` and `bhe_standard_residual` are their one-column
+cases, and `residual_ok` applies `BHE_RTOL` to one column; the tests and
+the bhe-bulk benchmark use them as references.
 """
 
 from __future__ import annotations
@@ -34,43 +37,6 @@ SQRT2 = math.sqrt(2.0)
 # The chain's one pass rule: a residual passes when every coefficient is at
 # most this times the largest phi coefficient.
 BHE_RTOL = 1e-10
-
-_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp splitting constant
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    c = _SPLITTER * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLITTER * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _horner_compensated(coeffs, x):
-    """Horner evaluation with an error-free compensation term.
-
-    The curve output prints chi to 15 significant digits.  With plain
-    Horner, cancellation among mixed-sign coefficients moves chi by up to
-    3.8e-11 of max|chi| (W(8,8), w = (-1.5, 0.8, 1.9), b = 1, x in
-    [0.02, 4]), so those digits would be noise.  Compensation restores
-    results as if evaluated in double-double precision.
-    """
-    p = np.zeros_like(x) + coeffs[-1]
-    e = np.zeros_like(x)
-    for coef in reversed(coeffs[:-1]):
-        p, pi = _two_prod(p, x)
-        p, sigma = _two_sum(p, coef)
-        e = e * x + (pi + sigma)
-    return p + e
 
 
 class Branch(enum.Enum):
@@ -97,18 +63,6 @@ class RhoPolynomial:
             raise ValueError(
                 f"expected {self.label.n_prime + 1} coefficients, got {len(self.coeffs)}"
             )
-
-    def __call__(self, rho: float | np.ndarray) -> float | np.ndarray:
-        # compensated Horner in the branch's own polynomial variable
-        acc = _horner_compensated(self.coeffs, np.asarray(rho, dtype=float))
-        return acc if np.ndim(rho) else float(acc)
-
-    @property
-    def degree(self) -> int:
-        for n in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[n] != 0.0:
-                return n
-        return 0
 
 
 @dataclass(frozen=True)

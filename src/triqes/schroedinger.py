@@ -33,13 +33,14 @@ For b = 1/2 the x^0 term carries the only E dependence, so V splits as
 V = Vtilde - eps(E) with eps(E) = -4 c E: the displaced sextic potential
 Vtilde is E-independent and has genuine eigenvalues eps(E).
 
-`zero_mode_residual` is the one check of -chi'' + V chi = lambda chi, and
-it is exact: with v = x^(1/b) the left side minus the right is
-x^(s-2) e^(g(v)) P(v) / b^2 for a polynomial P of degree <= N' + 4, whose
-coefficients it returns.  No grid, step size or difference stencil is
-involved; the certification pipeline gates on P, which
-`zero_mode_residuals` forms for all eigenvectors of a subspace at once
-(`potential_specs` builds their ladders, sharing the E-free rungs).
+The zero mode has one format: its envelope (s, A) from
+`zero_mode_envelope` and phi as a coefficient column of
+`heun.rho_coefficients`.  `zero_mode_residuals` is the one check of
+-chi'' + V chi = lambda chi, and it is exact: with v = x^(1/b) the left
+side minus the right is x^(s-2) e^(g(v)) P(v) / b^2 for a polynomial P of
+degree <= N' + 4, whose coefficients it returns for all eigenvectors of a
+subspace at once (`potential_specs` builds their ladders, sharing the
+E-free rungs).  No grid, step size or difference stencil is involved.
 `eval_potential` and `eval_wavefunction` evaluate V and chi pointwise for
 the curve output.
 """
@@ -54,9 +55,46 @@ import numpy as np
 
 from .fock import SubspaceLabel
 from .hamiltonian import ModeFrequencies, check_finite
-from .heun import Branch, RhoPolynomial
+from .heun import Branch
 
 RationalLike = Fraction | int
+
+_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp splitting constant
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_prod(a, b):
+    p = a * b
+    c = _SPLITTER * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLITTER * b
+    bh = c - (c - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _horner_compensated(coeffs, x):
+    """Horner evaluation with an error-free compensation term.
+
+    The curve output prints chi to 15 significant digits.  With plain
+    Horner, cancellation among mixed-sign coefficients moves chi by up to
+    3.8e-11 of max|chi| (W(8,8), w = (-1.5, 0.8, 1.9), b = 1, x in
+    [0.02, 4]), so those digits would be noise.  Compensation restores
+    results as if evaluated in double-double precision.
+    """
+    p = np.zeros_like(x) + coeffs[-1]
+    e = np.zeros_like(x)
+    for coef in reversed(coeffs[:-1]):
+        p, pi = _two_prod(p, x)
+        p, sigma = _two_sum(p, coef)
+        e = e * x + (pi + sigma)
+    return p + e
 
 
 @dataclass(frozen=True)
@@ -83,16 +121,6 @@ class PotentialSpec:
                 if cf != 0.0:
                     vals += cf * np.power(xs, -2.0 + i * inv)
         return vals
-
-
-@dataclass(frozen=True)
-class WavefunctionSpec:
-    """Closed-form chi(x): power prefactor, exponential factor, polynomial."""
-
-    prefactor_exponent: float
-    A: float
-    phi: RhoPolynomial
-    b: Fraction
 
 
 def potential_specs(
@@ -155,58 +183,31 @@ def zero_mode_envelope(
     return pref, branch.c * (freqs.w1 - freqs.w2 - freqs.w3)
 
 
-def wavefunction_spec(
+def eval_wavefunction(
     b: RationalLike,
-    freqs: ModeFrequencies,
-    label: SubspaceLabel,
-    phi: RhoPolynomial,
-) -> WavefunctionSpec:
-    pref, a_ = zero_mode_envelope(b, freqs, label, phi.branch)
-    return WavefunctionSpec(prefactor_exponent=pref, A=a_, phi=phi, b=b)
-
-
-def eval_wavefunction(wf: WavefunctionSpec, x: float | np.ndarray) -> float | np.ndarray:
+    prefactor_exponent: float,
+    A: float,
+    phi: np.ndarray,
+    x: float | np.ndarray,
+) -> float | np.ndarray:
     """Evaluate chi(x) for x > 0 (vectorized over arrays).
 
-    The polynomial argument is v = x^(1/b) in the branch's own variable;
-    for the minus branch this is the point -x^(1/b) of the plus-branch
+    (`prefactor_exponent`, `A`) is the envelope from `zero_mode_envelope`
+    and `phi` one coefficient column of `heun.rho_coefficients`.  The
+    polynomial argument is v = x^(1/b) in the branch's own variable; for
+    the minus branch this is the point -x^(1/b) of the plus-branch
     variable, matching x = (-rho)^b.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("wavefunction is defined for x > 0 only")
-    v = arr ** (1.0 / float(wf.b))
+    v = arr ** (1.0 / float(b))
     val = (
-        arr**wf.prefactor_exponent
-        * np.exp(-0.5 * v * (wf.A + v))
-        * wf.phi(v)
+        arr**prefactor_exponent
+        * np.exp(-0.5 * v * (A + v))
+        * _horner_compensated(phi, v)
     )
     return val if np.ndim(x) else float(val)
-
-
-def zero_mode_residual(
-    spec: PotentialSpec, wf: WavefunctionSpec, lam: float
-) -> np.ndarray:
-    """Coefficients in v = x^(1/b) of the exact residual polynomial P.
-
-    With sigma = b s (s the prefactor exponent), g = -v (A + v) / 2 and
-    q = sigma - A v / 2 - v^2, chi = v^sigma e^g phi(v) gives
-
-        -chi'' + (V - lam) chi = x^(s - 2) e^g P(v) / b^2,
-        P = -(v^2 phi'' + 2 v q phi' + (q^2 - sigma - v^2) phi)
-            - (1 - b)(v phi' + q phi) + b^2 (sum_i c_i v^i - lam v^(2b)) phi,
-
-    where c_i = `spec.coeffs[i]` is the coefficient of x^(-2 + i/b) in V.
-    P vanishes identically exactly when chi is a zero mode at lam, so no
-    grid is involved.  P is built from `spec` and `wf` alone.  Raises
-    ValueError when the ladders differ (`spec.b` != `wf.b`), or when
-    lam != 0 and 2b is not an integer.  The one-column case of
-    `zero_mode_residuals`.
-    """
-    phis = np.array(wf.phi.coeffs)[:, None]
-    return zero_mode_residuals(
-        [spec], np.array([lam]), wf.b, wf.prefactor_exponent, wf.A, phis
-    )[:, 0]
 
 
 def zero_mode_residuals(
@@ -217,7 +218,19 @@ def zero_mode_residuals(
     A: float,
     phis: np.ndarray,
 ) -> np.ndarray:
-    """P of `zero_mode_residual` for many zero modes at one b, one column each.
+    """Coefficients in v = x^(1/b) of the exact residual polynomial P of
+    many zero modes at one b, one column each.
+
+    With sigma = b s (s the prefactor exponent), g = -v (A + v) / 2 and
+    q = sigma - A v / 2 - v^2, chi = v^sigma e^g phi(v) gives
+
+        -chi'' + (V - lam) chi = x^(s - 2) e^g P(v) / b^2,
+        P = -(v^2 phi'' + 2 v q phi' + (q^2 - sigma - v^2) phi)
+            - (1 - b)(v phi' + q phi) + b^2 (sum_i c_i v^i - lam v^(2b)) phi,
+
+    where c_i, rung i of the potential's `coeffs`, is the coefficient of
+    x^(-2 + i/b) in V.  P vanishes identically exactly when chi is a zero mode at lam, so no
+    grid is involved.
 
     Column i is P for the potential `specs[i]` at `lams[i]` and the zero
     mode with envelope (`prefactor_exponent`, `A`) and phi coefficients

@@ -29,13 +29,12 @@ from triqes import (
     fock_to_rho_polynomial,
     oracle_config,
     potential_specs,
-    wavefunction_spec,
     zero_mode_potentials,
-    zero_mode_residual,
 )
 from triqes.certify import SEXTIC_B
 from triqes.cli import main as cli_main
-from triqes.heun import BHE_RTOL, residual_ok
+from triqes.heun import BHE_RTOL, residual_ok, rho_coefficients
+from triqes.schroedinger import zero_mode_envelope, zero_mode_residuals
 
 SQRT2 = math.sqrt(2.0)
 W111 = ModeFrequencies(1.0, 1.0, 1.0)
@@ -187,9 +186,11 @@ def worked_example_spectra():
 
 def mp_zero_mode(wf, vspec, lam, p):
     """chi, V and the closed form x^(s-2) e^g P(v) / b^2 in mpmath, built
-    from the float data of `wf`, `vspec` and the coefficients `p` of P."""
-    b = mpmath.mpf(wf.b.numerator) / wf.b.denominator
-    s, a = mpmath.mpf(wf.prefactor_exponent), mpmath.mpf(wf.A)
+    from the float data of the zero mode `wf` = (b, s, A, phi), `vspec` and
+    the coefficients `p` of P."""
+    b_frac, s_float, a_float, phi = wf
+    b = mpmath.mpf(b_frac.numerator) / b_frac.denominator
+    s, a = mpmath.mpf(s_float), mpmath.mpf(a_float)
 
     def poly(coeffs, v):
         return mpmath.fsum(c * v**n for n, c in enumerate(coeffs))
@@ -199,7 +200,7 @@ def mp_zero_mode(wf, vspec, lam, p):
 
     def chi(x):
         v = x ** (1 / b)
-        return x**s * envelope(v) * poly(wf.phi.coeffs, v)
+        return x**s * envelope(v) * poly(phi.tolist(), v)
 
     def potential(x):
         return mpmath.fsum(c * x ** (i / b - 2) for i, c in enumerate(vspec.coeffs))
@@ -231,20 +232,20 @@ def test_criterion_5_zero_mode_residuals():
                     vspecs, lams = zero_mode_potentials(
                         b, W111, label, energies * (1.0 + 1e-3), branch
                     )
+                    envelope = zero_mode_envelope(b, W111, label, branch)
+                    phis = rho_coefficients(label, vecs, branch)
+                    residuals = zero_mode_residuals(vspecs, lams, b, *envelope, phis)
                     for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
-                        wf = wavefunction_spec(
-                            b, W111, label,
-                            fock_to_rho_polynomial(label, vecs[:, i], branch),
-                        )
+                        wf = (b, *envelope, phis[:, i])
                         chi, potential, closed = mp_zero_mode(
-                            wf, vspec, lam, zero_mode_residual(vspec, wf, lam)
+                            wf, vspec, lam, residuals[:, i]
                         )
                         for x in map(mpmath.mpf, (0.3, 0.9, 1.7)):
                             c = chi(x)
                             lhs = -mpmath.diff(chi, x, 2) + (potential(x) - lam) * c
                             gap = float(abs(lhs - closed(x)) / abs(c))
                             mismatch = float(
-                                abs(eval_wavefunction(wf, float(x)) - c) / abs(c)
+                                abs(eval_wavefunction(*wf, float(x)) - c) / abs(c)
                             )
                             ok &= gap <= 1e-12 and abs(lhs) >= 1e-6 * abs(c)
                             ok &= mismatch <= 1e-13
@@ -361,14 +362,14 @@ def test_criterion_7_property_suites():
         spec = eig_sym(build_hamiltonian(freqs, label))
         idx = int(rng.integers(0, label.dim))
         _, vec = spec.pair(idx)
-        phi = fock_to_rho_polynomial(label, vec, branch)
+        phi = rho_coefficients(label, vec[:, None], branch)[:, 0]
         b = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2)][
             int(rng.integers(0, 4))
         ]
-        wf = wavefunction_spec(b, freqs, label, phi)
-        mid = max(abs(eval_wavefunction(wf, x)) for x in (0.5, 1.0, 1.5, 2.0))
-        ok &= abs(eval_wavefunction(wf, 1e-12)) < 1e-3 * mid
-        ok &= abs(eval_wavefunction(wf, 30.0 ** float(b))) < 1e-12 * mid
+        wf = (b, *zero_mode_envelope(b, freqs, label, branch), phi)
+        mid = max(abs(eval_wavefunction(*wf, x)) for x in (0.5, 1.0, 1.5, 2.0))
+        ok &= abs(eval_wavefunction(*wf, 1e-12)) < 1e-3 * mid
+        ok &= abs(eval_wavefunction(*wf, 30.0 ** float(b))) < 1e-12 * mid
 
     # fdoracle: second-order grid convergence on exactly solvable wells
     from triqes.schroedinger import PotentialSpec

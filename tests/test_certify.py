@@ -15,24 +15,21 @@ import triqes
 from triqes import (
     Branch,
     ModeFrequencies,
-    RhoPolynomial,
     SubspaceLabel,
     bhe_params,
     build_hamiltonian,
     certify_subspace,
     eig_sym,
     epsilon_of,
-    fock_to_rho_polynomial,
     potential_specs,
-    wavefunction_spec,
     zero_mode_potentials,
-    zero_mode_residual,
 )
 from triqes import certify
 from triqes.certify import SEXTIC_B
 from triqes.cli import main as cli_main
 from triqes.fock import MAX_TOTAL_LABEL
-from triqes.heun import BHE_RTOL
+from triqes.heun import BHE_RTOL, rho_coefficients
+from triqes.schroedinger import zero_mode_envelope, zero_mode_residuals
 
 from conftest import frequencies
 
@@ -46,9 +43,10 @@ def spectrum_of(freqs, label):
     return eig_sym(build_hamiltonian(freqs, label))
 
 
-def exact_relative(vspec, wf, lam):
-    residual = zero_mode_residual(vspec, wf, lam)
-    return np.max(np.abs(residual)) / np.max(np.abs(wf.phi.coeffs))
+def exact_relative(vspec, lam, b, s, a, phi):
+    """max|P| of one zero mode, relative to its largest phi coefficient."""
+    residual = zero_mode_residuals([vspec], np.array([lam]), b, s, a, phi[:, None])
+    return np.max(np.abs(residual)) / np.max(np.abs(phi))
 
 
 def loop_chain(freqs, label, energy, vec, b, branch):
@@ -96,11 +94,11 @@ def loop_chain(freqs, label, energy, vec, b, branch):
         std.append(val)
     # zero mode: P = sum_n phi_n v^n (base - n-dependent terms)
     (vspec,), (lam,) = zero_mode_potentials(b, freqs, label, [energy], branch)
-    wf = wavefunction_spec(b, freqs, label, RhoPolynomial(tuple(phi), label, branch))
+    s, a_ = zero_mode_envelope(b, freqs, label, branch)
     bf = float(b)
     lam_power = int(2 * b) if lam != 0.0 else 0
-    sigma = bf * wf.prefactor_exponent
-    q = (sigma, -0.5 * wf.A, -1.0)
+    sigma = bf * s
+    q = (sigma, -0.5 * a_, -1.0)
     base = [0.0] * max(5, lam_power + 1)
     for i in range(3):
         for j in range(3):
@@ -260,37 +258,36 @@ class TestZeroModeResidual:
                 offs = zip(*zero_mode_potentials(
                     b, unit_freqs, label, energies * (1 + 1e-8), branch
                 ))
+                s, a_ = zero_mode_envelope(b, unit_freqs, label, branch)
+                phis = rho_coefficients(label, spectrum.eigenvectors, branch)
                 for i, (vspec, lam, (off_e, off_lam)) in enumerate(zip(vspecs, lams, offs)):
-                    phi = fock_to_rho_polynomial(label, spectrum.eigenvectors[:, i], branch)
-                    wf = wavefunction_spec(b, unit_freqs, label, phi)
+                    wf = (b, s, a_, phis[:, i])
                     case = (energies[i], b, branch)
-                    assert exact_relative(vspec, wf, lam) <= BHE_RTOL, case
-                    assert exact_relative(off_e, wf, off_lam) > BHE_RTOL, case
+                    assert exact_relative(vspec, lam, *wf) <= BHE_RTOL, case
+                    assert exact_relative(off_e, off_lam, *wf) > BHE_RTOL, case
                     coeffs = list(vspec.coeffs)
                     k = max(range(5), key=lambda r: abs(coeffs[r]))
                     coeffs[k] *= 1 + 1e-8
                     off_v = replace(vspec, coeffs=tuple(coeffs))
-                    assert exact_relative(off_v, wf, lam) > BHE_RTOL, case
-                    off_s = replace(
-                        wf, prefactor_exponent=wf.prefactor_exponent * (1 + 1e-8)
-                    )
-                    assert exact_relative(vspec, off_s, lam) > BHE_RTOL, case
+                    assert exact_relative(off_v, lam, *wf) > BHE_RTOL, case
+                    off_s = (b, s * (1 + 1e-8), a_, phis[:, i])
+                    assert exact_relative(vspec, lam, *off_s) > BHE_RTOL, case
 
     def test_off_ladder_rejected(self, unit_freqs):
         label = SubspaceLabel(1, 1)
         energy, vec = spectrum_of(unit_freqs, label).pair(1)
-        phi = fock_to_rho_polynomial(label, vec, Branch.PLUS)
+        phi = rho_coefficients(label, vec[:, None], Branch.PLUS)[:, 0]
         for spec_b, wf_b in ((1, Fraction(3, 2)), (Fraction(1, 2), 1), (2, 1)):
             vspec = potential_specs(spec_b, unit_freqs, label, [energy])[0]
-            wf = wavefunction_spec(wf_b, unit_freqs, label, phi)
+            s, a_ = zero_mode_envelope(wf_b, unit_freqs, label, Branch.PLUS)
             with pytest.raises(ValueError, match="not -2 \\+ i/b"):
-                zero_mode_residual(vspec, wf, 0.0)
+                exact_relative(vspec, 0.0, wf_b, s, a_, phi)
         # lambda != 0 needs v^(2b) to be a power of v
         third = Fraction(1, 3)
         vspec = potential_specs(third, unit_freqs, label, [energy])[0]
-        wf = wavefunction_spec(third, unit_freqs, label, phi)
+        s, a_ = zero_mode_envelope(third, unit_freqs, label, Branch.PLUS)
         with pytest.raises(ValueError, match="integer 2b"):
-            zero_mode_residual(vspec, wf, 1.0)
+            exact_relative(vspec, 1.0, third, s, a_, phi)
 
     def test_cli_exits_1_off_ladder(self, capsys, monkeypatch):
         def wrong_b(b, freqs, label, energies, branch):
@@ -308,7 +305,10 @@ class TestZeroModeResidual:
 # names a module once defined and no longer does, by module
 REMOVED = {
     "certify": ("certify_eigenpair", "zero_mode_potential"),
-    "schroedinger": ("potential_spec", "split_sextic", "AuxConstants"),
+    "schroedinger": (
+        "potential_spec", "split_sextic", "AuxConstants",
+        "WavefunctionSpec", "wavefunction_spec", "zero_mode_residual",
+    ),
     "hamiltonian": ("RestrictedHamiltonian",),
     "fdoracle": ("SINGULAR_XMIN",),
 }
@@ -328,7 +328,8 @@ def test_public_surface():
             assert name not in triqes.__all__
     assert {"potential_specs", "zero_mode_potentials"} <= set(triqes.__all__)
     assert [f.name for f in fields(triqes.LogGridConfig)] == ["x_max", "n_points"]
-    assert not hasattr(triqes.WavefunctionSpec, "branch")
+    # phi is a coefficient column: the wrapper keeps no evaluation of its own
+    assert {"__call__", "degree"}.isdisjoint(vars(triqes.RhoPolynomial))
     assert "rtol" not in inspect.signature(triqes.heun.residual_ok).parameters
     oracle = inspect.signature(certify.certify_subspace).parameters["oracle"]
     assert oracle.default is None

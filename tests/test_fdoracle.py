@@ -192,10 +192,12 @@ class TestWindowedSearch:
             assert res.hit == hit, (lam, res)
             assert abs(res.fine_nearest - wide) <= 2e-10, (lam, res)
 
-    def test_nearest_level_rejects_infinite_target(self, capfd, monkeypatch):
-        # the Gershgorin reach is only computed once a window comes back
-        # empty; an infinite target must still end in an error at once,
-        # not in a widening loop (LAPACK rejects the window (inf, inf])
+    @pytest.mark.parametrize("target", [math.inf, math.nan])
+    def test_nearest_level_rejects_infinite_target(self, capfd, monkeypatch, target):
+        # the search has no guard of its own: a non-finite target must end
+        # in an error at the first solve, not in a widening loop (LAPACK
+        # rejects the window (inf, inf]; bisection on a NaN window does not
+        # converge)
         calls = []
         solver = fdoracle.eigh_tridiagonal
 
@@ -210,7 +212,7 @@ class TestWindowedSearch:
         (ratio,) = fdoracle._left_boundary_ratios(spec, (float(xs[0]),), None)
         matrix = fdoracle._tridiagonal(cfg, xs, vpot, ratio)
         with pytest.raises(ValueError):
-            fdoracle._nearest_level(*matrix, math.inf, 1e-3)
+            fdoracle._nearest_level(*matrix, target, 1e-3)
         assert len(calls) == 1
         capfd.readouterr()  # LAPACK's own complaint about the window
 

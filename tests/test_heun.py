@@ -83,15 +83,6 @@ class TestPolynomialMap:
             for n, (bp, bm) in enumerate(zip(plus.coeffs, minus.coeffs)):
                 assert bm == pytest.approx((-1.0) ** (label.k + n) * bp, rel=1e-14, abs=1e-300)
 
-    @given(frequencies(), labels(max_l=6, max_m=6))
-    def test_degree(self, freqs, label):
-        spec = eig_sym(build_hamiltonian(freqs, label))
-        for i in range(label.dim):
-            _, vec = spec.pair(i)
-            phi = fock_to_rho_polynomial(label, vec, Branch.PLUS)
-            if abs(vec[0]) > 1e-12:
-                assert phi.degree == label.n_prime
-
 
 class TestBheParams:
     def test_w11_example(self, unit_freqs):
