@@ -21,6 +21,7 @@ from .heun import (
     bhe_params,
     bhe_standard_residual,
     fock_to_rho_polynomial,
+    rho_coefficients,
 )
 from .schroedinger import (
     PotentialSpec,
@@ -28,6 +29,7 @@ from .schroedinger import (
     eval_potential,
     eval_wavefunction,
     potential_specs,
+    zero_mode_envelope,
 )
 from .fdoracle import (
     LogGridConfig,
@@ -56,11 +58,13 @@ __all__ = [
     "bhe_params",
     "bhe_standard_residual",
     "fock_to_rho_polynomial",
+    "rho_coefficients",
     "PotentialSpec",
     "epsilon_of",
     "eval_potential",
     "eval_wavefunction",
     "potential_specs",
+    "zero_mode_envelope",
     "LogGridConfig",
     "contains_eigenvalue",
     "fd_spectrum",

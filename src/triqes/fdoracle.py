@@ -47,6 +47,12 @@ into the series); this selects the principal solution, as SLEIGN2 does
 centre that no V_b has, is an error.  The ratio of u carries the
 factor sqrt(x_1/x_0) into y, and the ratio condition folds into the
 first diagonal entry, so the matrix stays symmetric tridiagonal.
+
+This module is the package's only user of scipy, and it imports scipy at
+the first solve, not with the package: loading `scipy.linalg` takes
+~0.3 s and ~25 MB on a 2-vCPU x86_64 machine, more than the rest of
+start-up, so commands that solve no fd matrix (`spectrum`, `basis`,
+`potential`, `--no-oracle`) never pay it.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .schroedinger import PotentialSpec
 
@@ -74,6 +79,19 @@ ORACLE_X_MIN = 1e-4
 ORACLE_POINTS = 2000
 # WKB tunneling phase past the outer turning point that fixes x_max.
 DOMAIN_PHASE = 18.0
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    """`scipy.linalg.eigh_tridiagonal`, imported at the first solve (see
+    the module docstring for why).
+
+    Every solve looks this module attribute up at call time, so tests and
+    tracers can replace it.  After the first call the import is a
+    `sys.modules` lookup, ~1 us against solves of ~100 us and more.
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)

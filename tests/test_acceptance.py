@@ -17,9 +17,7 @@ from triqes import (
     LogGridConfig,
     ModeFrequencies,
     SubspaceLabel,
-    bhe_operator_residual,
     bhe_params,
-    bhe_standard_residual,
     build_hamiltonian,
     contains_eigenvalue,
     eig_sym,
@@ -29,12 +27,14 @@ from triqes import (
     fock_to_rho_polynomial,
     oracle_config,
     potential_specs,
+    rho_coefficients,
+    zero_mode_envelope,
     zero_mode_potentials,
 )
 from triqes.certify import SEXTIC_B
 from triqes.cli import main as cli_main
-from triqes.heun import BHE_RTOL, residual_ok, rho_coefficients
-from triqes.schroedinger import zero_mode_envelope, zero_mode_residuals
+from triqes.heun import BHE_RTOL, operator_residuals, standard_residuals
+from triqes.schroedinger import zero_mode_residuals
 
 SQRT2 = math.sqrt(2.0)
 W111 = ModeFrequencies(1.0, 1.0, 1.0)
@@ -155,21 +155,20 @@ def test_criterion_4_bhe_certification():
         freqs = ModeFrequencies(*rng.uniform(-2.0, 2.0, 3))
         for label in labels:
             spec = eig_sym(build_hamiltonian(freqs, label))
-            for i in range(label.dim):
-                energy, vec = spec.pair(i)
-                for branch in Branch:
-                    phi = fock_to_rho_polynomial(label, vec, branch)
-                    op_ok = residual_ok(
-                        bhe_operator_residual(freqs, label, energy, phi), phi
-                    )
-                    std_ok = residual_ok(
-                        bhe_standard_residual(
-                            bhe_params(freqs, label, energy, branch), phi
-                        ),
-                        phi,
-                    )
-                    ok &= op_ok and std_ok and (op_ok == std_ok)
-                    checked += 1
+            energies, vecs = spec.eigenvalues, spec.eigenvectors
+            for branch in Branch:
+                # one array call per stage; column i is eigenpair i, each
+                # coefficient checked against BHE_RTOL max|phi| of its column
+                phis = rho_coefficients(label, vecs, branch)
+                bound = BHE_RTOL * np.max(np.abs(phis), axis=0)
+                op_res = operator_residuals(freqs, label, energies, phis, branch)
+                std_res = standard_residuals(
+                    bhe_params(freqs, label, energies, branch), phis
+                )
+                op_ok = np.all(np.abs(op_res) <= bound, axis=0)
+                std_ok = np.all(np.abs(std_res) <= bound, axis=0)
+                ok &= bool(np.all(op_ok & std_ok & (op_ok == std_ok)))
+                checked += op_ok.size
     elapsed = time.perf_counter() - t0
     report(
         "4 BHE certification",

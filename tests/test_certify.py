@@ -326,7 +326,11 @@ def test_public_surface():
         for name in names:
             assert not hasattr(getattr(triqes, module), name), (module, name)
             assert name not in triqes.__all__
-    assert {"potential_specs", "zero_mode_potentials"} <= set(triqes.__all__)
+    # the curve's inputs are public alongside the curve itself
+    assert {
+        "potential_specs", "zero_mode_potentials", "eval_wavefunction",
+        "zero_mode_envelope", "rho_coefficients",
+    } <= set(triqes.__all__)
     assert [f.name for f in fields(triqes.LogGridConfig)] == ["x_max", "n_points"]
     # phi is a coefficient column: the wrapper keeps no evaluation of its own
     assert {"__call__", "degree"}.isdisjoint(vars(triqes.RhoPolynomial))

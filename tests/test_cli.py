@@ -403,21 +403,6 @@ class TestVerify:
                 energy = spec.eigenvalues[label.dim - e["p"]]
                 assert abs(e["residual_coefficient"]) <= 1e-12 * max(1.0, abs(energy))
 
-    def test_b2_zero_search_skips_scipy_optimize(self):
-        src = str(Path(triqes.__file__).resolve().parents[1])
-        code = (
-            "import sys; from triqes.cli import main; "
-            "rc = main(['verify', '--l', '2', '--m', '3', '--b', '2', "
-            "'--no-oracle', '--find-b2-zero', '--out', sys.argv[1]]); "
-            "assert rc == 0; assert 'scipy.optimize' not in sys.modules"
-        )
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", code, os.devnull],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-
     def test_manifest_records_flags(self, capsys):
         # the manifest alone tells a --no-oracle run from an oracle run,
         # and records b in its reduced form
@@ -705,3 +690,37 @@ def test_b_outside_double_range_is_usage_error(capsys, command, b):
     assert code == 2
     assert out == ""
     assert "out of range" in err
+
+
+SCIPY_PROBE = """
+import os, sys
+out = sys.argv[1]
+import triqes, triqes.cli
+assert "scipy" not in sys.modules, "import triqes"
+no_solve = [
+    ["spectrum", "--l", "1", "--m", "1"],
+    ["basis", "--l", "1", "--m", "1"],
+    ["potential", "--l", "1", "--m", "1"],
+    ["verify", "--l", "2", "--m", "3", "--b", "2", "--no-oracle", "--find-b2-zero"],
+    ["sweep", "--lmax", "1", "--mmax", "1", "--no-oracle"],
+]
+for argv in no_solve:
+    assert triqes.cli.main(argv + ["--out", os.path.join(out, argv[0])]) == 0, argv
+    assert "scipy" not in sys.modules, argv
+rc = triqes.cli.main(["verify", "--l", "1", "--m", "1", "--out", os.path.join(out, "oracle")])
+assert rc == 0, rc
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_scipy_loads_only_with_the_oracle(tmp_path):
+    # a fresh interpreter, since pytest plugins may import scipy themselves:
+    # only an fd solve pulls in scipy.linalg (the b = 2 zero search is one
+    # eigvalsh, with no scipy.optimize)
+    src = str(Path(triqes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
