@@ -30,6 +30,7 @@ from .schroedinger import (
     eval_wavefunction,
     potential_specs,
     zero_mode_envelope,
+    zero_mode_potentials,
 )
 from .fdoracle import (
     LogGridConfig,
@@ -38,7 +39,7 @@ from .fdoracle import (
     oracle_config,
     suggest_domain,
 )
-from .certify import Certificate, certify_subspace, zero_mode_potentials
+from .certify import Certificate, certify_subspace
 
 __all__ = [
     "FockState",

@@ -6,9 +6,9 @@ transformation exponent b:
 1. phi, the branch's BHE polynomial, from the eigenvector;
 2. both BHE residuals (operator form and standard form), each relative to
    the largest phi coefficient;
-3. the potential whose zero mode chi is: at b = 1/2 the displaced sextic
-   Vtilde with lambda = eps(E), for any other b the plain V_b with
-   lambda = 0;
+3. the potential whose zero mode chi is (`schroedinger.zero_mode_potentials`):
+   at b = 1/2 the displaced sextic Vtilde with lambda = eps(E), for any
+   other b the plain V_b with lambda = 0;
 4. the Schroedinger equation -chi'' + (V - lambda) chi = 0 for the zero
    mode chi with envelope `zero_mode_envelope` and the phi of stage 1, as
    the exact polynomial identity `zero_mode_residuals`, relative to the
@@ -35,7 +35,6 @@ the oracle ran and missed.  `passed` is `not failed`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -54,15 +53,12 @@ from .heun import (
 from .schroedinger import (
     PotentialSpec,
     RationalLike,
-    epsilon_of,
-    potential_specs,
     zero_mode_envelope,
+    zero_mode_potentials,
     zero_mode_residuals,
 )
 
 STAGES = ("bhe", "schrodinger", "oracle")
-
-SEXTIC_B = Fraction(1, 2)
 
 # Oracle checks already made, by (potential, lambda).
 OracleMemo = dict[tuple[PotentialSpec, float], ContainmentResult]
@@ -86,28 +82,6 @@ class Certificate:
     @property
     def passed(self) -> bool:
         return not self.failed
-
-
-def zero_mode_potentials(
-    b: RationalLike,
-    freqs: ModeFrequencies,
-    label: SubspaceLabel,
-    energies: np.ndarray,
-    branch: Branch = Branch.PLUS,
-) -> tuple[list[PotentialSpec], np.ndarray]:
-    """For each energy, the potential whose level lambda the zero mode sits
-    at, and the lambdas.
-
-    b = 1/2 gives the E-free displaced sextic, shared by every energy, with
-    lambda = eps(E); any other b gives V_b itself, whose zero mode sits at
-    lambda = 0.
-    """
-    energies = np.asarray(energies, dtype=float)
-    if b == SEXTIC_B:
-        # built at E = 0, where V_(1/2) is Vtilde exactly
-        tilde = potential_specs(SEXTIC_B, freqs, label, [0.0], branch)[0]
-        return [tilde] * energies.size, epsilon_of(energies, branch)
-    return potential_specs(b, freqs, label, energies, branch), np.zeros(energies.size)
 
 
 def _relative(residuals: np.ndarray, scale: np.ndarray) -> list[float]:

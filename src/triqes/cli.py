@@ -20,21 +20,18 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .certify import (
-    SEXTIC_B,
-    STAGES,
-    OracleMemo,
-    certify_subspace,
-    zero_mode_potentials,
-)
+from .certify import STAGES, OracleMemo, certify_subspace
 from .fock import SubspaceLabel, subspace_basis
 from .hamiltonian import ModeFrequencies, build_hamiltonian
 from .heun import Branch, rho_coefficients
 from .schroedinger import (
+    SEXTIC_B,
+    admissible_b,
     eval_potential,
     eval_wavefunction,
     potential_specs,
     zero_mode_envelope,
+    zero_mode_potentials,
 )
 from .spectra import eig_sym
 
@@ -100,16 +97,11 @@ def parse_b(text: str) -> Fraction:
         frac = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse --b {text!r}: {exc}") from None
-    if frac <= 0:
-        raise UsageError(f"--b must be positive, got {text!r}")
     try:
-        if float(frac) ** 2 > 0.0:  # every potential coefficient divides by b^2
-            return frac
-    except OverflowError:
-        pass
-    raise UsageError(
-        f"--b {text!r} is out of range: b^2 must be a non-zero finite double"
-    )
+        admissible_b(frac)
+    except ValueError as exc:
+        raise UsageError(f"bad --b {text!r}: {exc}") from None
+    return frac
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -171,8 +163,7 @@ def cmd_potential(args: argparse.Namespace) -> int:
     phi = rho_coefficients(label, vec[:, None], branch)[:, 0]
     pref, a_ = zero_mode_envelope(bfrac, freqs, label, branch)
     if args.shifted:
-        vspecs, lams = zero_mode_potentials(bfrac, freqs, label, [energy], branch)
-        vspec, lam = vspecs[0], float(lams[0])
+        (vspec,), (lam,) = zero_mode_potentials(bfrac, freqs, label, [energy], branch)
     else:
         vspec, lam = potential_specs(bfrac, freqs, label, [energy], branch)[0], 0.0
     xs = np.linspace(args.xmin, args.xmax, args.points)

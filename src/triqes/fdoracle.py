@@ -62,7 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schroedinger import PotentialSpec
+from .schroedinger import PotentialSpec, lambda_rung
 
 HIT_RTOL = 1e-3
 # Factor by which an empty search window around a candidate is widened.
@@ -133,24 +133,21 @@ def _frobenius_factors(
     recurrence a_j [(p + j/b)(p + j/b - 1) - p(p - 1)] = sum_i c_i a_(j-i).
     Without a candidate eigenvalue the ladder stops below the constant
     term (rungs i < 2b, lambda-free).  With a candidate every rung joins
-    and the candidate enters at rung 2b as c_2b - bc_energy; when 2b is
-    not an integer that rung does not exist and the bare power is used.
+    and a candidate != 0 enters at `schroedinger.lambda_rung` as
+    c_2b - bc_energy, which raises ValueError when 2b is not an integer.
     The recurrence runs on past the highest rung jmax until the last jmax
     terms at the largest x are all below `FROBENIUS_TAIL`, for at most
     `FROBENIUS_MAX_TERMS` terms: cut off at the highest rung, a large
     rung-1 coefficient at b = 2 leaves a boundary error that no grid
     refinement removes.
     """
-    two_b = 2 * spec.b
+    c = list(spec.coeffs)
     if bc_energy is None:
-        c = [cf if i < two_b else 0.0 for i, cf in enumerate(spec.coeffs)]
-    else:
-        c = list(spec.coeffs)
-        if bc_energy != 0.0:
-            if two_b.denominator != 1:
-                return [1.0] * len(xs)
-            c += [0.0] * (int(two_b) + 1 - len(c))
-            c[int(two_b)] -= bc_energy
+        c = [cf if i < 2 * spec.b else 0.0 for i, cf in enumerate(c)]
+    elif bc_energy != 0.0:
+        rung = lambda_rung(spec.b)
+        c += [0.0] * (rung + 1 - len(c))
+        c[rung] -= bc_energy
     c[0] = 0.0  # the x^(-2) rung is carried by p
     jmax = max((i for i, cf in enumerate(c) if cf != 0.0), default=0)
     s = 1.0 / float(spec.b)

@@ -29,9 +29,12 @@ flip sign, which also flips the sign of the sextic pseudo-eigenvalue
 below.  (In the plus branch's variable the minus-branch x corresponds to
 (-rho)^b; evaluating each polynomial in its own variable is equivalent.)
 
-For b = 1/2 the x^0 term carries the only E dependence, so V splits as
-V = Vtilde - eps(E) with eps(E) = -4 c E: the displaced sextic potential
-Vtilde is E-independent and has genuine eigenvalues eps(E).
+Each ladder rule is written here once.  b must be > 0 with b^2 a finite
+non-zero double, as every rung but c_0's -1/4 divides by b^2
+(`admissible_b`).  lambda enters V - lambda at x^0, rung 2b
+(`lambda_rung`).  At b = 1/2 that is rung 1, the only E-dependent rung, so
+V = Vtilde - eps(E), eps(E) = -4 c E: the displaced sextic Vtilde is
+E-independent and has genuine eigenvalues eps(E) (`zero_mode_potentials`).
 
 The zero mode has one format: its envelope (s, A) from
 `zero_mode_envelope` and phi as a coefficient column of
@@ -58,6 +61,8 @@ from .hamiltonian import ModeFrequencies, check_finite
 from .heun import Branch
 
 RationalLike = Fraction | int
+
+SEXTIC_B = Fraction(1, 2)  # lambda's rung 2b is rung 1, the E rung
 
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp splitting constant
 
@@ -123,6 +128,27 @@ class PotentialSpec:
         return vals
 
 
+def admissible_b(b: RationalLike) -> float:
+    """float(b) for an admissible b, else ValueError naming the rule, not b."""
+    if b <= 0:
+        raise ValueError("transformation exponent b must be > 0")
+    try:
+        bb = float(b)
+    except OverflowError:
+        bb = np.inf
+    if not 0.0 < bb * bb < np.inf:
+        raise ValueError("b is out of range: b^2 must be a non-zero finite double")
+    return bb
+
+
+def lambda_rung(b: RationalLike) -> int:
+    """The rung 2b of x^0, where lambda enters V - lambda, for an integer 2b."""
+    two_b = 2 * b
+    if two_b.denominator != 1:
+        raise ValueError(f"lambda != 0 needs an integer 2b, got b = {b}")
+    return int(two_b)
+
+
 def potential_specs(
     b: RationalLike,
     freqs: ModeFrequencies,
@@ -133,11 +159,9 @@ def potential_specs(
     """Build the ladder of V_b(x) for each eigenvalue in `energies`.
 
     Only rung 1 depends on E, through D; the other four are built once.
-    Raises ValueError naming the first rung that is not finite.
+    Raises ValueError on an inadmissible b or naming the first non-finite rung.
     """
-    if b <= 0:
-        raise ValueError(f"transformation exponent b must be > 0, got {b}")
-    bb = float(b)
+    bb = admissible_b(b)
     w1, w2, w3 = freqs.as_tuple()
     ell, m = label.ell, label.m
     a_ = branch.c * (w1 - w2 - w3)
@@ -163,6 +187,24 @@ def epsilon_of(
     return -4.0 * branch.c * energy
 
 
+def zero_mode_potentials(
+    b: RationalLike,
+    freqs: ModeFrequencies,
+    label: SubspaceLabel,
+    energies: np.ndarray,
+    branch: Branch = Branch.PLUS,
+) -> tuple[list[PotentialSpec], np.ndarray]:
+    """Per energy, the potential whose level lambda the zero mode sits at,
+    and the lambdas: at b = 1/2 the E-free displaced sextic, shared by every
+    energy, with lambda = eps(E); at any other b V_b itself, lambda = 0."""
+    energies = np.asarray(energies, dtype=float)
+    if b == SEXTIC_B:
+        # built at E = 0, where V_(1/2) is Vtilde exactly
+        tilde = potential_specs(SEXTIC_B, freqs, label, [0.0], branch)[0]
+        return [tilde] * energies.size, epsilon_of(energies, branch)
+    return potential_specs(b, freqs, label, energies, branch), np.zeros(energies.size)
+
+
 def eval_potential(spec: PotentialSpec, x: float | np.ndarray) -> float | np.ndarray:
     """Evaluate V(x) for x > 0 (vectorized over arrays)."""
     arr = np.asarray(x, dtype=float)
@@ -176,9 +218,7 @@ def zero_mode_envelope(
     b: RationalLike, freqs: ModeFrequencies, label: SubspaceLabel, branch: Branch
 ) -> tuple[float, float]:
     """(s, A) of the zero mode's factor x^s exp(-v (A + v) / 2), v = x^(1/b)."""
-    if b <= 0:
-        raise ValueError(f"transformation exponent b must be > 0, got {b}")
-    bb = float(b)
+    bb = admissible_b(b)
     pref = (label.k - label.n_prime + bb) / (2.0 * bb)  # always > 0
     return pref, branch.c * (freqs.w1 - freqs.w2 - freqs.w3)
 
@@ -201,7 +241,7 @@ def eval_wavefunction(
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("wavefunction is defined for x > 0 only")
-    v = arr ** (1.0 / float(b))
+    v = arr ** (1.0 / admissible_b(b))
     val = (
         arr**prefactor_exponent
         * np.exp(-0.5 * v * (A + v))
@@ -238,7 +278,7 @@ def zero_mode_residuals(
     part of P that depends on neither is built once; every coefficient
     accumulates its terms in the same order as a scalar loop over the
     columns would.  Raises ValueError when a ladder is not at `b`, or when
-    some lam != 0 and 2b is not an integer.
+    some lam != 0 and `lambda_rung` finds no rung for it.
     """
     for spec in specs:
         if spec.b != b:
@@ -250,9 +290,7 @@ def zero_mode_residuals(
     bf = float(b)
     lam_power = 0
     if np.any(lams != 0.0):
-        if (2 * b).denominator != 1:
-            raise ValueError(f"lambda != 0 needs an integer 2b, got b = {b}")
-        lam_power = int(2 * b)
+        lam_power = lambda_rung(b)
     sigma = bf * prefactor_exponent
     q = (sigma, -0.5 * A, -1.0)
     # the part of P / (phi_n v^n) that depends on neither n nor the column,

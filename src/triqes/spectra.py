@@ -31,15 +31,13 @@ class Spectrum:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude component of each column positive.
 
-    Ties on the magnitude are broken by the lowest index.
+    Ties on the magnitude are broken by the lowest index, argmax's first
+    maximizer.  Negation is exact, so no other bit moves.
     """
-    out = vectors.copy()
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        idx = int(np.argmax(np.abs(col)))  # argmax returns the first maximizer
-        if col[idx] < 0:
-            out[:, i] = -col
-    return out
+    if not vectors.size:
+        return vectors.copy()
+    top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(top < 0, -1.0, 1.0)
 
 
 def eig_sym(h: np.ndarray) -> Spectrum:

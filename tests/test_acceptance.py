@@ -31,7 +31,7 @@ from triqes import (
     zero_mode_envelope,
     zero_mode_potentials,
 )
-from triqes.certify import SEXTIC_B
+from triqes.schroedinger import SEXTIC_B
 from triqes.cli import main as cli_main
 from triqes.heun import BHE_RTOL, operator_residuals, standard_residuals
 from triqes.schroedinger import zero_mode_residuals

@@ -25,7 +25,7 @@ from triqes import (
     zero_mode_potentials,
 )
 from triqes import certify
-from triqes.certify import SEXTIC_B
+from triqes.schroedinger import SEXTIC_B
 from triqes.cli import main as cli_main
 from triqes.fock import MAX_TOTAL_LABEL
 from triqes.heun import BHE_RTOL, rho_coefficients
@@ -304,7 +304,7 @@ class TestZeroModeResidual:
 
 # names a module once defined and no longer does, by module
 REMOVED = {
-    "certify": ("certify_eigenpair", "zero_mode_potential"),
+    "certify": ("certify_eigenpair", "zero_mode_potential", "SEXTIC_B"),
     "schroedinger": (
         "potential_spec", "split_sextic", "AuxConstants",
         "WavefunctionSpec", "wavefunction_spec", "zero_mode_residual",

@@ -673,7 +673,19 @@ def test_tiny_b_fails_without_numpy_warnings(capsys, command, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("b", ["1e-400", "1e-200", "1e400"])
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--b", "1e-400", "out of range"),
+        ("--b", "1e-200", "out of range"),
+        ("--b", "1e400", "out of range"),
+        ("--b", "abc", "cannot parse --b 'abc'"),
+        ("--b", "1/0", "cannot parse --b '1/0'"),
+        ("--b", "0", "bad --b '0': transformation exponent b must be > 0"),
+        ("--w", "1,x,1", "cannot parse --w '1,x,1'"),
+    ],
+    ids=["1e-400", "1e-200", "1e400", "abc", "1/0", "0", "w=1,x,1"],
+)
 @pytest.mark.parametrize(
     "command",
     [
@@ -683,13 +695,14 @@ def test_tiny_b_fails_without_numpy_warnings(capsys, command, message):
     ],
     ids=["verify", "sweep", "potential"],
 )
-def test_b_outside_double_range_is_usage_error(capsys, command, b):
+def test_b_outside_double_range_is_usage_error(capsys, command, flag, value, message):
     # every potential coefficient divides by b^2: a b whose square
-    # underflows or overflows a double is a usage error, not a traceback
-    code, out, err = run_cli(capsys, *command, "--b", b)
+    # underflows or overflows a double is a usage error, not a traceback,
+    # as are a b <= 0 and a --b or --w that does not parse
+    code, out, err = run_cli(capsys, *command, flag, value)
     assert code == 2
     assert out == ""
-    assert "out of range" in err
+    assert message in err
 
 
 SCIPY_PROBE = """

@@ -19,7 +19,7 @@ from triqes import (
     zero_mode_potentials,
 )
 from triqes import fdoracle
-from triqes.schroedinger import PotentialSpec
+from triqes.schroedinger import PotentialSpec, zero_mode_residuals
 
 SQRT2 = math.sqrt(2.0)
 HALF = Fraction(1, 2)
@@ -380,6 +380,23 @@ class TestSingularAdaptation:
             assert res.hit == hit, (lam, res.richardson_gap)
             if hit:
                 assert res.richardson_gap <= 1e-8, (lam, res.richardson_gap)
+
+    @pytest.mark.parametrize("b", [Fraction(1, 3), Fraction(3, 4)])
+    def test_lambda_needs_an_integer_2b(self, monkeypatch, b):
+        # lambda enters V - lambda at x^0, rung 2b: with no such rung the
+        # boundary series refuses lambda != 0 by the zero-mode check's rule,
+        # before any solve, where it once fell back to the bare power x^p
+        spec = PotentialSpec(b, (-0.25, 1.3, -2.1, 0.7, 0.44))
+        with pytest.raises(ValueError, match="integer 2b") as expected:
+            zero_mode_residuals([spec], np.array([2.0]), b, 1.0, 0.0, np.ones((1, 1)))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an fd solve ran")
+
+        monkeypatch.setattr(fdoracle, "eigh_tridiagonal", no_solve)
+        with pytest.raises(ValueError) as got:
+            contains_eigenvalue(spec, oracle_config(spec, 2.0), 2.0)
+        assert str(got.value) == str(expected.value)
 
     def test_fall_to_centre_rejected(self):
         # c_0 = -0.3 < -1/4 has no principal solution at the left end: an

@@ -11,6 +11,7 @@ from triqes import (
     ModeFrequencies,
     SubspaceLabel,
     build_hamiltonian,
+    certify_subspace,
     eig_sym,
     epsilon_of,
     eval_potential,
@@ -74,6 +75,33 @@ class TestPotentialSpec:
             potential_specs(Fraction(0), unit_freqs, SubspaceLabel(1, 1), [0.0])
         with pytest.raises(ValueError):
             potential_specs(Fraction(-1, 2), unit_freqs, SubspaceLabel(1, 1), [0.0])
+
+    @pytest.mark.parametrize(
+        "b", [Fraction(1, 10**200), Fraction(10**400)], ids=["1e-200", "1e400"]
+    )
+    @pytest.mark.parametrize(
+        "stage",
+        ["potential_specs", "zero_mode_envelope", "eval_wavefunction", "certify_subspace"],
+    )
+    def test_b_outside_double_range_rejected(self, unit_freqs, stage, b):
+        # every rung divides by b^2: the library refuses a b whose square
+        # underflows or overflows a double by the rule `--b` is held to, and
+        # names the rule, not a b of hundreds of digits
+        label = SubspaceLabel(1, 1)
+        spec = eig_sym(build_hamiltonian(unit_freqs, label))
+        calls = {
+            "potential_specs": lambda: potential_specs(b, unit_freqs, label, [0.0]),
+            "zero_mode_envelope": lambda: zero_mode_envelope(
+                b, unit_freqs, label, Branch.PLUS
+            ),
+            "eval_wavefunction": lambda: eval_wavefunction(b, 0.5, 0.0, np.ones(1), 1.0),
+            "certify_subspace": lambda: certify_subspace(
+                unit_freqs, label, spec.eigenvalues, spec.eigenvectors, [b]
+            ),
+        }
+        with pytest.raises(ValueError, match=r"b\^2 must be a non-zero finite") as exc:
+            calls[stage]()
+        assert "0" * 100 not in str(exc.value)
 
 
 # Literal transcriptions of the printed b-specializations.  The printed

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triqes import ModeFrequencies, SubspaceLabel, build_hamiltonian, eig_sym
+from triqes.spectra import _fix_signs
 
 from conftest import frequencies, labels
 
@@ -76,6 +77,29 @@ def test_sign_convention():
     for i in range(2):
         col = spec.eigenvectors[:, i]
         assert col[np.argmax(np.abs(col))] > 0
+
+
+def test_sign_fix_matches_column_loop():
+    # one flip over all columns gives the bits of a per-column loop: ties
+    # on the magnitude go to the lowest index, and zeros flip to -0.0
+    rng = np.random.default_rng(20261019)
+    bases = [
+        np.linalg.qr(rng.standard_normal((d, d)))[0]
+        for d in (1, 2, 5, 33) for _ in range(50)
+    ]
+    bases += [
+        np.array([[-0.5, 0.5], [0.5, 0.5]]),
+        np.array([[-1.0, 0.0], [0.0, 1.0]]),
+        np.zeros((0, 0)),
+    ]
+    for v in bases:
+        ref = v.copy()
+        for i in range(ref.shape[1]):
+            if ref[np.argmax(np.abs(ref[:, i])), i] < 0:
+                ref[:, i] = -ref[:, i]
+        got = _fix_signs(v)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 @settings(max_examples=40, deadline=None)
