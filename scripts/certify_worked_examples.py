@@ -3,10 +3,10 @@
 
 Runs, for every eigenpair of W(1,1) and W(3,2) at w = (1,1,1), every
 transformation exponent b in {1, 1/2, 3/2, 2} and both branches, the
-certification pipeline, one `triqes.certify_subspace` call per subspace and
-branch over the four exponents: exact BHE residuals, the exact zero-mode
-(Schroedinger) residual, and the independent finite-difference containment
-check.
+certification pipeline, one `triqes.certify_subspace` call per subspace over
+both branches and the four exponents: exact BHE residuals, the exact
+zero-mode (Schroedinger) residual, and the independent finite-difference
+containment check.
 """
 
 import sys
@@ -34,13 +34,10 @@ def main() -> int:
     for ell, m in ((1, 1), (3, 2)):
         label = SubspaceLabel(ell, m)
         spectrum = eig_sym(build_hamiltonian(W, label))
-        certs = {
-            branch: certify_subspace(
-                W, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES, branch,
-                oracle={},
-            )
-            for branch in Branch
-        }
+        certs = dict(zip(Branch, certify_subspace(
+            W, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES, list(Branch),
+            oracle={},
+        )))
         for i in range(label.dim):
             energy = float(spectrum.eigenvalues[i])
             for branch in Branch:

@@ -1,7 +1,7 @@
-"""One certification pipeline for a whole subspace under one branch.
+"""One certification pipeline for a whole subspace.
 
-The chain checked link by link, for every eigenvector of W(l, m) and every
-transformation exponent b:
+The chain checked link by link, for every eigenvector of W(l, m), every
+transformation exponent b and every branch:
 
 1. phi, the branch's BHE polynomial, from the eigenvector;
 2. both BHE residuals (operator form and standard form), each relative to
@@ -19,12 +19,14 @@ transformation exponent b:
 Stages 1-2 depend on the eigenvectors, the energies and the branch but
 not on b, so `certify_subspace` runs them once per (label, branch), as
 array operations over all eigenvectors, and shares them by every b.
-Stages 3-4 run once per b, again over all eigenvectors at once; E enters
-only through rung 1 of V_b (b != 1/2) or through lambda (b = 1/2).  The
-oracle runs per eigenvector, once per distinct (potential, lambda) in the
-`OracleMemo` the caller passes; `sweep` shares one across its calls.  A
-one-column, one-b call gives every certificate the same numbers, bit for
-bit.
+Stages 3-4 then run once per call: one `zero_mode_residuals` call over
+one column per (branch, b, eigenvector), each column at its own b with
+its own envelope and lambda, and one reduction to relative residuals.  E
+enters only through rung 1 of V_b (b != 1/2) or through lambda
+(b = 1/2).  The oracle runs per eigenvector, in (branch, b, eigenvector)
+order, once per distinct (potential, lambda) in the `OracleMemo` the
+caller passes; `sweep` shares one across its calls.  A one-column, one-b,
+one-branch call gives every certificate the same numbers, bit for bit.
 
 Each `Certificate` names in `failed` the `STAGES` that missed, by one
 rule: "bhe" when either BHE residual exceeds `BHE_RTOL`, "schrodinger"
@@ -94,54 +96,82 @@ def certify_subspace(
     energies: Sequence[float] | np.ndarray,
     vecs: np.ndarray,
     b_values: Sequence[RationalLike],
-    branch: Branch = Branch.PLUS,
+    branches: Sequence[Branch],
     oracle: OracleMemo | None = None,
-) -> list[list[Certificate]]:
-    """Run the chain for every column of `vecs` under every b in `b_values`.
+) -> list[list[list[Certificate]]]:
+    """Run the chain for every column of `vecs` under every b in `b_values`
+    and every branch in `branches`.
 
     Column i of `vecs` is an eigenvector of W(l, m), checked against
     `energies[i]`; pass a wrong energy to watch its certificates fail.
-    Returns one list per b, in the order of `b_values`, holding one
-    `Certificate` per column.  `oracle=None` skips the oracle; a dict runs
-    it.  An oracle check depends on (potential, lambda) alone: a pair
-    already in `oracle` is not solved again, and every new one is added.
+    Returns one list per branch, in the order of `branches`, holding one
+    list per b, in the order of `b_values`, of one `Certificate` per
+    column.  `oracle=None` skips the oracle; a dict runs it, branch by
+    branch, b by b, column by column.  An oracle check depends on
+    (potential, lambda) alone: a pair already in `oracle` is not solved
+    again, and every new one is added.
     """
     energies = np.asarray(energies, dtype=float)
-    phis = rho_coefficients(label, vecs, branch)
-    if energies.shape != (phis.shape[1],):
-        raise ValueError(
-            f"{energies.size} energies for {phis.shape[1]} eigenvectors"
-        )
-    scale = np.max(np.abs(phis), axis=0)
-    op_rel = _relative(operator_residuals(freqs, label, energies, phis, branch), scale)
-    std_rel = _relative(
-        standard_residuals(bhe_params(freqs, label, energies, branch), phis), scale
+    bhe_rel = []
+    # stages 3-4 take one column per (branch, b, eigenvector), in that order
+    specs: list[PotentialSpec] = []
+    lams, bs, prefs, a_s, phi_cols, scales = [], [], [], [], [], []
+    for branch in branches:
+        phis = rho_coefficients(label, vecs, branch)
+        if energies.shape != (phis.shape[1],):
+            raise ValueError(
+                f"{energies.size} energies for {phis.shape[1]} eigenvectors"
+            )
+        scale = np.max(np.abs(phis), axis=0)
+        bhe_rel.append((
+            _relative(operator_residuals(freqs, label, energies, phis, branch), scale),
+            _relative(
+                standard_residuals(bhe_params(freqs, label, energies, branch), phis),
+                scale,
+            ),
+        ))
+        for b in b_values:
+            vspecs, lam = zero_mode_potentials(b, freqs, label, energies, branch)
+            pref, a_ = zero_mode_envelope(b, freqs, label, branch)
+            specs += vspecs
+            lams += lam.tolist()
+            bs += [b] * len(vspecs)
+            prefs += [pref] * len(vspecs)
+            a_s += [a_] * len(vspecs)
+            phi_cols.append(phis)
+            scales.append(scale)
+    schr_rel = _relative(
+        zero_mode_residuals(specs, lams, bs, prefs, a_s, np.hstack(phi_cols)),
+        np.concatenate(scales),
     )
-    bhe_ok = [o <= BHE_RTOL and s <= BHE_RTOL for o, s in zip(op_rel, std_rel)]
     out = []
-    for b in b_values:
-        vspecs, lams = zero_mode_potentials(b, freqs, label, energies, branch)
-        pref, a_ = zero_mode_envelope(b, freqs, label, branch)
-        schr_rel = _relative(
-            zero_mode_residuals(vspecs, lams, b, pref, a_, phis), scale
-        )
-        certs = []
-        for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
-            cont = None
-            if oracle is not None:
-                key = (vspec, lam)
-                if key not in oracle:
-                    oracle[key] = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
-                cont = oracle[key]
-            ok = (bhe_ok[i], schr_rel[i] <= BHE_RTOL, cont is None or cont.hit)
-            certs.append(Certificate(
-                bhe_operator_residual=op_rel[i],
-                bhe_standard_residual=std_rel[i],
-                potential=vspec,
-                lam=lam,
-                schrodinger_residual=schr_rel[i],
-                oracle=cont,
-                failed=tuple(stage for stage, good in zip(STAGES, ok) if not good),
-            ))
-        out.append(certs)
+    col = 0
+    for op_rel, std_rel in bhe_rel:
+        bhe_ok = [o <= BHE_RTOL and s <= BHE_RTOL for o, s in zip(op_rel, std_rel)]
+        per_b = []
+        for _ in b_values:
+            certs = []
+            for i in range(energies.size):
+                vspec, lam = specs[col], lams[col]
+                cont = None
+                if oracle is not None:
+                    key = (vspec, lam)
+                    if key not in oracle:
+                        oracle[key] = contains_eigenvalue(
+                            vspec, oracle_config(vspec, lam), lam
+                        )
+                    cont = oracle[key]
+                ok = (bhe_ok[i], schr_rel[col] <= BHE_RTOL, cont is None or cont.hit)
+                certs.append(Certificate(
+                    bhe_operator_residual=op_rel[i],
+                    bhe_standard_residual=std_rel[i],
+                    potential=vspec,
+                    lam=lam,
+                    schrodinger_residual=schr_rel[col],
+                    oracle=cont,
+                    failed=tuple(stage for stage, good in zip(STAGES, ok) if not good),
+                ))
+                col += 1
+            per_b.append(certs)
+        out.append(per_b)
     return out

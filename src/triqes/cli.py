@@ -253,8 +253,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     energies = spec.eigenvalues
     if args.energy_override is not None:
         energies = np.full(label.dim, args.energy_override)
-    (certs,) = certify_subspace(
-        freqs, label, energies, spec.eigenvectors, [bfrac], branch,
+    ((certs,),) = certify_subspace(
+        freqs, label, energies, spec.eigenvectors, [bfrac], [branch],
         oracle=None if args.no_oracle else {},
     )
     found, used = spec.eigenvalues.tolist(), energies.tolist()
@@ -301,13 +301,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for m in range(args.mmax + 1):
             label = SubspaceLabel(ell, m)
             spec = eig_sym(build_hamiltonian(freqs, label))
-            per_branch = [
-                certify_subspace(
-                    freqs, label, spec.eigenvalues, spec.eigenvectors, b_values,
-                    br, oracle=oracle,
-                )
-                for br in branches
-            ]
+            per_branch = certify_subspace(
+                freqs, label, spec.eigenvalues, spec.eigenvectors, b_values,
+                branches, oracle=oracle,
+            )
             for i, bf in enumerate(b_values):
                 for br, per_b in zip(branches, per_branch):
                     results.append(_sweep_record(ell, m, bf, br, per_b[i]))

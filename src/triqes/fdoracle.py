@@ -139,7 +139,8 @@ def _frobenius_factors(
     terms at the largest x are all below `FROBENIUS_TAIL`, for at most
     `FROBENIUS_MAX_TERMS` terms: cut off at the highest rung, a large
     rung-1 coefficient at b = 2 leaves a boundary error that no grid
-    refinement removes.
+    refinement removes.  Raises ValueError when the denominator of a term
+    rounds to 0: at b of order 1e9 and up, j/b is lost against p.
     """
     c = list(spec.coeffs)
     if bc_energy is None:
@@ -157,7 +158,13 @@ def _frobenius_factors(
     while jmax and j < FROBENIUS_MAX_TERMS:
         j += 1
         rhs = sum(c[i] * a[j - i] for i in range(1, min(j, jmax) + 1))
-        a.append(rhs / ((p + j * s) * (p + j * s - 1.0) - p * (p - 1.0)))
+        den = (p + j * s) * (p + j * s - 1.0) - p * (p - 1.0)
+        if den == 0.0:
+            raise ValueError(
+                f"degenerate left-boundary series: the denominator of term {j}"
+                " rounds to 0 at this b"
+            )
+        a.append(rhs / den)
         small = small + 1 if abs(a[j]) * x_top ** (j * s) < FROBENIUS_TAIL else 0
         if j >= jmax and small >= jmax:
             break

@@ -41,11 +41,11 @@ The zero mode has one format: its envelope (s, A) from
 `heun.rho_coefficients`.  `zero_mode_residuals` is the one check of
 -chi'' + V chi = lambda chi, and it is exact: with v = x^(1/b) the left
 side minus the right is x^(s-2) e^(g(v)) P(v) / b^2 for a polynomial P of
-degree <= N' + 4, whose coefficients it returns for all eigenvectors of a
-subspace at once (`potential_specs` builds their ladders, sharing the
-E-free rungs).  No grid, step size or difference stencil is involved.
-`eval_potential` and `eval_wavefunction` evaluate V and chi pointwise for
-the curve output.
+degree <= N' + 4, whose coefficients it returns for many zero modes at
+once, each at its own b and envelope (`potential_specs` builds their
+ladders, sharing the E-free rungs).  No grid, step size or difference
+stencil is involved.  `eval_potential` and `eval_wavefunction` evaluate V
+and chi pointwise for the curve output.
 """
 
 from __future__ import annotations
@@ -252,14 +252,14 @@ def eval_wavefunction(
 
 def zero_mode_residuals(
     specs: Sequence[PotentialSpec],
-    lams: np.ndarray,
-    b: RationalLike,
-    prefactor_exponent: float,
-    A: float,
+    lams: Sequence[float] | np.ndarray,
+    bs: Sequence[RationalLike],
+    prefactor_exponents: Sequence[float],
+    As: Sequence[float],
     phis: np.ndarray,
 ) -> np.ndarray:
     """Coefficients in v = x^(1/b) of the exact residual polynomial P of
-    many zero modes at one b, one column each.
+    many zero modes, one column each, each column at its own b.
 
     With sigma = b s (s the prefactor exponent), g = -v (A + v) / 2 and
     q = sigma - A v / 2 - v^2, chi = v^sigma e^g phi(v) gives
@@ -269,50 +269,58 @@ def zero_mode_residuals(
             - (1 - b)(v phi' + q phi) + b^2 (sum_i c_i v^i - lam v^(2b)) phi,
 
     where c_i, rung i of the potential's `coeffs`, is the coefficient of
-    x^(-2 + i/b) in V.  P vanishes identically exactly when chi is a zero mode at lam, so no
-    grid is involved.
+    x^(-2 + i/b) in V.  P vanishes identically exactly when chi is a zero
+    mode at lam, so no grid is involved.
 
     Column i is P for the potential `specs[i]` at `lams[i]` and the zero
-    mode with envelope (`prefactor_exponent`, `A`) and phi coefficients
-    `phis[:, i]`.  Only the rungs and lambda differ between columns, so the
-    part of P that depends on neither is built once; every coefficient
-    accumulates its terms in the same order as a scalar loop over the
-    columns would.  Raises ValueError when a ladder is not at `b`, or when
-    some lam != 0 and `lambda_rung` finds no rung for it.
+    mode at b = `bs[i]` with envelope (`prefactor_exponents[i]`, `As[i]`)
+    and phi coefficients `phis[:, i]`.  The columns may sit at several b
+    and envelopes; a run of columns at one b converts it to a float once.
+    Row j is the coefficient of v^j, and a column's rows above its own
+    degree are zero.  Every coefficient accumulates its terms in the same
+    order as a scalar loop over the columns would.
+    Raises ValueError when a column's ladder is not at its b, or when its
+    lam != 0 and `lambda_rung` finds no rung for it.
     """
-    for spec in specs:
-        if spec.b != b:
+    lams = np.asarray(lams, dtype=float)
+    bf, lam_power = [], []
+    last = rung = None
+    for spec, b, lam in zip(specs, bs, lams.tolist()):
+        if spec.b is not b and spec.b != b:
             raise ValueError(
                 f"potential ladder at b = {spec.b} is not -2 + i/b, i = 0..4,"
                 f" for b = {b}"
             )
-    lams = np.asarray(lams, dtype=float)
-    bf = float(b)
-    lam_power = 0
-    if np.any(lams != 0.0):
-        lam_power = lambda_rung(b)
-    sigma = bf * prefactor_exponent
-    q = (sigma, -0.5 * A, -1.0)
-    # the part of P / (phi_n v^n) that depends on neither n nor the column,
-    # in powers of v
-    base = [0.0] * max(5, lam_power + 1)
+        if b is not last:  # columns come in runs of one b
+            last, b_float, rung = b, float(b), None
+        if lam != 0.0 and rung is None:
+            rung = lambda_rung(b)
+        bf.append(b_float)
+        lam_power.append(rung if lam != 0.0 else 0)
+    bf = np.array(bf)
+    lam_power = np.array(lam_power, dtype=int)
+    sigma = bf * np.asarray(prefactor_exponents, dtype=float)
+    q = (sigma, -0.5 * np.asarray(As, dtype=float), -1.0)
+    # the part of P / (phi_n v^n) that depends on neither n nor the
+    # potential, in powers of v, one column each
+    cols = np.zeros((max(5, lam_power.max(initial=0) + 1), len(specs)))
     for i in range(3):
         for j in range(3):
-            base[i + j] -= q[i] * q[j]
-        base[i] -= (1.0 - bf) * q[i]
-    base[0] += sigma
-    base[2] += 1.0
-    cols = np.repeat(np.array(base)[:, None], len(specs), axis=1)
-    cols[:5] += bf * bf * np.array([spec.coeffs for spec in specs]).T
-    cols[lam_power] -= bf * bf * lams
+            cols[i + j] -= q[i] * q[j]
+        cols[i] -= (1.0 - bf) * q[i]
+    cols[0] += sigma
+    cols[2] += 1.0
+    bf2 = bf * bf
+    cols[:5] += bf2 * np.array([spec.coeffs for spec in specs]).reshape(-1, 5).T
+    cols[lam_power, np.arange(len(specs))] -= bf2 * lams
     # v^2 (v^n)'' = n (n - 1) v^n and v (v^n)' = n v^n
-    n = np.arange(phis.shape[0])
-    shift = np.zeros((n.size, len(base)))
+    n = np.arange(phis.shape[0])[:, None]
+    shift = np.zeros((n.size, *cols.shape))
     shift[:, 0] = n * (n - 1) + 2.0 * n * q[0] + (1.0 - bf) * n
     shift[:, 1] = 2.0 * n * q[1]
     shift[:, 2] = 2.0 * n * q[2]
-    terms = phis[:, None, :] * (cols[None, :, :] - shift[:, :, None])
-    out = np.zeros((n.size + len(base) - 1, phis.shape[1]))
+    terms = phis[:, None, :] * (cols[None, :, :] - shift)
+    out = np.zeros((n.size + cols.shape[0] - 1, phis.shape[1]))
     for i, term in enumerate(terms):
-        out[i : i + len(base)] += term
+        out[i : i + cols.shape[0]] += term
     return out

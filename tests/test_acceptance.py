@@ -223,8 +223,10 @@ def test_criterion_5_zero_mode_residuals():
     with mpmath.workdps(40):
         for label, spec in worked_example_spectra():
             energies, vecs = spec.eigenvalues, spec.eigenvectors
-            for branch in Branch:
-                per_b = certify_subspace(W111, label, energies, vecs, b_values, branch)
+            per_branch = certify_subspace(
+                W111, label, energies, vecs, b_values, list(Branch)
+            )
+            for branch, per_b in zip(Branch, per_branch):
                 for b, certs in zip(b_values, per_b):
                     ok &= all(c.schrodinger_residual <= BHE_RTOL for c in certs)
                     worst = max([worst] + [c.schrodinger_residual for c in certs])
@@ -233,7 +235,10 @@ def test_criterion_5_zero_mode_residuals():
                     )
                     envelope = zero_mode_envelope(b, W111, label, branch)
                     phis = rho_coefficients(label, vecs, branch)
-                    residuals = zero_mode_residuals(vspecs, lams, b, *envelope, phis)
+                    n = len(vspecs)  # one b and one envelope for every column
+                    residuals = zero_mode_residuals(
+                        vspecs, lams, [b] * n, *([e] * n for e in envelope), phis
+                    )
                     for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
                         wf = (b, *envelope, phis[:, i])
                         chi, potential, closed = mp_zero_mode(

@@ -45,7 +45,7 @@ def spectrum_of(freqs, label):
 
 def exact_relative(vspec, lam, b, s, a, phi):
     """max|P| of one zero mode, relative to its largest phi coefficient."""
-    residual = zero_mode_residuals([vspec], np.array([lam]), b, s, a, phi[:, None])
+    residual = zero_mode_residuals([vspec], [lam], [b], [s], [a], phi[:, None])
     return np.max(np.abs(residual)) / np.max(np.abs(phi))
 
 
@@ -133,23 +133,29 @@ class TestCertifySubspace:
     @settings(max_examples=30, deadline=None)
     @given(frequencies(), cap_labels(), st.sampled_from((0.0, 1e-9, -1e-4)))
     def test_columns_match_eigenpairs(self, freqs, label, shift):
-        # column i under b is the one-column, one-b call on eigenpair i,
-        # field for field, also for the failing certificates of a perturbed
-        # energy; its residuals are the loop reference's, exactly
+        # one call over both branches and every b, whose zero-mode columns
+        # mix lambda = eps(E) at b = 1/2 with lambda = 0: column i under
+        # (branch, b) is the one-column, one-b, one-branch call on eigenpair
+        # i, field for field, also for the failing certificates of a
+        # perturbed energy; its residuals are the loop reference's, exactly
         spectrum = spectrum_of(freqs, label)
         energies = spectrum.eigenvalues + shift * np.maximum(
             1.0, np.abs(spectrum.eigenvalues)
         )
         vecs = spectrum.eigenvectors
-        for branch in Branch:
-            per_b = certify_subspace(freqs, label, energies, vecs, B_VALUES, branch)
+        per_branch = certify_subspace(freqs, label, energies, vecs, B_VALUES, list(Branch))
+        assert len(per_branch) == len(Branch)
+        for branch, per_b in zip(Branch, per_branch):
             assert len(per_b) == len(B_VALUES)
             for b, certs in zip(B_VALUES, per_b):
                 assert len(certs) == label.dim
                 for i, cert in enumerate(certs):
+                    expected_lam = epsilon_of(energies[i], branch) if b == SEXTIC_B else 0.0
+                    assert cert.lam == expected_lam, (b, branch, i)
                     single = certify_subspace(
-                        freqs, label, energies[i : i + 1], vecs[:, i : i + 1], [b], branch
-                    )[0][0]
+                        freqs, label, energies[i : i + 1], vecs[:, i : i + 1], [b],
+                        [branch],
+                    )[0][0][0]
                     assert cert == single, (b, branch, i)
                     energy, vec = float(energies[i]), vecs[:, i]
                     assert (
@@ -164,12 +170,12 @@ class TestCertifySubspace:
         with pytest.raises(ValueError, match="2 energies for 3 eigenvectors"):
             certify_subspace(
                 unit_freqs, label, spectrum.eigenvalues[:2], spectrum.eigenvectors,
-                B_VALUES,
+                B_VALUES, [Branch.PLUS],
             )
         with pytest.raises(ValueError, match="does not match dim"):
             certify_subspace(
                 unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors[:2],
-                B_VALUES,
+                B_VALUES, [Branch.PLUS],
             )
 
 
@@ -181,9 +187,9 @@ class TestCertifyEigenpair:
         spectrum = spectrum_of(unit_freqs, label)
         for branch in Branch:
             tilde = potential_specs(SEXTIC_B, unit_freqs, label, [0.0], branch)[0]
-            (certs,) = certify_subspace(
+            ((certs,),) = certify_subspace(
                 unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors,
-                [SEXTIC_B], branch,
+                [SEXTIC_B], [branch],
             )
             for energy, cert in zip(spectrum.eigenvalues.tolist(), certs):
                 assert cert.lam == epsilon_of(energy, branch)
@@ -194,8 +200,9 @@ class TestCertifyEigenpair:
     def test_plain_potential_otherwise(self, unit_freqs, b):
         label = SubspaceLabel(1, 1)
         spectrum = spectrum_of(unit_freqs, label)
-        (certs,) = certify_subspace(
-            unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, [b]
+        ((certs,),) = certify_subspace(
+            unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, [b],
+            [Branch.PLUS],
         )
         vspecs = potential_specs(b, unit_freqs, label, spectrum.eigenvalues)
         for cert, vspec in zip(certs, vspecs):
@@ -207,8 +214,9 @@ class TestCertifyEigenpair:
     def test_failed_names_stages(self, unit_freqs):
         label = SubspaceLabel(3, 2)
         spectrum = spectrum_of(unit_freqs, label)
-        (certs,) = certify_subspace(
-            unit_freqs, label, spectrum.eigenvalues + 1e-3, spectrum.eigenvectors, [1]
+        ((certs,),) = certify_subspace(
+            unit_freqs, label, spectrum.eigenvalues + 1e-3, spectrum.eigenvectors, [1],
+            [Branch.PLUS],
         )
         for cert in certs:
             assert cert.failed == ("bhe", "schrodinger")
@@ -222,11 +230,11 @@ class TestCertifyEigenpair:
         # residuals; both stay under the one tolerance at the label cap
         label = SubspaceLabel(ell, m)
         spectrum = spectrum_of(freqs, label)
-        for branch in Branch:
-            per_b = certify_subspace(
-                freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES,
-                branch,
-            )
+        per_branch = certify_subspace(
+            freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES,
+            list(Branch),
+        )
+        for branch, per_b in zip(Branch, per_branch):
             for b, certs in zip(B_VALUES, per_b):
                 for energy, cert in zip(spectrum.eigenvalues.tolist(), certs):
                     assert cert.passed, (energy, b, branch, cert)
@@ -235,9 +243,9 @@ class TestCertifyEigenpair:
         label = SubspaceLabel(1, 1)
         spectrum = spectrum_of(unit_freqs, label)
         memo = {}
-        (certs,) = certify_subspace(
+        ((certs,),) = certify_subspace(
             unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors,
-            [SEXTIC_B], oracle=memo,
+            [SEXTIC_B], [Branch.PLUS], oracle=memo,
         )
         for cert in certs:
             assert cert.oracle.hit and cert.passed
@@ -277,17 +285,32 @@ class TestZeroModeResidual:
         label = SubspaceLabel(1, 1)
         energy, vec = spectrum_of(unit_freqs, label).pair(1)
         phi = rho_coefficients(label, vec[:, None], Branch.PLUS)[:, 0]
-        for spec_b, wf_b in ((1, Fraction(3, 2)), (Fraction(1, 2), 1), (2, 1)):
+
+        def column(spec_b, wf_b, lam):
             vspec = potential_specs(spec_b, unit_freqs, label, [energy])[0]
-            s, a_ = zero_mode_envelope(wf_b, unit_freqs, label, Branch.PLUS)
-            with pytest.raises(ValueError, match="not -2 \\+ i/b"):
-                exact_relative(vspec, 0.0, wf_b, s, a_, phi)
-        # lambda != 0 needs v^(2b) to be a power of v
+            envelope = zero_mode_envelope(wf_b, unit_freqs, label, Branch.PLUS)
+            return (vspec, lam, wf_b, *envelope)
+
+        def batch(middle):
+            # `middle` between a lambda = 0 column at b = 1 and a lambda != 0
+            # one at b = 1/2, both valid
+            columns = [column(1, 1, 0.0), middle, column(SEXTIC_B, SEXTIC_B, 2.0)]
+            phis = np.repeat(phi[:, None], len(columns), axis=1)
+            return zero_mode_residuals(*zip(*columns), phis)
+
         third = Fraction(1, 3)
-        vspec = potential_specs(third, unit_freqs, label, [energy])[0]
-        s, a_ = zero_mode_envelope(third, unit_freqs, label, Branch.PLUS)
+        batch(column(third, third, 0.0))  # lambda = 0 needs no rung
+        for spec_b, wf_b in ((1, Fraction(3, 2)), (Fraction(1, 2), 1), (2, 1)):
+            off_ladder = column(spec_b, wf_b, 0.0)
+            with pytest.raises(ValueError, match="not -2 \\+ i/b"):
+                exact_relative(*off_ladder, phi)
+            with pytest.raises(ValueError, match="not -2 \\+ i/b"):
+                batch(off_ladder)
+        # lambda != 0 needs v^(2b) to be a power of v
         with pytest.raises(ValueError, match="integer 2b"):
-            exact_relative(vspec, 1.0, third, s, a_, phi)
+            exact_relative(*column(third, third, 1.0), phi)
+        with pytest.raises(ValueError, match="integer 2b"):
+            batch(column(third, third, 1.0))
 
     def test_cli_exits_1_off_ladder(self, capsys, monkeypatch):
         def wrong_b(b, freqs, label, energies, branch):

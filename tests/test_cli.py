@@ -505,16 +505,33 @@ class TestSweep:
         assert code == 0
 
     @staticmethod
-    def count_eigensolves(monkeypatch):
+    def count_calls(monkeypatch, module, name):
         calls = []
-        solver = triqes.fdoracle.eigh_tridiagonal
+        target = getattr(module, name)
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return solver(*args, **kwargs)
+            return target(*args, **kwargs)
 
-        monkeypatch.setattr(triqes.fdoracle, "eigh_tridiagonal", counting)
+        monkeypatch.setattr(module, name, counting)
         return calls
+
+    @classmethod
+    def count_eigensolves(cls, monkeypatch):
+        return cls.count_calls(monkeypatch, triqes.fdoracle, "eigh_tridiagonal")
+
+    def test_one_pipeline_call_per_label(self, capsys, monkeypatch):
+        # both branches and every b of a label share one certify_subspace
+        # call, whose zero-mode stage is one kernel call over all columns
+        pipeline = self.count_calls(monkeypatch, triqes.cli, "certify_subspace")
+        kernel = self.count_calls(monkeypatch, triqes.certify, "zero_mode_residuals")
+        code, out, _ = run_cli(
+            capsys, "sweep", "--no-oracle", "--lmax", "2", "--mmax", "2",
+            "--b", "1,1/2,3/2,2",
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 9 * 4 * 2
+        assert (len(pipeline), len(kernel)) == (9, 9)
 
     def test_oracle_memo_lives_for_one_sweep(self, capsys, monkeypatch):
         # a memo that outlived the command would answer the second sweep
@@ -671,6 +688,29 @@ def test_tiny_b_fails_without_numpy_warnings(capsys, command, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("b", ["1e9", "1e10", "1e12"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--l", "3", "--m", "1"],
+        ["verify", "--l", "2", "--m", "2"],
+        ["sweep", "--lmax", "1", "--mmax", "1"],
+    ],
+    ids=["verify-3-1", "verify-2-2", "sweep"],
+)
+def test_huge_b_degenerate_series_fails_cleanly(capsys, command, b):
+    # at s = 1/b ~ 1e-10 the left-boundary series' denominator
+    # (p + j s)(p + j s - 1) - p(p - 1) cancels to exactly 0: the oracle
+    # says so in one line where it once raised ZeroDivisionError
+    code, out, err = run_cli(capsys, *command, "--b", b)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: degenerate left-boundary series: the denominator of term 1"
+        " rounds to 0 at this b\n"
+    )
 
 
 @pytest.mark.parametrize(

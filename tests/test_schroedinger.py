@@ -96,7 +96,8 @@ class TestPotentialSpec:
             ),
             "eval_wavefunction": lambda: eval_wavefunction(b, 0.5, 0.0, np.ones(1), 1.0),
             "certify_subspace": lambda: certify_subspace(
-                unit_freqs, label, spec.eigenvalues, spec.eigenvectors, [b]
+                unit_freqs, label, spec.eigenvalues, spec.eigenvectors, [b],
+                [Branch.PLUS],
             ),
         }
         with pytest.raises(ValueError, match=r"b\^2 must be a non-zero finite") as exc:
@@ -345,7 +346,7 @@ def relative(spec, wf, lam):
     """max|P| of the zero mode `wf` in `spec` at `lam`, relative to the
     largest phi coefficient, as the pipeline gates."""
     b, s, a, phi = wf
-    p = zero_mode_residuals([spec], np.array([lam]), b, s, a, phi[:, None])
+    p = zero_mode_residuals([spec], [lam], [b], [s], [a], phi[:, None])
     return float(np.max(np.abs(p)) / np.max(np.abs(phi)))
 
 
