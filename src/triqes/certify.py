@@ -26,12 +26,12 @@ enters only through rung 1 of V_b (b != 1/2) or through lambda
 (b = 1/2).  The oracle runs per eigenvector, in (branch, b, eigenvector)
 order, once per distinct (potential, lambda) in the `OracleMemo` the
 caller passes; `sweep` shares one across its calls.  A one-column, one-b,
-one-branch call gives every certificate the same numbers, bit for bit.
+one-branch call gives every column the same numbers, bit for bit.
 
-Each `Certificate` names in `failed` the `STAGES` that missed, by one
-rule: "bhe" when either BHE residual exceeds `BHE_RTOL`, "schrodinger"
-when the zero-mode residual exceeds the same `BHE_RTOL`, and "oracle" when
-the oracle ran and missed.  `passed` is `not failed`.
+A call returns one `Certificate`: arrays indexed [branch, b, column] and a
+`failed` mask per stage of `STAGES`, by one rule: "bhe" where either BHE
+residual is not <= `BHE_RTOL`, "schrodinger" where the zero-mode residual
+is not <= that `BHE_RTOL` (a NaN fails), "oracle" where the oracle missed.
 """
 
 from __future__ import annotations
@@ -66,28 +66,27 @@ STAGES = ("bhe", "schrodinger", "oracle")
 OracleMemo = dict[tuple[PotentialSpec, float], ContainmentResult]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
-    """Every number the chain produced for one eigenpair, and its verdict.
+    """The chain's numbers and verdicts for one subspace, as arrays indexed
+    [branch, b, column]; `failed` has a `STAGES` axis in front.  `oracle`
+    is None when the oracle was skipped."""
 
-    `failed` lists the stages that missed, in the order of `STAGES`.
-    """
-
-    bhe_operator_residual: float
-    bhe_standard_residual: float
-    potential: PotentialSpec
-    lam: float
-    schrodinger_residual: float
-    oracle: ContainmentResult | None
-    failed: tuple[str, ...]
+    bhe_operator_residual: np.ndarray
+    bhe_standard_residual: np.ndarray
+    potential: np.ndarray
+    lam: np.ndarray
+    schrodinger_residual: np.ndarray
+    oracle: np.ndarray | None
+    failed: np.ndarray
 
     @property
-    def passed(self) -> bool:
-        return not self.failed
+    def passed(self) -> np.ndarray:
+        return ~self.failed.any(axis=0)
 
 
-def _relative(residuals: np.ndarray, scale: np.ndarray) -> list[float]:
-    return (np.max(np.abs(residuals), axis=0) / scale).tolist()
+def _worst(residuals: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(residuals), axis=0)
 
 
 def certify_subspace(
@@ -98,80 +97,70 @@ def certify_subspace(
     b_values: Sequence[RationalLike],
     branches: Sequence[Branch],
     oracle: OracleMemo | None = None,
-) -> list[list[list[Certificate]]]:
+) -> Certificate:
     """Run the chain for every column of `vecs` under every b in `b_values`
     and every branch in `branches`.
 
     Column i of `vecs` is an eigenvector of W(l, m), checked against
-    `energies[i]`; pass a wrong energy to watch its certificates fail.
-    Returns one list per branch, in the order of `branches`, holding one
-    list per b, in the order of `b_values`, of one `Certificate` per
-    column.  `oracle=None` skips the oracle; a dict runs it, branch by
-    branch, b by b, column by column.  An oracle check depends on
-    (potential, lambda) alone: a pair already in `oracle` is not solved
-    again, and every new one is added.
+    `energies[i]`; pass a wrong energy to watch its column fail.  Returns
+    one `Certificate`, indexed [branch, b, column].  `oracle=None` skips
+    the oracle; a dict runs it, branch by branch, b by b, column by
+    column.  An oracle check depends on (potential, lambda) alone: a pair
+    already in `oracle` is not solved again, and every new one is added.
     """
     energies = np.asarray(energies, dtype=float)
-    bhe_rel = []
-    # stages 3-4 take one column per (branch, b, eigenvector), in that order
-    specs: list[PotentialSpec] = []
-    lams, bs, prefs, a_s, phi_cols, scales = [], [], [], [], [], []
-    for branch in branches:
-        phis = rho_coefficients(label, vecs, branch)
-        if energies.shape != (phis.shape[1],):
+    shape = (len(branches), len(b_values), energies.size)
+    scales = np.empty((len(branches), energies.size))
+    # [form, branch, column]: stages 1-2 do not depend on b
+    bhe_max = np.empty((2, *scales.shape))
+    specs = np.empty(shape, dtype=object)
+    lams = np.empty(shape)
+    # stages 3-4: one column per (branch, b, eigenvector), its (b, s, A), phi
+    columns, phi_cols = [], []
+    for i, branch in enumerate(branches):
+        phi = rho_coefficients(label, vecs, branch)
+        if energies.shape != (phi.shape[1],):
             raise ValueError(
-                f"{energies.size} energies for {phis.shape[1]} eigenvectors"
+                f"{energies.size} energies for {phi.shape[1]} eigenvectors"
             )
-        scale = np.max(np.abs(phis), axis=0)
-        bhe_rel.append((
-            _relative(operator_residuals(freqs, label, energies, phis, branch), scale),
-            _relative(
-                standard_residuals(bhe_params(freqs, label, energies, branch), phis),
-                scale,
-            ),
-        ))
-        for b in b_values:
-            vspecs, lam = zero_mode_potentials(b, freqs, label, energies, branch)
-            pref, a_ = zero_mode_envelope(b, freqs, label, branch)
-            specs += vspecs
-            lams += lam.tolist()
-            bs += [b] * len(vspecs)
-            prefs += [pref] * len(vspecs)
-            a_s += [a_] * len(vspecs)
-            phi_cols.append(phis)
-            scales.append(scale)
-    schr_rel = _relative(
-        zero_mode_residuals(specs, lams, bs, prefs, a_s, np.hstack(phi_cols)),
-        np.concatenate(scales),
+        scales[i] = _worst(phi)
+        bhe_max[0, i] = _worst(operator_residuals(freqs, label, energies, phi, branch))
+        bhe_max[1, i] = _worst(
+            standard_residuals(bhe_params(freqs, label, energies, branch), phi)
+        )
+        for j, b in enumerate(b_values):
+            specs[i, j], lams[i, j] = zero_mode_potentials(
+                b, freqs, label, energies, branch
+            )
+            columns += [(b, *zero_mode_envelope(b, freqs, label, branch))] * shape[2]
+            phi_cols.append(phi)
+    op_rel, std_rel = np.broadcast_to((bhe_max / scales)[:, :, None], (2, *shape))
+    schr_rel = _worst(
+        zero_mode_residuals(
+            specs.ravel(), lams.ravel(), *zip(*columns), np.hstack(phi_cols)
+        ).reshape(-1, *shape)
+    ) / scales[:, None]
+    # one rule, in STAGES order; a NaN residual is not <= BHE_RTOL and fails
+    failed = np.zeros((len(STAGES), *shape), dtype=bool)
+    failed[0] = ~(op_rel <= BHE_RTOL) | ~(std_rel <= BHE_RTOL)
+    failed[1] = ~(schr_rel <= BHE_RTOL)
+    results = None
+    if oracle is not None:
+        results = np.empty(shape, dtype=object)
+        for idx in np.ndindex(shape):
+            vspec, lam = specs[idx], float(lams[idx])
+            if (vspec, lam) not in oracle:
+                oracle[vspec, lam] = contains_eigenvalue(
+                    vspec, oracle_config(vspec, lam), lam
+                )
+            results[idx] = oracle[vspec, lam]
+            failed[2][idx] = not results[idx].hit
+    return Certificate(
+        bhe_operator_residual=op_rel,
+        bhe_standard_residual=std_rel,
+        potential=specs,
+        lam=lams,
+        schrodinger_residual=schr_rel,
+        oracle=results,
+        failed=failed,
     )
-    out = []
-    col = 0
-    for op_rel, std_rel in bhe_rel:
-        bhe_ok = [o <= BHE_RTOL and s <= BHE_RTOL for o, s in zip(op_rel, std_rel)]
-        per_b = []
-        for _ in b_values:
-            certs = []
-            for i in range(energies.size):
-                vspec, lam = specs[col], lams[col]
-                cont = None
-                if oracle is not None:
-                    key = (vspec, lam)
-                    if key not in oracle:
-                        oracle[key] = contains_eigenvalue(
-                            vspec, oracle_config(vspec, lam), lam
-                        )
-                    cont = oracle[key]
-                ok = (bhe_ok[i], schr_rel[col] <= BHE_RTOL, cont is None or cont.hit)
-                certs.append(Certificate(
-                    bhe_operator_residual=op_rel[i],
-                    bhe_standard_residual=std_rel[i],
-                    potential=vspec,
-                    lam=lam,
-                    schrodinger_residual=schr_rel[col],
-                    oracle=cont,
-                    failed=tuple(stage for stage, good in zip(STAGES, ok) if not good),
-                ))
-                col += 1
-            per_b.append(certs)
-        out.append(per_b)
-    return out

@@ -188,26 +188,27 @@ def cmd_potential(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_entry(p, energy, energy_used, cert):
-    """JSON entry of one eigenpair's certificate; p = 1 is the largest E."""
+def _check_entry(p, energy, energy_used, cert, i):
+    """JSON entry of column i of a one-b, one-branch `cert`; p = 1 is the top E."""
     entry = {
         "p": p,
         "energy": energy,
         "energy_used": energy_used,
-        "lambda": cert.lam,
-        "bhe_operator_residual": cert.bhe_operator_residual,
-        "bhe_standard_residual": cert.bhe_standard_residual,
-        "schrodinger_residual": cert.schrodinger_residual,
+        "lambda": cert.lam[0, 0, i],
+        "bhe_operator_residual": cert.bhe_operator_residual[0, 0, i],
+        "bhe_standard_residual": cert.bhe_standard_residual[0, 0, i],
+        "schrodinger_residual": cert.schrodinger_residual[0, 0, i],
     }
     if cert.oracle is not None:
-        entry["oracle_nearest"] = cert.oracle.nearest
-        entry["oracle_richardson_gap"] = cert.oracle.richardson_gap
-        entry["oracle_hit"] = cert.oracle.hit
-        entry["oracle_points"] = cert.oracle.n_points
-        entry["oracle_h"] = cert.oracle.h
-        entry["oracle_solves"] = cert.oracle.solves
-    entry["failed"] = list(cert.failed)
-    entry["pass"] = cert.passed
+        oracle = cert.oracle[0, 0, i]
+        entry["oracle_nearest"] = oracle.nearest
+        entry["oracle_richardson_gap"] = oracle.richardson_gap
+        entry["oracle_hit"] = oracle.hit
+        entry["oracle_points"] = oracle.n_points
+        entry["oracle_h"] = oracle.h
+        entry["oracle_solves"] = oracle.solves
+    entry["failed"] = [s for s, f in zip(STAGES, cert.failed[:, 0, 0, i]) if f]
+    entry["pass"] = bool(cert.passed[0, 0, i])
     return entry
 
 
@@ -253,14 +254,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     energies = spec.eigenvalues
     if args.energy_override is not None:
         energies = np.full(label.dim, args.energy_override)
-    ((certs,),) = certify_subspace(
+    cert = certify_subspace(
         freqs, label, energies, spec.eigenvectors, [bfrac], [branch],
         oracle=None if args.no_oracle else {},
     )
     found, used = spec.eigenvalues.tolist(), energies.tolist()
     checks = [
-        _check_entry(label.dim - i, found[i], used[i], cert)
-        for i, cert in enumerate(certs)
+        _check_entry(label.dim - i, found[i], used[i], cert, i)
+        for i in range(label.dim)
     ]
     all_pass = all(c["pass"] for c in checks)
     manifest = _manifest(args, b=str(bfrac))
@@ -271,19 +272,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
-def _sweep_record(ell, m, bfrac, branch, certs):
-    """One sweep tuple: its verdict, the stages any eigenpair failed and the
-    worst value of each residual."""
+def _sweep_records(ell, m, b_values, branches, cert):
+    """The sweep tuples of one label in (b, branch) order: each one's verdict,
+    the stages any eigenpair failed and the worst value of each residual."""
     keys = ["bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual"]
-    worst = {k: max(getattr(c, k) for c in certs) for k in keys}
-    if certs[0].oracle is not None:
-        worst["oracle_richardson_gap"] = max(c.oracle.richardson_gap for c in certs)
-    return {
-        "l": ell, "m": m, "b": str(bfrac), "branch": branch.value,
-        "pass": all(c.passed for c in certs),
-        "failed": [s for s in STAGES if any(s in c.failed for c in certs)],
-        "worst": worst,
-    }
+    worst = {k: getattr(cert, k).max(axis=2).tolist() for k in keys}
+    if cert.oracle is not None:
+        worst["oracle_richardson_gap"] = [
+            [max(c.richardson_gap for c in cols) for cols in per_b]
+            for per_b in cert.oracle
+        ]
+    failed = cert.failed.any(axis=3).tolist()
+    for j, bfrac in enumerate(b_values):
+        for i, branch in enumerate(branches):
+            stages = [s for s, f in zip(STAGES, failed) if f[i][j]]
+            yield {
+                "l": ell, "m": m, "b": str(bfrac), "branch": branch.value,
+                "pass": not stages,
+                "failed": stages,
+                "worst": {k: v[i][j] for k, v in worst.items()},
+            }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -301,13 +309,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for m in range(args.mmax + 1):
             label = SubspaceLabel(ell, m)
             spec = eig_sym(build_hamiltonian(freqs, label))
-            per_branch = certify_subspace(
+            cert = certify_subspace(
                 freqs, label, spec.eigenvalues, spec.eigenvectors, b_values,
                 branches, oracle=oracle,
             )
-            for i, bf in enumerate(b_values):
-                for br, per_b in zip(branches, per_branch):
-                    results.append(_sweep_record(ell, m, bf, br, per_b[i]))
+            results += _sweep_records(ell, m, b_values, branches, cert)
     all_pass = all(r["pass"] for r in results)
     payload = {
         "manifest": _manifest(args, b=",".join(map(str, b_values))),

@@ -62,6 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .hamiltonian import check_finite
 from .schroedinger import PotentialSpec, lambda_rung
 
 HIT_RTOL = 1e-3
@@ -176,10 +177,10 @@ def _left_boundary_ratios(
 ) -> list[float]:
     """y(x_min)/y(x) of the principal solution at each x of `xs`, y = u/sqrt(x).
 
-    One Frobenius series serves every x.  Raises ValueError when the x^(-2)
-    coefficient c_0 is below -1/4: the operator then falls to the centre,
-    with no principal solution and no meaningful eigenvalue.  Every V_b has
-    1 + 4 c_0 = (l - m)^2 / b^2 >= 0.
+    One Frobenius series serves every x.  Raises ValueError when a ratio
+    overflows, or when the x^(-2) coefficient c_0 is below -1/4: the
+    operator then falls to the centre, with no principal solution and no
+    meaningful eigenvalue.  Every V_b has 1 + 4 c_0 = (l - m)^2 / b^2 >= 0.
     """
     c0 = spec.coeffs[0]
     if 1.0 + 4.0 * c0 < 0.0:
@@ -187,7 +188,9 @@ def _left_boundary_ratios(
     p = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c0))
     x0 = ORACLE_X_MIN
     f0, *fs = _frobenius_factors(spec, p, (x0, *xs), bc_energy)
-    return [(x0 / x) ** p * (f0 / f) * math.sqrt(x / x0) for x, f in zip(xs, fs)]
+    ratios = [(x0 / x) ** p * (f0 / f) * math.sqrt(x / x0) for x, f in zip(xs, fs)]
+    check_finite("left-boundary series ratio y(x_min)/y(x)", *ratios)
+    return ratios
 
 
 def _grid_values(

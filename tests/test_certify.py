@@ -129,40 +129,93 @@ def cap_labels():
     )
 
 
+def at(cert, i, j, col):
+    """Every field of `cert` at (branch i, b j, column col); `failed` as the
+    names of the stages that missed."""
+    values = {
+        f.name: None if getattr(cert, f.name) is None
+        else getattr(cert, f.name)[..., i, j, col]
+        for f in fields(cert)
+    }
+    values["failed"] = tuple(s for s, f in zip(certify.STAGES, values["failed"]) if f)
+    values["passed"] = bool(cert.passed[i, j, col])
+    return values
+
+
 class TestCertifySubspace:
     @settings(max_examples=30, deadline=None)
     @given(frequencies(), cap_labels(), st.sampled_from((0.0, 1e-9, -1e-4)))
     def test_columns_match_eigenpairs(self, freqs, label, shift):
         # one call over both branches and every b, whose zero-mode columns
-        # mix lambda = eps(E) at b = 1/2 with lambda = 0: column i under
-        # (branch, b) is the one-column, one-b, one-branch call on eigenpair
-        # i, field for field, also for the failing certificates of a
+        # mix lambda = eps(E) at b = 1/2 with lambda = 0: the record at
+        # [branch, b, column i] is the one-column, one-b, one-branch call on
+        # eigenpair i, field for field, also for the failing columns of a
         # perturbed energy; its residuals are the loop reference's, exactly
         spectrum = spectrum_of(freqs, label)
         energies = spectrum.eigenvalues + shift * np.maximum(
             1.0, np.abs(spectrum.eigenvalues)
         )
         vecs = spectrum.eigenvectors
-        per_branch = certify_subspace(freqs, label, energies, vecs, B_VALUES, list(Branch))
-        assert len(per_branch) == len(Branch)
-        for branch, per_b in zip(Branch, per_branch):
-            assert len(per_b) == len(B_VALUES)
-            for b, certs in zip(B_VALUES, per_b):
-                assert len(certs) == label.dim
-                for i, cert in enumerate(certs):
-                    expected_lam = epsilon_of(energies[i], branch) if b == SEXTIC_B else 0.0
-                    assert cert.lam == expected_lam, (b, branch, i)
+        cert = certify_subspace(freqs, label, energies, vecs, B_VALUES, list(Branch))
+        shape = (len(Branch), len(B_VALUES), label.dim)
+        assert cert.lam.shape == cert.schrodinger_residual.shape == shape
+        assert cert.bhe_operator_residual.shape == shape
+        assert cert.failed.shape == (len(certify.STAGES), *shape)
+        assert cert.oracle is None
+        for i, branch in enumerate(Branch):
+            for j, b in enumerate(B_VALUES):
+                for col in range(label.dim):
+                    case = (b, branch, col)
+                    got = at(cert, i, j, col)
+                    expected_lam = (
+                        epsilon_of(energies[col], branch) if b == SEXTIC_B else 0.0
+                    )
+                    assert got["lam"] == expected_lam, case
                     single = certify_subspace(
-                        freqs, label, energies[i : i + 1], vecs[:, i : i + 1], [b],
-                        [branch],
-                    )[0][0][0]
-                    assert cert == single, (b, branch, i)
-                    energy, vec = float(energies[i]), vecs[:, i]
+                        freqs, label, energies[col : col + 1], vecs[:, col : col + 1],
+                        [b], [branch],
+                    )
+                    assert got == at(single, 0, 0, 0), case
+                    energy, vec = float(energies[col]), vecs[:, col]
                     assert (
-                        cert.bhe_operator_residual,
-                        cert.bhe_standard_residual,
-                        cert.schrodinger_residual,
-                    ) == loop_chain(freqs, label, energy, vec, b, branch), (b, branch, i)
+                        got["bhe_operator_residual"],
+                        got["bhe_standard_residual"],
+                        got["schrodinger_residual"],
+                    ) == loop_chain(freqs, label, energy, vec, b, branch), case
+
+    def test_bhe_residuals_broadcast_over_b(self, unit_freqs):
+        # stages 1-2 do not depend on b: one value per (branch, column),
+        # seen under every b without a copy
+        label = SubspaceLabel(3, 2)
+        spectrum = spectrum_of(unit_freqs, label)
+        cert = certify_subspace(
+            unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES,
+            list(Branch),
+        )
+        for residual in (cert.bhe_operator_residual, cert.bhe_standard_residual):
+            assert residual.strides[1] == 0
+            assert not residual.flags.writeable
+
+    def test_nan_column_fails_without_warning(self, unit_freqs):
+        # a NaN residual compares False against any bound, so the verdict
+        # `~(x <= BHE_RTOL)` fails it where `x > BHE_RTOL` would pass it;
+        # pytest turns any numpy RuntimeWarning into an error
+        label = SubspaceLabel(2, 2)
+        spectrum = spectrum_of(unit_freqs, label)
+        vecs = spectrum.eigenvectors.copy()
+        vecs[:, 1] = np.nan
+        b_values = [Fraction(1), SEXTIC_B]
+        cert = certify_subspace(
+            unit_freqs, label, spectrum.eigenvalues, vecs, b_values, list(Branch)
+        )
+        bhe, schrodinger, oracle = cert.failed
+        expected = np.zeros((len(Branch), len(b_values), label.dim), dtype=bool)
+        expected[:, :, 1] = True
+        assert np.isnan(cert.schrodinger_residual[:, :, 1]).all()
+        assert np.array_equal(bhe, expected)
+        assert np.array_equal(schrodinger, expected)
+        assert not oracle.any()
+        assert np.array_equal(cert.passed, ~expected)
 
     def test_shape_validation(self, unit_freqs):
         label = SubspaceLabel(3, 2)
@@ -187,40 +240,40 @@ class TestCertifyEigenpair:
         spectrum = spectrum_of(unit_freqs, label)
         for branch in Branch:
             tilde = potential_specs(SEXTIC_B, unit_freqs, label, [0.0], branch)[0]
-            ((certs,),) = certify_subspace(
+            cert = certify_subspace(
                 unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors,
                 [SEXTIC_B], [branch],
             )
-            for energy, cert in zip(spectrum.eigenvalues.tolist(), certs):
-                assert cert.lam == epsilon_of(energy, branch)
-                assert cert.potential == tilde
-                assert cert.passed
+            assert cert.lam[0, 0].tolist() == [
+                epsilon_of(energy, branch) for energy in spectrum.eigenvalues.tolist()
+            ]
+            assert all(vspec == tilde for vspec in cert.potential[0, 0])
+            assert cert.passed.all()
 
     @pytest.mark.parametrize("b", [Fraction(1), Fraction(3, 2), Fraction(2)])
     def test_plain_potential_otherwise(self, unit_freqs, b):
         label = SubspaceLabel(1, 1)
         spectrum = spectrum_of(unit_freqs, label)
-        ((certs,),) = certify_subspace(
+        cert = certify_subspace(
             unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, [b],
             [Branch.PLUS],
         )
         vspecs = potential_specs(b, unit_freqs, label, spectrum.eigenvalues)
-        for cert, vspec in zip(certs, vspecs):
-            assert cert.lam == 0.0
-            assert cert.potential == vspec
-            assert cert.oracle is None
-            assert cert.passed
+        assert cert.potential[0, 0].tolist() == vspecs
+        assert not cert.lam.any()
+        assert cert.oracle is None
+        assert cert.passed.all()
 
     def test_failed_names_stages(self, unit_freqs):
         label = SubspaceLabel(3, 2)
         spectrum = spectrum_of(unit_freqs, label)
-        ((certs,),) = certify_subspace(
+        cert = certify_subspace(
             unit_freqs, label, spectrum.eigenvalues + 1e-3, spectrum.eigenvectors, [1],
             [Branch.PLUS],
         )
-        for cert in certs:
-            assert cert.failed == ("bhe", "schrodinger")
-            assert not cert.passed
+        # stages in STAGES order: bhe and schrodinger miss at every column
+        assert cert.failed[:, 0, 0].T.tolist() == [[True, True, False]] * label.dim
+        assert not cert.passed.any()
 
     @pytest.mark.parametrize(
         "freqs,ell,m", [(ANCHOR, 32, 32), (ModeFrequencies(1, 1, 1), 20, 20)]
@@ -230,27 +283,27 @@ class TestCertifyEigenpair:
         # residuals; both stay under the one tolerance at the label cap
         label = SubspaceLabel(ell, m)
         spectrum = spectrum_of(freqs, label)
-        per_branch = certify_subspace(
+        cert = certify_subspace(
             freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES,
             list(Branch),
         )
-        for branch, per_b in zip(Branch, per_branch):
-            for b, certs in zip(B_VALUES, per_b):
-                for energy, cert in zip(spectrum.eigenvalues.tolist(), certs):
-                    assert cert.passed, (energy, b, branch, cert)
+        assert cert.passed.shape == (len(Branch), len(B_VALUES), label.dim)
+        assert cert.passed.all(), np.argwhere(~cert.passed).tolist()
 
     def test_oracle_hit(self, unit_freqs):
         label = SubspaceLabel(1, 1)
         spectrum = spectrum_of(unit_freqs, label)
         memo = {}
-        ((certs,),) = certify_subspace(
+        cert = certify_subspace(
             unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors,
             [SEXTIC_B], [Branch.PLUS], oracle=memo,
         )
-        for cert in certs:
-            assert cert.oracle.hit and cert.passed
-            assert cert.oracle.n_points == 2000
-            assert memo[(cert.potential, cert.lam)] is cert.oracle
+        assert cert.passed.all()
+        columns = zip(cert.potential[0, 0], cert.lam[0, 0], cert.oracle[0, 0])
+        for vspec, lam, result in columns:
+            assert result.hit
+            assert result.n_points == 2000
+            assert memo[(vspec, lam)] is result
         assert len(memo) == label.dim
 
 

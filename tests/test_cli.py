@@ -429,6 +429,21 @@ class TestSweep:
         assert payload["count"] == 16
         assert payload["pass"] is True
 
+    def test_oracle_boundary_overflow_exits_1(self, capsys):
+        # the rungs pass, but the oracle's left-boundary Frobenius series
+        # overflows to a nan ratio; the run names that series instead of
+        # handing the matrix to scipy
+        code, out, err = run_cli(
+            capsys, "sweep", "--lmax", "0", "--mmax", "0", "--w=0,-1e20,-3e80",
+            "--b", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: left-boundary series ratio y(x_min)/y(x) is not finite:"
+            " it overflows a double\n"
+        )
+
     def test_repeated_b_certified_once(self, capsys):
         # 1 and 2/2 are the same exponent: one tuple per (l, m, b, branch)
         code, out, _ = run_cli(
