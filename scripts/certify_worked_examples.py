@@ -3,11 +3,11 @@
 
 Runs, for every eigenpair of W(1,1) and W(3,2) at w = (1,1,1), every
 transformation exponent b in {1, 1/2, 3/2, 2} and both branches, the
-certification pipeline, one `triqes.certify_subspace` call per subspace over
-both branches and the four exponents: exact BHE residuals, the exact
-zero-mode (Schroedinger) residual, and the independent finite-difference
-containment check.  Each row reads the call's one `Certificate` at
-[branch, b, column].
+certification pipeline, one `triqes.certify_subspace` call over both
+subspaces, both branches and the four exponents: exact BHE residuals, the
+exact zero-mode (Schroedinger) residual, and the independent
+finite-difference containment check.  Each row reads its subspace's
+`Certificate` at [branch, b, column].
 """
 
 import sys
@@ -32,13 +32,14 @@ def main() -> int:
              f"{'bhe':>8} {'schrod':>8} {'oracle':>8} ok"
     print(header)
     print("-" * len(header))
-    for ell, m in ((1, 1), (3, 2)):
-        label = SubspaceLabel(ell, m)
-        spectrum = eig_sym(build_hamiltonian(W, label))
-        cert = certify_subspace(
-            W, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES, list(Branch),
-            oracle={},
-        )
+    labels = [SubspaceLabel(1, 1), SubspaceLabel(3, 2)]
+    spectra = [eig_sym(build_hamiltonian(W, label)) for label in labels]
+    certs = dict(certify_subspace(
+        W, [(label, sp.eigenvalues, sp.eigenvectors) for label, sp in zip(labels, spectra)],
+        B_VALUES, list(Branch), oracle={},
+    ))
+    for n, (label, spectrum) in enumerate(zip(labels, spectra)):
+        ell, m, cert = label.ell, label.m, certs[n]
         all_ok &= bool(cert.passed.all())
         for i in range(label.dim):
             energy = float(spectrum.eigenvalues[i])

@@ -30,6 +30,7 @@ from .schroedinger import (
     eval_wavefunction,
     potential_specs,
     zero_mode_envelope,
+    zero_mode_ladders,
     zero_mode_potentials,
 )
 from .fdoracle import (
@@ -73,5 +74,6 @@ __all__ = [
     "suggest_domain",
     "Certificate",
     "certify_subspace",
+    "zero_mode_ladders",
     "zero_mode_potentials",
 ]

@@ -1,43 +1,46 @@
-"""One certification pipeline for a whole subspace.
+"""One certification pipeline for many subspaces.
 
-The chain checked link by link, for every eigenvector of W(l, m), every
-transformation exponent b and every branch:
+The chain checked link by link, for every eigenvector of every W(l, m)
+given, every transformation exponent b and every branch:
 
 1. phi, the branch's BHE polynomial, from the eigenvector;
 2. both BHE residuals (operator form and standard form), each relative to
    the largest phi coefficient;
-3. the potential whose zero mode chi is (`schroedinger.zero_mode_potentials`):
+3. the potential whose zero mode chi is (`schroedinger.zero_mode_ladders`):
    at b = 1/2 the displaced sextic Vtilde with lambda = eps(E), for any
    other b the plain V_b with lambda = 0;
 4. the Schroedinger equation -chi'' + (V - lambda) chi = 0 for the zero
-   mode chi with envelope `zero_mode_envelope` and the phi of stage 1, as
+   mode chi with the envelope (s, A) of stage 3 and the phi of stage 1, as
    the exact polynomial identity `zero_mode_residuals`, relative to the
    largest phi coefficient: no grid, no step size, no refinement order;
 5. when the caller asks for it, the independent finite-difference oracle
    at lambda.
 
-Stages 1-2 depend on the eigenvectors, the energies and the branch but
-not on b, so `certify_subspace` runs them once per (label, branch), as
-array operations over all eigenvectors, and shares them by every b.
-Stages 3-4 then run once per call: one `zero_mode_residuals` call over
-one column per (branch, b, eigenvector), each column at its own b with
-its own envelope and lambda, and one reduction to relative residuals.  E
-enters only through rung 1 of V_b (b != 1/2) or through lambda
-(b = 1/2).  The oracle runs per eigenvector, in (branch, b, eigenvector)
-order, once per distinct (potential, lambda) in the `OracleMemo` the
-caller passes; `sweep` shares one across its calls.  A one-column, one-b,
-one-branch call gives every column the same numbers, bit for bit.
+`certify_subspace` takes the subspaces as (label, energies, eigenvectors)
+and groups them by shape: the labels of one dimension min(l, m) + 1 with
+as many eigenvectors form one group, so no phi column is padded.  Each
+group runs stages 1-4 as one array pass: stages 1-2 over the column axes
+[label, branch, column], shared by every b since they do not depend on
+it, and stages 3-4 as one `zero_mode_ladders` call and one
+`zero_mode_residuals` call over [label, branch, b, column], each column at
+its own b with its own envelope and lambda.  E enters only through rung 1
+of V_b (b != 1/2) or through lambda (b = 1/2).  Every number is
+elementwise, so a column is bit for bit the same whichever subspaces share
+its call.  The oracle then runs group by group, subspace by subspace, in
+(branch, b, eigenvector) order, once per distinct (potential, lambda) in
+the `OracleMemo` the caller passes; `sweep` passes one for the command.
 
-A call returns one `Certificate`: arrays indexed [branch, b, column] and a
-`failed` mask per stage of `STAGES`, by one rule: "bhe" where either BHE
-residual is not <= `BHE_RTOL`, "schrodinger" where the zero-mode residual
-is not <= that `BHE_RTOL` (a NaN fails), "oracle" where the oracle missed.
+Each subspace gets one `Certificate`: arrays indexed [branch, b, column]
+and a `failed` mask per stage of `STAGES`, by one rule: "bhe" where either
+BHE residual is not <= `BHE_RTOL`, "schrodinger" where the zero-mode
+residual is not <= that `BHE_RTOL` (a NaN fails), "oracle" where the
+oracle missed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,8 +58,7 @@ from .heun import (
 from .schroedinger import (
     PotentialSpec,
     RationalLike,
-    zero_mode_envelope,
-    zero_mode_potentials,
+    zero_mode_ladders,
     zero_mode_residuals,
 )
 
@@ -89,78 +91,93 @@ def _worst(residuals: np.ndarray) -> np.ndarray:
     return np.max(np.abs(residuals), axis=0)
 
 
+# (label, energies, eigenvectors as columns)
+Subspace = tuple[SubspaceLabel, Sequence[float] | np.ndarray, np.ndarray]
+
+
 def certify_subspace(
     freqs: ModeFrequencies,
-    label: SubspaceLabel,
-    energies: Sequence[float] | np.ndarray,
-    vecs: np.ndarray,
+    subspaces: Iterable[Subspace],
     b_values: Sequence[RationalLike],
     branches: Sequence[Branch],
     oracle: OracleMemo | None = None,
-) -> Certificate:
-    """Run the chain for every column of `vecs` under every b in `b_values`
-    and every branch in `branches`.
+) -> Iterator[tuple[int, Certificate]]:
+    """Run the chain for every subspace (label, energies, vecs) of
+    `subspaces`, under every b in `b_values` and every branch in
+    `branches`.
 
     Column i of `vecs` is an eigenvector of W(l, m), checked against
-    `energies[i]`; pass a wrong energy to watch its column fail.  Returns
-    one `Certificate`, indexed [branch, b, column].  `oracle=None` skips
-    the oracle; a dict runs it, branch by branch, b by b, column by
-    column.  An oracle check depends on (potential, lambda) alone: a pair
-    already in `oracle` is not solved again, and every new one is added.
+    `energies[i]`; pass a wrong energy to watch its column fail.  Yields
+    (i, `Certificate`) for the i-th subspace, indexed [branch, b, column],
+    group by group: the subspaces of one shape form one group, in the order
+    their first member comes, and every group runs stages 1-4 as one array
+    pass.  `oracle=None` skips the oracle; a dict runs it, subspace by
+    subspace of a group, then branch by branch, b by b, column by column.
+    An oracle check depends on (potential, lambda) alone: a pair already in
+    `oracle` is not solved again, and every new one is added.
     """
-    energies = np.asarray(energies, dtype=float)
-    shape = (len(branches), len(b_values), energies.size)
-    scales = np.empty((len(branches), energies.size))
-    # [form, branch, column]: stages 1-2 do not depend on b
-    bhe_max = np.empty((2, *scales.shape))
-    specs = np.empty(shape, dtype=object)
-    lams = np.empty(shape)
-    # stages 3-4: one column per (branch, b, eigenvector), its (b, s, A), phi
-    columns, phi_cols = [], []
-    for i, branch in enumerate(branches):
-        phi = rho_coefficients(label, vecs, branch)
-        if energies.shape != (phi.shape[1],):
-            raise ValueError(
-                f"{energies.size} energies for {phi.shape[1]} eigenvectors"
-            )
-        scales[i] = _worst(phi)
-        bhe_max[0, i] = _worst(operator_residuals(freqs, label, energies, phi, branch))
-        bhe_max[1, i] = _worst(
-            standard_residuals(bhe_params(freqs, label, energies, branch), phi)
+    groups: dict[tuple, list] = {}
+    for i, (label, energies, vecs) in enumerate(subspaces):
+        energies, vecs = np.asarray(energies, dtype=float), np.asarray(vecs, dtype=float)
+        key = (label.dim, energies.shape, vecs.shape)
+        groups.setdefault(key, []).append((i, label, energies, vecs))
+    for members in groups.values():
+        index, labels, energies, vecs = zip(*members)
+        certs = _certify_group(
+            freqs, labels, np.stack(energies), np.stack(vecs, axis=1)[:, :, None],
+            b_values, branches, oracle,
         )
-        for j, b in enumerate(b_values):
-            specs[i, j], lams[i, j] = zero_mode_potentials(
-                b, freqs, label, energies, branch
-            )
-            columns += [(b, *zero_mode_envelope(b, freqs, label, branch))] * shape[2]
-            phi_cols.append(phi)
-    op_rel, std_rel = np.broadcast_to((bhe_max / scales)[:, :, None], (2, *shape))
+        yield from zip(index, certs)
+
+
+def _certify_group(freqs, labels, energies, vecs, b_values, branches, oracle):
+    """Stages 1-4 over [label, branch, b, column] of labels of one dimension,
+    `energies` [label, column] and `vecs` [component, label, 1, column];
+    then, label by label, the oracle and the label's `Certificate`."""
+    phi = rho_coefficients(labels, vecs, branches)  # [row, label, branch, column]
+    if energies.shape[1:] != phi.shape[-1:]:
+        raise ValueError(f"{energies[0].size} energies for {phi.shape[-1]} eigenvectors")
+    scales = _worst(phi)
+    e = energies[:, None]
+    # stages 1-2 do not depend on b: [label, branch, column]
+    op_rel = _worst(operator_residuals(freqs, labels, e, phi, branches)) / scales
+    std_rel = _worst(
+        standard_residuals(bhe_params(freqs, labels, e, branches), phi)
+    ) / scales
+    # stages 3-4: one zero-mode column per (label, branch, b, eigenvector)
+    specs, lams, s, a_ = zero_mode_ladders(b_values, freqs, labels, energies, branches)
+    shape = lams.shape
+    n_rows = phi.shape[0]
+    bs = np.broadcast_to(np.array(b_values, dtype=object)[:, None], shape)
     schr_rel = _worst(
         zero_mode_residuals(
-            specs.ravel(), lams.ravel(), *zip(*columns), np.hstack(phi_cols)
+            specs.ravel(), lams.ravel(), bs.ravel(),
+            np.broadcast_to(s, shape).ravel(), np.broadcast_to(a_, shape).ravel(),
+            np.broadcast_to(phi[:, :, :, None], (n_rows, *shape)).reshape(n_rows, -1),
         ).reshape(-1, *shape)
-    ) / scales[:, None]
+    ) / scales[:, :, None]
     # one rule, in STAGES order; a NaN residual is not <= BHE_RTOL and fails
     failed = np.zeros((len(STAGES), *shape), dtype=bool)
-    failed[0] = ~(op_rel <= BHE_RTOL) | ~(std_rel <= BHE_RTOL)
+    failed[0] = (~(op_rel <= BHE_RTOL) | ~(std_rel <= BHE_RTOL))[:, :, None]
     failed[1] = ~(schr_rel <= BHE_RTOL)
-    results = None
-    if oracle is not None:
-        results = np.empty(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            vspec, lam = specs[idx], float(lams[idx])
-            if (vspec, lam) not in oracle:
-                oracle[vspec, lam] = contains_eigenvalue(
-                    vspec, oracle_config(vspec, lam), lam
-                )
-            results[idx] = oracle[vspec, lam]
-            failed[2][idx] = not results[idx].hit
-    return Certificate(
-        bhe_operator_residual=op_rel,
-        bhe_standard_residual=std_rel,
-        potential=specs,
-        lam=lams,
-        schrodinger_residual=schr_rel,
-        oracle=results,
-        failed=failed,
-    )
+    for g in range(len(labels)):
+        results = None
+        if oracle is not None:
+            results = np.empty(shape[1:], dtype=object)
+            for idx in np.ndindex(shape[1:]):
+                vspec, lam = specs[g][idx], float(lams[g][idx])
+                if (vspec, lam) not in oracle:
+                    oracle[vspec, lam] = contains_eigenvalue(
+                        vspec, oracle_config(vspec, lam), lam
+                    )
+                results[idx] = oracle[vspec, lam]
+                failed[2, g][idx] = not results[idx].hit
+        yield Certificate(
+            bhe_operator_residual=np.broadcast_to(op_rel[g][:, None], shape[1:]),
+            bhe_standard_residual=np.broadcast_to(std_rel[g][:, None], shape[1:]),
+            potential=specs[g],
+            lam=lams[g],
+            schrodinger_residual=schr_rel[g],
+            oracle=results,
+            failed=failed[:, g],
+        )

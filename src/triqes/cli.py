@@ -254,8 +254,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     energies = spec.eigenvalues
     if args.energy_override is not None:
         energies = np.full(label.dim, args.energy_override)
-    cert = certify_subspace(
-        freqs, label, energies, spec.eigenvectors, [bfrac], [branch],
+    ((_, cert),) = certify_subspace(
+        freqs, [(label, energies, spec.eigenvectors)], [bfrac], [branch],
         oracle=None if args.no_oracle else {},
     )
     found, used = spec.eigenvalues.tolist(), energies.tolist()
@@ -304,16 +304,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # lives for this command only: W(l, m) and W(m, l) pose the same
     # oracle problems, often bit for bit
     oracle: OracleMemo | None = None if args.no_oracle else {}
-    results = []
+    subspaces = []
     for ell in range(args.lmax + 1):
         for m in range(args.mmax + 1):
             label = SubspaceLabel(ell, m)
             spec = eig_sym(build_hamiltonian(freqs, label))
-            cert = certify_subspace(
-                freqs, label, spec.eigenvalues, spec.eigenvectors, b_values,
-                branches, oracle=oracle,
-            )
-            results += _sweep_records(ell, m, b_values, branches, cert)
+            subspaces.append((label, spec.eigenvalues, spec.eigenvectors))
+    # one pipeline call; each label's tuples are built as soon as its group
+    # is certified, so only one group's certificates are held at a time
+    records = [[] for _ in subspaces]
+    for i, cert in certify_subspace(freqs, subspaces, b_values, branches, oracle=oracle):
+        label = subspaces[i][0]
+        records[i] = list(_sweep_records(label.ell, label.m, b_values, branches, cert))
+    results = [r for per_label in records for r in per_label]
     all_pass = all(r["pass"] for r in results)
     payload = {
         "manifest": _manifest(args, b=",".join(map(str, b_values))),

@@ -14,7 +14,14 @@ standard-form BHE with the mapped parameters (alpha, beta, gamma, delta).
 Both recurrences are exact in the polynomial coefficients; no grids are
 involved.  The map and both recurrences are array operations over one
 column per eigenvector (`rho_coefficients`, `operator_residuals`,
-`standard_residuals`), with E entering as a vector.  The BHE twins
+`standard_residuals`), with E entering as a vector.  Each of them, and
+`bhe_params`, also takes a sequence of labels of one dimension and a
+sequence of branches in place of one label and one branch: their
+constants l, m, k, the w2 <-> w3 swap, the map weights and c then become
+arrays over the column axes [label, branch, column], and one call covers
+every (label, branch) pair.  One label and one branch is the same
+arithmetic on scalars, so a column is bit for bit the same either way.
+The BHE twins
 `fock_to_rho_polynomial` (which returns a `RhoPolynomial`),
 `bhe_operator_residual` and `bhe_standard_residual` are their one-column
 cases, and `residual_ok` applies `BHE_RTOL` to one column; the tests and
@@ -50,6 +57,11 @@ class Branch(enum.Enum):
         return SQRT2 if self is Branch.PLUS else -SQRT2
 
 
+# one label or labels of one dimension; one branch or several
+Labels = SubspaceLabel | Sequence[SubspaceLabel]
+Branches = Branch | Sequence[Branch]
+
+
 @dataclass(frozen=True)
 class RhoPolynomial:
     """Coefficients b_0 .. b_N' of phi(rho), tagged with label and branch."""
@@ -78,12 +90,35 @@ class BheParams:
     delta: float | np.ndarray
 
 
-def _rho_weights(label: SubspaceLabel, branch: Branch) -> np.ndarray:
-    """Weight of coefficient n: c^(k+n) / sqrt(j! (l-j)! (m-j)!), j = N' - n.
+def _constants(label: Labels, branch: Branches):
+    """(l, m, k, c) of one label and one branch, or, for a sequence of labels
+    and a sequence of branches, int arrays l, m, k shaped (labels, 1, 1) and
+    a float array c shaped (branches, 1), which broadcast over the column
+    axes [label, branch, column]."""
+    if isinstance(label, SubspaceLabel):
+        return label.ell, label.m, label.k, branch.c
+    ell = np.array([lab.ell for lab in label])[:, None, None]
+    m = np.array([lab.m for lab in label])[:, None, None]
+    c = np.array([br.c for br in branch])[:, None]
+    return ell, m, np.maximum(ell, m), c
+
+
+def _rows(n: int, ndim: int) -> np.ndarray:
+    """Row indices 0 .. n-1 as a column that broadcasts over `ndim - 1`
+    column axes."""
+    return np.arange(n).reshape(-1, *[1] * (ndim - 1))
+
+
+def _rho_weights(label: Labels, branch: Branches) -> np.ndarray:
+    """Weight of coefficient n: c^(k+n) / sqrt(j! (l-j)! (m-j)!), j = N' - n,
+    shaped [row, 1], or [row, label, branch, 1] for sequences.
 
     Factorials are evaluated exactly as integers before the single rounding
     to double.
     """
+    if not isinstance(label, SubspaceLabel):
+        weights = [[_rho_weights(lab, br)[:, 0] for br in branch] for lab in label]
+        return np.moveaxis(np.array(weights), 2, 0)[..., None]
     ell, m, k, n_prime = label.ell, label.m, label.k, label.n_prime
     c = branch.c
     weights = []
@@ -92,19 +127,24 @@ def _rho_weights(label: SubspaceLabel, branch: Branch) -> np.ndarray:
         weights.append(c ** (k + n) / math.sqrt(
             math.factorial(j) * math.factorial(ell - j) * math.factorial(m - j)
         ))
-    return np.array(weights)
+    return np.array(weights)[:, None]
 
 
-def rho_coefficients(label: SubspaceLabel, vecs: np.ndarray, branch: Branch) -> np.ndarray:
+def rho_coefficients(label: Labels, vecs: np.ndarray, branch: Branches) -> np.ndarray:
     """phi coefficients of every column of `vecs`, one column each.
 
     Row n of the result is coefficient b_n: the canonical component
-    j = N' - n times its weight (`_rho_weights`).
+    j = N' - n times its weight (`_rho_weights`).  For sequences of labels
+    and branches, `vecs` is [component, label, 1, column] and the result
+    [row, label, branch, column].
     """
+    weights = _rho_weights(label, branch)
     vecs = np.asarray(vecs, dtype=float)
-    if vecs.ndim != 2 or vecs.shape[0] != label.dim:
-        raise ValueError(f"eigenvector length {vecs.shape[:1]} does not match dim {label.dim}")
-    return vecs[::-1] * _rho_weights(label, branch)[:, None]
+    if vecs.ndim != weights.ndim or vecs.shape[0] != weights.shape[0]:
+        raise ValueError(
+            f"eigenvector length {vecs.shape[:1]} does not match dim {weights.shape[0]}"
+        )
+    return vecs[::-1] * weights
 
 
 def fock_to_rho_polynomial(
@@ -123,74 +163,72 @@ def fock_to_rho_polynomial(
     return RhoPolynomial(coeffs=tuple(coeffs.tolist()), label=label, branch=branch)
 
 
-def _swap_for_k(freqs: ModeFrequencies, label: SubspaceLabel) -> tuple[float, float, float, int, int]:
-    """Order parameters so the m >= l identification applies.
-
-    For l > m the parameter map is the same with w2 <-> w3 and l <-> m
-    interchanged.  Ties (l == m) fall through to the unswapped rule.
-    """
-    if label.m >= label.ell:
-        return freqs.w1, freqs.w2, freqs.w3, label.ell, label.m
-    return freqs.w1, freqs.w3, freqs.w2, label.m, label.ell
-
-
 def bhe_params(
     freqs: ModeFrequencies,
-    label: SubspaceLabel,
+    label: Labels,
     energy: float | np.ndarray,
-    branch: Branch,
+    branch: Branches,
 ) -> BheParams:
     """Standard-form parameters (alpha, beta, gamma, delta) of phi's BHE.
 
+    The map is written for m >= l; for l > m it is the same with w2 <-> w3
+    and l <-> m interchanged (ties take the unswapped rule), so in it l
+    reads N' = min(l, m) and m reads k = max(l, m).  For sequences of labels
+    and branches every parameter is an array over [label, branch, column].
     Raises ValueError naming the first of them that is not finite.
     """
-    w1, w2, w3, ell, m = _swap_for_k(freqs, label)
-    c = branch.c
-    alpha = float(m - ell)
-    beta = -c * (w1 - w2 - w3)
-    check_finite("BHE beta", beta)
-    gamma = float(m + ell + 2)
-    delta = c * (
-        m * (w1 - w2 - 3.0 * w3)
-        - ell * (3.0 * w1 - w2 - 3.0 * w3)
-        + (w1 - w2 - w3 + 2.0 * energy)
-    )
+    ell, m, k, c = _constants(label, branch)
+    n_prime = ell + m - k
+    swap = ell > m
+    w1 = freqs.w1
+    w2, w3 = np.where(swap, freqs.w3, freqs.w2), np.where(swap, freqs.w2, freqs.w3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = np.float64(k - n_prime)
+        beta = -c * (w1 - w2 - w3)
+        check_finite("BHE beta", *np.ravel(beta).tolist())
+        gamma = np.float64(k + n_prime + 2)
+        delta = c * (
+            k * (w1 - w2 - 3.0 * w3)
+            - n_prime * (3.0 * w1 - w2 - 3.0 * w3)
+            + (w1 - w2 - w3 + 2.0 * energy)
+        )
     check_finite("BHE delta", *np.ravel(delta).tolist())
     return BheParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
 
 
 def operator_residuals(
     freqs: ModeFrequencies,
-    label: SubspaceLabel,
+    label: Labels,
     energies: np.ndarray,
     phis: np.ndarray,
-    branch: Branch,
+    branch: Branches,
 ) -> np.ndarray:
     """Residual coefficients of the direct BHE operator, one column per phi.
 
     Column i applies the operator at `energies[i]` to the phi whose
-    coefficients are `phis[:, i]`; see `bhe_operator_residual`.  Each
+    coefficients are `phis[:, i]`; see `bhe_operator_residual`.  For
+    sequences of labels and branches, `phis` is [row, label, branch,
+    column] and `energies` broadcasts over [label, branch, column].  Each
     coefficient sums its three band terms in the same order as a scalar
     loop over the columns would.  Raises ValueError naming the first of
     its constants (wbar, then P) that is not finite.
     """
-    ell, m, k = label.ell, label.m, label.k
+    ell, m, k, c = _constants(label, branch)
     w1, w2, w3 = freqs.as_tuple()
-    c = branch.c
     wbar = w1 - w2 - w3
     check_finite("w1 - w2 - w3", wbar)
     q1 = 1 + 2 * k - ell - m
-    # the E-free part in floats first, so no inf - inf reaches numpy
-    p_w = m * (w1 - w2) + ell * (w1 - w3)
-    check_finite("m (w1 - w2) + l (w1 - w3)", p_w)
-    p_const = p_w - np.asarray(energies, dtype=float) - k * wbar
-    check_finite("BHE operator constant P", *p_const.tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_w = m * (w1 - w2) + ell * (w1 - w3)
+        check_finite("m (w1 - w2) + l (w1 - w3)", *np.ravel(p_w).tolist())
+        p_const = p_w - np.asarray(energies, dtype=float) - k * wbar
+    check_finite("BHE operator constant P", *np.ravel(p_const).tolist())
     n_top = phis.shape[0] - 1
-    j = np.arange(n_top + 3)
-    res = np.zeros((n_top + 3, phis.shape[1]))
-    res[: n_top + 1] += (j * (j - 1) + q1 * j)[: n_top + 1, None] * phis
-    res[1 : n_top + 2] += (-c * wbar * (j[1 : n_top + 2] - 1)[:, None] + c * p_const) * phis
-    res[2:] += (c * c * ((ell + m - k) - (j[2:] - 2)))[:, None] * phis
+    j = _rows(n_top + 3, phis.ndim)
+    res = np.zeros((n_top + 3, *phis.shape[1:]))
+    res[: n_top + 1] += (j * (j - 1) + q1 * j)[: n_top + 1] * phis
+    res[1 : n_top + 2] += (-c * wbar * (j[1 : n_top + 2] - 1) + c * p_const) * phis
+    res[2:] += (c * c * ((ell + m - k) - (j[2:] - 2))) * phis
     return res
 
 
@@ -223,17 +261,17 @@ def bhe_operator_residual(
 def standard_residuals(params: BheParams, phis: np.ndarray) -> np.ndarray:
     """Residual coefficients of the standard-form BHE, one column per phi.
 
-    `params.delta` is a scalar or holds one value per column; see
-    `bhe_standard_residual`.
+    Each parameter is a scalar or broadcasts over the column axes of
+    `phis`; see `bhe_standard_residual`.
     """
     a, bt, g, d = params.alpha, params.beta, params.gamma, params.delta
     pole = (d + (1.0 + a) * bt) / 2.0
     n_top = phis.shape[0] - 1
-    j = np.arange(n_top + 2)
-    res = np.zeros((n_top + 2, phis.shape[1]))
-    res[:n_top] += ((j + 1) * j + (1.0 + a) * (j + 1))[:n_top, None] * phis[1:]
-    res[: n_top + 1] += (bt * j[: n_top + 1, None] - pole) * phis
-    res[1:] += (-2.0 * (j[1:] - 1) + (g - a - 2.0))[:, None] * phis
+    j = _rows(n_top + 2, phis.ndim)
+    res = np.zeros((n_top + 2, *phis.shape[1:]))
+    res[:n_top] += ((j + 1) * j + (1.0 + a) * (j + 1))[:n_top] * phis[1:]
+    res[: n_top + 1] += (bt * j[: n_top + 1] - pole) * phis
+    res[1:] += (-2.0 * (j[1:] - 1) + (g - a - 2.0)) * phis
     return res
 
 

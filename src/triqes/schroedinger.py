@@ -34,17 +34,24 @@ non-zero double, as every rung but c_0's -1/4 divides by b^2
 (`admissible_b`).  lambda enters V - lambda at x^0, rung 2b
 (`lambda_rung`).  At b = 1/2 that is rung 1, the only E-dependent rung, so
 V = Vtilde - eps(E), eps(E) = -4 c E: the displaced sextic Vtilde is
-E-independent and has genuine eigenvalues eps(E) (`zero_mode_potentials`).
+E-independent and has genuine eigenvalues eps(E).
 
-The zero mode has one format: its envelope (s, A) from
-`zero_mode_envelope` and phi as a coefficient column of
-`heun.rho_coefficients`.  `zero_mode_residuals` is the one check of
--chi'' + V chi = lambda chi, and it is exact: with v = x^(1/b) the left
-side minus the right is x^(s-2) e^(g(v)) P(v) / b^2 for a polynomial P of
-degree <= N' + 4, whose coefficients it returns for many zero modes at
-once, each at its own b and envelope (`potential_specs` builds their
-ladders, sharing the E-free rungs).  No grid, step size or difference
-stencil is involved.  `eval_potential` and `eval_wavefunction` evaluate V
+One builder, `zero_mode_ladders`, writes the rungs and the envelope for
+many zero modes at once: the ladders, lambdas and envelopes (s, A) of
+sequences of labels (of one dimension), branches, b values and
+eigenvalues, broadcast over [label, branch, b, column].  The rung closed
+forms above are written once, in `_ladders`, which `potential_specs`
+also reads for V_b itself (at b = 1/2 too); `zero_mode_potentials` and
+`zero_mode_envelope` are the builder's one-(label, b, branch) calls.  At
+resonance, w1 = w2 + w3, A is 0 and rung 3 of every V_b is exactly 0.0.
+
+The zero mode has one format: its envelope (s, A) and phi as a
+coefficient column of `heun.rho_coefficients`.  `zero_mode_residuals` is
+the one check of -chi'' + V chi = lambda chi, and it is exact: with
+v = x^(1/b) the left side minus the right is x^(s-2) e^(g(v)) P(v) / b^2
+for a polynomial P of degree <= N' + 4, whose coefficients it returns for
+many zero modes at once, each at its own b and envelope.  No grid, step
+size or difference stencil is involved.  `eval_potential` and `eval_wavefunction` evaluate V
 and chi pointwise for the curve output.
 """
 
@@ -149,6 +156,59 @@ def lambda_rung(b: RationalLike) -> int:
     return int(two_b)
 
 
+def _ladders(
+    bb: np.ndarray,
+    freqs: ModeFrequencies,
+    labels: Sequence[SubspaceLabel],
+    energies: np.ndarray,
+    branches: Sequence[Branch],
+) -> np.ndarray:
+    """The rungs c_0 .. c_4 of V_b, the closed forms of the module
+    docstring, as an array [rung, label, branch, b, column].
+
+    `bb` holds the float b values shaped (b, 1) and `energies` broadcasts
+    over [label, branch, b, column]; only rung 1 depends on E, through D.
+    Raises ValueError naming the first rung that is not finite.
+    """
+    ell = np.array([lab.ell for lab in labels])[:, None, None, None]
+    m = np.array([lab.m for lab in labels])[:, None, None, None]
+    c = np.array([br.c for br in branches])[:, None, None]
+    w1, w2, w3 = freqs.as_tuple()
+    # the checks below report what overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_ = c * (w1 - w2 - w3)
+        b_ = m + ell - 1
+        g_ = 2 * (m + ell)
+        d_ = c * (m * (w1 - w2) + ell * (w1 - w3) - energies)
+        rungs = (
+            -0.25 + (ell - m) ** 2 / (4.0 * bb * bb),
+            (a_ * b_ - 2.0 * d_) / (2.0 * bb * bb),
+            (a_ * a_ + 4.0 * b_ - 4.0 * g_ - 4.0) / (4.0 * bb * bb),
+            a_ / (bb * bb),
+            1.0 / (bb * bb),
+        )
+    for i, rung in enumerate(rungs):
+        check_finite(f"rung {i} of V_b", *np.ravel(rung).tolist())
+    return np.stack(np.broadcast_arrays(*rungs))
+
+
+def _envelopes(
+    bb: np.ndarray,
+    freqs: ModeFrequencies,
+    labels: Sequence[SubspaceLabel],
+    branches: Sequence[Branch],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s, A) of the zero modes, s shaped [label, 1, b, 1] and A [branch, 1,
+    1]: the factor x^s exp(-v (A + v) / 2), v = x^(1/b)."""
+    k_minus_n = np.array([lab.k - lab.n_prime for lab in labels])[:, None, None, None]
+    c = np.array([br.c for br in branches])[:, None, None]
+    return (k_minus_n + bb) / (2.0 * bb), c * (freqs.w1 - freqs.w2 - freqs.w3)
+
+
+def _admissible(b_values: Sequence[RationalLike]) -> np.ndarray:
+    return np.array([admissible_b(b) for b in b_values])[:, None]
+
+
 def potential_specs(
     b: RationalLike,
     freqs: ModeFrequencies,
@@ -158,26 +218,12 @@ def potential_specs(
 ) -> list[PotentialSpec]:
     """Build the ladder of V_b(x) for each eigenvalue in `energies`.
 
-    Only rung 1 depends on E, through D; the other four are built once.
     Raises ValueError on an inadmissible b or naming the first non-finite rung.
     """
-    bb = admissible_b(b)
-    w1, w2, w3 = freqs.as_tuple()
-    ell, m = label.ell, label.m
-    a_ = branch.c * (w1 - w2 - w3)
-    b_ = float(m + ell - 1)
-    g_ = float(2 * (m + ell))
-    d_ = branch.c * (m * (w1 - w2) + ell * (w1 - w3) - np.asarray(energies, dtype=float))
-    c0 = -0.25 + (ell - m) ** 2 / (4.0 * bb * bb)
-    c2 = (a_ * a_ + 4.0 * b_ - 4.0 * g_ - 4.0) / (4.0 * bb * bb)
-    c3 = a_ / (bb * bb)
-    c4 = 1.0 / (bb * bb)
-    # rung 1 in floats, by the same operations: numpy would warn on overflow
-    ab, den = a_ * b_, 2.0 * bb * bb
-    rung1 = [(ab - 2.0 * d) / den for d in d_.tolist()]
-    for i, rung in enumerate(([c0], rung1, [c2], [c3], [c4])):
-        check_finite(f"rung {i} of V_b", *rung)
-    return [PotentialSpec(b, (c0, c1, c2, c3, c4)) for c1 in rung1]
+    rungs = _ladders(
+        _admissible([b]), freqs, [label], np.asarray(energies, dtype=float), [branch]
+    )
+    return [PotentialSpec(b, tuple(r)) for r in rungs.reshape(5, -1).T.tolist()]
 
 
 def epsilon_of(
@@ -185,6 +231,38 @@ def epsilon_of(
 ) -> float | np.ndarray:
     """Pseudo-eigenvalue eps(E) = -4 c E of the displaced sextic potential."""
     return -4.0 * branch.c * energy
+
+
+def zero_mode_ladders(
+    b_values: Sequence[RationalLike],
+    freqs: ModeFrequencies,
+    labels: Sequence[SubspaceLabel],
+    energies: np.ndarray,
+    branches: Sequence[Branch],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per (label, branch, b, eigenvalue), the potential whose level lambda
+    the zero mode sits at, lambda, and the zero mode's envelope (s, A).
+
+    `labels` share one dimension and `energies` is [label, column].  Returns
+    `PotentialSpec`s as an object array and lambdas as a float array, both
+    [label, branch, b, column], and s and A as float arrays that broadcast
+    over those axes.  At b = 1/2 the potential is the E-free displaced
+    sextic, with lambda = eps(E); at any other b it is V_b, with lambda = 0.
+    Raises ValueError on an inadmissible b or naming the first non-finite
+    rung.
+    """
+    bb = _admissible(b_values)
+    e = np.asarray(energies, dtype=float)[:, None, None]
+    sextic = np.array([b == SEXTIC_B for b in b_values])[:, None]
+    # V_(1/2) built at E = 0 is Vtilde exactly
+    rungs = _ladders(bb, freqs, labels, np.where(sextic, 0.0, e), branches)
+    eps = np.stack([epsilon_of(e[:, 0], br) for br in branches], axis=1)
+    lams = np.where(sextic, eps, 0.0)
+    bs = np.broadcast_to(np.array(b_values, dtype=object)[:, None], lams.shape)
+    rows = np.moveaxis(rungs, 0, -1).reshape(-1, 5).tolist()
+    specs = np.empty(lams.size, dtype=object)
+    specs[:] = [PotentialSpec(b, tuple(r)) for b, r in zip(bs.ravel().tolist(), rows)]
+    return (specs.reshape(lams.shape), lams, *_envelopes(bb, freqs, labels, branches))
 
 
 def zero_mode_potentials(
@@ -195,14 +273,11 @@ def zero_mode_potentials(
     branch: Branch = Branch.PLUS,
 ) -> tuple[list[PotentialSpec], np.ndarray]:
     """Per energy, the potential whose level lambda the zero mode sits at,
-    and the lambdas: at b = 1/2 the E-free displaced sextic, shared by every
-    energy, with lambda = eps(E); at any other b V_b itself, lambda = 0."""
-    energies = np.asarray(energies, dtype=float)
-    if b == SEXTIC_B:
-        # built at E = 0, where V_(1/2) is Vtilde exactly
-        tilde = potential_specs(SEXTIC_B, freqs, label, [0.0], branch)[0]
-        return [tilde] * energies.size, epsilon_of(energies, branch)
-    return potential_specs(b, freqs, label, energies, branch), np.zeros(energies.size)
+    and the lambdas: the one-(label, b, branch) call of `zero_mode_ladders`."""
+    specs, lams, _, _ = zero_mode_ladders(
+        [b], freqs, [label], np.asarray(energies, dtype=float)[None], [branch]
+    )
+    return specs[0, 0, 0].tolist(), lams[0, 0, 0]
 
 
 def eval_potential(spec: PotentialSpec, x: float | np.ndarray) -> float | np.ndarray:
@@ -217,10 +292,10 @@ def eval_potential(spec: PotentialSpec, x: float | np.ndarray) -> float | np.nda
 def zero_mode_envelope(
     b: RationalLike, freqs: ModeFrequencies, label: SubspaceLabel, branch: Branch
 ) -> tuple[float, float]:
-    """(s, A) of the zero mode's factor x^s exp(-v (A + v) / 2), v = x^(1/b)."""
-    bb = admissible_b(b)
-    pref = (label.k - label.n_prime + bb) / (2.0 * bb)  # always > 0
-    return pref, branch.c * (freqs.w1 - freqs.w2 - freqs.w3)
+    """(s, A) of the zero mode's factor x^s exp(-v (A + v) / 2), v = x^(1/b):
+    the one-(label, b, branch) case of the envelopes of `zero_mode_ladders`."""
+    s, a = _envelopes(_admissible([b]), freqs, [label], [branch])
+    return s.item(), a.item()
 
 
 def eval_wavefunction(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from triqes import ModeFrequencies, SubspaceLabel
+from triqes import ModeFrequencies, SubspaceLabel, certify_subspace
 
 
 @pytest.fixture
@@ -28,3 +28,11 @@ def labels(max_l=10, max_m=10):
 
 def random_frequency_triples(rng: np.random.Generator, count: int, scale=2.0):
     return [ModeFrequencies(*rng.uniform(-scale, scale, 3)) for _ in range(count)]
+
+
+def certify_one(freqs, label, energies, vecs, b_values, branches, oracle=None):
+    """The `Certificate` of the one-subspace `certify_subspace` call."""
+    ((_, cert),) = certify_subspace(
+        freqs, [(label, energies, vecs)], b_values, branches, oracle
+    )
+    return cert

@@ -22,7 +22,6 @@ from triqes import (
     contains_eigenvalue,
     eig_sym,
     eval_wavefunction,
-    certify_subspace,
     epsilon_of,
     fock_to_rho_polynomial,
     oracle_config,
@@ -35,6 +34,8 @@ from triqes.schroedinger import SEXTIC_B
 from triqes.cli import main as cli_main
 from triqes.heun import BHE_RTOL, operator_residuals, standard_residuals
 from triqes.schroedinger import zero_mode_residuals
+
+from conftest import certify_one
 
 SQRT2 = math.sqrt(2.0)
 W111 = ModeFrequencies(1.0, 1.0, 1.0)
@@ -223,7 +224,7 @@ def test_criterion_5_zero_mode_residuals():
     with mpmath.workdps(40):
         for label, spec in worked_example_spectra():
             energies, vecs = spec.eigenvalues, spec.eigenvectors
-            residual = certify_subspace(
+            residual = certify_one(
                 W111, label, energies, vecs, b_values, list(Branch)
             ).schrodinger_residual
             ok &= bool((residual <= BHE_RTOL).all())

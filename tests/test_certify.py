@@ -15,6 +15,7 @@ import triqes
 from triqes import (
     Branch,
     ModeFrequencies,
+    PotentialSpec,
     SubspaceLabel,
     bhe_params,
     build_hamiltonian,
@@ -22,6 +23,7 @@ from triqes import (
     eig_sym,
     epsilon_of,
     potential_specs,
+    zero_mode_ladders,
     zero_mode_potentials,
 )
 from triqes import certify
@@ -31,10 +33,11 @@ from triqes.fock import MAX_TOTAL_LABEL
 from triqes.heun import BHE_RTOL, rho_coefficients
 from triqes.schroedinger import zero_mode_envelope, zero_mode_residuals
 
-from conftest import frequencies
+from conftest import certify_one, frequencies, labels
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 B_VALUES = (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2))
+MIXED_B = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 2), Fraction(2))
 # the bhe-bulk benchmark anchor
 ANCHOR = ModeFrequencies(0.94169343811499, -0.32168507186038475, -1.3923645579391297)
 
@@ -129,6 +132,27 @@ def cap_labels():
     )
 
 
+def bits(cert):
+    """Every field of `cert` as its shape and exact values: floats as
+    `float.hex` (so NaNs compare equal by position), potentials as their b
+    and hex rungs."""
+
+    def exact(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, PotentialSpec):
+            return (x.b, tuple(map(float.hex, x.coeffs)))
+        return x
+
+    values = {}
+    for f in fields(cert):
+        arr = getattr(cert, f.name)
+        values[f.name] = None if arr is None else (
+            arr.shape, [exact(x) for x in arr.ravel().tolist()]
+        )
+    return values
+
+
 def at(cert, i, j, col):
     """Every field of `cert` at (branch i, b j, column col); `failed` as the
     names of the stages that missed."""
@@ -156,7 +180,7 @@ class TestCertifySubspace:
             1.0, np.abs(spectrum.eigenvalues)
         )
         vecs = spectrum.eigenvectors
-        cert = certify_subspace(freqs, label, energies, vecs, B_VALUES, list(Branch))
+        cert = certify_one(freqs, label, energies, vecs, B_VALUES, list(Branch))
         shape = (len(Branch), len(B_VALUES), label.dim)
         assert cert.lam.shape == cert.schrodinger_residual.shape == shape
         assert cert.bhe_operator_residual.shape == shape
@@ -171,7 +195,7 @@ class TestCertifySubspace:
                         epsilon_of(energies[col], branch) if b == SEXTIC_B else 0.0
                     )
                     assert got["lam"] == expected_lam, case
-                    single = certify_subspace(
+                    single = certify_one(
                         freqs, label, energies[col : col + 1], vecs[:, col : col + 1],
                         [b], [branch],
                     )
@@ -183,12 +207,44 @@ class TestCertifySubspace:
                         got["schrodinger_residual"],
                     ) == loop_chain(freqs, label, energy, vec, b, branch), case
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        frequencies(),
+        st.lists(labels(max_l=6, max_m=6), min_size=1, max_size=6),
+        st.lists(st.sampled_from(MIXED_B), min_size=1, max_size=5, unique=True),
+        st.lists(st.sampled_from(list(Branch)), min_size=1, max_size=2, unique=True),
+        st.sampled_from((0.0, 1e-9, -1e-4)),
+        st.integers(-1, 5),
+    )
+    def test_many_subspaces_match_one_subspace_calls(
+        self, freqs, label_list, b_values, branches, shift, nan_at
+    ):
+        # one call over subspaces of mixed dimensions, whose groups share
+        # the array pass, gives each subspace bit for bit the certificate of
+        # its own one-subspace call; subspace `nan_at` (if any) carries a
+        # NaN eigenvector column, whose NaNs must stay in that column
+        subspaces = []
+        for n, label in enumerate(label_list):
+            spectrum = spectrum_of(freqs, label)
+            energies = spectrum.eigenvalues + shift * np.maximum(
+                1.0, np.abs(spectrum.eigenvalues)
+            )
+            vecs = spectrum.eigenvectors.copy()
+            if n == nan_at:
+                vecs[:, -1] = np.nan
+            subspaces.append((label, energies, vecs))
+        many = dict(certify_subspace(freqs, subspaces, b_values, branches))
+        assert sorted(many) == list(range(len(subspaces)))
+        for n, subspace in enumerate(subspaces):
+            single = certify_one(freqs, *subspace, b_values, branches)
+            assert bits(many[n]) == bits(single), n
+
     def test_bhe_residuals_broadcast_over_b(self, unit_freqs):
         # stages 1-2 do not depend on b: one value per (branch, column),
         # seen under every b without a copy
         label = SubspaceLabel(3, 2)
         spectrum = spectrum_of(unit_freqs, label)
-        cert = certify_subspace(
+        cert = certify_one(
             unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES,
             list(Branch),
         )
@@ -205,7 +261,7 @@ class TestCertifySubspace:
         vecs = spectrum.eigenvectors.copy()
         vecs[:, 1] = np.nan
         b_values = [Fraction(1), SEXTIC_B]
-        cert = certify_subspace(
+        cert = certify_one(
             unit_freqs, label, spectrum.eigenvalues, vecs, b_values, list(Branch)
         )
         bhe, schrodinger, oracle = cert.failed
@@ -221,12 +277,12 @@ class TestCertifySubspace:
         label = SubspaceLabel(3, 2)
         spectrum = spectrum_of(unit_freqs, label)
         with pytest.raises(ValueError, match="2 energies for 3 eigenvectors"):
-            certify_subspace(
+            certify_one(
                 unit_freqs, label, spectrum.eigenvalues[:2], spectrum.eigenvectors,
                 B_VALUES, [Branch.PLUS],
             )
         with pytest.raises(ValueError, match="does not match dim"):
-            certify_subspace(
+            certify_one(
                 unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors[:2],
                 B_VALUES, [Branch.PLUS],
             )
@@ -240,7 +296,7 @@ class TestCertifyEigenpair:
         spectrum = spectrum_of(unit_freqs, label)
         for branch in Branch:
             tilde = potential_specs(SEXTIC_B, unit_freqs, label, [0.0], branch)[0]
-            cert = certify_subspace(
+            cert = certify_one(
                 unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors,
                 [SEXTIC_B], [branch],
             )
@@ -254,7 +310,7 @@ class TestCertifyEigenpair:
     def test_plain_potential_otherwise(self, unit_freqs, b):
         label = SubspaceLabel(1, 1)
         spectrum = spectrum_of(unit_freqs, label)
-        cert = certify_subspace(
+        cert = certify_one(
             unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, [b],
             [Branch.PLUS],
         )
@@ -267,7 +323,7 @@ class TestCertifyEigenpair:
     def test_failed_names_stages(self, unit_freqs):
         label = SubspaceLabel(3, 2)
         spectrum = spectrum_of(unit_freqs, label)
-        cert = certify_subspace(
+        cert = certify_one(
             unit_freqs, label, spectrum.eigenvalues + 1e-3, spectrum.eigenvectors, [1],
             [Branch.PLUS],
         )
@@ -283,7 +339,7 @@ class TestCertifyEigenpair:
         # residuals; both stay under the one tolerance at the label cap
         label = SubspaceLabel(ell, m)
         spectrum = spectrum_of(freqs, label)
-        cert = certify_subspace(
+        cert = certify_one(
             freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES,
             list(Branch),
         )
@@ -294,7 +350,7 @@ class TestCertifyEigenpair:
         label = SubspaceLabel(1, 1)
         spectrum = spectrum_of(unit_freqs, label)
         memo = {}
-        cert = certify_subspace(
+        cert = certify_one(
             unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors,
             [SEXTIC_B], [Branch.PLUS], oracle=memo,
         )
@@ -366,11 +422,14 @@ class TestZeroModeResidual:
             batch(column(third, third, 1.0))
 
     def test_cli_exits_1_off_ladder(self, capsys, monkeypatch):
-        def wrong_b(b, freqs, label, energies, branch):
-            specs = potential_specs(1, freqs, label, energies, branch)
-            return specs, np.zeros(len(specs))
+        def wrong_b(b_values, freqs, labels, energies, branches):
+            # every ladder built at b = 1, with lambda = 0
+            specs, lams, s, a_ = zero_mode_ladders(
+                [1] * len(b_values), freqs, labels, energies, branches
+            )
+            return specs, np.zeros_like(lams), s, a_
 
-        monkeypatch.setattr(certify, "zero_mode_potentials", wrong_b)
+        monkeypatch.setattr(certify, "zero_mode_ladders", wrong_b)
         code = cli_main(["verify", "--l", "1", "--m", "1", "--b", "3/2", "--no-oracle"])
         captured = capsys.readouterr()
         assert code == 1

@@ -535,9 +535,11 @@ class TestSweep:
     def count_eigensolves(cls, monkeypatch):
         return cls.count_calls(monkeypatch, triqes.fdoracle, "eigh_tridiagonal")
 
-    def test_one_pipeline_call_per_label(self, capsys, monkeypatch):
-        # both branches and every b of a label share one certify_subspace
-        # call, whose zero-mode stage is one kernel call over all columns
+    def test_one_pipeline_call_per_sweep(self, capsys, monkeypatch):
+        # every label, both branches and every b of a sweep share one
+        # certify_subspace call; its zero-mode stage is one kernel call per
+        # dimension group: W(0,0), (0,1), (0,2), (1,0), (2,0) of dim 1,
+        # W(1,1), (1,2), (2,1) of dim 2 and W(2,2) of dim 3
         pipeline = self.count_calls(monkeypatch, triqes.cli, "certify_subspace")
         kernel = self.count_calls(monkeypatch, triqes.certify, "zero_mode_residuals")
         code, out, _ = run_cli(
@@ -546,7 +548,7 @@ class TestSweep:
         )
         assert code == 0
         assert json.loads(out)["count"] == 9 * 4 * 2
-        assert (len(pipeline), len(kernel)) == (9, 9)
+        assert (len(pipeline), len(kernel)) == (1, 3)
 
     def test_oracle_memo_lives_for_one_sweep(self, capsys, monkeypatch):
         # a memo that outlived the command would answer the second sweep

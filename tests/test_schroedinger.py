@@ -11,18 +11,18 @@ from triqes import (
     ModeFrequencies,
     SubspaceLabel,
     build_hamiltonian,
-    certify_subspace,
     eig_sym,
     epsilon_of,
     eval_potential,
     eval_wavefunction,
     potential_specs,
+    zero_mode_ladders,
     zero_mode_potentials,
 )
 from triqes.heun import rho_coefficients
 from triqes.schroedinger import PotentialSpec, zero_mode_envelope, zero_mode_residuals
 
-from conftest import frequencies, labels
+from conftest import certify_one, frequencies, labels
 
 SQRT2 = math.sqrt(2.0)
 HALF = Fraction(1, 2)
@@ -95,7 +95,7 @@ class TestPotentialSpec:
                 b, unit_freqs, label, Branch.PLUS
             ),
             "eval_wavefunction": lambda: eval_wavefunction(b, 0.5, 0.0, np.ones(1), 1.0),
-            "certify_subspace": lambda: certify_subspace(
+            "certify_subspace": lambda: certify_one(
                 unit_freqs, label, spec.eigenvalues, spec.eigenvectors, [b],
                 [Branch.PLUS],
             ),
@@ -348,6 +348,27 @@ def relative(spec, wf, lam):
     b, s, a, phi = wf
     p = zero_mode_residuals([spec], [lam], [b], [s], [a], phi[:, None])
     return float(np.max(np.abs(p)) / np.max(np.abs(phi)))
+
+
+class TestResonance:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(-4096, 4096), st.integers(-4096, 4096), labels(max_l=6, max_m=6)
+    )
+    def test_rung_3_vanishes_at_resonance(self, n2, n3, label):
+        # at resonance, w1 = w2 + w3, A = c (w1 - w2 - w3) is 0, so rung 3
+        # of every V_b, A / b^2, is exactly 0.0 under every b and branch;
+        # multiples of 1/1024 keep w1 - w2 - w3 exact in doubles
+        freqs = ModeFrequencies((n2 + n3) / 1024, n2 / 1024, n3 / 1024)
+        assert freqs.w1 - freqs.w2 - freqs.w3 == 0.0
+        b_values = [Fraction(1), HALF, Fraction(3, 2), Fraction(2), Fraction(1, 3)]
+        energies = eig_sym(build_hamiltonian(freqs, label)).eigenvalues
+        specs, _, _, a_ = zero_mode_ladders(
+            b_values, freqs, [label], energies[None], list(Branch)
+        )
+        assert specs.shape == (1, len(Branch), len(b_values), label.dim)
+        assert [spec.coeffs[3] for spec in specs.ravel()] == [0.0] * specs.size
+        assert not a_.any()
 
 
 class TestResidual:
