@@ -9,6 +9,7 @@ Figure 7: displaced sextic for (3, 2).
 Usage: python scripts/export_figure_data.py [outdir]
 """
 
+import argparse
 import pathlib
 import sys
 
@@ -33,7 +34,12 @@ CONFIGS = [
 
 
 def main() -> int:
-    outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "figure_data")
+    parser = argparse.ArgumentParser(
+        description="Export the seven worked-example figures' plot data as CSV."
+    )
+    parser.add_argument("outdir", nargs="?", default="figure_data",
+                        help="output directory (default figure_data)")
+    outdir = pathlib.Path(parser.parse_args().outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, ell, m, b, p, branch, shifted in CONFIGS:
         argv = [

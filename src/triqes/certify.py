@@ -22,19 +22,21 @@ as many eigenvectors form one group, so no phi column is padded.  Each
 group runs stages 1-4 as one array pass: stages 1-2 over the column axes
 [label, branch, column], shared by every b since they do not depend on
 it, and stages 3-4 as one `zero_mode_ladders` call and one
-`zero_mode_residuals` call over [label, branch, b, column], each column at
-its own b with its own envelope and lambda.  E enters only through rung 1
-of V_b (b != 1/2) or through lambda (b = 1/2).  Every number is
-elementwise, so a column is bit for bit the same whichever subspaces share
-its call.  The oracle then runs group by group, subspace by subspace, in
-(branch, b, eigenvector) order, once per distinct (potential, lambda) in
-the `OracleMemo` the caller passes; `sweep` passes one for the command.
+`zero_mode_residuals` call on its float arrays as they are, over [label,
+branch, b, column], each column at its own b with its own envelope and
+lambda.  E enters only through rung 1 of V_b (b != 1/2) or through lambda
+(b = 1/2).  Every number is elementwise, so a column is bit for bit the
+same whichever subspaces share its call.  The oracle then runs group by
+group, subspace by subspace, in (branch, b, eigenvector) order, once per
+distinct (potential, lambda) in the `OracleMemo` the caller passes, its
+key a `PotentialSpec` built for each checked column only; `sweep` passes
+one memo for the command.
 
 Each subspace gets one `Certificate`: arrays indexed [branch, b, column]
-and a `failed` mask per stage of `STAGES`, by one rule: "bhe" where either
-BHE residual is not <= `BHE_RTOL`, "schrodinger" where the zero-mode
-residual is not <= that `BHE_RTOL` (a NaN fails), "oracle" where the
-oracle missed.
+(`potential` [branch, b, column, rung]) and a `failed` mask per stage of
+`STAGES`, by one rule: "bhe" where either BHE residual is not <=
+`BHE_RTOL`, "schrodinger" where the zero-mode residual is not <= that
+`BHE_RTOL` (a NaN fails), "oracle" where the oracle missed.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ OracleMemo = dict[tuple[PotentialSpec, float], ContainmentResult]
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """The chain's numbers and verdicts for one subspace, as arrays indexed
-    [branch, b, column]; `failed` has a `STAGES` axis in front.  `oracle`
-    is None when the oracle was skipped."""
+    [branch, b, column]; `failed` has a `STAGES` axis in front and
+    `potential`, the rungs c_0 .. c_4 of each ladder, a rung axis behind.
+    `oracle` is None when the oracle was skipped."""
 
     bhe_operator_residual: np.ndarray
     bhe_standard_residual: np.ndarray
@@ -145,37 +148,34 @@ def _certify_group(freqs, labels, energies, vecs, b_values, branches, oracle):
         standard_residuals(bhe_params(freqs, labels, e, branches), phi)
     ) / scales
     # stages 3-4: one zero-mode column per (label, branch, b, eigenvector)
-    specs, lams, s, a_ = zero_mode_ladders(b_values, freqs, labels, energies, branches)
+    rungs, lams, s, a_ = zero_mode_ladders(b_values, freqs, labels, energies, branches)
     shape = lams.shape
-    n_rows = phi.shape[0]
-    bs = np.broadcast_to(np.array(b_values, dtype=object)[:, None], shape)
     schr_rel = _worst(
-        zero_mode_residuals(
-            specs.ravel(), lams.ravel(), bs.ravel(),
-            np.broadcast_to(s, shape).ravel(), np.broadcast_to(a_, shape).ravel(),
-            np.broadcast_to(phi[:, :, :, None], (n_rows, *shape)).reshape(n_rows, -1),
-        ).reshape(-1, *shape)
+        zero_mode_residuals(b_values, rungs, lams, s, a_, phi[:, :, :, None])
     ) / scales[:, :, None]
     # one rule, in STAGES order; a NaN residual is not <= BHE_RTOL and fails
     failed = np.zeros((len(STAGES), *shape), dtype=bool)
     failed[0] = (~(op_rel <= BHE_RTOL) | ~(std_rel <= BHE_RTOL))[:, :, None]
     failed[1] = ~(schr_rel <= BHE_RTOL)
+    ladders = np.moveaxis(rungs, 0, -1)  # [label, branch, b, column, rung]
     for g in range(len(labels)):
         results = None
         if oracle is not None:
             results = np.empty(shape[1:], dtype=object)
-            for idx in np.ndindex(shape[1:]):
-                vspec, lam = specs[g][idx], float(lams[g][idx])
+            rows = ladders[g].tolist()
+            for i, j, col in np.ndindex(shape[1:]):
+                vspec = PotentialSpec(b_values[j], tuple(rows[i][j][col]))
+                lam = float(lams[g, i, j, col])
                 if (vspec, lam) not in oracle:
                     oracle[vspec, lam] = contains_eigenvalue(
                         vspec, oracle_config(vspec, lam), lam
                     )
-                results[idx] = oracle[vspec, lam]
-                failed[2, g][idx] = not results[idx].hit
+                results[i, j, col] = oracle[vspec, lam]
+                failed[2, g, i, j, col] = not results[i, j, col].hit
         yield Certificate(
             bhe_operator_residual=np.broadcast_to(op_rel[g][:, None], shape[1:]),
             bhe_standard_residual=np.broadcast_to(std_rel[g][:, None], shape[1:]),
-            potential=specs[g],
+            potential=ladders[g],
             lam=lams[g],
             schrodinger_residual=schr_rel[g],
             oracle=results,

@@ -189,7 +189,7 @@ def _left_boundary_ratios(
     x0 = ORACLE_X_MIN
     f0, *fs = _frobenius_factors(spec, p, (x0, *xs), bc_energy)
     ratios = [(x0 / x) ** p * (f0 / f) * math.sqrt(x / x0) for x, f in zip(xs, fs)]
-    check_finite("left-boundary series ratio y(x_min)/y(x)", *ratios)
+    check_finite("left-boundary series ratio y(x_min)/y(x)", ratios)
     return ratios
 
 

@@ -41,16 +41,16 @@ class ModeFrequencies:
         return (self.w1, self.w2, self.w3)
 
 
-def check_finite(name: str, *values: float) -> None:
+def check_finite(name: str, values: np.typing.ArrayLike) -> None:
     """Raise ValueError naming the constant `name` unless every value of
-    it is finite.
+    it, a number or an array-like, is finite.
 
     Each w_i is finite, yet near the double range the sums and products
     that form the chain's constants, and the potential's division by b^2,
     can overflow; the chain stops at the first such constant rather than
     run on inf or nan.
     """
-    if not all(map(math.isfinite, values)):
+    if not np.isfinite(values).all():
         raise ValueError(f"{name} is not finite: it overflows a double")
 
 

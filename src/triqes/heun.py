@@ -185,14 +185,14 @@ def bhe_params(
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = np.float64(k - n_prime)
         beta = -c * (w1 - w2 - w3)
-        check_finite("BHE beta", *np.ravel(beta).tolist())
+        check_finite("BHE beta", beta)
         gamma = np.float64(k + n_prime + 2)
         delta = c * (
             k * (w1 - w2 - 3.0 * w3)
             - n_prime * (3.0 * w1 - w2 - 3.0 * w3)
             + (w1 - w2 - w3 + 2.0 * energy)
         )
-    check_finite("BHE delta", *np.ravel(delta).tolist())
+    check_finite("BHE delta", delta)
     return BheParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
 
 
@@ -220,9 +220,9 @@ def operator_residuals(
     q1 = 1 + 2 * k - ell - m
     with np.errstate(over="ignore", invalid="ignore"):
         p_w = m * (w1 - w2) + ell * (w1 - w3)
-        check_finite("m (w1 - w2) + l (w1 - w3)", *np.ravel(p_w).tolist())
+        check_finite("m (w1 - w2) + l (w1 - w3)", p_w)
         p_const = p_w - np.asarray(energies, dtype=float) - k * wbar
-    check_finite("BHE operator constant P", *np.ravel(p_const).tolist())
+    check_finite("BHE operator constant P", p_const)
     n_top = phis.shape[0] - 1
     j = _rows(n_top + 3, phis.ndim)
     res = np.zeros((n_top + 3, *phis.shape[1:]))

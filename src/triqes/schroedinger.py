@@ -15,9 +15,10 @@ the potential carries exactly five powers of x:
            + (A / b^2)                    x^(-2 + 3/b)
            + (1 / b^2)                    x^(-2 + 4/b)
 
-These five rungs are the data format: `PotentialSpec` holds b and the
-coefficients c_0 .. c_4 of x^(-2 + i/b), and every consumer reads rung i
-by index.  The closed-form zero mode is
+These five rungs, the coefficients c_0 .. c_4 of x^(-2 + i/b) read by
+index everywhere, are the data format: many ladders as one float array,
+rung axis first, one potential as a `PotentialSpec` (b and its rungs)
+where it is solved or drawn.  The closed-form zero mode is
 
     chi(x) = x^((k - N' + b) / (2 b))
              * exp(-(1/2) x^(1/b) (A + x^(1/b)))
@@ -37,22 +38,22 @@ V = Vtilde - eps(E), eps(E) = -4 c E: the displaced sextic Vtilde is
 E-independent and has genuine eigenvalues eps(E).
 
 One builder, `zero_mode_ladders`, writes the rungs and the envelope for
-many zero modes at once: the ladders, lambdas and envelopes (s, A) of
-sequences of labels (of one dimension), branches, b values and
-eigenvalues, broadcast over [label, branch, b, column].  The rung closed
-forms above are written once, in `_ladders`, which `potential_specs`
-also reads for V_b itself (at b = 1/2 too); `zero_mode_potentials` and
-`zero_mode_envelope` are the builder's one-(label, b, branch) calls.  At
-resonance, w1 = w2 + w3, A is 0 and rung 3 of every V_b is exactly 0.0.
+many zero modes at once: the rungs [rung, label, branch, b, column],
+lambdas and envelopes (s, A) of sequences of labels (of one dimension),
+branches, b values and eigenvalues.  The rung closed forms above are
+written once, in `_ladders`, which `potential_specs` also reads for V_b
+itself (at b = 1/2 too); `zero_mode_potentials` and `zero_mode_envelope`
+are the builder's one-(label, b, branch) calls.  At resonance,
+w1 = w2 + w3, A is 0 and rung 3 of every V_b is exactly 0.0.
 
 The zero mode has one format: its envelope (s, A) and phi as a
 coefficient column of `heun.rho_coefficients`.  `zero_mode_residuals` is
 the one check of -chi'' + V chi = lambda chi, and it is exact: with
 v = x^(1/b) the left side minus the right is x^(s-2) e^(g(v)) P(v) / b^2
 for a polynomial P of degree <= N' + 4, whose coefficients it returns for
-many zero modes at once, each at its own b and envelope.  No grid, step
-size or difference stencil is involved.  `eval_potential` and `eval_wavefunction` evaluate V
-and chi pointwise for the curve output.
+many zero modes at once, over the builder's axes [..., b, column].  No
+grid, step size or difference stencil is involved.  `eval_potential` and
+`eval_wavefunction` evaluate V and chi pointwise for the curve output.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def _ladders(
             1.0 / (bb * bb),
         )
     for i, rung in enumerate(rungs):
-        check_finite(f"rung {i} of V_b", *np.ravel(rung).tolist())
+        check_finite(f"rung {i} of V_b", rung)
     return np.stack(np.broadcast_arrays(*rungs))
 
 
@@ -240,14 +241,14 @@ def zero_mode_ladders(
     energies: np.ndarray,
     branches: Sequence[Branch],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per (label, branch, b, eigenvalue), the potential whose level lambda
-    the zero mode sits at, lambda, and the zero mode's envelope (s, A).
+    """Per (label, branch, b, eigenvalue), the ladder of the potential whose
+    level lambda the zero mode sits at, lambda, and the envelope (s, A).
 
-    `labels` share one dimension and `energies` is [label, column].  Returns
-    `PotentialSpec`s as an object array and lambdas as a float array, both
-    [label, branch, b, column], and s and A as float arrays that broadcast
-    over those axes.  At b = 1/2 the potential is the E-free displaced
-    sextic, with lambda = eps(E); at any other b it is V_b, with lambda = 0.
+    `labels` share one dimension and `energies` is [label, column].
+    Returns float arrays: the rungs [rung, label, branch, b, column], the
+    lambdas [label, branch, b, column], and s and A, which broadcast over
+    those axes.  At b = 1/2 the potential is the E-free displaced sextic,
+    with lambda = eps(E); at any other b it is V_b, with lambda = 0.
     Raises ValueError on an inadmissible b or naming the first non-finite
     rung.
     """
@@ -257,12 +258,7 @@ def zero_mode_ladders(
     # V_(1/2) built at E = 0 is Vtilde exactly
     rungs = _ladders(bb, freqs, labels, np.where(sextic, 0.0, e), branches)
     eps = np.stack([epsilon_of(e[:, 0], br) for br in branches], axis=1)
-    lams = np.where(sextic, eps, 0.0)
-    bs = np.broadcast_to(np.array(b_values, dtype=object)[:, None], lams.shape)
-    rows = np.moveaxis(rungs, 0, -1).reshape(-1, 5).tolist()
-    specs = np.empty(lams.size, dtype=object)
-    specs[:] = [PotentialSpec(b, tuple(r)) for b, r in zip(bs.ravel().tolist(), rows)]
-    return (specs.reshape(lams.shape), lams, *_envelopes(bb, freqs, labels, branches))
+    return rungs, np.where(sextic, eps, 0.0), *_envelopes(bb, freqs, labels, branches)
 
 
 def zero_mode_potentials(
@@ -274,10 +270,11 @@ def zero_mode_potentials(
 ) -> tuple[list[PotentialSpec], np.ndarray]:
     """Per energy, the potential whose level lambda the zero mode sits at,
     and the lambdas: the one-(label, b, branch) call of `zero_mode_ladders`."""
-    specs, lams, _, _ = zero_mode_ladders(
+    rungs, lams, _, _ = zero_mode_ladders(
         [b], freqs, [label], np.asarray(energies, dtype=float)[None], [branch]
     )
-    return specs[0, 0, 0].tolist(), lams[0, 0, 0]
+    specs = [PotentialSpec(b, tuple(r)) for r in rungs.reshape(5, -1).T.tolist()]
+    return specs, lams[0, 0, 0]
 
 
 def eval_potential(spec: PotentialSpec, x: float | np.ndarray) -> float | np.ndarray:
@@ -326,15 +323,15 @@ def eval_wavefunction(
 
 
 def zero_mode_residuals(
-    specs: Sequence[PotentialSpec],
-    lams: Sequence[float] | np.ndarray,
-    bs: Sequence[RationalLike],
-    prefactor_exponents: Sequence[float],
-    As: Sequence[float],
+    b_values: Sequence[RationalLike],
+    rungs: np.ndarray,
+    lams: np.ndarray,
+    prefactor_exponents: np.ndarray,
+    As: np.ndarray,
     phis: np.ndarray,
 ) -> np.ndarray:
     """Coefficients in v = x^(1/b) of the exact residual polynomial P of
-    many zero modes, one column each, each column at its own b.
+    many zero modes, over the axes [..., b, column].
 
     With sigma = b s (s the prefactor exponent), g = -v (A + v) / 2 and
     q = sigma - A v / 2 - v^2, chi = v^sigma e^g phi(v) gives
@@ -343,42 +340,31 @@ def zero_mode_residuals(
         P = -(v^2 phi'' + 2 v q phi' + (q^2 - sigma - v^2) phi)
             - (1 - b)(v phi' + q phi) + b^2 (sum_i c_i v^i - lam v^(2b)) phi,
 
-    where c_i, rung i of the potential's `coeffs`, is the coefficient of
-    x^(-2 + i/b) in V.  P vanishes identically exactly when chi is a zero
-    mode at lam, so no grid is involved.
+    where c_i, rung i of the ladder, is the coefficient of x^(-2 + i/b) in
+    V.  P vanishes identically exactly when chi is a zero mode at lam, so
+    no grid is involved.
 
-    Column i is P for the potential `specs[i]` at `lams[i]` and the zero
-    mode at b = `bs[i]` with envelope (`prefactor_exponents[i]`, `As[i]`)
-    and phi coefficients `phis[:, i]`.  The columns may sit at several b
-    and envelopes; a run of columns at one b converts it to a float once.
-    Row j is the coefficient of v^j, and a column's rows above its own
-    degree are zero.  Every coefficient accumulates its terms in the same
-    order as a scalar loop over the columns would.
-    Raises ValueError when a column's ladder is not at its b, or when its
-    lam != 0 and `lambda_rung` finds no rung for it.
+    `rungs` is [rung, ..., b, column], as `zero_mode_ladders` returns it,
+    and `lams`, `prefactor_exponents`, `As` and `phis` [row, ...]
+    broadcast over [..., b, column]; the b axis runs over `b_values`, each
+    converted to a float once.  Row j of the result is the coefficient of
+    v^j, over the same axes; a column's rows above its own degree are
+    zero.  Every coefficient accumulates its terms in the same order as a
+    scalar loop over the columns would.  Raises ValueError when some
+    lam != 0 at a b where `lambda_rung` finds no rung.
     """
-    lams = np.asarray(lams, dtype=float)
-    bf, lam_power = [], []
-    last = rung = None
-    for spec, b, lam in zip(specs, bs, lams.tolist()):
-        if spec.b is not b and spec.b != b:
-            raise ValueError(
-                f"potential ladder at b = {spec.b} is not -2 + i/b, i = 0..4,"
-                f" for b = {b}"
-            )
-        if b is not last:  # columns come in runs of one b
-            last, b_float, rung = b, float(b), None
-        if lam != 0.0 and rung is None:
-            rung = lambda_rung(b)
-        bf.append(b_float)
-        lam_power.append(rung if lam != 0.0 else 0)
-    bf = np.array(bf)
-    lam_power = np.array(lam_power, dtype=int)
-    sigma = bf * np.asarray(prefactor_exponents, dtype=float)
-    q = (sigma, -0.5 * np.asarray(As, dtype=float), -1.0)
+    bf = np.array([float(b) for b in b_values])[:, None]
+    shape = np.broadcast(bf, rungs[0], lams, prefactor_exponents, As, phis[0]).shape
+    phis = np.broadcast_to(phis, (len(phis), *shape))
+    lams = np.broadcast_to(np.asarray(lams, dtype=float), shape)
+    rung_of_b = [lambda_rung(b) if lams[..., j, :].any() else 0
+                 for j, b in enumerate(b_values)]
+    lam_power = np.where(lams != 0.0, np.array(rung_of_b)[:, None], 0)
+    sigma = bf * prefactor_exponents
+    q = (sigma, -0.5 * As, -1.0)
     # the part of P / (phi_n v^n) that depends on neither n nor the
     # potential, in powers of v, one column each
-    cols = np.zeros((max(5, lam_power.max(initial=0) + 1), len(specs)))
+    cols = np.zeros((max(5, lam_power.max(initial=0) + 1), *shape))
     for i in range(3):
         for j in range(3):
             cols[i + j] -= q[i] * q[j]
@@ -386,16 +372,16 @@ def zero_mode_residuals(
     cols[0] += sigma
     cols[2] += 1.0
     bf2 = bf * bf
-    cols[:5] += bf2 * np.array([spec.coeffs for spec in specs]).reshape(-1, 5).T
-    cols[lam_power, np.arange(len(specs))] -= bf2 * lams
+    cols[:5] += bf2 * rungs
+    cols[(lam_power, *np.indices(shape, sparse=True))] -= bf2 * lams
     # v^2 (v^n)'' = n (n - 1) v^n and v (v^n)' = n v^n
-    n = np.arange(phis.shape[0])[:, None]
-    shift = np.zeros((n.size, *cols.shape))
+    n = np.arange(phis.shape[0]).reshape(-1, *[1] * len(shape))
+    shift = np.zeros((n.shape[0], *cols.shape))
     shift[:, 0] = n * (n - 1) + 2.0 * n * q[0] + (1.0 - bf) * n
     shift[:, 1] = 2.0 * n * q[1]
     shift[:, 2] = 2.0 * n * q[2]
-    terms = phis[:, None, :] * (cols[None, :, :] - shift)
-    out = np.zeros((n.size + cols.shape[0] - 1, phis.shape[1]))
+    terms = phis[:, None] * (cols[None] - shift)
+    out = np.zeros((n.shape[0] + cols.shape[0] - 1, *shape))
     for i, term in enumerate(terms):
         out[i : i + cols.shape[0]] += term
     return out

@@ -236,10 +236,11 @@ def test_criterion_5_zero_mode_residuals():
                     )
                     envelope = zero_mode_envelope(b, W111, label, branch)
                     phis = rho_coefficients(label, vecs, branch)
-                    n = len(vspecs)  # one b and one envelope for every column
+                    # one b and one envelope for every column
+                    rungs = np.array([vspec.coeffs for vspec in vspecs]).T[:, None]
                     residuals = zero_mode_residuals(
-                        vspecs, lams, [b] * n, *([e] * n for e in envelope), phis
-                    )
+                        [b], rungs, lams[None], *envelope, phis[:, None]
+                    )[:, 0]
                     for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
                         wf = (b, *envelope, phis[:, i])
                         chi, potential, closed = mp_zero_mode(
@@ -447,3 +448,51 @@ def test_criterion_8_figure_data(tmp_path, capsys):
         if not (inside and classically_allowed):
             details.append(f"cfg{i}: peak at {rows[peak, 0]:.2f} V={rows[peak, 1]:.2f} lam={lam:.2f}")
     report("8 figure data", ok, "; ".join(details) if details else f"{len(FIGURE_CONFIGS)} curves checked")
+
+
+def tc_sector(omega, omega0, excitations, atoms):
+    """The Tavis-Cummings matrix H/g = omega a+ a + omega0 J_z + (a J+ + a+ J-),
+    J = N/2 for N = `atoms`, on the sector of X = `excitations` excitations
+    in the Dicke basis: state k has k excited atoms, J_z = k - N/2, and
+    X - k photons, k = 0 .. min(X, N).  Each entry is the action of a, a+
+    and J+- on one state, as `fock.apply_interaction` is for H."""
+    half = atoms / 2
+    dim = min(excitations, atoms) + 1
+    h = np.zeros((dim, dim))
+    for k in range(dim):
+        photons, jz = excitations - k, k - half
+        h[k, k] = omega * photons + omega0 * jz
+        if k + 1 < dim:  # a J+: a photon absorbed, an atom excited
+            h[k + 1, k] = math.sqrt(photons) * math.sqrt((half - jz) * (half + jz + 1))
+        if k > 0:  # a+ J-: an atom decays, a photon emitted
+            h[k - 1, k] = math.sqrt(photons + 1) * math.sqrt((half + jz) * (half - jz + 1))
+    return h
+
+
+def test_criterion_9_tavis_cummings_link():
+    # the paper's first link: with the upper atomic mode, the field and the
+    # lower atomic mode as the trilinear a, b and c, J+ = a+ c and the TC
+    # sector of X excitations and N atoms is W(X, N) at
+    # w = (omega0/2, omega, -omega0/2), Dicke state k being j = k
+    rng = np.random.default_rng(9)
+    # X > N, N > X, N = 0, X = 0 and both 0 by name, then seeded sectors
+    sectors = [(5, 2), (2, 7), (4, 0), (0, 3), (0, 0)]
+    sectors += [tuple(rng.integers(0, 13, 2).tolist()) for _ in range(40)]
+    worst = 0.0
+    for excitations, atoms in sectors:
+        omega, omega0 = rng.uniform(-3.0, 3.0, 2).tolist()
+        tc = tc_sector(omega, omega0, excitations, atoms)
+        h = build_hamiltonian(
+            ModeFrequencies(omega0 / 2, omega, -omega0 / 2),
+            SubspaceLabel(excitations, atoms),
+        )
+        # the diagonals sum different products of the same terms, and the
+        # off-diagonals take one square root or two
+        scale = max(1.0, abs(omega) * excitations + abs(omega0) * atoms, np.abs(h).max())
+        worst = max(worst, float(np.abs(tc - h).max() / scale))
+    ok = worst <= 4 * np.finfo(float).eps
+    report(
+        "9 Tavis-Cummings link",
+        ok,
+        f"{len(sectors)} sectors, worst entry gap {worst:.1e} of the entry scale",
+    )

@@ -388,7 +388,9 @@ class TestSingularAdaptation:
         # before any solve, where it once fell back to the bare power x^p
         spec = PotentialSpec(b, (-0.25, 1.3, -2.1, 0.7, 0.44))
         with pytest.raises(ValueError, match="integer 2b") as expected:
-            zero_mode_residuals([spec], [2.0], [b], [1.0], [0.0], np.ones((1, 1)))
+            zero_mode_residuals(
+                [b], np.reshape(spec.coeffs, (5, 1, 1)), 2.0, 1.0, 0.0, np.ones((1, 1, 1))
+            )
 
         def no_solve(*args, **kwargs):
             raise AssertionError("an fd solve ran")

@@ -346,7 +346,9 @@ def relative(spec, wf, lam):
     """max|P| of the zero mode `wf` in `spec` at `lam`, relative to the
     largest phi coefficient, as the pipeline gates."""
     b, s, a, phi = wf
-    p = zero_mode_residuals([spec], [lam], [b], [s], [a], phi[:, None])
+    p = zero_mode_residuals(
+        [b], np.reshape(spec.coeffs, (5, 1, 1)), lam, s, a, phi[:, None, None]
+    )
     return float(np.max(np.abs(p)) / np.max(np.abs(phi)))
 
 
@@ -363,11 +365,11 @@ class TestResonance:
         assert freqs.w1 - freqs.w2 - freqs.w3 == 0.0
         b_values = [Fraction(1), HALF, Fraction(3, 2), Fraction(2), Fraction(1, 3)]
         energies = eig_sym(build_hamiltonian(freqs, label)).eigenvalues
-        specs, _, _, a_ = zero_mode_ladders(
+        rungs, _, _, a_ = zero_mode_ladders(
             b_values, freqs, [label], energies[None], list(Branch)
         )
-        assert specs.shape == (1, len(Branch), len(b_values), label.dim)
-        assert [spec.coeffs[3] for spec in specs.ravel()] == [0.0] * specs.size
+        assert rungs.shape == (5, 1, len(Branch), len(b_values), label.dim)
+        assert rungs[3].ravel().tolist() == [0.0] * rungs[3].size
         assert not a_.any()
 
 
