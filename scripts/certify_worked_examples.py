@@ -8,8 +8,11 @@ subspaces, both branches and the four exponents: exact BHE residuals, the
 exact zero-mode (Schroedinger) residual, and the independent
 finite-difference containment check.  Each row reads its subspace's
 `Certificate` at [branch, b, column].
+
+Usage: python scripts/certify_worked_examples.py
 """
 
+import argparse
 import sys
 from fractions import Fraction
 
@@ -27,6 +30,9 @@ B_VALUES = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2)]
 
 
 def main() -> int:
+    argparse.ArgumentParser(
+        description="Print the certification table of the two worked examples."
+    ).parse_args()
     all_ok = True
     header = f"{'subspace':>9} {'p':>2} {'E':>9} {'b':>4} {'branch':>6} " \
              f"{'bhe':>8} {'schrod':>8} {'oracle':>8} ok"

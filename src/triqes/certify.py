@@ -10,9 +10,11 @@ given, every transformation exponent b and every branch:
    at b = 1/2 the displaced sextic Vtilde with lambda = eps(E), for any
    other b the plain V_b with lambda = 0;
 4. the Schroedinger equation -chi'' + (V - lambda) chi = 0 for the zero
-   mode chi with the envelope (s, A) of stage 3 and the phi of stage 1, as
-   the exact polynomial identity `zero_mode_residuals`, relative to the
-   largest phi coefficient: no grid, no step size, no refinement order;
+   mode chi with the phi of stage 1, as the exact polynomial identity
+   `zero_mode_residuals` in its b-free form (rungs 1-4, A, lambda and
+   |l - m| from the labels; rung 0 and the envelope's s cancel for every
+   zero mode and are proven once, symbolically), relative to the largest
+   phi coefficient: no grid, no step size, no refinement order;
 5. when the caller asks for it, the independent finite-difference oracle
    at lambda.
 
@@ -23,8 +25,7 @@ group runs stages 1-4 as one array pass: stages 1-2 over the column axes
 [label, branch, column], shared by every b since they do not depend on
 it, and stages 3-4 as one `zero_mode_ladders` call and one
 `zero_mode_residuals` call on its float arrays as they are, over [label,
-branch, b, column], each column at its own b with its own envelope and
-lambda.  E enters only through rung 1 of V_b (b != 1/2) or through lambda
+branch, b, column], each column at its own b with its own A and lambda.  E enters only through rung 1 of V_b (b != 1/2) or through lambda
 (b = 1/2).  Every number is elementwise, so a column is bit for bit the
 same whichever subspaces share its call.  The oracle then runs group by
 group, subspace by subspace, in (branch, b, eigenvector) order, once per
@@ -148,10 +149,11 @@ def _certify_group(freqs, labels, energies, vecs, b_values, branches, oracle):
         standard_residuals(bhe_params(freqs, labels, e, branches), phi)
     ) / scales
     # stages 3-4: one zero-mode column per (label, branch, b, eigenvector)
-    rungs, lams, s, a_ = zero_mode_ladders(b_values, freqs, labels, energies, branches)
+    rungs, lams, a_ = zero_mode_ladders(b_values, freqs, labels, energies, branches)
     shape = lams.shape
+    deltas = np.array([lab.k - lab.n_prime for lab in labels])[:, None, None, None]
     schr_rel = _worst(
-        zero_mode_residuals(b_values, rungs, lams, s, a_, phi[:, :, :, None])
+        zero_mode_residuals(b_values, rungs, lams, deltas, a_, phi[:, :, :, None])
     ) / scales[:, :, None]
     # one rule, in STAGES order; a NaN residual is not <= BHE_RTOL and fails
     failed = np.zeros((len(STAGES), *shape), dtype=bool)

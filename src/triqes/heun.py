@@ -226,9 +226,11 @@ def operator_residuals(
     n_top = phis.shape[0] - 1
     j = _rows(n_top + 3, phis.ndim)
     res = np.zeros((n_top + 3, *phis.shape[1:]))
-    res[: n_top + 1] += (j * (j - 1) + q1 * j)[: n_top + 1] * phis
-    res[1 : n_top + 2] += (-c * wbar * (j[1 : n_top + 2] - 1) + c * p_const) * phis
-    res[2:] += (c * c * ((ell + m - k) - (j[2:] - 2))) * phis
+    # a finite P times phi can still overflow; an inf or nan residual fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        res[: n_top + 1] += (j * (j - 1) + q1 * j)[: n_top + 1] * phis
+        res[1 : n_top + 2] += (-c * wbar * (j[1 : n_top + 2] - 1) + c * p_const) * phis
+        res[2:] += (c * c * ((ell + m - k) - (j[2:] - 2))) * phis
     return res
 
 

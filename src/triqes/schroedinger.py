@@ -37,13 +37,13 @@ non-zero double, as every rung but c_0's -1/4 divides by b^2
 V = Vtilde - eps(E), eps(E) = -4 c E: the displaced sextic Vtilde is
 E-independent and has genuine eigenvalues eps(E).
 
-One builder, `zero_mode_ladders`, writes the rungs and the envelope for
-many zero modes at once: the rungs [rung, label, branch, b, column],
-lambdas and envelopes (s, A) of sequences of labels (of one dimension),
-branches, b values and eigenvalues.  The rung closed forms above are
-written once, in `_ladders`, which `potential_specs` also reads for V_b
-itself (at b = 1/2 too); `zero_mode_potentials` and `zero_mode_envelope`
-are the builder's one-(label, b, branch) calls.  At resonance,
+One builder, `zero_mode_ladders`, writes the rungs [rung, label, branch,
+b, column], the lambdas and the envelope's A for many zero modes at once,
+over sequences of labels (of one dimension), branches, b values and
+eigenvalues.  The rung closed forms above are written once, in
+`_ladders`, which `potential_specs` also reads for V_b itself (at b = 1/2
+too); `zero_mode_potentials` is the builder's one-(label, b, branch) call
+and `zero_mode_envelope` the curve's envelope (s, A).  At resonance,
 w1 = w2 + w3, A is 0 and rung 3 of every V_b is exactly 0.0.
 
 The zero mode has one format: its envelope (s, A) and phi as a
@@ -51,8 +51,12 @@ coefficient column of `heun.rho_coefficients`.  `zero_mode_residuals` is
 the one check of -chi'' + V chi = lambda chi, and it is exact: with
 v = x^(1/b) the left side minus the right is x^(s-2) e^(g(v)) P(v) / b^2
 for a polynomial P of degree <= N' + 4, whose coefficients it returns for
-many zero modes at once, over the builder's axes [..., b, column].  No
-grid, step size or difference stencil is involved.  `eval_potential` and
+many zero modes at once, over the builder's axes [..., b, column].  It
+forms P in b-free form: rung 0 and s cancel in every zero mode (the
+indicial equation), so it reads neither, and no term of size b^2 cancels
+in floats.  In exact arithmetic P is minus the BHE operator residual of
+phi; `tests/test_symbolic.py` proves both identities.  No grid, step size
+or difference stencil is involved.  `eval_potential` and
 `eval_wavefunction` evaluate V and chi pointwise for the curve output.
 """
 
@@ -193,19 +197,6 @@ def _ladders(
     return np.stack(np.broadcast_arrays(*rungs))
 
 
-def _envelopes(
-    bb: np.ndarray,
-    freqs: ModeFrequencies,
-    labels: Sequence[SubspaceLabel],
-    branches: Sequence[Branch],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(s, A) of the zero modes, s shaped [label, 1, b, 1] and A [branch, 1,
-    1]: the factor x^s exp(-v (A + v) / 2), v = x^(1/b)."""
-    k_minus_n = np.array([lab.k - lab.n_prime for lab in labels])[:, None, None, None]
-    c = np.array([br.c for br in branches])[:, None, None]
-    return (k_minus_n + bb) / (2.0 * bb), c * (freqs.w1 - freqs.w2 - freqs.w3)
-
-
 def _admissible(b_values: Sequence[RationalLike]) -> np.ndarray:
     return np.array([admissible_b(b) for b in b_values])[:, None]
 
@@ -240,25 +231,29 @@ def zero_mode_ladders(
     labels: Sequence[SubspaceLabel],
     energies: np.ndarray,
     branches: Sequence[Branch],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per (label, branch, b, eigenvalue), the ladder of the potential whose
-    level lambda the zero mode sits at, lambda, and the envelope (s, A).
+    level lambda the zero mode sits at, lambda, and the envelope's A.
 
     `labels` share one dimension and `energies` is [label, column].
     Returns float arrays: the rungs [rung, label, branch, b, column], the
-    lambdas [label, branch, b, column], and s and A, which broadcast over
-    those axes.  At b = 1/2 the potential is the E-free displaced sextic,
-    with lambda = eps(E); at any other b it is V_b, with lambda = 0.
-    Raises ValueError on an inadmissible b or naming the first non-finite
-    rung.
+    lambdas [label, branch, b, column], and A = c (w1 - w2 - w3), shaped
+    [branch, 1, 1].  At b = 1/2 the potential is the E-free displaced
+    sextic, with lambda = eps(E); at any other b it is V_b, with
+    lambda = 0.  Raises ValueError on an inadmissible b or naming the
+    first non-finite rung.
     """
     bb = _admissible(b_values)
     e = np.asarray(energies, dtype=float)[:, None, None]
     sextic = np.array([b == SEXTIC_B for b in b_values])[:, None]
     # V_(1/2) built at E = 0 is Vtilde exactly
     rungs = _ladders(bb, freqs, labels, np.where(sextic, 0.0, e), branches)
-    eps = np.stack([epsilon_of(e[:, 0], br) for br in branches], axis=1)
-    return rungs, np.where(sextic, eps, 0.0), *_envelopes(bb, freqs, labels, branches)
+    with np.errstate(over="ignore"):  # only the lambdas used are checked
+        eps = np.stack([epsilon_of(e[:, 0], br) for br in branches], axis=1)
+    lams = np.where(sextic, eps, 0.0)
+    check_finite("eps(E)", lams)
+    c = np.array([br.c for br in branches])[:, None, None]
+    return rungs, lams, c * (freqs.w1 - freqs.w2 - freqs.w3)
 
 
 def zero_mode_potentials(
@@ -270,7 +265,7 @@ def zero_mode_potentials(
 ) -> tuple[list[PotentialSpec], np.ndarray]:
     """Per energy, the potential whose level lambda the zero mode sits at,
     and the lambdas: the one-(label, b, branch) call of `zero_mode_ladders`."""
-    rungs, lams, _, _ = zero_mode_ladders(
+    rungs, lams, _ = zero_mode_ladders(
         [b], freqs, [label], np.asarray(energies, dtype=float)[None], [branch]
     )
     specs = [PotentialSpec(b, tuple(r)) for r in rungs.reshape(5, -1).T.tolist()]
@@ -289,10 +284,11 @@ def eval_potential(spec: PotentialSpec, x: float | np.ndarray) -> float | np.nda
 def zero_mode_envelope(
     b: RationalLike, freqs: ModeFrequencies, label: SubspaceLabel, branch: Branch
 ) -> tuple[float, float]:
-    """(s, A) of the zero mode's factor x^s exp(-v (A + v) / 2), v = x^(1/b):
-    the one-(label, b, branch) case of the envelopes of `zero_mode_ladders`."""
-    s, a = _envelopes(_admissible([b]), freqs, [label], [branch])
-    return s.item(), a.item()
+    """(s, A) of the zero mode's factor x^s exp(-v (A + v) / 2), v = x^(1/b),
+    s = (|l - m| + b) / (2 b) and A = c (w1 - w2 - w3)."""
+    bb = admissible_b(b)
+    a_ = branch.c * (freqs.w1 - freqs.w2 - freqs.w3)
+    return (label.k - label.n_prime + bb) / (2.0 * bb), a_
 
 
 def eval_wavefunction(
@@ -326,27 +322,30 @@ def zero_mode_residuals(
     b_values: Sequence[RationalLike],
     rungs: np.ndarray,
     lams: np.ndarray,
-    prefactor_exponents: np.ndarray,
+    deltas: np.ndarray,
     As: np.ndarray,
     phis: np.ndarray,
 ) -> np.ndarray:
     """Coefficients in v = x^(1/b) of the exact residual polynomial P of
     many zero modes, over the axes [..., b, column].
 
-    With sigma = b s (s the prefactor exponent), g = -v (A + v) / 2 and
-    q = sigma - A v / 2 - v^2, chi = v^sigma e^g phi(v) gives
+    With delta = |l - m|, s = (delta + b) / (2 b) and g = -v (A + v) / 2,
+    chi = x^s e^g phi(v) gives -chi'' + (V - lam) chi = x^(s - 2) e^g P(v)
+    / b^2, c_i (rung i) being the coefficient of x^(-2 + i/b) in V.  Each
+    phi_n v^n adds phi_n times
 
-        -chi'' + (V - lam) chi = x^(s - 2) e^g P(v) / b^2,
-        P = -(v^2 phi'' + 2 v q phi' + (q^2 - sigma - v^2) phi)
-            - (1 - b)(v phi' + q phi) + b^2 (sum_i c_i v^i - lam v^(2b)) phi,
+        -n (n + delta)                        at v^n,
+        A (n + (delta + 1) / 2) + b^2 c_1     at v^(n+1),
+        2 n + delta + 2 - A^2 / 4 + b^2 c_2   at v^(n+2),
+        b^2 c_3 - A, b^2 c_4 - 1, -b^2 lam    at v^(n+3), v^(n+4), v^(n+2b):
 
-    where c_i, rung i of the ladder, is the coefficient of x^(-2 + i/b) in
-    V.  P vanishes identically exactly when chi is a zero mode at lam, so
-    no grid is involved.
+    the b-free form, in which c_0 and s, which cancel for every zero mode,
+    do not appear.  P vanishes identically exactly when chi is a zero mode
+    at lam.
 
     `rungs` is [rung, ..., b, column], as `zero_mode_ladders` returns it,
-    and `lams`, `prefactor_exponents`, `As` and `phis` [row, ...]
-    broadcast over [..., b, column]; the b axis runs over `b_values`, each
+    and `lams`, `deltas` (integers), `As` and `phis` [row, ...] broadcast
+    over [..., b, column]; the b axis runs over `b_values`, each
     converted to a float once.  Row j of the result is the coefficient of
     v^j, over the same axes; a column's rows above its own degree are
     zero.  Every coefficient accumulates its terms in the same order as a
@@ -354,34 +353,25 @@ def zero_mode_residuals(
     lam != 0 at a b where `lambda_rung` finds no rung.
     """
     bf = np.array([float(b) for b in b_values])[:, None]
-    shape = np.broadcast(bf, rungs[0], lams, prefactor_exponents, As, phis[0]).shape
+    shape = np.broadcast(bf, rungs[0], lams, deltas, As, phis[0]).shape
     phis = np.broadcast_to(phis, (len(phis), *shape))
     lams = np.broadcast_to(np.asarray(lams, dtype=float), shape)
     rung_of_b = [lambda_rung(b) if lams[..., j, :].any() else 0
                  for j, b in enumerate(b_values)]
     lam_power = np.where(lams != 0.0, np.array(rung_of_b)[:, None], 0)
-    sigma = bf * prefactor_exponents
-    q = (sigma, -0.5 * As, -1.0)
-    # the part of P / (phi_n v^n) that depends on neither n nor the
-    # potential, in powers of v, one column each
-    cols = np.zeros((max(5, lam_power.max(initial=0) + 1), *shape))
-    for i in range(3):
-        for j in range(3):
-            cols[i + j] -= q[i] * q[j]
-        cols[i] -= (1.0 - bf) * q[i]
-    cols[0] += sigma
-    cols[2] += 1.0
     bf2 = bf * bf
-    cols[:5] += bf2 * rungs
-    cols[(lam_power, *np.indices(shape, sparse=True))] -= bf2 * lams
-    # v^2 (v^n)'' = n (n - 1) v^n and v (v^n)' = n v^n
-    n = np.arange(phis.shape[0]).reshape(-1, *[1] * len(shape))
-    shift = np.zeros((n.shape[0], *cols.shape))
-    shift[:, 0] = n * (n - 1) + 2.0 * n * q[0] + (1.0 - bf) * n
-    shift[:, 1] = 2.0 * n * q[1]
-    shift[:, 2] = 2.0 * n * q[2]
-    terms = phis[:, None] * (cols[None] - shift)
-    out = np.zeros((n.shape[0] + cols.shape[0] - 1, *shape))
-    for i, term in enumerate(terms):
-        out[i : i + cols.shape[0]] += term
+    # P / (phi_n v^n) in powers of v, for each n
+    n = np.arange(len(phis)).reshape(-1, *[1] * len(shape))
+    rows = np.zeros((len(phis), max(5, lam_power.max(initial=0) + 1), *shape))
+    rows[:, 0] = -n * (n + deltas)
+    rows[:, 1] = As * (n + 0.5 * (deltas + 1)) + bf2 * rungs[1]
+    rows[:, 2] = 2 * n + deltas + 2 - 0.25 * As * As + bf2 * rungs[2]
+    rows[:, 3] = bf2 * rungs[3] - As
+    rows[:, 4] = bf2 * rungs[4] - 1.0
+    rows[(slice(None), lam_power, *np.indices(shape, sparse=True))] -= bf2 * lams
+    out = np.zeros((len(phis) + rows.shape[1] - 1, *shape))
+    # finite rungs times phi can still overflow; an inf or nan P fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, term in enumerate(phis[:, None] * rows):
+            out[i : i + rows.shape[1]] += term
     return out

@@ -239,7 +239,8 @@ def test_criterion_5_zero_mode_residuals():
                     # one b and one envelope for every column
                     rungs = np.array([vspec.coeffs for vspec in vspecs]).T[:, None]
                     residuals = zero_mode_residuals(
-                        [b], rungs, lams[None], *envelope, phis[:, None]
+                        [b], rungs, lams[None], label.k - label.n_prime, envelope[1],
+                        phis[:, None],
                     )[:, 0]
                     for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
                         wf = (b, *envelope, phis[:, i])

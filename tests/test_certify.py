@@ -47,10 +47,10 @@ def spectrum_of(freqs, label):
     return eig_sym(build_hamiltonian(freqs, label))
 
 
-def exact_relative(vspec, lam, b, s, a, phi):
+def exact_relative(vspec, lam, b, delta, a, phi):
     """max|P| of one zero mode, relative to its largest phi coefficient."""
     residual = zero_mode_residuals(
-        [b], np.reshape(vspec.coeffs, (5, 1, 1)), lam, s, a, phi[:, None, None]
+        [b], np.reshape(vspec.coeffs, (5, 1, 1)), lam, delta, a, phi[:, None, None]
     )
     return np.max(np.abs(residual)) / np.max(np.abs(phi))
 
@@ -98,29 +98,23 @@ def loop_chain(freqs, label, energy, vec, b, branch):
         if 1 <= j:
             val += (-2.0 * (j - 1) + (g - a - 2.0)) * phi[j - 1]
         std.append(val)
-    # zero mode: P = sum_n phi_n v^n (base - n-dependent terms)
+    # zero mode, b-free: P = sum_n phi_n v^n (row j at v^j)
     (vspec,), (lam,) = zero_mode_potentials(b, freqs, label, [energy], branch)
-    s, a_ = zero_mode_envelope(b, freqs, label, branch)
+    _, a_ = zero_mode_envelope(b, freqs, label, branch)
+    delta = k - n_prime
     bf = float(b)
+    _, c1, c2, c3, c4 = vspec.coeffs
     lam_power = int(2 * b) if lam != 0.0 else 0
-    sigma = bf * s
-    q = (sigma, -0.5 * a_, -1.0)
-    base = [0.0] * max(5, lam_power + 1)
-    for i in range(3):
-        for j in range(3):
-            base[i + j] -= q[i] * q[j]
-        base[i] -= (1.0 - bf) * q[i]
-    base[0] += sigma
-    base[2] += 1.0
-    for i, ci in enumerate(vspec.coeffs):
-        base[i] += bf * bf * ci
-    base[lam_power] -= bf * bf * lam
-    out = [0.0] * (len(phi) + len(base) - 1)
+    width = max(5, lam_power + 1)
+    out = [0.0] * (len(phi) + width - 1)
     for n, p in enumerate(phi):
-        r = list(base)
-        r[0] -= n * (n - 1) + 2.0 * n * q[0] + (1.0 - bf) * n
-        r[1] -= 2.0 * n * q[1]
-        r[2] -= 2.0 * n * q[2]
+        r = [0.0] * width
+        r[0] = -n * (n + delta)
+        r[1] = a_ * (n + 0.5 * (delta + 1)) + bf * bf * c1
+        r[2] = 2 * n + delta + 2 - 0.25 * a_ * a_ + bf * bf * c2
+        r[3] = bf * bf * c3 - a_
+        r[4] = bf * bf * c4 - 1.0
+        r[lam_power] -= bf * bf * lam
         for j, rj in enumerate(r):
             out[n + j] += p * rj
     return tuple(max(abs(x) for x in res) / scale for res in (op, std, out))
@@ -380,10 +374,10 @@ class TestZeroModeResidual:
                 offs = zip(*zero_mode_potentials(
                     b, unit_freqs, label, energies * (1 + 1e-8), branch
                 ))
-                s, a_ = zero_mode_envelope(b, unit_freqs, label, branch)
+                _, a_ = zero_mode_envelope(b, unit_freqs, label, branch)
                 phis = rho_coefficients(label, spectrum.eigenvectors, branch)
                 for i, (vspec, lam, (off_e, off_lam)) in enumerate(zip(vspecs, lams, offs)):
-                    wf = (b, s, a_, phis[:, i])
+                    wf = (b, label.k - label.n_prime, a_, phis[:, i])
                     case = (energies[i], b, branch)
                     assert exact_relative(vspec, lam, *wf) <= BHE_RTOL, case
                     assert exact_relative(off_e, off_lam, *wf) > BHE_RTOL, case
@@ -392,8 +386,6 @@ class TestZeroModeResidual:
                     coeffs[k] *= 1 + 1e-8
                     off_v = replace(vspec, coeffs=tuple(coeffs))
                     assert exact_relative(off_v, lam, *wf) > BHE_RTOL, case
-                    off_s = (b, s * (1 + 1e-8), a_, phis[:, i])
-                    assert exact_relative(vspec, lam, *off_s) > BHE_RTOL, case
 
     def test_off_ladder_rejected(self, unit_freqs):
         # a ladder's b is its index on the b axis, so a ladder built at
@@ -404,18 +396,18 @@ class TestZeroModeResidual:
 
         def column(spec_b, wf_b, lam):
             vspec = potential_specs(spec_b, unit_freqs, label, [energy])[0]
-            envelope = zero_mode_envelope(wf_b, unit_freqs, label, Branch.PLUS)
-            return (vspec, lam, wf_b, *envelope)
+            _, a_ = zero_mode_envelope(wf_b, unit_freqs, label, Branch.PLUS)
+            return (vspec, lam, wf_b, label.k - label.n_prime, a_)
 
         def batch(middle):
             # `middle` between a lambda = 0 column at b = 1 and a lambda != 0
             # one at b = 1/2, both valid, each on its own b; the relative
             # residual of every column
             columns = [column(1, 1, 0.0), middle, column(SEXTIC_B, SEXTIC_B, 2.0)]
-            vspecs, lams, bs, s, a_ = zip(*columns)
+            vspecs, lams, bs, deltas, a_ = zip(*columns)
             rungs = np.array([vspec.coeffs for vspec in vspecs]).T[:, :, None]
             residual = zero_mode_residuals(
-                bs, rungs, *(np.array(x)[:, None] for x in (lams, s, a_)),
+                bs, rungs, *(np.array(x)[:, None] for x in (lams, deltas, a_)),
                 phi[:, None, None],
             )
             return np.max(np.abs(residual), axis=0)[:, 0] / np.max(np.abs(phi))
@@ -436,10 +428,10 @@ class TestZeroModeResidual:
     def test_cli_exits_1_off_ladder(self, capsys, monkeypatch):
         def wrong_b(b_values, freqs, labels, energies, branches):
             # every ladder built at b = 1, with lambda = 0
-            rungs, lams, s, a_ = zero_mode_ladders(
+            rungs, lams, a_ = zero_mode_ladders(
                 [1] * len(b_values), freqs, labels, energies, branches
             )
-            return rungs, np.zeros_like(lams), s, a_
+            return rungs, np.zeros_like(lams), a_
 
         monkeypatch.setattr(certify, "zero_mode_ladders", wrong_b)
         code = cli_main(["verify", "--l", "1", "--m", "1", "--b", "3/2", "--no-oracle"])
@@ -515,13 +507,31 @@ def load_script(name):
     return module
 
 
-def test_worked_examples_script(capsys):
+def test_worked_examples_script(monkeypatch, capsys):
     module = load_script("certify_worked_examples")
+    monkeypatch.setattr(sys, "argv", ["certify_worked_examples.py"])
     assert module.main() == 0
     out = capsys.readouterr().out.splitlines()
     # 5 eigenpairs x 2 branches x 4 exponents, between header and footer
     assert len(out) == 2 + 40 + 2
     assert out[-1] == "all checks passed"
+
+
+def test_worked_examples_options(monkeypatch, capsys):
+    # -h/--help prints the usage and exits 0; any other argument is a usage
+    # error, exit 2; neither runs the table
+    module = load_script("certify_worked_examples")
+    for argv, code in ((["-h"], 0), (["--help"], 0), (["--bogus"], 2), (["x"], 2)):
+        monkeypatch.setattr(sys, "argv", ["certify_worked_examples.py", *argv])
+        with pytest.raises(SystemExit) as exited:
+            module.main()
+        assert exited.value.code == code, argv
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out.startswith("usage: certify_worked_examples.py [-h]\n")
+        else:
+            assert captured.out == ""
+            assert "error:" in captured.err
 
 
 def test_export_figure_data_script(tmp_path, monkeypatch):

@@ -294,6 +294,39 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {constant} is not finite: it overflows a double\n"
 
+    @pytest.mark.parametrize(
+        "ell,m,energy,constant",
+        [
+            (2, 2, "1e308", "BHE delta"),
+            (1, 1, "1e308", "BHE delta"),
+            (4, 4, "1e308", "BHE delta"),
+            (2, 2, "7e307", "BHE delta"),
+            (1, 1, "5e307", "eps(E)"),
+        ],
+    )
+    def test_overflowing_residual_exits_1(self, capsys, ell, m, energy, constant):
+        # P and every constant before the failing one are finite, but the
+        # residuals' c P phi products overflow on the way: one error line,
+        # no numpy warning (pytest turns any into an error)
+        code, out, err = run_cli(
+            capsys, "verify", "--l", str(ell), "--m", str(m), "--no-oracle",
+            "--energy-override", energy,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {constant} is not finite: it overflows a double\n"
+
+    def test_large_b_true_eigenpairs_pass(self, capsys):
+        # at b = 1e7 the zero-mode check once cancelled terms of size b^2 in
+        # floats and failed both true eigenpairs (residuals 3.0e-9, 3.6e-9)
+        code, out, _ = run_cli(
+            capsys, "verify", "--l", "3", "--m", "1", "--b", "1e7", "--no-oracle",
+        )
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["failed"] for c in checks] == [[], []]
+        assert all(c["schrodinger_residual"] <= 1e-14 for c in checks)
+
     def test_energy_override_fails_with_oracle(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--l", "1", "--m", "1", "--b", "1/2",
@@ -516,6 +549,17 @@ class TestSweep:
         )
         payload = json.loads(out)
         assert payload["count"] == 392
+        assert [t for t in payload["tuples"] if not t["pass"]] == []
+        assert code == 0
+
+    def test_large_b_sweep_passes(self, capsys):
+        # the O(b^2) cancellation of the zero-mode check once failed 4 of
+        # these 8 tuples on "schrodinger"
+        code, out, _ = run_cli(
+            capsys, "sweep", "--no-oracle", "--lmax", "1", "--mmax", "1", "--b", "1e6",
+        )
+        payload = json.loads(out)
+        assert payload["count"] == 8
         assert [t for t in payload["tuples"] if not t["pass"]] == []
         assert code == 0
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from triqes import (
@@ -19,7 +19,7 @@ from triqes import (
     zero_mode_ladders,
     zero_mode_potentials,
 )
-from triqes.heun import rho_coefficients
+from triqes.heun import operator_residuals, rho_coefficients
 from triqes.schroedinger import PotentialSpec, zero_mode_envelope, zero_mode_residuals
 
 from conftest import certify_one, frequencies, labels
@@ -342,12 +342,13 @@ class TestWavefunction:
                     assert abs(overlap) < 1e-7  # trapezoid-limited
 
 
-def relative(spec, wf, lam):
-    """max|P| of the zero mode `wf` in `spec` at `lam`, relative to the
-    largest phi coefficient, as the pipeline gates."""
-    b, s, a, phi = wf
+def relative(spec, label, wf, lam):
+    """max|P| of the zero mode `wf` of `label` in `spec` at `lam`, relative
+    to the largest phi coefficient, as the pipeline gates."""
+    b, _, a, phi = wf
     p = zero_mode_residuals(
-        [b], np.reshape(spec.coeffs, (5, 1, 1)), lam, s, a, phi[:, None, None]
+        [b], np.reshape(spec.coeffs, (5, 1, 1)), lam, label.k - label.n_prime, a,
+        phi[:, None, None],
     )
     return float(np.max(np.abs(p)) / np.max(np.abs(phi)))
 
@@ -365,7 +366,7 @@ class TestResonance:
         assert freqs.w1 - freqs.w2 - freqs.w3 == 0.0
         b_values = [Fraction(1), HALF, Fraction(3, 2), Fraction(2), Fraction(1, 3)]
         energies = eig_sym(build_hamiltonian(freqs, label)).eigenvalues
-        rungs, _, _, a_ = zero_mode_ladders(
+        rungs, _, a_ = zero_mode_ladders(
             b_values, freqs, [label], energies[None], list(Branch)
         )
         assert rungs.shape == (5, 1, len(Branch), len(b_values), label.dim)
@@ -380,21 +381,21 @@ class TestResidual:
         assert energy == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-14)
         wf = make_wf(Fraction(1), unit_freqs, label, vec, Branch.PLUS)
         (spec,) = potential_specs(Fraction(1), unit_freqs, label, [energy])
-        assert relative(spec, wf, 0.0) <= 1e-10
+        assert relative(spec, label, wf, 0.0) <= 1e-10
 
     def test_sextic_displaced_eigenvalue(self, unit_freqs):
         label = SubspaceLabel(1, 1)
         energy, vec = eigenpairs(unit_freqs, label)[1]
         wf = make_wf(Fraction(1, 2), unit_freqs, label, vec, Branch.PLUS)
         (tilde,), (lam,) = zero_mode_potentials(HALF, unit_freqs, label, [energy])
-        assert relative(tilde, wf, lam) <= 1e-10
+        assert relative(tilde, label, wf, lam) <= 1e-10
 
     def test_perturbed_lambda_detected(self, unit_freqs):
         label = SubspaceLabel(1, 1)
         energy, vec = eigenpairs(unit_freqs, label)[1]
         wf = make_wf(Fraction(1), unit_freqs, label, vec, Branch.PLUS)
         (spec,) = potential_specs(Fraction(1), unit_freqs, label, [energy])
-        assert relative(spec, wf, 0.1) >= 1e-2
+        assert relative(spec, label, wf, 0.1) >= 1e-2
 
     @settings(max_examples=15, deadline=None)
     @given(frequencies(min_value=-1.5, max_value=1.5), labels(max_l=4, max_m=4))
@@ -407,5 +408,32 @@ class TestResidual:
                 )
                 for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
                     wf = make_wf(b, freqs, label, spec_h.eigenvectors[:, i], branch)
-                    rel = relative(vspec, wf, lam)
+                    rel = relative(vspec, label, wf, lam)
                     assert rel <= 1e-10, (freqs, label, branch, i, b, rel)
+
+    @seed(25)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        frequencies(), labels(max_l=8, max_m=8), st.sampled_from((0.0, 1e-6, -1e-3))
+    )
+    def test_p_is_minus_the_bhe_operator_residual(self, freqs, label, shift):
+        # P = -Op[phi] in exact arithmetic (tests/test_symbolic.py); the
+        # b-free P keeps it to rounding at every b, large b included, and at
+        # energies that are no eigenvalue
+        b_values = [Fraction(1, 3), HALF, Fraction(1), Fraction(3, 2), Fraction(2),
+                    Fraction(5, 2), Fraction(10**6)]
+        spec = eig_sym(build_hamiltonian(freqs, label))
+        energies = spec.eigenvalues + shift * np.maximum(1.0, np.abs(spec.eigenvalues))
+        branches = list(Branch)
+        # [row, label, branch, column]
+        phis = rho_coefficients([label], spec.eigenvectors[:, None, None], branches)
+        rungs, lams, a_ = zero_mode_ladders(
+            b_values, freqs, [label], energies[None], branches
+        )
+        gap = zero_mode_residuals(
+            b_values, rungs, lams, label.k - label.n_prime, a_, phis[..., None, :]
+        )
+        op = operator_residuals(freqs, [label], energies, phis, branches)
+        gap[: len(op)] += op[..., None, :]
+        worst = np.max(np.abs(gap), axis=0) / np.max(np.abs(phis), axis=0)[..., None, :]
+        assert worst.max() <= 1e-13, (freqs, label, shift, worst.max())
