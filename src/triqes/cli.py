@@ -40,6 +40,11 @@ def fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_BOOL = {True: "true", False: "false"}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _round15(obj: Any) -> Any:
     if isinstance(obj, float):
         return float(fmt(obj))
@@ -117,6 +122,53 @@ def _write_text(text: str, out: str | None) -> None:
 
 def _write_json(payload: dict[str, Any], out: str | None) -> None:
     _write_text(json.dumps(_round15(payload), indent=2) + "\n", out)
+
+
+def _json_float(x: float) -> str:
+    """`x` rounded to 15 digits and written as `json` writes a float."""
+    text = repr(float(fmt(x)))
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _json_block(items: list[str], brackets: str, indent: int) -> str:
+    """A list or object of already encoded `items` in `json`'s indent=2
+    layout, its closing bracket at column `indent`."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (indent + 2)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * indent + brackets[1]
+
+
+_SWEEP_TUPLE = """{
+      "l": %d,
+      "m": %d,
+      "b": %s,
+      "branch": %s,
+      "pass": %s,
+      "failed": %s,
+      "worst": %s
+    }"""
+
+
+def _sweep_text(payload: dict[str, Any]) -> str:
+    """The sweep payload as `_write_json` writes it, byte for byte: the
+    manifest through `json`, each tuple from one template."""
+    tuples = [
+        _SWEEP_TUPLE % (
+            t["l"], t["m"], _json_str(t["b"]), _json_str(t["branch"]),
+            _JSON_BOOL[t["pass"]],
+            _json_block([_json_str(s) for s in t["failed"]], "[]", 6),
+            _json_block(
+                [f"{_json_str(k)}: {_json_float(v)}" for k, v in t["worst"].items()],
+                "{}", 6,
+            ),
+        )
+        for t in payload["tuples"]
+    ]
+    manifest = json.dumps(_round15(payload["manifest"]), indent=2).replace("\n", "\n  ")
+    return '{\n  "manifest": %s,\n  "tuples": %s,\n  "count": %d,\n  "pass": %s\n}\n' % (
+        manifest, _json_block(tuples, "[]", 2), payload["count"], _JSON_BOOL[payload["pass"]],
+    )
 
 
 def _basis_payload(args: argparse.Namespace, label: SubspaceLabel) -> dict[str, Any]:
@@ -294,6 +346,27 @@ def _sweep_records(ell, m, b_values, branches, cert):
             }
 
 
+def _solve_labels(freqs, labels):
+    """(label, eigenvalues, eigenvectors) of every label, in order, from one
+    stacked eigensolve per dimension."""
+    groups: dict[int, list[SubspaceLabel]] = {}
+    for label in labels:
+        groups.setdefault(label.dim, []).append(label)
+    try:
+        specs = [eig_sym(build_hamiltonian(freqs, group)) for group in groups.values()]
+    except (ValueError, AssertionError):
+        # report the first failing label in sweep order, as one solve per
+        # label would
+        for label in labels:
+            eig_sym(build_hamiltonian(freqs, label))
+        raise
+    solved = {}
+    for group, spec in zip(groups.values(), specs):
+        for label, vals, vecs in zip(group, spec.eigenvalues, spec.eigenvectors):
+            solved[label] = (label, vals, vecs)
+    return [solved[label] for label in labels]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     freqs = parse_w(args.w)
     if not (0 <= args.lmax <= 20 and 0 <= args.mmax <= 20):
@@ -304,12 +377,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # lives for this command only: W(l, m) and W(m, l) pose the same
     # oracle problems, often bit for bit
     oracle: OracleMemo | None = None if args.no_oracle else {}
-    subspaces = []
-    for ell in range(args.lmax + 1):
-        for m in range(args.mmax + 1):
-            label = SubspaceLabel(ell, m)
-            spec = eig_sym(build_hamiltonian(freqs, label))
-            subspaces.append((label, spec.eigenvalues, spec.eigenvectors))
+    labels = [
+        SubspaceLabel(ell, m)
+        for ell in range(args.lmax + 1) for m in range(args.mmax + 1)
+    ]
+    subspaces = _solve_labels(freqs, labels)
     # one pipeline call; each label's tuples are built as soon as its group
     # is certified, so only one group's certificates are held at a time
     records = [[] for _ in subspaces]
@@ -324,7 +396,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "count": len(results),
         "pass": all_pass,
     }
-    _write_json(payload, args.out)
+    _write_text(_sweep_text(payload), args.out)
     for r in results:
         status = "pass" if r["pass"] else f"FAIL ({', '.join(r['failed'])})"
         print(

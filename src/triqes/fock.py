@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 # Subspace labels are capped so that interaction amplitudes and the
 # downstream factorial weights stay comfortably inside double precision.
@@ -62,6 +63,10 @@ class SubspaceLabel:
     @property
     def n_prime(self) -> int:
         return min(self.ell, self.m)
+
+
+# one label, or labels of one dimension for the array kernels
+Labels = SubspaceLabel | Sequence[SubspaceLabel]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ bands are closed forms:
 the off-diagonal being the amplitude of a+ b c on state j
 (`fock.apply_interaction` is the state-by-state reference).  Matrices
 are stored dense; dimensions never exceed 33, since min(l, m) + 1 <= 33
-when l + m <= 64.
+when l + m <= 64.  Labels of one dimension give one stack [label, d, d]
+from the same closed forms, which `spectra.eig_sym` solves in one call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SubspaceLabel
+from .fock import Labels, SubspaceLabel
 
 
 @dataclass(frozen=True)
@@ -54,22 +55,32 @@ def check_finite(name: str, values: np.typing.ArrayLike) -> None:
         raise ValueError(f"{name} is not finite: it overflows a double")
 
 
-def build_hamiltonian(freqs: ModeFrequencies, label: SubspaceLabel) -> np.ndarray:
+def build_hamiltonian(freqs: ModeFrequencies, label: Labels) -> np.ndarray:
     """The dense symmetric matrix of H on W(ell, m) in the canonical basis,
-    assembled from its two bands.
+    assembled from its two bands; for a sequence of labels of one
+    dimension d, the stack [label, d, d] of their matrices.
 
     The off-diagonal is the square root of an exact integer product and
     is written into both (j, j + 1) and (j + 1, j), so the result is
     exactly symmetric.  j runs over floats, so integer frequencies give a
-    float matrix too.  Frequencies near the double range may overflow
+    float matrix too.  Each matrix of a stack is bit for bit the one its
+    label gives alone.  Frequencies near the double range may overflow
     the diagonal; `eig_sym` rejects the non-finite matrix.
     """
-    ell, m = label.ell, label.m
-    j = np.arange(label.dim, dtype=float)
+    labels = [label] if isinstance(label, SubspaceLabel) else list(label)
+    dims = {lab.dim for lab in labels}
+    if len(dims) != 1:
+        raise ValueError(f"expected labels of one dimension, got dimensions {sorted(dims)}")
+    (dim,) = dims
+    ell = np.array([lab.ell for lab in labels])[:, None]
+    m = np.array([lab.m for lab in labels])[:, None]
+    h = np.zeros((len(labels), dim, dim))
+    diag = np.arange(dim)
+    j = np.arange(dim, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.diag(freqs.w1 * j + freqs.w2 * (ell - j) + freqs.w3 * (m - j))
-    k = np.arange(label.dim - 1)
+        h[:, diag, diag] = freqs.w1 * j + freqs.w2 * (ell - j) + freqs.w3 * (m - j)
+    k = np.arange(dim - 1)
     off = np.sqrt((k + 1) * (ell - k) * (m - k))
-    h[k, k + 1] = off
-    h[k + 1, k] = off
-    return h
+    h[:, k, k + 1] = off
+    h[:, k + 1, k] = off
+    return h[0] if isinstance(label, SubspaceLabel) else h

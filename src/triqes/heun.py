@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import SubspaceLabel
+from .fock import Labels, SubspaceLabel
 from .hamiltonian import ModeFrequencies, check_finite
 
 SQRT2 = math.sqrt(2.0)
@@ -57,8 +57,7 @@ class Branch(enum.Enum):
         return SQRT2 if self is Branch.PLUS else -SQRT2
 
 
-# one label or labels of one dimension; one branch or several
-Labels = SubspaceLabel | Sequence[SubspaceLabel]
+# one branch or several
 Branches = Branch | Sequence[Branch]
 
 

@@ -185,10 +185,12 @@ def _ladders(
         b_ = m + ell - 1
         g_ = 2 * (m + ell)
         d_ = c * (m * (w1 - w2) + ell * (w1 - w3) - energies)
+        # 4 b^2 overflows before b^2 does: divide by the power of two first,
+        # which is exact away from subnormals
         rungs = (
-            -0.25 + (ell - m) ** 2 / (4.0 * bb * bb),
-            (a_ * b_ - 2.0 * d_) / (2.0 * bb * bb),
-            (a_ * a_ + 4.0 * b_ - 4.0 * g_ - 4.0) / (4.0 * bb * bb),
+            -0.25 + (ell - m) ** 2 / 4.0 / (bb * bb),
+            (a_ * b_ - 2.0 * d_) / 2.0 / (bb * bb),
+            (a_ * a_ + 4.0 * b_ - 4.0 * g_ - 4.0) / 4.0 / (bb * bb),
             a_ / (bb * bb),
             1.0 / (bb * bb),
         )

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import triqes
 import triqes.certify
@@ -23,7 +24,7 @@ from triqes import (
     zero_mode_potentials,
 )
 from triqes.certify import STAGES
-from triqes.cli import _b2_zero_search, main
+from triqes.cli import _b2_zero_search, _round15, _sweep_text, main
 
 from conftest import frequencies, labels
 
@@ -327,6 +328,19 @@ class TestVerify:
         assert [c["failed"] for c in checks] == [[], []]
         assert all(c["schrodinger_residual"] <= 1e-14 for c in checks)
 
+    @pytest.mark.parametrize("b", ["7e153", "1e154", "1.3e154"])
+    def test_largest_b_true_eigenpairs_pass(self, capsys, b):
+        # 4 b^2 overflows from b ~ 6.7e153 and 2 b^2 from ~9.5e153, while
+        # b^2 stays finite up to ~1.34e154: rungs 2 and 1 of V_b once read
+        # 0 there and both eigenpairs failed with residuals ~5.5
+        code, out, _ = run_cli(
+            capsys, "verify", "--l", "3", "--m", "1", "--b", b, "--no-oracle",
+        )
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["failed"] for c in checks] == [[], []]
+        assert all(c["schrodinger_residual"] <= 1.4e-15 for c in checks)
+
     def test_energy_override_fails_with_oracle(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--l", "1", "--m", "1", "--b", "1/2",
@@ -594,6 +608,28 @@ class TestSweep:
         assert json.loads(out)["count"] == 9 * 4 * 2
         assert (len(pipeline), len(kernel)) == (1, 3)
 
+    def test_one_eigensolve_per_dimension(self, capsys, monkeypatch):
+        # the 49 labels of W(0..6, 0..6) fall into dimensions 1..7, each
+        # solved as one stack
+        calls = self.count_calls(monkeypatch, np.linalg, "eigh")
+        code, out, _ = run_cli(
+            capsys, "sweep", "--no-oracle", "--lmax", "6", "--mmax", "6",
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 49 * 2 * 2
+        assert len(calls) == 7
+
+    def test_failing_label_reported_in_sweep_order(self, capsys):
+        # at w = (0, 1e308, 1e308) W(0, 1) is the first label to fail, on
+        # ||H||_F, while W(0, 2) of the same dimension is not finite at all
+        code, out, err = run_cli(
+            capsys, "sweep", "--no-oracle", "--lmax", "2", "--mmax", "2",
+            "--w=0,1e308,1e308",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ||H||_F is not finite: it overflows a double\n"
+
     def test_oracle_memo_lives_for_one_sweep(self, capsys, monkeypatch):
         # a memo that outlived the command would answer the second sweep
         # without a single eigensolve
@@ -838,3 +874,66 @@ def test_scipy_loads_only_with_the_oracle(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+WORST_KEYS = ["bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual"]
+SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.5e-310, 1e308,
+    1.7976931348623157e308, 1.2345678901234567e-16, 0.1,
+]
+
+
+@st.composite
+def sweep_payloads(draw):
+    oracle = draw(st.booleans())
+    keys = WORST_KEYS + ["oracle_richardson_gap"] * oracle
+    branches = draw(st.sampled_from([["minus", "plus"], ["plus"], ["minus"]]))
+    values = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    tuples = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        failed = [s for s in STAGES if draw(st.booleans())]
+        tuples.append({
+            "l": draw(st.integers(0, 20)), "m": draw(st.integers(0, 20)),
+            "b": draw(st.sampled_from(["1", "1/2", "3/2", "2", str(7 * 10**153)])),
+            "branch": draw(st.sampled_from(branches)),
+            "pass": not failed,
+            "failed": failed,
+            "worst": {k: draw(values) for k in keys},
+        })
+    params = {
+        "lmax": 20, "mmax": 20, "w": draw(st.sampled_from(["1,1,1", "2,0.5,-1"])),
+        "b": "1,1/2", "branch": branches[0] if len(branches) == 1 else None,
+        "no_oracle": not oracle,
+    }
+    return {
+        "manifest": {
+            "command": "sweep", "params": params, "version": triqes.__version__,
+            "timestamp": "2026-10-19T00:00:00+00:00",
+        },
+        "tuples": tuples,
+        "count": len(tuples),
+        "pass": all(t["pass"] for t in tuples),
+    }
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(sweep_payloads())
+def test_sweep_writer_matches_json(payload):
+    # the template writer is json's indent=2 layout of the rounded payload,
+    # NaN, Infinity and -0.0 included
+    assert _sweep_text(payload) == json.dumps(_round15(payload), indent=2) + "\n"
+
+
+def test_sweep_writer_on_a_failing_sweep(capsys, monkeypatch):
+    # an oracle grid of 100 nodes under-resolves some of these zero modes:
+    # the output of a failing oracle sweep re-encodes to itself
+    monkeypatch.setattr(triqes.fdoracle, "ORACLE_POINTS", 100)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--lmax", "1", "--mmax", "1", "--b", "1/2,1",
+        "--w=-1.5,0.8,1.9",
+    )
+    payload = json.loads(out)
+    assert code == 1
+    assert ["oracle"] in [t["failed"] for t in payload["tuples"]]
+    assert out == json.dumps(payload, indent=2) + "\n"

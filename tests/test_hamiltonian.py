@@ -108,3 +108,12 @@ def test_integer_frequencies_give_float_matrix():
     h = build_hamiltonian(freqs, label)
     assert h.dtype == np.float64
     assert np.array_equal(h, _reference_matrix(freqs, label))
+
+
+def test_stack_needs_one_dimension(unit_freqs):
+    stack = build_hamiltonian(unit_freqs, [SubspaceLabel(1, 3), SubspaceLabel(4, 1)])
+    assert stack.shape == (2, 2, 2)
+    with pytest.raises(ValueError, match="labels of one dimension"):
+        build_hamiltonian(unit_freqs, [SubspaceLabel(1, 3), SubspaceLabel(2, 2)])
+    with pytest.raises(ValueError, match="labels of one dimension"):
+        build_hamiltonian(unit_freqs, [])

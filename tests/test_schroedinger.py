@@ -20,7 +20,12 @@ from triqes import (
     zero_mode_potentials,
 )
 from triqes.heun import operator_residuals, rho_coefficients
-from triqes.schroedinger import PotentialSpec, zero_mode_envelope, zero_mode_residuals
+from triqes.schroedinger import (
+    PotentialSpec,
+    _ladders,
+    zero_mode_envelope,
+    zero_mode_residuals,
+)
 
 from conftest import certify_one, frequencies, labels
 
@@ -372,6 +377,43 @@ class TestResonance:
         assert rungs.shape == (5, 1, len(Branch), len(b_values), label.dim)
         assert rungs[3].ravel().tolist() == [0.0] * rungs[3].size
         assert not a_.any()
+
+
+def old_quotient_rungs(b, freqs, label, energy, branch):
+    """The five rungs with 4 b^2 and 2 b^2 formed before the division, the
+    form the ladder used before b ~ 6.7e153 was reachable."""
+    bb, c = float(b), branch.c
+    w1, w2, w3 = freqs.as_tuple()
+    ell, m = label.ell, label.m
+    a_ = c * (w1 - w2 - w3)
+    b_, g_ = m + ell - 1, 2 * (m + ell)
+    d_ = c * (m * (w1 - w2) + ell * (w1 - w3) - energy)
+    return [
+        -0.25 + (ell - m) ** 2 / (4.0 * bb * bb),
+        (a_ * b_ - 2.0 * d_) / (2.0 * bb * bb),
+        (a_ * a_ + 4.0 * b_ - 4.0 * g_ - 4.0) / (4.0 * bb * bb),
+        a_ / (bb * bb),
+        1.0 / (bb * bb),
+    ]
+
+
+@pytest.mark.parametrize(
+    "b", [HALF, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(10**7), Fraction(5 * 10**153)]
+)
+def test_rungs_keep_their_bits(b):
+    # x / 4 / b^2 is x / (4 b^2) bit for bit wherever 4 b^2 is finite: a
+    # division by a power of two is exact away from subnormals
+    freqs = ModeFrequencies(2.0, 0.5, -1.0)
+    group = [SubspaceLabel(3, 1), SubspaceLabel(1, 4), SubspaceLabel(1, 1)]
+    energies = eig_sym(build_hamiltonian(freqs, group)).eigenvalues
+    branches = list(Branch)
+    rungs = _ladders(np.array([[float(b)]]), freqs, group, energies[:, None, None], branches)
+    for i, label in enumerate(group):
+        for j, branch in enumerate(branches):
+            for k, energy in enumerate(energies[i].tolist()):
+                expected = old_quotient_rungs(b, freqs, label, energy, branch)
+                got = rungs[:, i, j, 0, k].tolist()
+                assert list(map(float.hex, got)) == list(map(float.hex, expected))
 
 
 class TestResidual:

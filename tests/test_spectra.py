@@ -151,3 +151,57 @@ def test_model_matrices_against_mpmath(w, ell, m):
 def test_random_matrix_against_mpmath():
     a = np.random.default_rng(12).standard_normal((12, 12))
     assert_matches_mpmath((a + a.T) / 2.0)
+
+
+def labels_of_one_dimension(max_dim=21):
+    """A dimension d <= `max_dim` and 1-6 distinct labels of dimension d."""
+
+    def of_dim(d):
+        n = d - 1  # min(l, m)
+        pool = [(n, m) for m in range(n, 65 - n)] + [(ell, n) for ell in range(n + 1, 65 - n)]
+        return st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True)
+
+    pairs = st.integers(min_value=1, max_value=max_dim).flatmap(of_dim)
+    return pairs.map(lambda ps: [SubspaceLabel(ell, m) for ell, m in ps])
+
+
+@settings(max_examples=60, deadline=None)
+@given(frequencies(), labels_of_one_dimension())
+def test_stack_matches_one_matrix_calls(freqs, group):
+    # one eigh over the stack gives every matrix's values and signed vectors
+    # bit for bit
+    stack = build_hamiltonian(freqs, group)
+    spec = eig_sym(stack)
+    assert spec.eigenvalues.shape == (len(group), group[0].dim)
+    assert spec.eigenvectors.shape == (len(group), group[0].dim, group[0].dim)
+    for i, label in enumerate(group):
+        h = build_hamiltonian(freqs, label)
+        assert h.tobytes() == stack[i].tobytes()
+        one = eig_sym(h)
+        assert one.eigenvalues.tobytes() == spec.eigenvalues[i].tobytes()
+        assert one.eigenvectors.tobytes() == spec.eigenvectors[i].tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite input"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite input"),
+        (np.array([[1.0, 1e-3], [0.0, 1.0]]), "expected a symmetric matrix"),
+        (np.array([[1e200, 0.0], [0.0, 1e200]]), r"\|\|H\|\|_F is not finite"),
+    ],
+)
+def test_stack_member_rejected(bad, message):
+    # one bad member fails the whole stack with the message it gets alone
+    with pytest.raises(ValueError, match=message):
+        eig_sym(bad)
+    stack = np.stack([np.eye(2), bad, np.diag([2.0, 3.0])])
+    with pytest.raises(ValueError, match=message):
+        eig_sym(stack)
+
+
+def test_stack_shape_rejected():
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        eig_sym(np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        eig_sym(np.zeros((1, 2, 2, 2)))
