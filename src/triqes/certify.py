@@ -19,25 +19,28 @@ given, every transformation exponent b and every branch:
    at lambda.
 
 `certify_subspace` takes the subspaces as (label, energies, eigenvectors)
-and groups them by shape: the labels of one dimension min(l, m) + 1 with
-as many eigenvectors form one group, so no phi column is padded.  Each
-group runs stages 1-4 as one array pass: stages 1-2 over the column axes
-[label, branch, column], shared by every b since they do not depend on
-it, and stages 3-4 as one `zero_mode_ladders` call and one
-`zero_mode_residuals` call on its float arrays as they are, over [label,
-branch, b, column], each column at its own b with its own A and lambda.  E enters only through rung 1 of V_b (b != 1/2) or through lambda
+and lays every eigenpair of every subspace along one pair axis, in
+subspace order and then column order, each pair with its own label's
+constants; phi rows are padded with zeros to the top degree (exact, see
+`heun`), columns are not padded.  Stages 1-4 are one array pass: stages
+1-2 over the axes [pair, branch, 1], shared by every b since they do not
+depend on it, and stages 3-4 as one `zero_mode_ladders` call and one
+`zero_mode_residuals` call on its float arrays as they are, over [pair,
+branch, b, 1], each column at its own b with its own A and lambda.  E
+enters only through rung 1 of V_b (b != 1/2) or through lambda
 (b = 1/2).  Every number is elementwise, so a column is bit for bit the
-same whichever subspaces share its call.  The oracle then runs group by
-group, subspace by subspace, in (branch, b, eigenvector) order, once per
-distinct (potential, lambda) in the `OracleMemo` the caller passes, its
-key a `PotentialSpec` built for each checked column only; `sweep` passes
-one memo for the command.
+same whichever subspaces share its call.  The oracle then runs subspace
+by subspace, in (branch, b, eigenvector) order, once per distinct
+(potential, lambda) in the `OracleMemo` the caller passes, its key a
+`PotentialSpec` built for each checked column only; `sweep` passes one
+memo for the command.
 
-Each subspace gets one `Certificate`: arrays indexed [branch, b, column]
-(`potential` [branch, b, column, rung]) and a `failed` mask per stage of
-`STAGES`, by one rule: "bhe" where either BHE residual is not <=
-`BHE_RTOL`, "schrodinger" where the zero-mode residual is not <= that
-`BHE_RTOL` (a NaN fails), "oracle" where the oracle missed.
+Each subspace gets one `Certificate`, a slice of the batch's arrays,
+which are transposed once to [branch, b, pair]: arrays indexed [branch,
+b, column] (`potential` [branch, b, column, rung]) and a `failed` mask
+per stage of `STAGES`, by one rule: "bhe" where either BHE residual is
+not <= `BHE_RTOL`, "schrodinger" where the zero-mode residual is not <=
+that `BHE_RTOL` (a NaN fails), "oracle" where the oracle missed.
 """
 
 from __future__ import annotations
@@ -111,75 +114,97 @@ def certify_subspace(
     `branches`.
 
     Column i of `vecs` is an eigenvector of W(l, m), checked against
-    `energies[i]`; pass a wrong energy to watch its column fail.  Yields
-    (i, `Certificate`) for the i-th subspace, indexed [branch, b, column],
-    group by group: the subspaces of one shape form one group, in the order
-    their first member comes, and every group runs stages 1-4 as one array
-    pass.  `oracle=None` skips the oracle; a dict runs it, subspace by
-    subspace of a group, then branch by branch, b by b, column by column.
-    An oracle check depends on (potential, lambda) alone: a pair already in
-    `oracle` is not solved again, and every new one is added.
+    `energies[i]`; pass a wrong energy to watch its column fail.  Every
+    subspace's shapes are checked before any stage runs, and the first bad
+    one raises.  Yields (i, `Certificate`) for the i-th subspace, indexed
+    [branch, b, column], in order; stages 1-4 run as one array pass over
+    the eigenpairs of all subspaces.  `oracle=None` skips the oracle; a
+    dict runs it, subspace by subspace, then branch by branch, b by b,
+    column by column.  An oracle check depends on (potential, lambda)
+    alone: a pair already in `oracle` is not solved again, and every new
+    one is added.
     """
-    groups: dict[tuple, list] = {}
-    for i, (label, energies, vecs) in enumerate(subspaces):
+    checked = []
+    for label, energies, vecs in subspaces:
         energies, vecs = np.asarray(energies, dtype=float), np.asarray(vecs, dtype=float)
-        key = (label.dim, energies.shape, vecs.shape)
-        groups.setdefault(key, []).append((i, label, energies, vecs))
-    for members in groups.values():
-        index, labels, energies, vecs = zip(*members)
-        certs = _certify_group(
-            freqs, labels, np.stack(energies), np.stack(vecs, axis=1)[:, :, None],
-            b_values, branches, oracle,
+        if vecs.ndim != 2 or len(vecs) != label.dim:
+            raise ValueError(
+                f"eigenvector length {vecs.shape[:1]} does not match dim {label.dim}"
+            )
+        if energies.shape != vecs.shape[1:]:
+            raise ValueError(f"{energies.size} energies for {vecs.shape[1]} eigenvectors")
+        checked.append((label, energies, vecs))
+    # the pair axis: every eigenpair of every subspace, in order, each with
+    # its own label; eigenvectors padded at the front to the top dimension
+    labels = [label for label, energies, _ in checked for _ in range(len(energies))]
+    ends = np.cumsum([0] + [len(energies) for _, energies, _ in checked]).tolist()
+    vecs = np.zeros((max((lab.dim for lab in labels), default=1), len(labels)))
+    for (label, _, v), start, stop in zip(checked, ends, ends[1:]):
+        if stop > start:  # a subspace without columns may exceed the top dimension
+            vecs[len(vecs) - label.dim :, start:stop] = v
+    energies = np.concatenate([e for _, e, _ in checked] or [np.empty(0)])
+    batch = _certify_pairs(freqs, labels, energies, vecs, b_values, branches)
+    for i, (start, stop) in enumerate(zip(ends, ends[1:])):
+        cols = slice(start, stop)
+        lams = batch.lam[..., cols]
+        cert = Certificate(
+            bhe_operator_residual=batch.bhe_operator_residual[..., cols],
+            bhe_standard_residual=batch.bhe_standard_residual[..., cols],
+            potential=batch.potential[:, :, cols],
+            lam=lams,
+            schrodinger_residual=batch.schrodinger_residual[..., cols],
+            oracle=None if oracle is None else np.empty(lams.shape, dtype=object),
+            failed=batch.failed[..., cols],
         )
-        yield from zip(index, certs)
-
-
-def _certify_group(freqs, labels, energies, vecs, b_values, branches, oracle):
-    """Stages 1-4 over [label, branch, b, column] of labels of one dimension,
-    `energies` [label, column] and `vecs` [component, label, 1, column];
-    then, label by label, the oracle and the label's `Certificate`."""
-    phi = rho_coefficients(labels, vecs, branches)  # [row, label, branch, column]
-    if energies.shape[1:] != phi.shape[-1:]:
-        raise ValueError(f"{energies[0].size} energies for {phi.shape[-1]} eigenvectors")
-    scales = _worst(phi)
-    e = energies[:, None]
-    # stages 1-2 do not depend on b: [label, branch, column]
-    op_rel = _worst(operator_residuals(freqs, labels, e, phi, branches)) / scales
-    std_rel = _worst(
-        standard_residuals(bhe_params(freqs, labels, e, branches), phi)
-    ) / scales
-    # stages 3-4: one zero-mode column per (label, branch, b, eigenvector)
-    rungs, lams, a_ = zero_mode_ladders(b_values, freqs, labels, energies, branches)
-    shape = lams.shape
-    deltas = np.array([lab.k - lab.n_prime for lab in labels])[:, None, None, None]
-    schr_rel = _worst(
-        zero_mode_residuals(b_values, rungs, lams, deltas, a_, phi[:, :, :, None])
-    ) / scales[:, :, None]
-    # one rule, in STAGES order; a NaN residual is not <= BHE_RTOL and fails
-    failed = np.zeros((len(STAGES), *shape), dtype=bool)
-    failed[0] = (~(op_rel <= BHE_RTOL) | ~(std_rel <= BHE_RTOL))[:, :, None]
-    failed[1] = ~(schr_rel <= BHE_RTOL)
-    ladders = np.moveaxis(rungs, 0, -1)  # [label, branch, b, column, rung]
-    for g in range(len(labels)):
-        results = None
         if oracle is not None:
-            results = np.empty(shape[1:], dtype=object)
-            rows = ladders[g].tolist()
-            for i, j, col in np.ndindex(shape[1:]):
-                vspec = PotentialSpec(b_values[j], tuple(rows[i][j][col]))
-                lam = float(lams[g, i, j, col])
+            rows = cert.potential.tolist()
+            for br, j, col in np.ndindex(lams.shape):
+                vspec = PotentialSpec(b_values[j], tuple(rows[br][j][col]))
+                lam = float(lams[br, j, col])
                 if (vspec, lam) not in oracle:
                     oracle[vspec, lam] = contains_eigenvalue(
                         vspec, oracle_config(vspec, lam), lam
                     )
-                results[i, j, col] = oracle[vspec, lam]
-                failed[2, g, i, j, col] = not results[i, j, col].hit
-        yield Certificate(
-            bhe_operator_residual=np.broadcast_to(op_rel[g][:, None], shape[1:]),
-            bhe_standard_residual=np.broadcast_to(std_rel[g][:, None], shape[1:]),
-            potential=ladders[g],
-            lam=lams[g],
-            schrodinger_residual=schr_rel[g],
-            oracle=results,
-            failed=failed[:, g],
-        )
+                cert.oracle[br, j, col] = oracle[vspec, lam]
+                cert.failed[2, br, j, col] = not oracle[vspec, lam].hit
+        yield i, cert
+
+
+def _certify_pairs(freqs, labels, energies, vecs, b_values, branches):
+    """Stages 1-4 of eigenpairs with `labels` and `energies` [pair] and
+    `vecs` [component, pair], as one `Certificate` whose column axis is the
+    pair axis; no oracle."""
+    # [row, pair, branch, 1]
+    phi = rho_coefficients(labels, vecs[:, :, None, None], branches)
+    scales = _worst(phi)
+    e = energies[:, None, None]
+    # stages 1-2 do not depend on b: [pair, branch, 1]
+    op_rel = _worst(operator_residuals(freqs, labels, e, phi, branches)) / scales
+    std_rel = _worst(
+        standard_residuals(bhe_params(freqs, labels, e, branches), phi)
+    ) / scales
+    # stages 3-4: one zero-mode column per (pair, branch, b), [pair, branch, b, 1]
+    rungs, lams, a_ = zero_mode_ladders(
+        b_values, freqs, labels, energies[:, None], branches
+    )
+    deltas = np.array([lab.k - lab.n_prime for lab in labels])[:, None, None, None]
+    schr_rel = _worst(
+        zero_mode_residuals(b_values, rungs, lams, deltas, a_, phi[:, :, :, None])
+    ) / scales[:, :, None]
+    # transposed once: [pair, branch, (b,) 1] -> [branch, (b,) pair]
+    op_rel, std_rel = op_rel[..., 0].T, std_rel[..., 0].T
+    schr_rel = schr_rel[..., 0].transpose(1, 2, 0)
+    shape = schr_rel.shape
+    # one rule, in STAGES order; a NaN residual is not <= BHE_RTOL and fails
+    failed = np.zeros((len(STAGES), *shape), dtype=bool)
+    failed[0] = (~(op_rel <= BHE_RTOL) | ~(std_rel <= BHE_RTOL))[:, None]
+    failed[1] = ~(schr_rel <= BHE_RTOL)
+    return Certificate(
+        bhe_operator_residual=np.broadcast_to(op_rel[:, None], shape),
+        bhe_standard_residual=np.broadcast_to(std_rel[:, None], shape),
+        potential=rungs[..., 0].transpose(2, 3, 1, 0),
+        lam=lams[..., 0].transpose(1, 2, 0),
+        schrodinger_residual=schr_rel,
+        oracle=None,
+        failed=failed,
+    )

@@ -15,12 +15,12 @@ import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
 from . import __version__
-from .certify import STAGES, OracleMemo, certify_subspace
+from .certify import STAGES, Certificate, OracleMemo, certify_subspace
 from .fock import SubspaceLabel, subspace_basis
 from .hamiltonian import ModeFrequencies, build_hamiltonian
 from .heun import Branch, rho_coefficients
@@ -124,8 +124,18 @@ def _write_json(payload: dict[str, Any], out: str | None) -> None:
     _write_text(json.dumps(_round15(payload), indent=2) + "\n", out)
 
 
+# normal doubles whose 15-digit rounding is below 1e15: from there on
+# %.15g writes an exponent where repr writes every digit
+_FAST_FLOATS = (sys.float_info.min, 999999999999999.5)
+
+
 def _json_float(x: float) -> str:
     """`x` rounded to 15 digits and written as `json` writes a float."""
+    if _FAST_FLOATS[0] <= abs(x) < _FAST_FLOATS[1]:
+        # 15 <= DBL_DIG digits of a normal double are the shortest repr of
+        # their own rounding; %g only drops the ".0" of a whole number
+        text = "%.15g" % x
+        return text if "." in text or "e" in text else text + ".0"
     text = repr(float(fmt(x)))
     return _JSON_NONFINITE.get(text, text)
 
@@ -139,36 +149,82 @@ def _json_block(items: list[str], brackets: str, indent: int) -> str:
     return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * indent + brackets[1]
 
 
-_SWEEP_TUPLE = """{
+_WORST_KEYS = ("bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual")
+
+# one sweep tuple, by whether the oracle ran
+_SWEEP_TUPLE = {
+    oracle: """{
       "l": %d,
       "m": %d,
       "b": %s,
       "branch": %s,
       "pass": %s,
       "failed": %s,
-      "worst": %s
-    }"""
+      "worst": """ + _json_block(
+        [f"{_json_str(k)}: %s" for k in _WORST_KEYS + ("oracle_richardson_gap",) * oracle],
+        "{}", 6,
+    ) + "\n    }"
+    for oracle in (False, True)
+}
 
 
-def _sweep_text(payload: dict[str, Any]) -> str:
-    """The sweep payload as `_write_json` writes it, byte for byte: the
-    manifest through `json`, each tuple from one template."""
-    tuples = [
-        _SWEEP_TUPLE % (
-            t["l"], t["m"], _json_str(t["b"]), _json_str(t["branch"]),
-            _JSON_BOOL[t["pass"]],
-            _json_block([_json_str(s) for s in t["failed"]], "[]", 6),
-            _json_block(
-                [f"{_json_str(k)}: {_json_float(v)}" for k, v in t["worst"].items()],
-                "{}", 6,
-            ),
-        )
-        for t in payload["tuples"]
-    ]
-    manifest = json.dumps(_round15(payload["manifest"]), indent=2).replace("\n", "\n  ")
-    return '{\n  "manifest": %s,\n  "tuples": %s,\n  "count": %d,\n  "pass": %s\n}\n' % (
-        manifest, _json_block(tuples, "[]", 2), payload["count"], _JSON_BOOL[payload["pass"]],
+def _verdict(stages: list[str]) -> tuple[str, str, str]:
+    return (
+        _JSON_BOOL[not stages],
+        _json_block([_json_str(s) for s in stages], "[]", 6),
+        f"FAIL ({', '.join(stages)})" if stages else "pass",
     )
+
+
+# a tuple's "pass" and "failed" and its status line, by the bit pattern of
+# its failed stages (bit k for STAGES[k])
+_VERDICTS = [
+    _verdict([s for k, s in enumerate(STAGES) if bits >> k & 1])
+    for bits in range(1 << len(STAGES))
+]
+_STAGE_BITS = (1 << np.arange(len(STAGES)))[:, None, None]
+
+
+def _sweep_text(
+    manifest: dict[str, Any],
+    certified: Iterable[tuple[SubspaceLabel, Certificate]],
+    b_values: list[Fraction],
+    branches: list[Branch],
+) -> tuple[str, str, bool]:
+    """`sweep`'s file, its stderr status lines and its verdict, from the
+    `Certificate` of each label in sweep order.
+
+    The file is, byte for byte, what `_write_json` writes for the payload
+    (manifest, tuples, count, pass): the manifest through `json`, each
+    tuple in (l, m, b, branch) order from one template, with its verdict,
+    the stages any eigenpair failed and the worst value of each residual.
+    """
+    bs = [(str(b), _json_str(str(b))) for b in b_values]
+    brs = [(br.value, _json_str(br.value)) for br in branches]
+    tuples, status, all_pass = [], [], True
+    for label, cert in certified:
+        worst = [getattr(cert, k).max(axis=2).tolist() for k in _WORST_KEYS]
+        if cert.oracle is not None:
+            worst.append([
+                [max(c.richardson_gap for c in cols) for cols in per_b]
+                for per_b in cert.oracle
+            ])
+        patterns = (cert.failed.any(axis=3) * _STAGE_BITS).sum(axis=0).tolist()
+        template = _SWEEP_TUPLE[cert.oracle is not None]
+        for j, (b, b_json) in enumerate(bs):
+            for i, (branch, branch_json) in enumerate(brs):
+                passed, failed, verdict = _VERDICTS[patterns[i][j]]
+                tuples.append(template % (
+                    label.ell, label.m, b_json, branch_json, passed, failed,
+                    *[_json_float(w[i][j]) for w in worst],
+                ))
+                status.append(f"l={label.ell} m={label.m} b={b} {branch:>5}: {verdict}\n")
+                all_pass &= not patterns[i][j]
+    manifest_text = json.dumps(_round15(manifest), indent=2).replace("\n", "\n  ")
+    text = '{\n  "manifest": %s,\n  "tuples": %s,\n  "count": %d,\n  "pass": %s\n}\n' % (
+        manifest_text, _json_block(tuples, "[]", 2), len(tuples), _JSON_BOOL[all_pass],
+    )
+    return text, "".join(status), all_pass
 
 
 def _basis_payload(args: argparse.Namespace, label: SubspaceLabel) -> dict[str, Any]:
@@ -324,28 +380,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
-def _sweep_records(ell, m, b_values, branches, cert):
-    """The sweep tuples of one label in (b, branch) order: each one's verdict,
-    the stages any eigenpair failed and the worst value of each residual."""
-    keys = ["bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual"]
-    worst = {k: getattr(cert, k).max(axis=2).tolist() for k in keys}
-    if cert.oracle is not None:
-        worst["oracle_richardson_gap"] = [
-            [max(c.richardson_gap for c in cols) for cols in per_b]
-            for per_b in cert.oracle
-        ]
-    failed = cert.failed.any(axis=3).tolist()
-    for j, bfrac in enumerate(b_values):
-        for i, branch in enumerate(branches):
-            stages = [s for s, f in zip(STAGES, failed) if f[i][j]]
-            yield {
-                "l": ell, "m": m, "b": str(bfrac), "branch": branch.value,
-                "pass": not stages,
-                "failed": stages,
-                "worst": {k: v[i][j] for k, v in worst.items()},
-            }
-
-
 def _solve_labels(freqs, labels):
     """(label, eigenvalues, eigenvectors) of every label, in order, from one
     stacked eigensolve per dimension."""
@@ -382,27 +416,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for ell in range(args.lmax + 1) for m in range(args.mmax + 1)
     ]
     subspaces = _solve_labels(freqs, labels)
-    # one pipeline call; each label's tuples are built as soon as its group
-    # is certified, so only one group's certificates are held at a time
-    records = [[] for _ in subspaces]
-    for i, cert in certify_subspace(freqs, subspaces, b_values, branches, oracle=oracle):
-        label = subspaces[i][0]
-        records[i] = list(_sweep_records(label.ell, label.m, b_values, branches, cert))
-    results = [r for per_label in records for r in per_label]
-    all_pass = all(r["pass"] for r in results)
-    payload = {
-        "manifest": _manifest(args, b=",".join(map(str, b_values))),
-        "tuples": results,
-        "count": len(results),
-        "pass": all_pass,
-    }
-    _write_text(_sweep_text(payload), args.out)
-    for r in results:
-        status = "pass" if r["pass"] else f"FAIL ({', '.join(r['failed'])})"
-        print(
-            f"l={r['l']} m={r['m']} b={r['b']} {r['branch']:>5}: {status}",
-            file=sys.stderr,
-        )
+    certified = (
+        (subspaces[i][0], cert)
+        for i, cert in certify_subspace(freqs, subspaces, b_values, branches, oracle=oracle)
+    )
+    text, status, all_pass = _sweep_text(
+        _manifest(args, b=",".join(map(str, b_values))), certified, b_values, branches
+    )
+    _write_text(text, args.out)
+    sys.stderr.write(status)
     return 0 if all_pass else 1
 
 

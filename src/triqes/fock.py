@@ -65,7 +65,8 @@ class SubspaceLabel:
         return min(self.ell, self.m)
 
 
-# one label, or labels of one dimension for the array kernels
+# one label, or a sequence of labels: of one dimension for
+# `build_hamiltonian`, of any dimensions for the BHE kernels
 Labels = SubspaceLabel | Sequence[SubspaceLabel]
 
 

@@ -15,12 +15,17 @@ Both recurrences are exact in the polynomial coefficients; no grids are
 involved.  The map and both recurrences are array operations over one
 column per eigenvector (`rho_coefficients`, `operator_residuals`,
 `standard_residuals`), with E entering as a vector.  Each of them, and
-`bhe_params`, also takes a sequence of labels of one dimension and a
-sequence of branches in place of one label and one branch: their
-constants l, m, k, the w2 <-> w3 swap, the map weights and c then become
-arrays over the column axes [label, branch, column], and one call covers
-every (label, branch) pair.  One label and one branch is the same
-arithmetic on scalars, so a column is bit for bit the same either way.
+`bhe_params`, also takes a sequence of labels and a sequence of branches
+in place of one label and one branch: their constants l, m, k, the
+w2 <-> w3 swap, the map weights and c then become arrays over the column
+axes [label, branch, column], and one call covers every (label, branch)
+pair.  Labels of several dimensions share one call with their phi rows
+padded by zeros to the largest degree: a polynomial with zero leading
+coefficients is the same polynomial, and each residual coefficient only
+gains +-0 terms, so its value is unchanged while the band coefficients
+are finite (one that overflows to inf makes a padded 0 a NaN).  One
+label and one branch is the same arithmetic on scalars, so a column is
+bit for bit the same either way.
 The BHE twins
 `fock_to_rho_polynomial` (which returns a `RhoPolynomial`),
 `bhe_operator_residual` and `bhe_standard_residual` are their one-column
@@ -110,14 +115,21 @@ def _rows(n: int, ndim: int) -> np.ndarray:
 
 def _rho_weights(label: Labels, branch: Branches) -> np.ndarray:
     """Weight of coefficient n: c^(k+n) / sqrt(j! (l-j)! (m-j)!), j = N' - n,
-    shaped [row, 1], or [row, label, branch, 1] for sequences.
+    shaped [row, 1], or [row, label, branch, 1] for sequences, with as many
+    rows as the largest dimension (one for no labels) and 0 above each
+    label's own N'.
 
     Factorials are evaluated exactly as integers before the single rounding
-    to double.
+    to double, once per distinct label.
     """
     if not isinstance(label, SubspaceLabel):
-        weights = [[_rho_weights(lab, br)[:, 0] for br in branch] for lab in label]
-        return np.moveaxis(np.array(weights), 2, 0)[..., None]
+        distinct = {lab: u for u, lab in enumerate(dict.fromkeys(label))}
+        rows = max((lab.dim for lab in distinct), default=1)
+        weights = np.zeros((len(distinct), len(branch), rows))
+        for lab, u in distinct.items():
+            for i, br in enumerate(branch):
+                weights[u, i, : lab.dim] = _rho_weights(lab, br)[:, 0]
+        return np.moveaxis(weights[[distinct[lab] for lab in label]], 2, 0)[..., None]
     ell, m, k, n_prime = label.ell, label.m, label.k, label.n_prime
     c = branch.c
     weights = []
@@ -135,7 +147,9 @@ def rho_coefficients(label: Labels, vecs: np.ndarray, branch: Branches) -> np.nd
     Row n of the result is coefficient b_n: the canonical component
     j = N' - n times its weight (`_rho_weights`).  For sequences of labels
     and branches, `vecs` is [component, label, 1, column] and the result
-    [row, label, branch, column].
+    [row, label, branch, column], both with as many rows as the largest
+    dimension: a label of a smaller dimension d holds its components in the
+    last d rows, zeros before, and its phi reads 0 above its degree.
     """
     weights = _rho_weights(label, branch)
     vecs = np.asarray(vecs, dtype=float)

@@ -39,11 +39,11 @@ E-independent and has genuine eigenvalues eps(E).
 
 One builder, `zero_mode_ladders`, writes the rungs [rung, label, branch,
 b, column], the lambdas and the envelope's A for many zero modes at once,
-over sequences of labels (of one dimension), branches, b values and
-eigenvalues.  The rung closed forms above are written once, in
-`_ladders`, which `potential_specs` also reads for V_b itself (at b = 1/2
-too); `zero_mode_potentials` is the builder's one-(label, b, branch) call
-and `zero_mode_envelope` the curve's envelope (s, A).  At resonance,
+over sequences of labels, branches, b values and eigenvalues.  The rung
+closed forms above are written once, in `_ladders`, which
+`potential_specs` also reads for V_b itself (at b = 1/2 too);
+`zero_mode_potentials` is the one-(label, b, branch) call of
+`zero_mode_ladders` and `zero_mode_envelope` the curve's envelope (s, A).  At resonance,
 w1 = w2 + w3, A is 0 and rung 3 of every V_b is exactly 0.0.
 
 The zero mode has one format: its envelope (s, A) and phi as a
@@ -237,7 +237,7 @@ def zero_mode_ladders(
     """Per (label, branch, b, eigenvalue), the ladder of the potential whose
     level lambda the zero mode sits at, lambda, and the envelope's A.
 
-    `labels` share one dimension and `energies` is [label, column].
+    `labels` may mix dimensions and `energies` is [label, column].
     Returns float arrays: the rungs [rung, label, branch, b, column], the
     lambdas [label, branch, b, column], and A = c (w1 - w2 - w3), shaped
     [branch, 1, 1].  At b = 1/2 the potential is the E-free displaced
@@ -350,9 +350,12 @@ def zero_mode_residuals(
     over [..., b, column]; the b axis runs over `b_values`, each
     converted to a float once.  Row j of the result is the coefficient of
     v^j, over the same axes; a column's rows above its own degree are
-    zero.  Every coefficient accumulates its terms in the same order as a
-    scalar loop over the columns would.  Raises ValueError when some
-    lam != 0 at a b where `lambda_rung` finds no rung.
+    zero, and so are those of a phi padded with zero rows.  The terms are
+    added one phi coefficient n at a time, so no array larger than the
+    result is held, and every coefficient accumulates its terms in the
+    same order as a scalar loop over the columns would.  Raises
+    ValueError when some lam != 0 at a b where `lambda_rung` finds no
+    rung.
     """
     bf = np.array([float(b) for b in b_values])[:, None]
     shape = np.broadcast(bf, rungs[0], lams, deltas, As, phis[0]).shape
@@ -362,18 +365,21 @@ def zero_mode_residuals(
                  for j, b in enumerate(b_values)]
     lam_power = np.where(lams != 0.0, np.array(rung_of_b)[:, None], 0)
     bf2 = bf * bf
-    # P / (phi_n v^n) in powers of v, for each n
-    n = np.arange(len(phis)).reshape(-1, *[1] * len(shape))
-    rows = np.zeros((len(phis), max(5, lam_power.max(initial=0) + 1), *shape))
-    rows[:, 0] = -n * (n + deltas)
-    rows[:, 1] = As * (n + 0.5 * (deltas + 1)) + bf2 * rungs[1]
-    rows[:, 2] = 2 * n + deltas + 2 - 0.25 * As * As + bf2 * rungs[2]
-    rows[:, 3] = bf2 * rungs[3] - As
-    rows[:, 4] = bf2 * rungs[4] - 1.0
-    rows[(slice(None), lam_power, *np.indices(shape, sparse=True))] -= bf2 * lams
-    out = np.zeros((len(phis) + rows.shape[1] - 1, *shape))
-    # finite rungs times phi can still overflow; an inf or nan P fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, term in enumerate(phis[:, None] * rows):
-            out[i : i + rows.shape[1]] += term
+    # the n-free parts of P / (phi_n v^n)
+    half_delta1, quarter_a2 = 0.5 * (deltas + 1), 0.25 * As * As
+    c1, c2 = bf2 * rungs[1], bf2 * rungs[2]
+    c3, c4, lam_term = bf2 * rungs[3] - As, bf2 * rungs[4] - 1.0, bf2 * lams
+    lam_at = (lam_power, *np.indices(shape, sparse=True))
+    # P / (phi_n v^n) in powers of v, for one n at a time
+    rows = np.zeros((max(5, lam_power.max(initial=0) + 1), *shape))
+    out = np.zeros((len(phis) + len(rows) - 1, *shape))
+    for n, phi in enumerate(phis):
+        rows[0] = -n * (n + deltas)
+        rows[1] = As * (n + half_delta1) + c1
+        rows[2] = 2 * n + deltas + 2 - quarter_a2 + c2
+        rows[3], rows[4], rows[5:] = c3, c4, 0.0
+        rows[lam_at] -= lam_term
+        # finite rungs times phi can still overflow; an inf or nan P fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[n : n + len(rows)] += phi * rows
     return out

@@ -237,6 +237,72 @@ class TestCertifySubspace:
             single = certify_one(freqs, *subspace, b_values, branches)
             assert bits(many[n]) == bits(single), n
 
+    def test_pair_axis_matches_one_call_per_subspace(self):
+        # one call lays the eigenpairs of subspaces of dimensions 1-7 along
+        # one pair axis, phi padded to degree 6; each subspace's certificate
+        # is, repr for repr, that of its own call: all, some, reordered or
+        # none of its columns, energies exact, shifted to pass or to fail
+        freqs = ModeFrequencies(2.0003, 0.4995, -1.0002)
+        b_values = [Fraction(1, 3), SEXTIC_B, Fraction(1), Fraction(2)]
+        columns = [slice(None), slice(1, None, 2), slice(0, 0), slice(None, None, -1), [0]]
+        shifts = [0.0, 1e-9, -1e-4]
+        subspaces = []
+        for n, (ell, m) in enumerate([
+            (0, 3), (6, 6), (2, 1), (4, 5), (1, 1), (3, 6), (5, 2), (6, 4), (0, 0),
+            (2, 2), (5, 6), (6, 5),
+        ]):
+            label = SubspaceLabel(ell, m)
+            spectrum = spectrum_of(freqs, label)
+            cols = columns[n % len(columns)]
+            energies = spectrum.eigenvalues[cols]
+            shift = shifts[n % len(shifts)]
+            energies = energies + shift * np.maximum(1.0, np.abs(energies))
+            subspaces.append((label, energies, spectrum.eigenvectors[:, cols]))
+        assert {label.dim for label, _, _ in subspaces} == set(range(1, 8))
+        assert min(len(energies) for _, energies, _ in subspaces) == 0
+
+        def reprs(cert):
+            return {
+                f.name: None if getattr(cert, f.name) is None
+                else (getattr(cert, f.name).shape, repr(getattr(cert, f.name).tolist()))
+                for f in fields(cert)
+            }
+
+        # and a subspace without columns above the top dimension of the pairs
+        empty = SubspaceLabel(6, 6)
+        for call in (subspaces, [(empty, [], np.empty((empty.dim, 0))), subspaces[0]]):
+            many = list(certify_subspace(freqs, call, b_values, list(Branch)))
+            assert [i for i, _ in many] == list(range(len(call)))
+            for (n, cert), subspace in zip(many, call):
+                single = certify_one(freqs, *subspace, b_values, list(Branch))
+                assert reprs(cert) == reprs(single), n
+
+    @pytest.mark.parametrize("first,second", [("energies", "vecs"), ("vecs", "energies")])
+    def test_first_malformed_subspace_raises(self, unit_freqs, monkeypatch, first, second):
+        # every subspace's shapes are checked before any stage runs: a call
+        # whose 2nd and 5th subspaces are malformed raises the 2nd's message
+        messages = {
+            "energies": "^1 energies for 2 eigenvectors$",
+            "vecs": r"^eigenvector length \(1,\) does not match dim 2$",
+        }
+        subspaces = []
+        for ell, m in [(0, 0), (1, 1), (2, 2), (3, 1), (1, 2)]:
+            spectrum = spectrum_of(unit_freqs, SubspaceLabel(ell, m))
+            subspaces.append(
+                (SubspaceLabel(ell, m), spectrum.eigenvalues, spectrum.eigenvectors)
+            )
+        for n, kind in [(1, first), (4, second)]:
+            label, energies, vecs = subspaces[n]
+            subspaces[n] = (
+                (label, energies[:1], vecs) if kind == "energies"
+                else (label, energies, vecs[:1])
+            )
+        stages = []
+        monkeypatch.setattr(certify, "rho_coefficients", lambda *a: stages.append(a))
+        with pytest.raises(ValueError, match=messages[first]):
+            list(certify_subspace(unit_freqs, subspaces, B_VALUES, list(Branch)))
+        assert stages == []
+
     def test_bhe_residuals_broadcast_over_b(self, unit_freqs):
         # stages 1-2 do not depend on b: one value per (branch, column),
         # seen under every b without a copy

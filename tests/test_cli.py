@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +25,8 @@ from triqes import (
     suggest_domain,
     zero_mode_potentials,
 )
-from triqes.certify import STAGES
-from triqes.cli import _b2_zero_search, _round15, _sweep_text, main
+from triqes.certify import STAGES, Certificate
+from triqes.cli import _b2_zero_search, _json_float, _round15, _sweep_text, main
 
 from conftest import frequencies, labels
 
@@ -595,9 +597,8 @@ class TestSweep:
 
     def test_one_pipeline_call_per_sweep(self, capsys, monkeypatch):
         # every label, both branches and every b of a sweep share one
-        # certify_subspace call; its zero-mode stage is one kernel call per
-        # dimension group: W(0,0), (0,1), (0,2), (1,0), (2,0) of dim 1,
-        # W(1,1), (1,2), (2,1) of dim 2 and W(2,2) of dim 3
+        # certify_subspace call; its zero-mode stage is one kernel call over
+        # the eigenpairs of W(0..2, 0..2), whatever their dimensions
         pipeline = self.count_calls(monkeypatch, triqes.cli, "certify_subspace")
         kernel = self.count_calls(monkeypatch, triqes.certify, "zero_mode_residuals")
         code, out, _ = run_cli(
@@ -606,7 +607,7 @@ class TestSweep:
         )
         assert code == 0
         assert json.loads(out)["count"] == 9 * 4 * 2
-        assert (len(pipeline), len(kernel)) == (1, 3)
+        assert (len(pipeline), len(kernel)) == (1, 1)
 
     def test_one_eigensolve_per_dimension(self, capsys, monkeypatch):
         # the 49 labels of W(0..6, 0..6) fall into dimensions 1..7, each
@@ -883,46 +884,138 @@ SPECIAL_FLOATS = [
 ]
 
 
+def sweep_records(ell, m, b_values, branches, cert):
+    """The sweep tuples of one label in (b, branch) order as dicts: each
+    one's verdict, the stages any eigenpair failed and the worst value of
+    each residual; the reference the template writer is checked against."""
+    worst = {k: getattr(cert, k).max(axis=2).tolist() for k in WORST_KEYS}
+    if cert.oracle is not None:
+        worst["oracle_richardson_gap"] = [
+            [max(c.richardson_gap for c in cols) for cols in per_b]
+            for per_b in cert.oracle
+        ]
+    failed = cert.failed.any(axis=3).tolist()
+    for j, bfrac in enumerate(b_values):
+        for i, branch in enumerate(branches):
+            stages = [s for s, f in zip(STAGES, failed) if f[i][j]]
+            yield {
+                "l": ell, "m": m, "b": str(bfrac), "branch": branch.value,
+                "pass": not stages,
+                "failed": stages,
+                "worst": {k: v[i][j] for k, v in worst.items()},
+            }
+
+
 @st.composite
-def sweep_payloads(draw):
+def sweep_certificates(draw):
+    """A manifest, b values, branches and (label, `Certificate`) pairs whose
+    residuals, oracle gaps and failed stages are drawn freely."""
     oracle = draw(st.booleans())
-    keys = WORST_KEYS + ["oracle_richardson_gap"] * oracle
-    branches = draw(st.sampled_from([["minus", "plus"], ["plus"], ["minus"]]))
+    branches = draw(st.sampled_from([list(Branch), [Branch.PLUS], [Branch.MINUS]]))
+    b_values = draw(st.lists(
+        st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2),
+                         Fraction(7 * 10**153)]),
+        min_size=1, max_size=3, unique=True,
+    ))
     values = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
-    tuples = []
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        failed = [s for s in STAGES if draw(st.booleans())]
-        tuples.append({
-            "l": draw(st.integers(0, 20)), "m": draw(st.integers(0, 20)),
-            "b": draw(st.sampled_from(["1", "1/2", "3/2", "2", str(7 * 10**153)])),
-            "branch": draw(st.sampled_from(branches)),
-            "pass": not failed,
-            "failed": failed,
-            "worst": {k: draw(values) for k in keys},
-        })
+    certified = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        shape = (len(branches), len(b_values), draw(st.integers(1, 3)))
+
+        def floats():
+            return np.array(draw(st.lists(
+                values, min_size=math.prod(shape), max_size=math.prod(shape)
+            ))).reshape(shape)
+
+        gaps = None
+        if oracle:
+            gaps = np.empty(shape, dtype=object)
+            for idx, gap in zip(np.ndindex(shape), floats().ravel().tolist()):
+                gaps[idx] = SimpleNamespace(richardson_gap=gap)
+        failed = np.array(draw(st.lists(
+            st.booleans(), min_size=3 * math.prod(shape), max_size=3 * math.prod(shape)
+        ))).reshape(3, *shape)
+        cert = Certificate(
+            bhe_operator_residual=floats(),
+            bhe_standard_residual=floats(),
+            potential=np.zeros((*shape, 5)),
+            lam=np.zeros(shape),
+            schrodinger_residual=floats(),
+            oracle=gaps,
+            failed=failed,
+        )
+        label = SubspaceLabel(draw(st.integers(0, 20)), draw(st.integers(0, 20)))
+        certified.append((label, cert))
     params = {
         "lmax": 20, "mmax": 20, "w": draw(st.sampled_from(["1,1,1", "2,0.5,-1"])),
-        "b": "1,1/2", "branch": branches[0] if len(branches) == 1 else None,
+        "b": ",".join(map(str, b_values)),
+        "branch": branches[0].value if len(branches) == 1 else None,
         "no_oracle": not oracle,
     }
-    return {
-        "manifest": {
-            "command": "sweep", "params": params, "version": triqes.__version__,
-            "timestamp": "2026-10-19T00:00:00+00:00",
-        },
-        "tuples": tuples,
-        "count": len(tuples),
-        "pass": all(t["pass"] for t in tuples),
+    manifest = {
+        "command": "sweep", "params": params, "version": triqes.__version__,
+        "timestamp": "2026-10-19T00:00:00+00:00",
     }
+    return manifest, b_values, branches, certified
 
 
 @seed(20261019)
 @settings(max_examples=300, deadline=None)
-@given(sweep_payloads())
-def test_sweep_writer_matches_json(payload):
-    # the template writer is json's indent=2 layout of the rounded payload,
-    # NaN, Infinity and -0.0 included
-    assert _sweep_text(payload) == json.dumps(_round15(payload), indent=2) + "\n"
+@given(sweep_certificates())
+def test_sweep_writer_matches_json(sweep):
+    # the template writer is json's indent=2 layout of the rounded payload
+    # of per-tuple dicts, NaN, Infinity and -0.0 included, and its status
+    # lines and verdict are those of the same dicts
+    manifest, b_values, branches, certified = sweep
+    tuples = [
+        t for label, cert in certified
+        for t in sweep_records(label.ell, label.m, b_values, branches, cert)
+    ]
+    all_pass = all(t["pass"] for t in tuples)
+    payload = {
+        "manifest": manifest, "tuples": tuples, "count": len(tuples), "pass": all_pass,
+    }
+    status = "".join(
+        f"l={t['l']} m={t['m']} b={t['b']} {t['branch']:>5}: "
+        + ("pass" if t["pass"] else f"FAIL ({', '.join(t['failed'])})") + "\n"
+        for t in tuples
+    )
+    assert _sweep_text(manifest, certified, b_values, branches) == (
+        json.dumps(_round15(payload), indent=2) + "\n", status, all_pass
+    )
+
+
+def _within_ulps(x, steps=40):
+    """x and the `steps` doubles on each side of it, with both signs."""
+    out, lo, hi = [x], x, x
+    for _ in range(steps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out + [-y for y in out]
+
+
+# where %.15g and repr switch to an exponent or to fewer digits: around
+# 1e-5 and 1e-4, 1e15 (999999999999999.5 rounds up to it) and 1e16, and the
+# normal/subnormal border
+FORMAT_BORDERS = [
+    y for x in (1e-5, 1e-4, 1e15, 999999999999999.5, 1e16, sys.float_info.min)
+    for y in _within_ulps(x)
+]
+
+
+@seed(20261019)
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_json_float_matches_json_on_any_double(bits):
+    # every 64-bit pattern, NaNs, infinities, zeros and subnormals included:
+    # the writer's float is json's float of the 15-digit rounding
+    (x,) = struct.unpack("<d", struct.pack("<Q", bits))
+    assert _json_float(x) == json.dumps(_round15(x))
+
+
+def test_json_float_matches_json_at_format_borders():
+    for x in FORMAT_BORDERS:
+        assert _json_float(x) == json.dumps(_round15(x)), x
 
 
 def test_sweep_writer_on_a_failing_sweep(capsys, monkeypatch):

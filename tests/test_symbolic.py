@@ -184,7 +184,8 @@ def test_kernel_matches_the_symbolic_p():
     rungs = [Fraction(-3, 16), Fraction(11, 8), Fraction(-7, 4), Fraction(5, 32),
              Fraction(9, 4)]
     a_, lam_ = Fraction(-3, 8), Fraction(13, 4)
-    for bq in (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2)):
+    # b = 5/2 puts lambda at v^(n+5), above the five rungs
+    for bq in map(Fraction, (1, "1/2", "3/2", 2, "5/2")):
         for d in (0, 1, 3):
             for lam_value in (Fraction(0), lam_):
                 got = zero_mode_residuals(
