@@ -5,8 +5,9 @@ Runs, for every eigenpair of W(1,1) and W(3,2) at w = (1,1,1), every
 transformation exponent b in {1, 1/2, 3/2, 2} and both branches, the
 certification pipeline, one `triqes.certify_subspace` call over both
 subspaces, both branches and the four exponents: exact BHE residuals, the
-exact zero-mode (Schroedinger) residual, and the independent
-finite-difference containment check.  Each row reads its subspace's
+ladder link of V_b (which with them certifies the zero mode's
+Schroedinger equation), and the independent finite-difference containment
+check.  Each row reads its subspace's
 `Certificate` at [branch, b, column].
 
 Usage: python scripts/certify_worked_examples.py
@@ -35,7 +36,7 @@ def main() -> int:
     ).parse_args()
     all_ok = True
     header = f"{'subspace':>9} {'p':>2} {'E':>9} {'b':>4} {'branch':>6} " \
-             f"{'bhe':>8} {'schrod':>8} {'oracle':>8} ok"
+             f"{'bhe':>8} {'link':>8} {'oracle':>8} ok"
     print(header)
     print("-" * len(header))
     labels = [SubspaceLabel(1, 1), SubspaceLabel(3, 2)]

@@ -9,12 +9,10 @@ given, every transformation exponent b and every branch:
 3. the potential whose zero mode chi is (`schroedinger.zero_mode_ladders`):
    at b = 1/2 the displaced sextic Vtilde with lambda = eps(E), for any
    other b the plain V_b with lambda = 0;
-4. the Schroedinger equation -chi'' + (V - lambda) chi = 0 for the zero
-   mode chi with the phi of stage 1, as the exact polynomial identity
-   `zero_mode_residuals` in its b-free form (rungs 1-4, A, lambda and
-   |l - m| from the labels; rung 0 and the envelope's s cancel for every
-   zero mode and are proven once, symbolically), relative to the largest
-   phi coefficient: no grid, no step size, no refinement order;
+4. the ladder link (`schroedinger.ladder_links`): b^2 c_i against the
+   b-free numerator N_i of rungs 1-4, lambda at rung 2b.  With stage 2 it
+   certifies -chi'' + (V - lambda) chi = 0 for the zero mode chi of phi,
+   the identity `tests/test_symbolic.py` proves once;
 5. when the caller asks for it, the independent finite-difference oracle
    at lambda.
 
@@ -25,22 +23,20 @@ constants; phi rows are padded with zeros to the top degree (exact, see
 `heun`), columns are not padded.  Stages 1-4 are one array pass: stages
 1-2 over the axes [pair, branch, 1], shared by every b since they do not
 depend on it, and stages 3-4 as one `zero_mode_ladders` call and one
-`zero_mode_residuals` call on its float arrays as they are, over [pair,
-branch, b, 1], each column at its own b with its own A and lambda.  E
-enters only through rung 1 of V_b (b != 1/2) or through lambda
-(b = 1/2).  Every number is elementwise, so a column is bit for bit the
-same whichever subspaces share its call.  The oracle then runs subspace
-by subspace, in (branch, b, eigenvector) order, once per distinct
-(potential, lambda) in the `OracleMemo` the caller passes, its key a
-`PotentialSpec` built for each checked column only; `sweep` passes one
-memo for the command.
+`ladder_links` call on its float arrays as they are, over [pair, branch,
+b, 1], each column at its own b.  Every number is elementwise, so a
+column is bit for bit the same whichever subspaces share its call.  The
+oracle then runs subspace by subspace, in (branch, b, eigenvector)
+order, once per distinct (potential, lambda) in the `OracleMemo` the
+caller passes, its key a `PotentialSpec` built for each checked column
+only; `sweep` passes one memo for the command.
 
 Each subspace gets one `Certificate`, a slice of the batch's arrays,
 which are transposed once to [branch, b, pair]: arrays indexed [branch,
 b, column] (`potential` [branch, b, column, rung]) and a `failed` mask
 per stage of `STAGES`, by one rule: "bhe" where either BHE residual is
-not <= `BHE_RTOL`, "schrodinger" where the zero-mode residual is not <=
-that `BHE_RTOL` (a NaN fails), "oracle" where the oracle missed.
+not <= `BHE_RTOL`, "schrodinger" where the ladder link is not <= that
+`BHE_RTOL` (a NaN fails), "oracle" where the oracle missed.
 """
 
 from __future__ import annotations
@@ -61,12 +57,7 @@ from .heun import (
     rho_coefficients,
     standard_residuals,
 )
-from .schroedinger import (
-    PotentialSpec,
-    RationalLike,
-    zero_mode_ladders,
-    zero_mode_residuals,
-)
+from .schroedinger import PotentialSpec, RationalLike, ladder_links, zero_mode_ladders
 
 STAGES = ("bhe", "schrodinger", "oracle")
 
@@ -183,28 +174,24 @@ def _certify_pairs(freqs, labels, energies, vecs, b_values, branches):
     std_rel = _worst(
         standard_residuals(bhe_params(freqs, labels, e, branches), phi)
     ) / scales
-    # stages 3-4: one zero-mode column per (pair, branch, b), [pair, branch, b, 1]
-    rungs, lams, a_ = zero_mode_ladders(
-        b_values, freqs, labels, energies[:, None], branches
-    )
-    deltas = np.array([lab.k - lab.n_prime for lab in labels])[:, None, None, None]
-    schr_rel = _worst(
-        zero_mode_residuals(b_values, rungs, lams, deltas, a_, phi[:, :, :, None])
-    ) / scales[:, :, None]
+    # stages 3-4: one ladder per (pair, branch, b), [pair, branch, b, 1]
+    ladder_args = (b_values, freqs, labels, energies[:, None], branches)
+    rungs, lams = zero_mode_ladders(*ladder_args)
+    link = ladder_links(*ladder_args, rungs, lams)
     # transposed once: [pair, branch, (b,) 1] -> [branch, (b,) pair]
     op_rel, std_rel = op_rel[..., 0].T, std_rel[..., 0].T
-    schr_rel = schr_rel[..., 0].transpose(1, 2, 0)
-    shape = schr_rel.shape
+    link = link[..., 0].transpose(1, 2, 0)
+    shape = link.shape
     # one rule, in STAGES order; a NaN residual is not <= BHE_RTOL and fails
     failed = np.zeros((len(STAGES), *shape), dtype=bool)
     failed[0] = (~(op_rel <= BHE_RTOL) | ~(std_rel <= BHE_RTOL))[:, None]
-    failed[1] = ~(schr_rel <= BHE_RTOL)
+    failed[1] = ~(link <= BHE_RTOL)
     return Certificate(
         bhe_operator_residual=np.broadcast_to(op_rel[:, None], shape),
         bhe_standard_residual=np.broadcast_to(std_rel[:, None], shape),
         potential=rungs[..., 0].transpose(2, 3, 1, 0),
         lam=lams[..., 0].transpose(1, 2, 0),
-        schrodinger_residual=schr_rel,
+        schrodinger_residual=link,
         oracle=None,
         failed=failed,
     )

@@ -38,26 +38,24 @@ V = Vtilde - eps(E), eps(E) = -4 c E: the displaced sextic Vtilde is
 E-independent and has genuine eigenvalues eps(E).
 
 One builder, `zero_mode_ladders`, writes the rungs [rung, label, branch,
-b, column], the lambdas and the envelope's A for many zero modes at once,
-over sequences of labels, branches, b values and eigenvalues.  The rung
-closed forms above are written once, in `_ladders`, which
-`potential_specs` also reads for V_b itself (at b = 1/2 too);
-`zero_mode_potentials` is the one-(label, b, branch) call of
-`zero_mode_ladders` and `zero_mode_envelope` the curve's envelope (s, A).  At resonance,
-w1 = w2 + w3, A is 0 and rung 3 of every V_b is exactly 0.0.
+b, column] and the lambdas for many zero modes at once, over sequences of
+labels, branches, b values and eigenvalues.  The rung closed forms above
+are written once, in `_ladders`, which `potential_specs` also reads for
+V_b itself (at b = 1/2 too); `zero_mode_potentials` is the one-(label, b,
+branch) call of `zero_mode_ladders` and `zero_mode_envelope` the curve's
+envelope (s, A).  At resonance, w1 = w2 + w3, A is 0 and rung 3 of every
+V_b is exactly 0.0.
 
 The zero mode has one format: its envelope (s, A) and phi as a
-coefficient column of `heun.rho_coefficients`.  `zero_mode_residuals` is
-the one check of -chi'' + V chi = lambda chi, and it is exact: with
-v = x^(1/b) the left side minus the right is x^(s-2) e^(g(v)) P(v) / b^2
-for a polynomial P of degree <= N' + 4, whose coefficients it returns for
-many zero modes at once, over the builder's axes [..., b, column].  It
-forms P in b-free form: rung 0 and s cancel in every zero mode (the
-indicial equation), so it reads neither, and no term of size b^2 cancels
-in floats.  In exact arithmetic P is minus the BHE operator residual of
-phi; `tests/test_symbolic.py` proves both identities.  No grid, step size
-or difference stencil is involved.  `eval_potential` and
-`eval_wavefunction` evaluate V and chi pointwise for the curve output.
+coefficient column of `heun.rho_coefficients`.  With v = x^(1/b),
+-chi'' + (V - lambda) chi = x^(s-2) e^(g(v)) P(v) / b^2 for a polynomial
+P, and `tests/test_symbolic.py` proves once, with sympy, that P is minus
+the BHE operator residual of phi when each b^2 c_i (i = 1..4, less
+b^2 lambda at rung 2b) is its b-free numerator N_i.  A float error d_i
+there adds d_i v^i phi(v) to P.  So the BHE residuals check phi, and
+`ladder_links` checks the floats of the ladder, max_i |b^2 c_i - N_i|: no
+phi, no grid.  `eval_potential` and `eval_wavefunction` evaluate V and
+chi pointwise for the curve output.
 """
 
 from __future__ import annotations
@@ -233,16 +231,15 @@ def zero_mode_ladders(
     labels: Sequence[SubspaceLabel],
     energies: np.ndarray,
     branches: Sequence[Branch],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per (label, branch, b, eigenvalue), the ladder of the potential whose
-    level lambda the zero mode sits at, lambda, and the envelope's A.
+    level lambda the zero mode sits at, and lambda.
 
     `labels` may mix dimensions and `energies` is [label, column].
-    Returns float arrays: the rungs [rung, label, branch, b, column], the
-    lambdas [label, branch, b, column], and A = c (w1 - w2 - w3), shaped
-    [branch, 1, 1].  At b = 1/2 the potential is the E-free displaced
-    sextic, with lambda = eps(E); at any other b it is V_b, with
-    lambda = 0.  Raises ValueError on an inadmissible b or naming the
+    Returns float arrays: the rungs [rung, label, branch, b, column] and
+    the lambdas [label, branch, b, column].  At b = 1/2 the potential is
+    the E-free displaced sextic, with lambda = eps(E); at any other b it
+    is V_b, with lambda = 0.  Raises ValueError on an inadmissible b or naming the
     first non-finite rung.
     """
     bb = _admissible(b_values)
@@ -254,8 +251,7 @@ def zero_mode_ladders(
         eps = np.stack([epsilon_of(e[:, 0], br) for br in branches], axis=1)
     lams = np.where(sextic, eps, 0.0)
     check_finite("eps(E)", lams)
-    c = np.array([br.c for br in branches])[:, None, None]
-    return rungs, lams, c * (freqs.w1 - freqs.w2 - freqs.w3)
+    return rungs, lams
 
 
 def zero_mode_potentials(
@@ -267,7 +263,7 @@ def zero_mode_potentials(
 ) -> tuple[list[PotentialSpec], np.ndarray]:
     """Per energy, the potential whose level lambda the zero mode sits at,
     and the lambdas: the one-(label, b, branch) call of `zero_mode_ladders`."""
-    rungs, lams, _ = zero_mode_ladders(
+    rungs, lams = zero_mode_ladders(
         [b], freqs, [label], np.asarray(energies, dtype=float)[None], [branch]
     )
     specs = [PotentialSpec(b, tuple(r)) for r in rungs.reshape(5, -1).T.tolist()]
@@ -320,66 +316,43 @@ def eval_wavefunction(
     return val if np.ndim(x) else float(val)
 
 
-def zero_mode_residuals(
+def ladder_links(
     b_values: Sequence[RationalLike],
+    freqs: ModeFrequencies,
+    labels: Sequence[SubspaceLabel],
+    energies: np.ndarray,
+    branches: Sequence[Branch],
     rungs: np.ndarray,
     lams: np.ndarray,
-    deltas: np.ndarray,
-    As: np.ndarray,
-    phis: np.ndarray,
 ) -> np.ndarray:
-    """Coefficients in v = x^(1/b) of the exact residual polynomial P of
-    many zero modes, over the axes [..., b, column].
+    """The float ladder link of many zero modes: max over rungs i = 1..4
+    of |b^2 c_i - N_i|, with -b^2 lambda added at rung `lambda_rung(b)`,
+    per [label, branch, b, column].
 
-    With delta = |l - m|, s = (delta + b) / (2 b) and g = -v (A + v) / 2,
-    chi = x^s e^g phi(v) gives -chi'' + (V - lam) chi = x^(s - 2) e^g P(v)
-    / b^2, c_i (rung i) being the coefficient of x^(-2 + i/b) in V.  Each
-    phi_n v^n adds phi_n times
-
-        -n (n + delta)                        at v^n,
-        A (n + (delta + 1) / 2) + b^2 c_1     at v^(n+1),
-        2 n + delta + 2 - A^2 / 4 + b^2 c_2   at v^(n+2),
-        b^2 c_3 - A, b^2 c_4 - 1, -b^2 lam    at v^(n+3), v^(n+4), v^(n+2b):
-
-    the b-free form, in which c_0 and s, which cancel for every zero mode,
-    do not appear.  P vanishes identically exactly when chi is a zero mode
-    at lam.
-
-    `rungs` is [rung, ..., b, column], as `zero_mode_ladders` returns it,
-    and `lams`, `deltas` (integers), `As` and `phis` [row, ...] broadcast
-    over [..., b, column]; the b axis runs over `b_values`, each
-    converted to a float once.  Row j of the result is the coefficient of
-    v^j, over the same axes; a column's rows above its own degree are
-    zero, and so are those of a phi padded with zero rows.  The terms are
-    added one phi coefficient n at a time, so no array larger than the
-    result is held, and every coefficient accumulates its terms in the
-    same order as a scalar loop over the columns would.  Raises
-    ValueError when some lam != 0 at a b where `lambda_rung` finds no
+    `rungs` [rung, label, branch, b, column] and `lams` [label, branch, b,
+    column] are ladders and lambdas as `zero_mode_ladders` returns them, a
+    ladder's b being its index on the b axis of `b_values`.  N_i, the
+    b-free numerator of rung i, is `_ladders` at b = 1 and at the column's
+    own E, `energies` being [label, column].  Where b^2 c_i misses N_i by
+    d_i, the zero mode's P is minus the BHE operator residual plus
+    sum_i d_i v^i phi(v), so the link is the factor by which the ladder
+    enters P / max|phi| and shares `heun.BHE_RTOL`.  Rung 0 and s cancel
+    in every zero mode (the indicial equation) and are left out.  Raises
+    ValueError when some lambda != 0 at a b where `lambda_rung` finds no
     rung.
     """
-    bf = np.array([float(b) for b in b_values])[:, None]
-    shape = np.broadcast(bf, rungs[0], lams, deltas, As, phis[0]).shape
-    phis = np.broadcast_to(phis, (len(phis), *shape))
-    lams = np.broadcast_to(np.asarray(lams, dtype=float), shape)
-    rung_of_b = [lambda_rung(b) if lams[..., j, :].any() else 0
-                 for j, b in enumerate(b_values)]
-    lam_power = np.where(lams != 0.0, np.array(rung_of_b)[:, None], 0)
-    bf2 = bf * bf
-    # the n-free parts of P / (phi_n v^n)
-    half_delta1, quarter_a2 = 0.5 * (deltas + 1), 0.25 * As * As
-    c1, c2 = bf2 * rungs[1], bf2 * rungs[2]
-    c3, c4, lam_term = bf2 * rungs[3] - As, bf2 * rungs[4] - 1.0, bf2 * lams
-    lam_at = (lam_power, *np.indices(shape, sparse=True))
-    # P / (phi_n v^n) in powers of v, for one n at a time
-    rows = np.zeros((max(5, lam_power.max(initial=0) + 1), *shape))
-    out = np.zeros((len(phis) + len(rows) - 1, *shape))
-    for n, phi in enumerate(phis):
-        rows[0] = -n * (n + deltas)
-        rows[1] = As * (n + half_delta1) + c1
-        rows[2] = 2 * n + deltas + 2 - quarter_a2 + c2
-        rows[3], rows[4], rows[5:] = c3, c4, 0.0
-        rows[lam_at] -= lam_term
-        # finite rungs times phi can still overflow; an inf or nan P fails
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[n : n + len(rows)] += phi * rows
-    return out
+    bb = _admissible(b_values)
+    numerators = _ladders(
+        np.ones((1, 1)), freqs, labels, np.asarray(energies, dtype=float)[:, None, None],
+        branches,
+    )
+    lams = np.broadcast_to(np.asarray(lams, dtype=float), rungs.shape[1:])
+    lam_rungs = {j: lambda_rung(b) for j, b in enumerate(b_values) if lams[..., j, :].any()}
+    gaps = np.zeros((max([4, *lam_rungs.values()]), *rungs.shape[1:]))
+    # an inf or nan link fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps[:4] = bb * bb * rungs[1:]
+        for j, rung in lam_rungs.items():
+            gaps[rung - 1, ..., j, :] -= bb[j] * bb[j] * lams[..., j, :]
+        gaps[:4] -= numerators[1:]
+    return np.max(np.abs(gaps), axis=0)

@@ -17,8 +17,8 @@ from triqes import (
     LogGridConfig,
     ModeFrequencies,
     SubspaceLabel,
-    bhe_params,
     build_hamiltonian,
+    certify_subspace,
     contains_eigenvalue,
     eig_sym,
     eval_wavefunction,
@@ -32,8 +32,7 @@ from triqes import (
 )
 from triqes.schroedinger import SEXTIC_B
 from triqes.cli import main as cli_main
-from triqes.heun import BHE_RTOL, operator_residuals, standard_residuals
-from triqes.schroedinger import zero_mode_residuals
+from triqes.heun import BHE_RTOL, operator_residuals
 
 from conftest import certify_one
 
@@ -154,22 +153,17 @@ def test_criterion_4_bhe_certification():
     ok = True
     for _ in range(50):
         freqs = ModeFrequencies(*rng.uniform(-2.0, 2.0, 3))
+        subspaces = []
         for label in labels:
             spec = eig_sym(build_hamiltonian(freqs, label))
-            energies, vecs = spec.eigenvalues, spec.eigenvectors
-            for branch in Branch:
-                # one array call per stage; column i is eigenpair i, each
-                # coefficient checked against BHE_RTOL max|phi| of its column
-                phis = rho_coefficients(label, vecs, branch)
-                bound = BHE_RTOL * np.max(np.abs(phis), axis=0)
-                op_res = operator_residuals(freqs, label, energies, phis, branch)
-                std_res = standard_residuals(
-                    bhe_params(freqs, label, energies, branch), phis
-                )
-                op_ok = np.all(np.abs(op_res) <= bound, axis=0)
-                std_ok = np.all(np.abs(std_res) <= bound, axis=0)
-                ok &= bool(np.all(op_ok & std_ok & (op_ok == std_ok)))
-                checked += op_ok.size
+            subspaces.append((label, spec.eigenvalues, spec.eigenvectors))
+        # one pipeline call per w over every label and both branches; each
+        # BHE residual is relative to max|phi| of its column
+        for _, cert in certify_subspace(freqs, subspaces, [1], list(Branch)):
+            op_ok = cert.bhe_operator_residual <= BHE_RTOL
+            std_ok = cert.bhe_standard_residual <= BHE_RTOL
+            ok &= bool(np.all(op_ok & std_ok & (op_ok == std_ok)))
+            checked += op_ok.size
     elapsed = time.perf_counter() - t0
     report(
         "4 BHE certification",
@@ -213,9 +207,11 @@ def mp_zero_mode(wf, vspec, lam, p):
 
 
 def test_criterion_5_zero_mode_residuals():
-    # the pipeline's exact certificate, and at 40 digits the link from P to
+    # the pipeline's ladder link, and at 40 digits the identity from P to
     # the chi that eval_wavefunction evaluates: at a perturbed energy, where
-    # P != 0, -chi'' + (V - lam) chi must equal x^(s-2) e^g P(v) / b^2
+    # P != 0, -chi'' + (V - lam) chi must equal x^(s-2) e^g P(v) / b^2, P
+    # read as minus the BHE operator residual (tests/test_symbolic.py
+    # proves P = -Op[phi] for lam = 0 at every b and lam = eps(E) at b = 1/2)
     ok = True
     worst = 0.0
     worst_gap = 0.0
@@ -231,17 +227,11 @@ def test_criterion_5_zero_mode_residuals():
             worst = max(worst, float(residual.max()))
             for branch in Branch:
                 for b in b_values:
-                    vspecs, lams = zero_mode_potentials(
-                        b, W111, label, energies * (1.0 + 1e-3), branch
-                    )
+                    shifted = energies * (1.0 + 1e-3)
+                    vspecs, lams = zero_mode_potentials(b, W111, label, shifted, branch)
                     envelope = zero_mode_envelope(b, W111, label, branch)
                     phis = rho_coefficients(label, vecs, branch)
-                    # one b and one envelope for every column
-                    rungs = np.array([vspec.coeffs for vspec in vspecs]).T[:, None]
-                    residuals = zero_mode_residuals(
-                        [b], rungs, lams[None], label.k - label.n_prime, envelope[1],
-                        phis[:, None],
-                    )[:, 0]
+                    residuals = -operator_residuals(W111, label, shifted, phis, branch)
                     for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
                         wf = (b, *envelope, phis[:, i])
                         chi, potential, closed = mp_zero_mode(
@@ -261,7 +251,7 @@ def test_criterion_5_zero_mode_residuals():
     report(
         "5 zero-mode residuals",
         ok,
-        f"worst exact residual {worst:.2e}, worst identity gap {worst_gap:.2e},"
+        f"worst ladder link {worst:.2e}, worst identity gap {worst_gap:.2e},"
         f" worst chi mismatch {worst_chi:.2e}",
     )
 

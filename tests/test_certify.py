@@ -32,7 +32,7 @@ from triqes.schroedinger import SEXTIC_B
 from triqes.cli import main as cli_main
 from triqes.fock import MAX_TOTAL_LABEL
 from triqes.heun import BHE_RTOL, rho_coefficients
-from triqes.schroedinger import zero_mode_envelope, zero_mode_residuals
+from triqes.schroedinger import ladder_links
 
 from conftest import certify_one, frequencies, labels
 
@@ -47,18 +47,19 @@ def spectrum_of(freqs, label):
     return eig_sym(build_hamiltonian(freqs, label))
 
 
-def exact_relative(vspec, lam, b, delta, a, phi):
-    """max|P| of one zero mode, relative to its largest phi coefficient."""
-    residual = zero_mode_residuals(
-        [b], np.reshape(vspec.coeffs, (5, 1, 1)), lam, delta, a, phi[:, None, None]
-    )
-    return np.max(np.abs(residual)) / np.max(np.abs(phi))
+def link_of(vspec, lam, b, freqs, label, energy, branch):
+    """The ladder link of one zero mode: `vspec` and `lam` read at b,
+    against the rung numerators of (label, energy, branch)."""
+    rungs = np.reshape(vspec.coeffs, (5, 1, 1, 1, 1))
+    return float(ladder_links(
+        [b], freqs, [label], np.array([[energy]]), [branch], rungs, lam
+    ).item())
 
 
 def loop_chain(freqs, label, energy, vec, b, branch):
-    """The three relative residuals of the chain by plain loops, one
-    coefficient and one term at a time: the reference whose arithmetic
-    order the array kernels keep."""
+    """The two relative BHE residuals and the ladder link of the chain by
+    plain loops, one coefficient and one term at a time: the reference
+    whose arithmetic order the array kernels keep."""
     ell, m, k, n_prime = label.ell, label.m, label.k, label.n_prime
     w1, w2, w3 = freqs.as_tuple()
     c = branch.c
@@ -98,26 +99,24 @@ def loop_chain(freqs, label, energy, vec, b, branch):
         if 1 <= j:
             val += (-2.0 * (j - 1) + (g - a - 2.0)) * phi[j - 1]
         std.append(val)
-    # zero mode, b-free: P = sum_n phi_n v^n (row j at v^j)
+    # ladder link: b^2 c_i against the b-free numerators N_1 .. N_4 at E,
+    # lambda taken off at rung 2b
     (vspec,), (lam,) = zero_mode_potentials(b, freqs, label, [energy], branch)
-    _, a_ = zero_mode_envelope(b, freqs, label, branch)
-    delta = k - n_prime
+    a_ = c * (w1 - w2 - w3)
+    big_b, big_g = m + ell - 1, 2 * (m + ell)
+    d_ = c * (m * (w1 - w2) + ell * (w1 - w3) - energy)
+    numerators = [
+        (a_ * big_b - 2.0 * d_) / 2.0,
+        (a_ * a_ + 4.0 * big_b - 4.0 * big_g - 4.0) / 4.0,
+        a_,
+        1.0,
+    ]
     bf = float(b)
-    _, c1, c2, c3, c4 = vspec.coeffs
-    lam_power = int(2 * b) if lam != 0.0 else 0
-    width = max(5, lam_power + 1)
-    out = [0.0] * (len(phi) + width - 1)
-    for n, p in enumerate(phi):
-        r = [0.0] * width
-        r[0] = -n * (n + delta)
-        r[1] = a_ * (n + 0.5 * (delta + 1)) + bf * bf * c1
-        r[2] = 2 * n + delta + 2 - 0.25 * a_ * a_ + bf * bf * c2
-        r[3] = bf * bf * c3 - a_
-        r[4] = bf * bf * c4 - 1.0
-        r[lam_power] -= bf * bf * lam
-        for j, rj in enumerate(r):
-            out[n + j] += p * rj
-    return tuple(max(abs(x) for x in res) / scale for res in (op, std, out))
+    gaps = [bf * bf * ci for ci in vspec.coeffs[1:]]
+    if lam != 0.0:  # b = 1/2, where rung 2b is rung 1
+        gaps[int(2 * b) - 1] -= bf * bf * lam
+    link = max(abs(g - n) for g, n in zip(gaps, numerators))
+    return (max(abs(x) for x in op) / scale, max(abs(x) for x in std) / scale, link)
 
 
 def cap_labels():
@@ -316,10 +315,12 @@ class TestCertifySubspace:
             assert residual.strides[1] == 0
             assert not residual.flags.writeable
 
-    def test_nan_column_fails_without_warning(self, unit_freqs):
+    def test_nan_column_fails_without_warning(self, unit_freqs, monkeypatch):
         # a NaN residual compares False against any bound, so the verdict
         # `~(x <= BHE_RTOL)` fails it where `x > BHE_RTOL` would pass it;
-        # pytest turns any numpy RuntimeWarning into an error
+        # pytest turns any numpy RuntimeWarning into an error.  The ladder
+        # link reads no eigenvector: a NaN phi fails "bhe" only, and a NaN
+        # rung "schrodinger" only
         label = SubspaceLabel(2, 2)
         spectrum = spectrum_of(unit_freqs, label)
         vecs = spectrum.eigenvectors.copy()
@@ -331,11 +332,27 @@ class TestCertifySubspace:
         bhe, schrodinger, oracle = cert.failed
         expected = np.zeros((len(Branch), len(b_values), label.dim), dtype=bool)
         expected[:, :, 1] = True
-        assert np.isnan(cert.schrodinger_residual[:, :, 1]).all()
+        assert np.isnan(cert.bhe_operator_residual[:, :, 1]).all()
+        assert np.isnan(cert.bhe_standard_residual[:, :, 1]).all()
         assert np.array_equal(bhe, expected)
-        assert np.array_equal(schrodinger, expected)
+        assert not schrodinger.any()
         assert not oracle.any()
         assert np.array_equal(cert.passed, ~expected)
+
+        def nan_rung(*args):
+            rungs, lams = zero_mode_ladders(*args)
+            rungs[2, 1] = np.nan  # pair 1
+            return rungs, lams
+
+        monkeypatch.setattr(certify, "zero_mode_ladders", nan_rung)
+        cert = certify_one(
+            unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, b_values,
+            list(Branch),
+        )
+        bhe, schrodinger, oracle = cert.failed
+        assert np.isnan(cert.schrodinger_residual[:, :, 1]).all()
+        assert np.array_equal(schrodinger, expected)
+        assert not bhe.any() and not oracle.any()
 
     def test_shape_validation(self, unit_freqs):
         label = SubspaceLabel(3, 2)
@@ -391,16 +408,17 @@ class TestCertifyEigenpair:
             unit_freqs, label, spectrum.eigenvalues + 1e-3, spectrum.eigenvectors, [1],
             [Branch.PLUS],
         )
-        # stages in STAGES order: bhe and schrodinger miss at every column
-        assert cert.failed[:, 0, 0].T.tolist() == [[True, True, False]] * label.dim
+        # stages in STAGES order: bhe misses at every column; the ladder,
+        # built at the same shifted energy, is linked
+        assert cert.failed[:, 0, 0].T.tolist() == [[True, False, False]] * label.dim
         assert not cert.passed.any()
 
     @pytest.mark.parametrize(
         "freqs,ell,m", [(ANCHOR, 32, 32), (ModeFrequencies(1, 1, 1), 20, 20)]
     )
     def test_cap_labels_pass(self, freqs, ell, m):
-        # the exact zero-mode residual grows with the label like the BHE
-        # residuals; both stay under the one tolerance at the label cap
+        # the BHE residuals grow with the label and the ladder link does
+        # not; both stay under the one tolerance at the label cap
         label = SubspaceLabel(ell, m)
         spectrum = spectrum_of(freqs, label)
         cert = certify_one(
@@ -431,6 +449,8 @@ class TestCertifyEigenpair:
 class TestZeroModeResidual:
     @pytest.mark.parametrize("ell,m", [(1, 1), (3, 2)])
     def test_perturbations_fail(self, unit_freqs, ell, m):
+        # the link passes rounding in a ladder and fails a ladder error or a
+        # ladder of another energy; a wrong energy itself fails "bhe"
         label = SubspaceLabel(ell, m)
         spectrum = spectrum_of(unit_freqs, label)
         energies = spectrum.eigenvalues
@@ -440,69 +460,95 @@ class TestZeroModeResidual:
                 offs = zip(*zero_mode_potentials(
                     b, unit_freqs, label, energies * (1 + 1e-8), branch
                 ))
-                _, a_ = zero_mode_envelope(b, unit_freqs, label, branch)
-                phis = rho_coefficients(label, spectrum.eigenvectors, branch)
-                for i, (vspec, lam, (off_e, off_lam)) in enumerate(zip(vspecs, lams, offs)):
-                    wf = (b, label.k - label.n_prime, a_, phis[:, i])
-                    case = (energies[i], b, branch)
-                    assert exact_relative(vspec, lam, *wf) <= BHE_RTOL, case
-                    assert exact_relative(off_e, off_lam, *wf) > BHE_RTOL, case
+                columns = zip(energies.tolist(), vspecs, lams.tolist(), offs)
+                for energy, vspec, lam, (off_e, off_lam) in columns:
+                    case = (energy, b, branch)
+                    at_e = (b, unit_freqs, label, energy, branch)
+                    assert link_of(vspec, lam, *at_e) <= BHE_RTOL, case
+                    assert link_of(off_e, off_lam, *at_e) > BHE_RTOL, case
                     coeffs = list(vspec.coeffs)
-                    k = max(range(5), key=lambda r: abs(coeffs[r]))
-                    coeffs[k] *= 1 + 1e-8
-                    off_v = replace(vspec, coeffs=tuple(coeffs))
-                    assert exact_relative(off_v, lam, *wf) > BHE_RTOL, case
+                    for r in range(1, 5):
+                        ulp = list(coeffs)
+                        ulp[r] = np.nextafter(ulp[r], np.inf)
+                        one_ulp = replace(vspec, coeffs=tuple(ulp))
+                        assert link_of(one_ulp, lam, *at_e) <= BHE_RTOL, (case, r)
+                    # every rung whose relative 1e-8 is well above the
+                    # bound, the largest among them
+                    big = [r for r in range(1, 5) if abs(coeffs[r]) * b * b > 0.1]
+                    assert max(range(1, 5), key=lambda r: abs(coeffs[r])) in big
+                    for r in big:
+                        off = list(coeffs)
+                        off[r] *= 1 + 1e-8
+                        off_v = replace(vspec, coeffs=tuple(off))
+                        assert link_of(off_v, lam, *at_e) > BHE_RTOL, (case, r)
+        cert = certify_one(
+            unit_freqs, label, energies * (1 + 1e-8), spectrum.eigenvectors, B_VALUES,
+            list(Branch),
+        )
+        bhe, schrodinger, oracle = cert.failed
+        assert bhe.all() and not schrodinger.any() and not oracle.any()
 
     def test_off_ladder_rejected(self, unit_freqs):
         # a ladder's b is its index on the b axis, so a ladder built at
         # another b is read at the wrong powers and fails the stage
         label = SubspaceLabel(1, 1)
-        energy, vec = spectrum_of(unit_freqs, label).pair(1)
-        phi = rho_coefficients(label, vec[:, None], Branch.PLUS)[:, 0]
+        energy = spectrum_of(unit_freqs, label).eigenvalues[1]
 
-        def column(spec_b, wf_b, lam):
+        def column(spec_b, read_b, lam):
             vspec = potential_specs(spec_b, unit_freqs, label, [energy])[0]
-            _, a_ = zero_mode_envelope(wf_b, unit_freqs, label, Branch.PLUS)
-            return (vspec, lam, wf_b, label.k - label.n_prime, a_)
+            return (vspec, lam, read_b)
 
         def batch(middle):
             # `middle` between a lambda = 0 column at b = 1 and a lambda != 0
-            # one at b = 1/2, both valid, each on its own b; the relative
-            # residual of every column
+            # one at b = 1/2, each on its own b; the link of every column
             columns = [column(1, 1, 0.0), middle, column(SEXTIC_B, SEXTIC_B, 2.0)]
-            vspecs, lams, bs, deltas, a_ = zip(*columns)
-            rungs = np.array([vspec.coeffs for vspec in vspecs]).T[:, :, None]
-            residual = zero_mode_residuals(
-                bs, rungs, *(np.array(x)[:, None] for x in (lams, deltas, a_)),
-                phi[:, None, None],
+            vspecs, lams, bs = zip(*columns)
+            rungs = np.array([vspec.coeffs for vspec in vspecs]).T[:, None, None, :, None]
+            link = ladder_links(
+                bs, unit_freqs, [label], np.array([[energy]]), [Branch.PLUS], rungs,
+                np.array(lams)[:, None],
             )
-            return np.max(np.abs(residual), axis=0)[:, 0] / np.max(np.abs(phi))
+            return link[0, 0, :, 0]
+
+        def single(vspec, lam, read_b):
+            return link_of(vspec, lam, read_b, unit_freqs, label, energy, Branch.PLUS)
 
         third = Fraction(1, 3)
-        batch(column(third, third, 0.0))  # lambda = 0 needs no rung
-        for spec_b, wf_b in ((1, Fraction(3, 2)), (Fraction(1, 2), 1), (2, 1)):
-            off_ladder = column(spec_b, wf_b, 0.0)
-            rel = exact_relative(*off_ladder, phi)
-            assert rel > BHE_RTOL, (spec_b, wf_b)
-            assert batch(off_ladder)[1] == rel, (spec_b, wf_b)
+        assert batch(column(third, third, 0.0))[1] <= BHE_RTOL  # lambda = 0 needs no rung
+        for spec_b, read_b in ((1, Fraction(3, 2)), (Fraction(1, 2), 1), (2, 1)):
+            off_ladder = column(spec_b, read_b, 0.0)
+            rel = single(*off_ladder)
+            assert rel > BHE_RTOL, (spec_b, read_b)
+            assert batch(off_ladder)[1] == rel, (spec_b, read_b)
+        # above rung 4, lambda's rung 2b holds -b^2 lambda alone
+        assert single(*column(Fraction(5, 2), Fraction(5, 2), 2.0)) == 12.5
         # lambda != 0 needs v^(2b) to be a power of v
         with pytest.raises(ValueError, match="integer 2b"):
-            exact_relative(*column(third, third, 1.0), phi)
+            single(*column(third, third, 1.0))
         with pytest.raises(ValueError, match="integer 2b"):
             batch(column(third, third, 1.0))
 
     def test_cli_exits_1_off_ladder(self, capsys, monkeypatch):
         def wrong_b(b_values, freqs, labels, energies, branches):
             # every ladder built at b = 1, with lambda = 0
-            rungs, lams, a_ = zero_mode_ladders(
+            rungs, lams = zero_mode_ladders(
                 [1] * len(b_values), freqs, labels, energies, branches
             )
-            return rungs, np.zeros_like(lams), a_
+            return rungs, np.zeros_like(lams)
+
+        links = []
+
+        def counted(*args):
+            links.append(ladder_links(*args))
+            return links[-1]
 
         monkeypatch.setattr(certify, "zero_mode_ladders", wrong_b)
+        monkeypatch.setattr(certify, "ladder_links", counted)
         code = cli_main(["verify", "--l", "1", "--m", "1", "--b", "3/2", "--no-oracle"])
         captured = capsys.readouterr()
         assert code == 1
+        # one link call; b^2 c_i of a b = 1 ladder read at b = 3/2 is 9/4 N_i
+        assert len(links) == 1 and (links[0] > 1.0).all()
         checks = json.loads(captured.out)["checks"]
         assert [c["failed"] for c in checks] == [["schrodinger"]] * 2
         assert captured.err == ""
@@ -535,6 +581,7 @@ REMOVED = {
     "schroedinger": (
         "potential_spec", "split_sextic", "AuxConstants",
         "WavefunctionSpec", "wavefunction_spec", "zero_mode_residual",
+        "zero_mode_residuals",
     ),
     "hamiltonian": ("RestrictedHamiltonian",),
     "fdoracle": ("SINGULAR_XMIN",),

@@ -354,7 +354,7 @@ class TestVerify:
 
     def test_residual_at_roundoff_floor_passes(self, capsys):
         # on the grid this residual sits below the rounding floor, where the
-        # refinement order (~3.0) is noise; the exact zero-mode check has no
+        # refinement order (~3.0) is noise; the ladder link has no
         # order to estimate
         code, out, _ = run_cli(
             capsys, "verify", "--l", "0", "--m", "4", "--b", "3/2",
@@ -579,6 +579,23 @@ class TestSweep:
         assert [t for t in payload["tuples"] if not t["pass"]] == []
         assert code == 0
 
+    def test_ladder_link_fails_an_unrepresentable_ladder(self, capsys):
+        # the link is not vacuous: at b = 1/3, b^2 = 1/9 is inexact, and
+        # A ~ 4.2e80 makes the rung-3 round trip b^2 (A / b^2) miss A by
+        # 5.3e64, the miss that the v^3 row of the zero mode's P carries
+        # too; both BHE residuals pass
+        code, out, err = run_cli(
+            capsys, "sweep", "--lmax", "0", "--mmax", "0", "--w=0,-1e20,-3e80",
+            "--b", "1/3", "--no-oracle",
+        )
+        assert code == 1
+        tuples = json.loads(out)["tuples"]
+        assert [t["failed"] for t in tuples] == [["schrodinger"]] * 2
+        assert [t["worst"]["schrodinger_residual"] for t in tuples] == [
+            5.26561458342786e64
+        ] * 2
+        assert len(err.splitlines()) == 2
+
     @staticmethod
     def count_calls(monkeypatch, module, name):
         calls = []
@@ -597,10 +614,10 @@ class TestSweep:
 
     def test_one_pipeline_call_per_sweep(self, capsys, monkeypatch):
         # every label, both branches and every b of a sweep share one
-        # certify_subspace call; its zero-mode stage is one kernel call over
+        # certify_subspace call; its ladder stage is one link call over
         # the eigenpairs of W(0..2, 0..2), whatever their dimensions
         pipeline = self.count_calls(monkeypatch, triqes.cli, "certify_subspace")
-        kernel = self.count_calls(monkeypatch, triqes.certify, "zero_mode_residuals")
+        kernel = self.count_calls(monkeypatch, triqes.certify, "ladder_links")
         code, out, _ = run_cli(
             capsys, "sweep", "--no-oracle", "--lmax", "2", "--mmax", "2",
             "--b", "1,1/2,3/2,2",

@@ -1,8 +1,11 @@
-"""The README names only what the package defines."""
+"""The README and the package's own docstrings and comments name only what
+the package defines."""
 
 import importlib
+import io
 import pkgutil
 import re
+import tokenize
 from functools import reduce
 from pathlib import Path
 
@@ -14,16 +17,34 @@ SUBMODULES = [m.name for m in pkgutil.iter_modules(triqes.__path__)]
 DOTTED = re.compile(r"`((?:triqes|%s)(?:\.\w+)+)" % "|".join(SUBMODULES))
 
 
-def test_readme_names_resolve():
+def unresolved(names):
+    """The dotted names among `names` that the package does not define."""
     modules = {name: importlib.import_module(f"triqes.{name}") for name in SUBMODULES}
     modules["triqes"] = triqes
-    names = sorted(set(DOTTED.findall(README.read_text())))
-    assert "heun.residual_ok" in names
     missing = []
-    for dotted in names:
+    for dotted in sorted(names):
         head, *attrs = dotted.split(".")
         try:
             reduce(getattr, attrs, modules[head])
         except AttributeError:
             missing.append(dotted)
-    assert not missing, missing
+    return missing
+
+
+def test_readme_names_resolve():
+    names = set(DOTTED.findall(README.read_text()))
+    assert "heun.residual_ok" in names
+    assert not unresolved(names), unresolved(names)
+
+
+def test_module_docstrings_and_comments_resolve():
+    # every docstring, string and comment of every module: a text that
+    # names a deleted function fails here
+    names = set()
+    for path in Path(triqes.__file__).parent.glob("*.py"):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        for token in tokens:
+            if token.type in (tokenize.COMMENT, tokenize.STRING):
+                names |= set(DOTTED.findall(token.string))
+    assert {"heun.rho_coefficients", "schroedinger.lambda_rung"} <= names
+    assert not unresolved(names), unresolved(names)

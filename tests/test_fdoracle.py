@@ -19,7 +19,7 @@ from triqes import (
     zero_mode_potentials,
 )
 from triqes import fdoracle
-from triqes.schroedinger import PotentialSpec, zero_mode_residuals
+from triqes.schroedinger import PotentialSpec, lambda_rung
 
 SQRT2 = math.sqrt(2.0)
 HALF = Fraction(1, 2)
@@ -384,13 +384,11 @@ class TestSingularAdaptation:
     @pytest.mark.parametrize("b", [Fraction(1, 3), Fraction(3, 4)])
     def test_lambda_needs_an_integer_2b(self, monkeypatch, b):
         # lambda enters V - lambda at x^0, rung 2b: with no such rung the
-        # boundary series refuses lambda != 0 by the zero-mode check's rule,
+        # boundary series refuses lambda != 0 by the ladder's rule,
         # before any solve, where it once fell back to the bare power x^p
         spec = PotentialSpec(b, (-0.25, 1.3, -2.1, 0.7, 0.44))
         with pytest.raises(ValueError, match="integer 2b") as expected:
-            zero_mode_residuals(
-                [b], np.reshape(spec.coeffs, (5, 1, 1)), 2.0, 1.0, 0.0, np.ones((1, 1, 1))
-            )
+            lambda_rung(b)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("an fd solve ran")

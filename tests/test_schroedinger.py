@@ -20,12 +20,7 @@ from triqes import (
     zero_mode_potentials,
 )
 from triqes.heun import operator_residuals, rho_coefficients
-from triqes.schroedinger import (
-    PotentialSpec,
-    _ladders,
-    zero_mode_envelope,
-    zero_mode_residuals,
-)
+from triqes.schroedinger import PotentialSpec, _ladders, ladder_links, zero_mode_envelope
 
 from conftest import certify_one, frequencies, labels
 
@@ -347,15 +342,17 @@ class TestWavefunction:
                     assert abs(overlap) < 1e-7  # trapezoid-limited
 
 
-def relative(spec, label, wf, lam):
-    """max|P| of the zero mode `wf` of `label` in `spec` at `lam`, relative
-    to the largest phi coefficient, as the pipeline gates."""
-    b, _, a, phi = wf
-    p = zero_mode_residuals(
-        [b], np.reshape(spec.coeffs, (5, 1, 1)), lam, label.k - label.n_prime, a,
-        phi[:, None, None],
+def relative(spec, lam, b, freqs, label, energy, vec, branch):
+    """What the pipeline gates for the zero mode of eigenpair (energy, vec)
+    in `spec` at `lam`: the larger of phi's BHE operator residual, relative
+    to its largest coefficient, and the ladder link of `spec` at b."""
+    phi = rho_coefficients(label, np.asarray(vec)[:, None], branch)
+    op = operator_residuals(freqs, label, np.array([energy]), phi, branch)
+    link = ladder_links(
+        [b], freqs, [label], np.array([[energy]]), [branch],
+        np.reshape(spec.coeffs, (5, 1, 1, 1, 1)), lam,
     )
-    return float(np.max(np.abs(p)) / np.max(np.abs(phi)))
+    return max(float(np.max(np.abs(op)) / np.max(np.abs(phi))), float(link.item()))
 
 
 class TestResonance:
@@ -371,12 +368,12 @@ class TestResonance:
         assert freqs.w1 - freqs.w2 - freqs.w3 == 0.0
         b_values = [Fraction(1), HALF, Fraction(3, 2), Fraction(2), Fraction(1, 3)]
         energies = eig_sym(build_hamiltonian(freqs, label)).eigenvalues
-        rungs, _, a_ = zero_mode_ladders(
+        rungs, _ = zero_mode_ladders(
             b_values, freqs, [label], energies[None], list(Branch)
         )
         assert rungs.shape == (5, 1, len(Branch), len(b_values), label.dim)
         assert rungs[3].ravel().tolist() == [0.0] * rungs[3].size
-        assert not a_.any()
+        assert all(zero_mode_envelope(1, freqs, label, br)[1] == 0.0 for br in Branch)
 
 
 def old_quotient_rungs(b, freqs, label, energy, branch):
@@ -421,23 +418,23 @@ class TestResidual:
         label = SubspaceLabel(1, 1)
         energy, vec = eigenpairs(unit_freqs, label)[1]
         assert energy == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-14)
-        wf = make_wf(Fraction(1), unit_freqs, label, vec, Branch.PLUS)
         (spec,) = potential_specs(Fraction(1), unit_freqs, label, [energy])
-        assert relative(spec, label, wf, 0.0) <= 1e-10
+        pair = (unit_freqs, label, energy, vec, Branch.PLUS)
+        assert relative(spec, 0.0, Fraction(1), *pair) <= 1e-10
 
     def test_sextic_displaced_eigenvalue(self, unit_freqs):
         label = SubspaceLabel(1, 1)
         energy, vec = eigenpairs(unit_freqs, label)[1]
-        wf = make_wf(Fraction(1, 2), unit_freqs, label, vec, Branch.PLUS)
         (tilde,), (lam,) = zero_mode_potentials(HALF, unit_freqs, label, [energy])
-        assert relative(tilde, label, wf, lam) <= 1e-10
+        pair = (unit_freqs, label, energy, vec, Branch.PLUS)
+        assert relative(tilde, lam, HALF, *pair) <= 1e-10
 
     def test_perturbed_lambda_detected(self, unit_freqs):
         label = SubspaceLabel(1, 1)
         energy, vec = eigenpairs(unit_freqs, label)[1]
-        wf = make_wf(Fraction(1), unit_freqs, label, vec, Branch.PLUS)
         (spec,) = potential_specs(Fraction(1), unit_freqs, label, [energy])
-        assert relative(spec, label, wf, 0.1) >= 1e-2
+        pair = (unit_freqs, label, energy, vec, Branch.PLUS)
+        assert relative(spec, 0.1, Fraction(1), *pair) >= 1e-2
 
     @settings(max_examples=15, deadline=None)
     @given(frequencies(min_value=-1.5, max_value=1.5), labels(max_l=4, max_m=4))
@@ -449,8 +446,8 @@ class TestResidual:
                     b, freqs, label, spec_h.eigenvalues, branch
                 )
                 for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
-                    wf = make_wf(b, freqs, label, spec_h.eigenvectors[:, i], branch)
-                    rel = relative(vspec, label, wf, lam)
+                    energy, vec = spec_h.pair(i)
+                    rel = relative(vspec, lam, b, freqs, label, energy, vec, branch)
                     assert rel <= 1e-10, (freqs, label, branch, i, b, rel)
 
     @seed(25)
@@ -458,24 +455,25 @@ class TestResidual:
     @given(
         frequencies(), labels(max_l=8, max_m=8), st.sampled_from((0.0, 1e-6, -1e-3))
     )
-    def test_p_is_minus_the_bhe_operator_residual(self, freqs, label, shift):
-        # P = -Op[phi] in exact arithmetic (tests/test_symbolic.py); the
-        # b-free P keeps it to rounding at every b, large b included, and at
-        # energies that are no eigenvalue
+    def test_link_reads_rounding_only(self, freqs, label, shift):
+        # b^2 c_i is the b-free numerator N_i in exact arithmetic
+        # (tests/test_symbolic.py): every ladder the builder writes links to
+        # within a few ulps of its largest term, b^2 c_i, N_i or b^2 lambda,
+        # at every b, large b included, and at energies that are no
+        # eigenvalue
         b_values = [Fraction(1, 3), HALF, Fraction(1), Fraction(3, 2), Fraction(2),
                     Fraction(5, 2), Fraction(10**6)]
-        spec = eig_sym(build_hamiltonian(freqs, label))
-        energies = spec.eigenvalues + shift * np.maximum(1.0, np.abs(spec.eigenvalues))
+        energies = eig_sym(build_hamiltonian(freqs, label)).eigenvalues[None]
+        energies = energies + shift * np.maximum(1.0, np.abs(energies))
         branches = list(Branch)
-        # [row, label, branch, column]
-        phis = rho_coefficients([label], spec.eigenvectors[:, None, None], branches)
-        rungs, lams, a_ = zero_mode_ladders(
-            b_values, freqs, [label], energies[None], branches
+        rungs, lams = zero_mode_ladders(b_values, freqs, [label], energies, branches)
+        link = ladder_links(b_values, freqs, [label], energies, branches, rungs, lams)
+        numerators = _ladders(
+            np.ones((1, 1)), freqs, [label], energies[:, None, None], branches
         )
-        gap = zero_mode_residuals(
-            b_values, rungs, lams, label.k - label.n_prime, a_, phis[..., None, :]
+        bb2 = np.array([float(b) ** 2 for b in b_values])[:, None]
+        scale = np.maximum(
+            np.abs(numerators[1:]).max(axis=0), np.abs(bb2 * rungs[1:]).max(axis=0)
         )
-        op = operator_residuals(freqs, [label], energies, phis, branches)
-        gap[: len(op)] += op[..., None, :]
-        worst = np.max(np.abs(gap), axis=0) / np.max(np.abs(phis), axis=0)[..., None, :]
-        assert worst.max() <= 1e-13, (freqs, label, shift, worst.max())
+        scale = np.maximum(scale, np.abs(bb2 * lams))
+        assert (link <= 8 * np.finfo(float).eps * scale).all(), (freqs, label, shift)

@@ -1,16 +1,17 @@
 """The zero-mode identity behind the "schrodinger" stage, proven once.
 
-`schroedinger.zero_mode_residuals` forms the residual polynomial P in
-b-free form: rung 0 and the envelope exponent s enter only through terms
-that cancel whatever the eigenpair (the indicial equation, and every b of
-the envelope), so the kernel leaves them out and reads neither.  Here,
-over symbols, the b-free P is shown to be the residual of the zero mode
-chi = x^s e^g phi in V_b - lambda, and minus the BHE operator residual of
-phi.  The symbols are then tied to the code: the rung closed forms of
-`schroedinger._ladders`, the envelope of `zero_mode_envelope` and the
-kernel itself, evaluated at rational points, agree with the symbolic
-forms to a few ulps.  That keeps rung 0 and s under test, now that the
-per-eigenpair check leaves them out.
+The residual of the zero mode chi = x^s e^g phi in V_b - lambda is, in
+b-free form, a polynomial P: rung 0 and the envelope exponent s enter only
+through terms that cancel whatever the eigenpair (the indicial equation,
+and every b of the envelope).  Here, over symbols, P is shown to be that
+residual, and minus the BHE operator residual of phi, and a ladder error
+d_i in b^2 c_i to add d_i v^i phi to P.  So the pipeline checks phi by the
+BHE residuals and the ladder by `schroedinger.ladder_links`, and never
+forms P.  The symbols are then tied to the code: the rung closed forms of
+`schroedinger._ladders` and the envelope of `zero_mode_envelope`,
+evaluated at rational points, agree with the symbolic forms to a few ulps.
+That keeps rung 0 and s under test, now that the per-eigenpair check
+leaves them out.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ import pytest
 import sympy as sp
 
 from triqes import Branch, ModeFrequencies, SubspaceLabel, zero_mode_ladders
-from triqes.schroedinger import _ladders, zero_mode_envelope, zero_mode_residuals
+from triqes.schroedinger import _ladders, zero_mode_envelope
 
 EPS = np.finfo(float).eps
 b = sp.Symbol("b", positive=True)
@@ -48,7 +49,7 @@ def s_of(b, delta):
 
 
 def p_bfree(phi, b, delta, A, c, lam):
-    """The kernel's b-free P, row by row; lambda sits at v^(2b)."""
+    """The b-free P, row by row; lambda sits at v^(2b)."""
     total = 0
     for n, pn in enumerate(phi):
         rows = [
@@ -120,6 +121,19 @@ def test_p_is_minus_the_bhe_operator_residual(m_of):
     assert sp.expand(p_bfree(PHI, half, delta, A, tilde, 4 * (D - d0)) + op) == 0
 
 
+@ORDERINGS
+def test_ladder_error_enters_p_times_phi(m_of):
+    # b^2 c_i off by d_i (i = 1..4) adds d_i v^i phi(v) to P, whatever
+    # phi: each coefficient of P / max|phi| moves by at most 4 max_i |d_i|,
+    # 4 times the ladder link
+    d = sp.symbols("d1:5")
+    c = rungs_of(b, ell, m_of, A, D)
+    off = [c[0]] + [ci + di / b**2 for ci, di in zip(c[1:], d)]
+    gap = p_bfree(PHI, b, delta, A, off, lam) - p_bfree(PHI, b, delta, A, c, lam)
+    added = sum(di * v**i for i, di in enumerate(d, start=1)) * PHI_POLY
+    assert sp.expand(gap - added) == 0
+
+
 W_POINTS = [
     (Fraction(1), Fraction(1), Fraction(1)),
     (Fraction(3, 4), Fraction(-5, 4), Fraction(1, 8)),
@@ -154,7 +168,7 @@ def test_closed_forms_match_the_code():
                     np.array([[float(x)] for x in B_POINTS]), freqs, [label],
                     np.array([float(e) for e in energies]), [branch],
                 )[:, 0, 0]  # [rung, b, column]
-                _, lams, _ = zero_mode_ladders(
+                _, lams = zero_mode_ladders(
                     [Fraction(1, 2)], freqs, [label],
                     np.array([[float(e) for e in energies]]), [branch],
                 )
@@ -174,32 +188,3 @@ def test_closed_forms_match_the_code():
                 for col, e in enumerate(energies):
                     eps_exact = -4 * c * rational(e)
                     assert ulps(lams[0, 0, 0, col], eps_exact) <= 4
-
-
-def test_kernel_matches_the_symbolic_p():
-    # `zero_mode_residuals` at dyadic rungs, A, lambda and phi, against the
-    # symbolic P's coefficients: the kernel computes the proven form, and at
-    # these points every float operation of it is exact
-    phi = [Fraction(3, 4), Fraction(-5, 2), Fraction(9, 8), Fraction(-1, 16)]
-    rungs = [Fraction(-3, 16), Fraction(11, 8), Fraction(-7, 4), Fraction(5, 32),
-             Fraction(9, 4)]
-    a_, lam_ = Fraction(-3, 8), Fraction(13, 4)
-    # b = 5/2 puts lambda at v^(n+5), above the five rungs
-    for bq in map(Fraction, (1, "1/2", "3/2", 2, "5/2")):
-        for d in (0, 1, 3):
-            for lam_value in (Fraction(0), lam_):
-                got = zero_mode_residuals(
-                    [bq], np.array([[[float(c)]] for c in rungs]), float(lam_value),
-                    d, float(a_), np.array([[[float(p)]] for p in phi]),
-                )[:, 0, 0]
-                exact = sp.Poly(
-                    p_bfree(
-                        [rational(p) for p in phi], rational(bq), d, rational(a_),
-                        [rational(c) for c in rungs], rational(lam_value),
-                    ),
-                    v,
-                ).all_coeffs()[::-1]
-                assert len(got) >= len(exact)
-                exact += [0] * (len(got) - len(exact))
-                for row, (g, e) in enumerate(zip(got, exact)):
-                    assert g == float(e), (bq, d, lam_value, row)
