@@ -48,16 +48,24 @@ centre that no V_b has, is an error.  The ratio of u carries the
 factor sqrt(x_1/x_0) into y, and the ratio condition folds into the
 first diagonal entry, so the matrix stays symmetric tridiagonal.
 
-This module is the package's only user of scipy, and it imports scipy at
-the first solve, not with the package: loading `scipy.linalg` takes
-~0.3 s and ~25 MB on a 2-vCPU x86_64 machine, more than the rest of
-start-up, so commands that solve no fd matrix (`spectrum`, `basis`,
-`potential`, `--no-oracle`) never pay it.
+This module is the package's only user of scipy, and it loads scipy at
+the first solve, not with the package.  Even then it loads only the
+compiled LAPACK module `scipy.linalg._flapack` that holds `dstebz`,
+under its own name, and never the `scipy.linalg` package, whose import
+brings ~310 more modules and ~25 MB and takes ~0.2 s on a 2-vCPU x86_64
+machine.  The first oracle `verify` in a process takes ~30 ms, and a
+fresh-process `verify --l 2 --m 3 --b 1/2` ~0.2 s and ~35 MB of peak
+RSS, where it took ~0.4 s and ~59 MB through `scipy.linalg`.  Commands
+that solve no fd matrix (`spectrum`, `basis`, `potential`,
+`--no-oracle`) load no scipy module at all.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,17 +90,84 @@ ORACLE_POINTS = 2000
 DOMAIN_PHASE = 18.0
 
 
-def eigh_tridiagonal(*args, **kwargs):
-    """`scipy.linalg.eigh_tridiagonal`, imported at the first solve (see
-    the module docstring for why).
+_FLAPACK = "scipy.linalg._flapack"
+_flapack_lock = threading.Lock()
 
-    Every solve looks this module attribute up at call time, so tests and
-    tracers can replace it.  After the first call the import is a
-    `sys.modules` lookup, ~1 us against solves of ~100 us and more.
+
+def _flapack():
+    """SciPy's compiled LAPACK module, loaded without `scipy.linalg`.
+
+    Only the top-level `scipy` package is imported (on Windows it puts its
+    bundled libraries on the DLL path); the extension is then found in
+    scipy's `linalg` directory and registered in `sys.modules` under its
+    own name, so a later `import scipy.linalg` reuses this module object,
+    and one that `scipy.linalg` loaded first is reused here.  Raises
+    ImportError when the extension is missing.
     """
-    from scipy.linalg import eigh_tridiagonal as solve
+    with _flapack_lock:
+        module = sys.modules.get(_FLAPACK)
+        if module is not None:
+            return module
+        import importlib.machinery as machinery
+        import importlib.util
 
-    return solve(*args, **kwargs)
+        import scipy
+
+        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        finder = machinery.FileFinder(
+            where, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+        )
+        spec = finder.find_spec(_FLAPACK)
+        if spec is None:
+            raise ImportError(f"no {_FLAPACK} extension in {where}", name=_FLAPACK)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+        return module
+
+
+def eigh_tridiagonal(d, e, *, select, select_range, eigvals_only=True, tol):
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal `d`
+    and off-diagonal `e`, ascending: those in (lo, hi] for select="v", or
+    those of index lo .. hi from 0 for select="i", (lo, hi) =
+    `select_range`.
+
+    One LAPACK `dstebz` call by bisection to the absolute tolerance `tol`,
+    ordered by value, with the arguments and checks of
+    `scipy.linalg.eigh_tridiagonal(..., eigvals_only=True, tol=tol)`, so
+    the values are that function's bit for bit (see the module docstring
+    for why it is not called).  Raises ValueError on a non-finite `d` or
+    `e`, a window with hi < lo, an index range out of bounds, or a value
+    LAPACK calls illegal, and `numpy.linalg.LinAlgError` (a ValueError)
+    when the bisection does not converge.  Every solve looks this module
+    attribute up at call time, so tests and tracers can replace it.
+    """
+    if not eigvals_only:
+        raise ValueError("only eigenvalues are computed")
+    d = np.asarray_chkfinite(d, dtype=np.float64)
+    e = np.asarray_chkfinite(e, dtype=np.float64)
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise ValueError(f"d and e must be 1-D of sizes n, n - 1: {d.shape}, {e.shape}")
+    lo, hi = select_range
+    if hi < lo:
+        raise ValueError(f"select_range {select_range!r} is not in nondecreasing order")
+    vl, vu, il, iu = 0.0, 1.0, 1, 1
+    if select == "v":
+        lapack_range, vl, vu = 1, float(lo), float(hi)
+    elif select == "i":
+        if not 0 <= lo <= hi < d.size:
+            raise ValueError(f"index range {select_range!r} out of bounds")
+        lapack_range, il, iu = 2, int(lo) + 1, int(hi) + 1
+    else:
+        raise ValueError(f"select must be 'v' or 'i', got {select!r}")
+    m, w, _, _, info = _flapack().dstebz(
+        d, e, lapack_range, vl, vu, il, iu, float(tol), "E"
+    )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dstebz")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz did not converge (info={info})")
+    return w[:m]
 
 
 @dataclass(frozen=True)
@@ -261,8 +336,9 @@ def _nearest_level(
     centred on the target always contains the globally nearest eigenvalue.
     For finite input the loop ends once the radius reaches any level.  A
     non-finite target or matrix makes the first solve raise ValueError:
-    scipy rejects a non-finite matrix, LAPACK an infinite window, and
-    bisection on a NaN window does not converge.
+    `eigh_tridiagonal` rejects a non-finite matrix before LAPACK runs,
+    LAPACK an infinite window, and bisection on a NaN window does not
+    converge.
     """
     solves = 0
     while True:

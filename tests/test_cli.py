@@ -877,21 +877,56 @@ for argv in no_solve:
     assert "scipy" not in sys.modules, argv
 rc = triqes.cli.main(["verify", "--l", "1", "--m", "1", "--out", os.path.join(out, "oracle")])
 assert rc == 0, rc
-assert "scipy.linalg" in sys.modules
+assert "scipy.linalg" not in sys.modules
+assert "scipy.linalg._flapack" in sys.modules
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg.lapack
+assert sys.modules["scipy.linalg._flapack"] is flapack
+assert scipy.linalg.lapack.dstebz is flapack.dstebz
+"""
+
+# scipy.linalg first: the oracle reuses the LAPACK module it loaded
+SCIPY_FIRST_PROBE = """
+import os, sys
+import scipy.linalg
+flapack = sys.modules["scipy.linalg._flapack"]
+dstebz = flapack.dstebz
+calls = []
+
+def counting(*args):
+    calls.append(1)
+    return dstebz(*args)
+
+flapack.dstebz = counting
+import triqes.cli
+rc = triqes.cli.main(["verify", "--l", "1", "--m", "1", "--out", os.path.join(sys.argv[1], "oracle")])
+assert rc == 0, rc
+assert calls
+assert sys.modules["scipy.linalg._flapack"] is flapack
+assert scipy.linalg.lapack.dstebz is dstebz
 """
 
 
-def test_scipy_loads_only_with_the_oracle(tmp_path):
-    # a fresh interpreter, since pytest plugins may import scipy themselves:
-    # only an fd solve pulls in scipy.linalg (the b = 2 zero search is one
-    # eigvalsh, with no scipy.optimize)
+def run_probe(probe, tmp_path):
+    # a fresh interpreter, since pytest plugins may import scipy themselves
     src = str(Path(triqes.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+        [sys.executable, "-c", probe, str(tmp_path)],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_loads_only_with_the_oracle(tmp_path):
+    # only an fd solve loads scipy, and then only its LAPACK extension, not
+    # the scipy.linalg package (the b = 2 zero search is one eigvalsh, with
+    # no scipy.optimize); a later scipy.linalg reuses that extension
+    run_probe(SCIPY_PROBE, tmp_path)
+
+
+def test_oracle_reuses_a_loaded_scipy_linalg(tmp_path):
+    run_probe(SCIPY_FIRST_PROBE, tmp_path)
 
 
 WORST_KEYS = ["bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual"]

@@ -267,6 +267,141 @@ class TestWindowedSearch:
         )
 
 
+def recorded_solves(monkeypatch, run):
+    """(d, e, keywords) of every solve that `run()` makes."""
+    solver = fdoracle.eigh_tridiagonal
+    calls = []
+
+    def recording(d, e, **kwargs):
+        calls.append((d.copy(), e.copy(), kwargs))
+        return solver(d, e, **kwargs)
+
+    monkeypatch.setattr(fdoracle, "eigh_tridiagonal", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def harmonic_matrix():
+    spec = bare_spec(HARMONIC)
+    cfg = LogGridConfig(10.0, 200)
+    xs, vpot = fdoracle._grid_values(spec, cfg)
+    (ratio,) = fdoracle._left_boundary_ratios(spec, (float(xs[0]),), None)
+    return fdoracle._tridiagonal(cfg, xs, vpot, ratio)
+
+
+def no_lapack():
+    raise AssertionError("LAPACK ran")
+
+
+class TestKernelParity:
+    """The oracle's direct LAPACK call returns what scipy.linalg's
+    eigh_tridiagonal returned for the same arguments, bit for bit."""
+
+    def reference(self, d, e, select, select_range):
+        from scipy.linalg import eigh_tridiagonal
+
+        return eigh_tridiagonal(
+            d, e, eigvals_only=True, select=select, select_range=select_range,
+            tol=fdoracle.BISECTION_TOL,
+        )
+
+    def assert_same(self, d, e, select, select_range):
+        got = fdoracle.eigh_tridiagonal(
+            d, e, select=select, select_range=select_range, eigvals_only=True,
+            tol=fdoracle.BISECTION_TOL,
+        )
+        want = self.reference(d, e, select, select_range)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), (select, select_range, got, want)
+        return got
+
+    def test_oracle_windows(self, monkeypatch):
+        # every window the checks of the W(4,4), b = 2 zero modes solve,
+        # on both grids and through every widening
+        freqs = ModeFrequencies(0.3, -1.2, 0.7)
+        modes = zero_modes(Fraction(2), freqs, SubspaceLabel(4, 4))
+        calls = recorded_solves(monkeypatch, lambda: [
+            contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
+            for vspec, lam in modes
+        ])
+        assert len(calls) >= 2 * len(modes)
+        for d, e, kwargs in calls:
+            assert kwargs["select"] == "v"
+            assert self.assert_same(d, e, "v", kwargs["select_range"]).size
+
+    def test_empty_window(self):
+        # x^2 on the half line has levels near 3, 7, 11: none in (4, 5]
+        d, e = harmonic_matrix()
+        assert self.assert_same(d, e, "v", (4.0, 5.0)).size == 0
+
+    def test_index_range(self, monkeypatch):
+        spec = bare_spec(HARMONIC)
+        (call,) = recorded_solves(
+            monkeypatch, lambda: fd_spectrum(spec, LogGridConfig(10.0, 400), 4)
+        )
+        d, e, kwargs = call
+        assert (kwargs["select"], kwargs["select_range"]) == ("i", (0, 3))
+        assert self.assert_same(d, e, "i", (0, 3)).size == 4
+
+    def test_split_matrix(self):
+        # a zero off-diagonal splits a discrete Laplacian into two blocks,
+        # the upper one shifted by 1: their levels interleave, and the
+        # values still come out ascending
+        d = np.full(200, 2.0)
+        d[:100] += 1.0
+        e = np.full(199, -1.0)
+        e[99] = 0.0
+        for select, select_range in (("i", (0, 199)), ("v", (0.5, 4.5))):
+            got = self.assert_same(d, e, select, select_range)
+            assert got.size > 100
+            assert np.all(np.diff(got) >= 0.0)
+
+    @pytest.mark.parametrize("where", ["d", "e"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_rejected_before_lapack(self, monkeypatch, where, bad):
+        d, e = harmonic_matrix()
+        d, e = d.copy(), e.copy()
+        (d if where == "d" else e)[7] = bad
+        with pytest.raises(ValueError):
+            self.reference(d, e, "v", (0.0, 10.0))
+        monkeypatch.setattr(fdoracle, "_flapack", no_lapack)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fdoracle.eigh_tridiagonal(
+                d, e, select="v", select_range=(0.0, 10.0), tol=fdoracle.BISECTION_TOL
+            )
+
+    @pytest.mark.parametrize(
+        "select,select_range", [("v", (5.0, 4.0)), ("i", (3, 2)), ("i", (0, 200))]
+    )
+    def test_bad_selection_rejected_before_lapack(self, monkeypatch, select, select_range):
+        d, e = harmonic_matrix()
+        with pytest.raises(ValueError):
+            self.reference(d, e, select, select_range)
+        monkeypatch.setattr(fdoracle, "_flapack", no_lapack)
+        with pytest.raises(ValueError):
+            fdoracle.eigh_tridiagonal(
+                d, e, select=select, select_range=select_range,
+                tol=fdoracle.BISECTION_TOL,
+            )
+
+    def test_lapack_errors_are_value_errors(self, capfd):
+        # LAPACK rejects the window (inf, inf] (info < 0); bisection on a
+        # NaN window does not converge (info > 0, LinAlgError)
+        d, e = harmonic_matrix()
+        for window, error in (
+            ((math.inf, math.inf), ValueError),
+            ((math.nan, math.nan), np.linalg.LinAlgError),
+        ):
+            with pytest.raises(error):
+                self.reference(d, e, "v", window)
+            with pytest.raises(error):
+                fdoracle.eigh_tridiagonal(
+                    d, e, select="v", select_range=window, tol=fdoracle.BISECTION_TOL
+                )
+        capfd.readouterr()  # LAPACK's own complaint about the window
+
+
 class TestOracleConfig:
     def test_default_spacing_and_clamp(self, unit_freqs):
         # 2000 nodes uniform in ln x on [1e-4, x_max of suggest_domain]
