@@ -16,7 +16,7 @@ given, every transformation exponent b and every branch:
 5. when the caller asks for it, the independent finite-difference oracle
    at lambda.
 
-`certify_subspace` takes the subspaces as (label, energies, eigenvectors)
+`certify_batch` takes the subspaces as (label, energies, eigenvectors)
 and lays every eigenpair of every subspace along one pair axis, in
 subspace order and then column order, each pair with its own label's
 constants; phi rows are padded with zeros to the top degree (exact, see
@@ -31,18 +31,22 @@ order, once per distinct (potential, lambda) in the `OracleMemo` the
 caller passes, its key a `PotentialSpec` built for each checked column
 only; `sweep` passes one memo for the command.
 
-Each subspace gets one `Certificate`, a slice of the batch's arrays,
-which are transposed once to [branch, b, pair]: arrays indexed [branch,
-b, column] (`potential` [branch, b, column, rung]) and a `failed` mask
-per stage of `STAGES`, by one rule: "bhe" where either BHE residual is
-not <= `BHE_RTOL`, "schrodinger" where the ladder link is not <= that
-`BHE_RTOL` (a NaN fails), "oracle" where the oracle missed.
+It returns one batch `Certificate`, whose arrays are transposed once to
+[branch, b, pair] (`potential` [branch, b, pair, rung]) with a `failed`
+mask per stage of `STAGES`, by one rule: "bhe" where either BHE residual
+is not <= `BHE_RTOL`, "schrodinger" where the ladder link is not <= that
+`BHE_RTOL` (a NaN fails), "oracle" where the oracle missed; and the
+offsets of the subspaces on the pair axis.  `sweep` writes its file from
+that batch.  `certify_subspace` is its per-subspace view: it returns
+each subspace's `Certificate`, the subspace's columns of the batch,
+indexed [branch, b, column].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from itertools import product
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,6 +88,18 @@ class Certificate:
     def passed(self) -> np.ndarray:
         return ~self.failed.any(axis=0)
 
+    def columns(self, cols: slice) -> "Certificate":
+        """The view of columns `cols` of every field."""
+        return Certificate(
+            bhe_operator_residual=self.bhe_operator_residual[..., cols],
+            bhe_standard_residual=self.bhe_standard_residual[..., cols],
+            potential=self.potential[:, :, cols],
+            lam=self.lam[..., cols],
+            schrodinger_residual=self.schrodinger_residual[..., cols],
+            oracle=None if self.oracle is None else self.oracle[..., cols],
+            failed=self.failed[..., cols],
+        )
+
 
 def _worst(residuals: np.ndarray) -> np.ndarray:
     return np.max(np.abs(residuals), axis=0)
@@ -99,21 +115,42 @@ def certify_subspace(
     b_values: Sequence[RationalLike],
     branches: Sequence[Branch],
     oracle: OracleMemo | None = None,
-) -> Iterator[tuple[int, Certificate]]:
+) -> list[tuple[int, Certificate]]:
     """Run the chain for every subspace (label, energies, vecs) of
     `subspaces`, under every b in `b_values` and every branch in
     `branches`.
 
     Column i of `vecs` is an eigenvector of W(l, m), checked against
-    `energies[i]`; pass a wrong energy to watch its column fail.  Every
-    subspace's shapes are checked before any stage runs, and the first bad
-    one raises.  Yields (i, `Certificate`) for the i-th subspace, indexed
-    [branch, b, column], in order; stages 1-4 run as one array pass over
-    the eigenpairs of all subspaces.  `oracle=None` skips the oracle; a
-    dict runs it, subspace by subspace, then branch by branch, b by b,
-    column by column.  An oracle check depends on (potential, lambda)
-    alone: a pair already in `oracle` is not solved again, and every new
-    one is added.
+    `energies[i]`; pass a wrong energy to watch its column fail.  Returns
+    the list of (i, `Certificate`), indexed [branch, b, column], one per
+    subspace in order: the i-th subspace's columns of `certify_batch`'s
+    one batch, so the whole batch, oracle included, is certified before
+    this returns.
+    """
+    batch, ends = certify_batch(freqs, subspaces, b_values, branches, oracle)
+    return [
+        (i, batch.columns(slice(start, stop)))
+        for i, (start, stop) in enumerate(zip(ends, ends[1:]))
+    ]
+
+
+def certify_batch(
+    freqs: ModeFrequencies,
+    subspaces: Iterable[Subspace],
+    b_values: Sequence[RationalLike],
+    branches: Sequence[Branch],
+    oracle: OracleMemo | None = None,
+) -> tuple[Certificate, list[int]]:
+    """The chain for every eigenpair of every subspace (label, energies,
+    vecs) as one `Certificate` over [branch, b, pair], and the offsets
+    `ends`: subspace i holds pairs ends[i] .. ends[i + 1] - 1.
+
+    Every subspace's shapes are checked before any stage runs, and the
+    first bad one raises.  Stages 1-4 run as one array pass.  `oracle=None`
+    skips the oracle; a dict runs it subspace by subspace, then branch by
+    branch, b by b, column by column.  An oracle check depends on
+    (potential, lambda) alone: a pair already in `oracle` is not solved
+    again, and every new one is added.
     """
     checked = []
     for label, energies, vecs in subspaces:
@@ -135,30 +172,26 @@ def certify_subspace(
             vecs[len(vecs) - label.dim :, start:stop] = v
     energies = np.concatenate([e for _, e, _ in checked] or [np.empty(0)])
     batch = _certify_pairs(freqs, labels, energies, vecs, b_values, branches)
-    for i, (start, stop) in enumerate(zip(ends, ends[1:])):
-        cols = slice(start, stop)
-        lams = batch.lam[..., cols]
-        cert = Certificate(
-            bhe_operator_residual=batch.bhe_operator_residual[..., cols],
-            bhe_standard_residual=batch.bhe_standard_residual[..., cols],
-            potential=batch.potential[:, :, cols],
-            lam=lams,
-            schrodinger_residual=batch.schrodinger_residual[..., cols],
-            oracle=None if oracle is None else np.empty(lams.shape, dtype=object),
-            failed=batch.failed[..., cols],
-        )
-        if oracle is not None:
-            rows = cert.potential.tolist()
-            for br, j, col in np.ndindex(lams.shape):
-                vspec = PotentialSpec(b_values[j], tuple(rows[br][j][col]))
-                lam = float(lams[br, j, col])
-                if (vspec, lam) not in oracle:
-                    oracle[vspec, lam] = contains_eigenvalue(
-                        vspec, oracle_config(vspec, lam), lam
-                    )
-                cert.oracle[br, j, col] = oracle[vspec, lam]
-                cert.failed[2, br, j, col] = not oracle[vspec, lam].hit
-        yield i, cert
+    if oracle is not None:
+        batch = replace(batch, oracle=_oracle_checks(batch, ends, b_values, oracle))
+    return batch, ends
+
+
+def _oracle_checks(batch, ends, b_values, memo):
+    """The oracle's result for every [branch, b, pair] of `batch`, in
+    (subspace, branch, b, column) order through `memo`; marks a miss in
+    `batch.failed`."""
+    results = np.empty(batch.lam.shape, dtype=object)
+    rows = batch.potential.tolist()
+    for start, stop in zip(ends, ends[1:]):
+        for br, j, col in product(*map(range, results.shape[:2]), range(start, stop)):
+            vspec = PotentialSpec(b_values[j], tuple(rows[br][j][col]))
+            lam = float(batch.lam[br, j, col])
+            if (vspec, lam) not in memo:
+                memo[vspec, lam] = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
+            results[br, j, col] = memo[vspec, lam]
+            batch.failed[2, br, j, col] = not memo[vspec, lam].hit
+    return results
 
 
 def _certify_pairs(freqs, labels, energies, vecs, b_values, branches):

@@ -15,12 +15,13 @@ import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Any, Iterable
+from itertools import chain
+from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .certify import STAGES, Certificate, OracleMemo, certify_subspace
+from .certify import STAGES, Certificate, OracleMemo, certify_batch, certify_subspace
 from .fock import SubspaceLabel, subspace_basis
 from .hamiltonian import ModeFrequencies, build_hamiltonian
 from .heun import Branch, rho_coefficients
@@ -182,49 +183,72 @@ _VERDICTS = [
     _verdict([s for k, s in enumerate(STAGES) if bits >> k & 1])
     for bits in range(1 << len(STAGES))
 ]
-_STAGE_BITS = (1 << np.arange(len(STAGES)))[:, None, None]
+_STAGE_BITS = 1 << np.arange(len(STAGES))
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """`_json_float` of every element of the float array `values`, in
+    order, each distinct bit pattern formatted once."""
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [_json_float(x) for x in bits.view(float).tolist()]
+    return [texts[i] for i in where.tolist()]
 
 
 def _sweep_text(
     manifest: dict[str, Any],
-    certified: Iterable[tuple[SubspaceLabel, Certificate]],
+    labels: list[SubspaceLabel],
+    ends: list[int],
+    batch: Certificate,
     b_values: list[Fraction],
     branches: list[Branch],
 ) -> tuple[str, str, bool]:
     """`sweep`'s file, its stderr status lines and its verdict, from the
-    `Certificate` of each label in sweep order.
+    batch `Certificate` [branch, b, pair] of `labels` in sweep order, label
+    i holding pairs ends[i] .. ends[i + 1] - 1.
 
     The file is, byte for byte, what `_write_json` writes for the payload
     (manifest, tuples, count, pass): the manifest through `json`, each
-    tuple in (l, m, b, branch) order from one template, with its verdict,
-    the stages any eigenpair failed and the worst value of each residual.
+    tuple in (l, m, b, branch) order, with its verdict, the stages any of
+    its eigenpairs failed and the worst value of each residual (NaN if any
+    is NaN).  Each is one pass over the batch: one `np.maximum.reduceat`
+    for the worst values, one `np.logical_or.reduceat` for the failed
+    stages, one `_json_floats` for every float, and one `%` over the
+    repeated template for all tuples, and one for all status lines.
     """
-    bs = [(str(b), _json_str(str(b))) for b in b_values]
-    brs = [(br.value, _json_str(br.value)) for br in branches]
-    tuples, status, all_pass = [], [], True
-    for label, cert in certified:
-        worst = [getattr(cert, k).max(axis=2).tolist() for k in _WORST_KEYS]
-        if cert.oracle is not None:
-            worst.append([
-                [max(c.richardson_gap for c in cols) for cols in per_b]
-                for per_b in cert.oracle
-            ])
-        patterns = (cert.failed.any(axis=3) * _STAGE_BITS).sum(axis=0).tolist()
-        template = _SWEEP_TUPLE[cert.oracle is not None]
-        for j, (b, b_json) in enumerate(bs):
-            for i, (branch, branch_json) in enumerate(brs):
-                passed, failed, verdict = _VERDICTS[patterns[i][j]]
-                tuples.append(template % (
-                    label.ell, label.m, b_json, branch_json, passed, failed,
-                    *[_json_float(w[i][j]) for w in worst],
-                ))
-                status.append(f"l={label.ell} m={label.m} b={b} {branch:>5}: {verdict}\n")
-                all_pass &= not patterns[i][j]
-    manifest_text = json.dumps(_round15(manifest), indent=2).replace("\n", "\n  ")
-    text = '{\n  "manifest": %s,\n  "tuples": %s,\n  "count": %d,\n  "pass": %s\n}\n' % (
-        manifest_text, _json_block(tuples, "[]", 2), len(tuples), _JSON_BOOL[all_pass],
+    if not all(start < stop for start, stop in zip(ends, ends[1:])):
+        # reduceat would read an empty label's next pair as its own
+        raise ValueError("every sweep label needs an eigenpair")
+    columns = [getattr(batch, k) for k in _WORST_KEYS]
+    if batch.oracle is not None:
+        columns.append(np.array(
+            [c.richardson_gap for c in batch.oracle.flat], dtype=float
+        ).reshape(batch.oracle.shape))
+    # [branch, b, label, column], written in (l, m, b, branch) order
+    worst = np.maximum.reduceat(np.stack(columns, axis=-1), ends[:-1], axis=2)
+    floats = _json_floats(worst.transpose(2, 1, 0, 3).ravel())
+    patterns = np.logical_or.reduceat(batch.failed, ends[:-1], axis=3).T @ _STAGE_BITS
+    passed, failed, verdicts = zip(*[_VERDICTS[p] for p in patterns.ravel().tolist()])
+    per_label = len(b_values) * len(branches)
+    ells = [label.ell for label in labels for _ in range(per_label)]
+    ms = [label.m for label in labels for _ in range(per_label)]
+    bs = [str(b) for b in b_values for _ in branches] * len(labels)
+    brs = [br.value for br in branches] * (len(b_values) * len(labels))
+    k = len(columns)
+    tuples = zip(
+        ells, ms, map(_json_str, bs), map(_json_str, brs), passed, failed,
+        *[floats[i::k] for i in range(k)],
     )
-    return text, "".join(status), all_pass
+    template = _SWEEP_TUPLE[batch.oracle is not None]
+    all_pass = not patterns.any()
+    text = '{\n  "manifest": %s,\n  "tuples": [\n    %s\n  ],\n  "count": %d,\n  "pass": %s\n}\n' % (
+        json.dumps(_round15(manifest), indent=2).replace("\n", "\n  "),
+        ",\n    ".join([template] * len(ells)) % tuple(chain.from_iterable(tuples)),
+        len(ells), _JSON_BOOL[all_pass],
+    )
+    status = "l=%d m=%d b=%s %5s: %s\n" * len(ells) % tuple(
+        chain.from_iterable(zip(ells, ms, bs, brs, verdicts))
+    )
+    return text, status, all_pass
 
 
 def _basis_payload(args: argparse.Namespace, label: SubspaceLabel) -> dict[str, Any]:
@@ -415,13 +439,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         SubspaceLabel(ell, m)
         for ell in range(args.lmax + 1) for m in range(args.mmax + 1)
     ]
-    subspaces = _solve_labels(freqs, labels)
-    certified = (
-        (subspaces[i][0], cert)
-        for i, cert in certify_subspace(freqs, subspaces, b_values, branches, oracle=oracle)
+    batch, ends = certify_batch(
+        freqs, _solve_labels(freqs, labels), b_values, branches, oracle=oracle
     )
     text, status, all_pass = _sweep_text(
-        _manifest(args, b=",".join(map(str, b_values))), certified, b_values, branches
+        _manifest(args, b=",".join(map(str, b_values))), labels, ends, batch, b_values,
+        branches,
     )
     _write_text(text, args.out)
     sys.stderr.write(status)
@@ -493,8 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # keep no reference to the parser: it is cyclic garbage, which the
+    # collector frees young only if the command does not hold it
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -8,19 +8,24 @@ of the underlying variable change is c = +sqrt(2) or -sqrt(2); both signs
 are admissible and are tracked as a branch.
 
 phi satisfies a BHE whose coefficients involve (w1, w2, w3), (l, m) and
-the eigenvalue E.  Two independent residual recurrences certify this:
-one applies the derivation-adjacent operator directly, the other the
-standard-form BHE with the mapped parameters (alpha, beta, gamma, delta).
-Both recurrences are exact in the polynomial coefficients; no grids are
-involved.  The map and both recurrences are array operations over one
-column per eigenvector (`rho_coefficients`, `operator_residuals`,
-`standard_residuals`), with E entering as a vector.  Each of them, and
-`bhe_params`, also takes a sequence of labels and a sequence of branches
-in place of one label and one branch: their constants l, m, k, the
-w2 <-> w3 swap, the map weights and c then become arrays over the column
-axes [label, branch, column], and one call covers every (label, branch)
-pair.  Labels of several dimensions share one call with their phi rows
-padded by zeros to the largest degree: a polynomial with zero leading
+the eigenvalue E.  Two residual recurrences check this: one applies the
+derivation-adjacent operator directly, the other the standard-form BHE
+with the mapped parameters (alpha, beta, gamma, delta).  They are not
+independent: in real arithmetic both are one vector, the eigen-residual
+weighted by the map, c w_n ((H - E) v)_(N'-n) in row n + 1 of the
+operator form and row n of the standard form (w_n the weight of row n,
+`_rho_weights`), computed twice in floats; merging them into one check
+is on the ROADMAP.  Both recurrences are exact in the polynomial
+coefficients; no grids are involved.  The map and both recurrences are
+array operations over one column per eigenvector (`rho_coefficients`,
+`operator_residuals`, `standard_residuals`), with E entering as a
+vector.  Each of them, and `bhe_params`, also takes a
+sequence of labels and a sequence of branches in place of one label and
+one branch: their constants l, m, k, the w2 <-> w3 swap, the map weights
+and c then become arrays over the column axes [label, branch, column],
+and one call covers every (label, branch) pair.  Labels of several
+dimensions share one call with their phi rows padded by zeros to the
+largest degree: a polynomial with zero leading
 coefficients is the same polynomial, and each residual coefficient only
 gains +-0 terms, so its value is unchanged while the band coefficients
 are finite (one that overflows to inf makes a padded 0 a NaN).  One
@@ -119,26 +124,31 @@ def _rho_weights(label: Labels, branch: Branches) -> np.ndarray:
     rows as the largest dimension (one for no labels) and 0 above each
     label's own N'.
 
-    Factorials are evaluated exactly as integers before the single rounding
-    to double, once per distinct label.
+    One pass over every row of every distinct label: the factorial product
+    is evaluated exactly as an integer before its single rounding to
+    double, c^(k+n) is Python's `c ** p`, and one numpy sqrt and divide
+    forms all weights, so each is the scalar formula's double.
     """
-    if not isinstance(label, SubspaceLabel):
-        distinct = {lab: u for u, lab in enumerate(dict.fromkeys(label))}
-        rows = max((lab.dim for lab in distinct), default=1)
-        weights = np.zeros((len(distinct), len(branch), rows))
-        for lab, u in distinct.items():
-            for i, br in enumerate(branch):
-                weights[u, i, : lab.dim] = _rho_weights(lab, br)[:, 0]
-        return np.moveaxis(weights[[distinct[lab] for lab in label]], 2, 0)[..., None]
-    ell, m, k, n_prime = label.ell, label.m, label.k, label.n_prime
-    c = branch.c
-    weights = []
-    for n in range(n_prime + 1):
-        j = n_prime - n
-        weights.append(c ** (k + n) / math.sqrt(
-            math.factorial(j) * math.factorial(ell - j) * math.factorial(m - j)
-        ))
-    return np.array(weights)[:, None]
+    if isinstance(label, SubspaceLabel):
+        return _rho_weights([label], [branch])[:, 0, 0]
+    distinct = {lab: u for u, lab in enumerate(dict.fromkeys(label))}
+    rows = max((lab.dim for lab in distinct), default=1)
+    # k + n and l, m, j are at most l + m
+    top = max((lab.ell + lab.m for lab in distinct), default=0)
+    fact = [math.factorial(i) for i in range(top + 1)]
+    powers = np.array([[br.c ** p for p in range(top + 1)] for br in branch])
+    # row n of distinct label u: its power k + n, and j! (l-j)! (m-j)! with
+    # j = N' - n, in the same order
+    u, n, p = np.array(
+        [(u, n, lab.k + n) for lab, u in distinct.items() for n in range(lab.dim)], dtype=int
+    ).reshape(-1, 3).T
+    products = [
+        float(fact[j] * fact[lab.ell - j] * fact[lab.m - j])
+        for lab in distinct for j in range(lab.n_prime, -1, -1)
+    ]
+    weights = np.zeros((rows, len(distinct), len(branch)))
+    weights[n, u] = (powers.reshape(-1, top + 1)[:, p] / np.sqrt(products)).T
+    return weights[:, [distinct[lab] for lab in label]][..., None]
 
 
 def rho_coefficients(label: Labels, vecs: np.ndarray, branch: Branches) -> np.ndarray:

@@ -6,6 +6,7 @@ import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -444,6 +445,37 @@ class TestCertifyEigenpair:
             assert result.n_points == 2000
             assert memo[(vspec, lam)] is result
         assert len(memo) == label.dim
+
+    def test_oracle_runs_in_subspace_order(self, monkeypatch):
+        # the oracle checks each new (potential, lambda) of the batch in
+        # (subspace, branch, b, column) order, so the first failing check
+        # is that of a one-subspace-at-a-time run; W(1, 2) and W(2, 1)
+        # pose the same problems, and W(2, 1) poses none of its own
+        freqs = ModeFrequencies(2.0, 0.5, -1.0)
+        subspaces = [
+            (label, spectrum_of(freqs, label).eigenvalues,
+             spectrum_of(freqs, label).eigenvectors)
+            for label in (SubspaceLabel(1, 2), SubspaceLabel(2, 1), SubspaceLabel(0, 3))
+        ]
+        b_values = [Fraction(3, 2), Fraction(2)]
+        batch, ends = certify.certify_batch(freqs, subspaces, b_values, list(Branch))
+        assert ends == [0, 2, 4, 5]
+        expected = []
+        for start, stop in zip(ends, ends[1:]):
+            for br, j, col in np.ndindex(len(Branch), len(b_values), stop - start):
+                col += start
+                key = (PotentialSpec(b_values[j], tuple(batch.potential[br, j, col].tolist())),
+                       float(batch.lam[br, j, col]))
+                if key not in expected:
+                    expected.append(key)
+        checked = []
+        monkeypatch.setattr(
+            certify, "contains_eigenvalue",
+            lambda spec, config, lam: checked.append((spec, lam)) or SimpleNamespace(hit=True),
+        )
+        certify.certify_batch(freqs, subspaces, b_values, list(Branch), oracle={})
+        assert checked == expected
+        assert len(expected) == 2 * 2 * 3
 
 
 class TestZeroModeResidual:

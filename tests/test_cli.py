@@ -26,7 +26,14 @@ from triqes import (
     zero_mode_potentials,
 )
 from triqes.certify import STAGES, Certificate
-from triqes.cli import _b2_zero_search, _json_float, _round15, _sweep_text, main
+from triqes.cli import (
+    _b2_zero_search,
+    _json_float,
+    _json_floats,
+    _round15,
+    _sweep_text,
+    main,
+)
 
 from conftest import frequencies, labels
 
@@ -614,9 +621,11 @@ class TestSweep:
 
     def test_one_pipeline_call_per_sweep(self, capsys, monkeypatch):
         # every label, both branches and every b of a sweep share one
-        # certify_subspace call; its ladder stage is one link call over
+        # certify_batch call, written from the batch without a per-label
+        # certify_subspace view; its ladder stage is one link call over
         # the eigenpairs of W(0..2, 0..2), whatever their dimensions
-        pipeline = self.count_calls(monkeypatch, triqes.cli, "certify_subspace")
+        pipeline = self.count_calls(monkeypatch, triqes.cli, "certify_batch")
+        views = self.count_calls(monkeypatch, triqes.cli, "certify_subspace")
         kernel = self.count_calls(monkeypatch, triqes.certify, "ladder_links")
         code, out, _ = run_cli(
             capsys, "sweep", "--no-oracle", "--lmax", "2", "--mmax", "2",
@@ -624,7 +633,7 @@ class TestSweep:
         )
         assert code == 0
         assert json.loads(out)["count"] == 9 * 4 * 2
-        assert (len(pipeline), len(kernel)) == (1, 1)
+        assert (len(pipeline), len(views), len(kernel)) == (1, 0, 1)
 
     def test_one_eigensolve_per_dimension(self, capsys, monkeypatch):
         # the 49 labels of W(0..6, 0..6) fall into dimensions 1..7, each
@@ -939,13 +948,12 @@ SPECIAL_FLOATS = [
 def sweep_records(ell, m, b_values, branches, cert):
     """The sweep tuples of one label in (b, branch) order as dicts: each
     one's verdict, the stages any eigenpair failed and the worst value of
-    each residual; the reference the template writer is checked against."""
+    each residual and oracle gap, NaN if any is NaN; the reference the
+    column writer is checked against."""
     worst = {k: getattr(cert, k).max(axis=2).tolist() for k in WORST_KEYS}
     if cert.oracle is not None:
-        worst["oracle_richardson_gap"] = [
-            [max(c.richardson_gap for c in cols) for cols in per_b]
-            for per_b in cert.oracle
-        ]
+        gaps = np.array([c.richardson_gap for c in cert.oracle.flat], dtype=float)
+        worst["oracle_richardson_gap"] = gaps.reshape(cert.oracle.shape).max(axis=2).tolist()
     failed = cert.failed.any(axis=3).tolist()
     for j, bfrac in enumerate(b_values):
         for i, branch in enumerate(branches):
@@ -959,9 +967,10 @@ def sweep_records(ell, m, b_values, branches, cert):
 
 
 @st.composite
-def sweep_certificates(draw):
-    """A manifest, b values, branches and (label, `Certificate`) pairs whose
-    residuals, oracle gaps and failed stages are drawn freely."""
+def sweep_batches(draw):
+    """A manifest, b values, branches, labels, their offsets on the pair
+    axis and a batch `Certificate` whose residuals, oracle gaps and failed
+    stages are drawn freely."""
     oracle = draw(st.booleans())
     branches = draw(st.sampled_from([list(Branch), [Branch.PLUS], [Branch.MINUS]]))
     b_values = draw(st.lists(
@@ -969,35 +978,38 @@ def sweep_certificates(draw):
                          Fraction(7 * 10**153)]),
         min_size=1, max_size=3, unique=True,
     ))
+    labels = draw(st.lists(
+        st.builds(SubspaceLabel, st.integers(0, 20), st.integers(0, 20)),
+        min_size=1, max_size=4,
+    ))
+    ends = np.cumsum([0] + draw(st.lists(
+        st.integers(1, 3), min_size=len(labels), max_size=len(labels)
+    ))).tolist()
+    shape = (len(branches), len(b_values), ends[-1])
     values = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
-    certified = []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        shape = (len(branches), len(b_values), draw(st.integers(1, 3)))
 
-        def floats():
-            return np.array(draw(st.lists(
-                values, min_size=math.prod(shape), max_size=math.prod(shape)
-            ))).reshape(shape)
+    def floats():
+        return np.array(draw(st.lists(
+            values, min_size=math.prod(shape), max_size=math.prod(shape)
+        ))).reshape(shape)
 
-        gaps = None
-        if oracle:
-            gaps = np.empty(shape, dtype=object)
-            for idx, gap in zip(np.ndindex(shape), floats().ravel().tolist()):
-                gaps[idx] = SimpleNamespace(richardson_gap=gap)
-        failed = np.array(draw(st.lists(
-            st.booleans(), min_size=3 * math.prod(shape), max_size=3 * math.prod(shape)
-        ))).reshape(3, *shape)
-        cert = Certificate(
-            bhe_operator_residual=floats(),
-            bhe_standard_residual=floats(),
-            potential=np.zeros((*shape, 5)),
-            lam=np.zeros(shape),
-            schrodinger_residual=floats(),
-            oracle=gaps,
-            failed=failed,
-        )
-        label = SubspaceLabel(draw(st.integers(0, 20)), draw(st.integers(0, 20)))
-        certified.append((label, cert))
+    gaps = None
+    if oracle:
+        gaps = np.empty(shape, dtype=object)
+        for idx, gap in zip(np.ndindex(shape), floats().ravel().tolist()):
+            gaps[idx] = SimpleNamespace(richardson_gap=gap)
+    failed = np.array(draw(st.lists(
+        st.booleans(), min_size=3 * math.prod(shape), max_size=3 * math.prod(shape)
+    ))).reshape(3, *shape)
+    batch = Certificate(
+        bhe_operator_residual=floats(),
+        bhe_standard_residual=floats(),
+        potential=np.zeros((*shape, 5)),
+        lam=np.zeros(shape),
+        schrodinger_residual=floats(),
+        oracle=gaps,
+        failed=failed,
+    )
     params = {
         "lmax": 20, "mmax": 20, "w": draw(st.sampled_from(["1,1,1", "2,0.5,-1"])),
         "b": ",".join(map(str, b_values)),
@@ -1008,20 +1020,23 @@ def sweep_certificates(draw):
         "command": "sweep", "params": params, "version": triqes.__version__,
         "timestamp": "2026-10-19T00:00:00+00:00",
     }
-    return manifest, b_values, branches, certified
+    return manifest, b_values, branches, labels, ends, batch
 
 
 @seed(20261019)
 @settings(max_examples=300, deadline=None)
-@given(sweep_certificates())
+@given(sweep_batches())
 def test_sweep_writer_matches_json(sweep):
-    # the template writer is json's indent=2 layout of the rounded payload
-    # of per-tuple dicts, NaN, Infinity and -0.0 included, and its status
-    # lines and verdict are those of the same dicts
-    manifest, b_values, branches, certified = sweep
+    # the column writer is json's indent=2 layout of the rounded payload
+    # of per-tuple dicts, one label's columns of the batch at a time, NaN,
+    # Infinity and -0.0 included, and its status lines and verdict are
+    # those of the same dicts
+    manifest, b_values, branches, labels, ends, batch = sweep
     tuples = [
-        t for label, cert in certified
-        for t in sweep_records(label.ell, label.m, b_values, branches, cert)
+        t for label, start, stop in zip(labels, ends, ends[1:])
+        for t in sweep_records(
+            label.ell, label.m, b_values, branches, batch.columns(slice(start, stop))
+        )
     ]
     all_pass = all(t["pass"] for t in tuples)
     payload = {
@@ -1032,9 +1047,19 @@ def test_sweep_writer_matches_json(sweep):
         + ("pass" if t["pass"] else f"FAIL ({', '.join(t['failed'])})") + "\n"
         for t in tuples
     )
-    assert _sweep_text(manifest, certified, b_values, branches) == (
+    assert _sweep_text(manifest, labels, ends, batch, b_values, branches) == (
         json.dumps(_round15(payload), indent=2) + "\n", status, all_pass
     )
+
+
+def test_sweep_writer_rejects_a_label_without_eigenpairs():
+    # reduceat reads an empty segment as the next pair, not as no value
+    label = SubspaceLabel(1, 1)
+    ((_, cert),) = triqes.certify_subspace(
+        ModeFrequencies(1, 1, 1), [(label, [], np.empty((2, 0)))], [1], [Branch.PLUS]
+    )
+    with pytest.raises(ValueError, match="eigenpair"):
+        _sweep_text({}, [label, label], [0, 0, 0], cert, [Fraction(1)], [Branch.PLUS])
 
 
 def _within_ulps(x, steps=40):
@@ -1057,17 +1082,22 @@ FORMAT_BORDERS = [
 
 @seed(20261019)
 @settings(max_examples=2000, deadline=None)
-@given(st.integers(0, 2**64 - 1))
-def test_json_float_matches_json_on_any_double(bits):
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+def test_json_float_matches_json_on_any_double(patterns):
     # every 64-bit pattern, NaNs, infinities, zeros and subnormals included:
-    # the writer's float is json's float of the 15-digit rounding
-    (x,) = struct.unpack("<d", struct.pack("<Q", bits))
-    assert _json_float(x) == json.dumps(_round15(x))
+    # the writer's float is json's float of the 15-digit rounding, and the
+    # column formatter writes `_json_float` of each element, a repeated
+    # pattern included
+    xs = list(struct.unpack(f"<{len(patterns)}d", struct.pack(f"<{len(patterns)}Q", *patterns)))
+    texts = [_json_float(x) for x in xs]
+    assert texts == [json.dumps(_round15(x)) for x in xs]
+    assert _json_floats(np.array(xs + xs[::2])) == texts + texts[::2]
 
 
 def test_json_float_matches_json_at_format_borders():
     for x in FORMAT_BORDERS:
         assert _json_float(x) == json.dumps(_round15(x)), x
+    assert _json_floats(np.array(FORMAT_BORDERS)) == [_json_float(x) for x in FORMAT_BORDERS]
 
 
 def test_sweep_writer_on_a_failing_sweep(capsys, monkeypatch):

@@ -1,0 +1,50 @@
+import importlib.util
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = importlib.util.spec_from_file_location(
+    "compare_outputs", ROOT / "scripts" / "compare_outputs.py"
+)
+compare_outputs = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(compare_outputs)
+
+# one sweep that writes a file, and one that exits 1 on ||H||_F before
+# writing any
+COMMANDS = [
+    ("writes", ["sweep", "--no-oracle", "--lmax", "2", "--mmax", "1", "--b", "1,1/2",
+                "--out", "{out}"]),
+    ("fails", ["sweep", "--no-oracle", "--lmax", "1", "--mmax", "1", "--w=0,1e308,1e308",
+               "--out", "{out}"]),
+]
+RESIDUALS = {"bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual"}
+
+
+def copy_tree(dest):
+    shutil.copytree(ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def test_compare_outputs_flags_a_planted_writer_fault(tmp_path):
+    parent, change = copy_tree(tmp_path / "parent"), copy_tree(tmp_path / "change")
+    before = compare_outputs.run_all(parent, COMMANDS)
+    assert [r["exit_code"] for r in before] == [0, 1]
+    assert before[0]["file"] and before[1]["file"] is None
+    lines, ok = compare_outputs.compare(before, compare_outputs.run_all(change, COMMANDS), COMMANDS)
+    assert ok, lines
+
+    # the sweep writer's floats rounded to 14 digits instead of 15
+    cli = change / "src" / "triqes" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"%.15g" % x') == 1
+    cli.write_text(text.replace('"%.15g" % x', '"%.14g" % x'))
+    after = compare_outputs.run_all(change, COMMANDS)
+    lines, ok = compare_outputs.compare(before, after, COMMANDS)
+    assert not ok
+    assert [line.split()[:2] for line in lines if not line.startswith(" ")] == [
+        ["DIFF", "writes"], ["ok", "fails"],
+    ]
+    moved = {field for field, _ in compare_outputs.differences(before[0], after[0])}
+    assert moved and moved <= RESIDUALS, moved
+    # a change meant to move those fields passes
+    assert compare_outputs.compare(before, after, COMMANDS, RESIDUALS)[1]

@@ -17,7 +17,7 @@ from triqes import (
     fock_to_rho_polynomial,
 )
 from triqes.fock import MAX_TOTAL_LABEL
-from triqes.heun import BheParams, residual_ok
+from triqes.heun import BheParams, _rho_weights, residual_ok
 
 from conftest import frequencies, labels
 
@@ -70,6 +70,38 @@ class TestPolynomialMap:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fock_to_rho_polynomial(SubspaceLabel(1, 1), [1.0], Branch.PLUS)
+
+    def test_weights_match_the_scalar_formula(self):
+        # the one-pass weights of every label up to the cap, in one call and
+        # one label at a time, are bit for bit the scalar loop's
+        # c^(k+n) / sqrt(j! (l-j)! (m-j)!), and 0 above each label's degree
+        def loop_weights(label, branch):
+            ell, m, k, n_prime = label.ell, label.m, label.k, label.n_prime
+            return np.array([
+                branch.c ** (k + n) / math.sqrt(
+                    math.factorial(n_prime - n) * math.factorial(ell - n_prime + n)
+                    * math.factorial(m - n_prime + n)
+                )
+                for n in range(n_prime + 1)
+            ])
+
+        every = [
+            SubspaceLabel(ell, m)
+            for ell in range(MAX_TOTAL_LABEL + 1) for m in range(MAX_TOTAL_LABEL + 1 - ell)
+        ]
+        # repeated labels, as on the pair axis
+        labels_ = every + every[::7]
+        weights = _rho_weights(labels_, list(Branch))
+        assert weights.shape == (MAX_TOTAL_LABEL // 2 + 1, len(labels_), 2, 1)
+        for u, label in enumerate(labels_):
+            for i, branch in enumerate(Branch):
+                expected = loop_weights(label, branch)
+                assert weights[: label.dim, u, i, 0].tobytes() == expected.tobytes(), label
+                assert not weights[label.dim :, u, i, 0].any(), label
+                if u < len(every):
+                    one = _rho_weights(label, branch)
+                    assert one.shape == (label.dim, 1)
+                    assert one[:, 0].tobytes() == expected.tobytes(), label
 
     @given(frequencies(), labels(max_l=6, max_m=6))
     def test_branch_relation(self, freqs, label):
