@@ -13,7 +13,8 @@ Per command the script reports any difference in exit code, stderr,
 stdout, the output file, and the number of `fdoracle.eigh_tridiagonal`
 calls.  Where both outputs are JSON it names each field that moved (its
 last key, e.g. `schrodinger_residual`), with how many values moved and
-the largest change.  `--expect-moved FIELD` (repeatable) names a field
+the largest change, and each key that only one of them holds, as that
+field added or removed.  `--expect-moved FIELD` (repeatable) names a field
 the change is meant to move; `exit_code`, `stderr`, `stdout` and
 `eigh_tridiagonal_calls` can be named too.  The exit code is 0 when
 every difference is expected, 1 otherwise.
@@ -127,12 +128,20 @@ def run_all(tree: Path, commands) -> list[dict]:
         return [run(tree, argv, Path(tmp)) for _, argv in commands]
 
 
+# the side of a key that one of two dicts lacks
+MISSING = object()
+
+
 def moved_values(a, b, path=""):
-    """(path, a, b) for every JSON value that differs, NaN equal to NaN; a
-    container whose keys or length differ counts as one value."""
-    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        for k in a:
-            yield from moved_values(a[k], b[k], f"{path}.{k}" if path else k)
+    """(path, a, b) for every JSON value that differs, NaN equal to NaN.
+    Dicts are compared key by key: a key that only one of them holds is
+    one value, MISSING on the other side; a list whose length differs
+    counts as one value."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in {**a, **b}:
+            yield from moved_values(
+                a.get(k, MISSING), b.get(k, MISSING), f"{path}.{k}" if path else k
+            )
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
             yield from moved_values(x, y, f"{path}[{i}]")
@@ -178,12 +187,16 @@ def differences(a: dict, b: dict) -> list[tuple[str, str]]:
         if ja is None or jb is None:
             diffs.append((key, f"{key} {first_change(a[key], b[key])}"))
             continue
-        by_field: dict[str, list] = {}
+        by_field: dict[tuple[str, str], list] = {}
         for path, x, y in moved_values(ja, jb):
-            by_field.setdefault(field_of(path), []).append((x, y))
+            how = "removed" if y is MISSING else "added" if x is MISSING else "moved"
+            by_field.setdefault((field_of(path), how), []).append((x, y))
         if not by_field:
             diffs.append((key, f"{key} bytes differ, values equal"))
-        for field, pairs in by_field.items():
+        for (field, how), pairs in by_field.items():
+            if how != "moved":
+                diffs.append((field, f"{key}: {field} ({how}) in {len(pairs)} values"))
+                continue
             deltas = [
                 abs(x - y) for x, y in pairs
                 if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))

@@ -4,15 +4,16 @@ The chain checked link by link, for every eigenvector of every W(l, m)
 given, every transformation exponent b and every branch:
 
 1. phi, the branch's BHE polynomial, from the eigenvector;
-2. both BHE residuals (operator form and standard form), each relative to
-   the largest phi coefficient;
+2. the BHE residual, operator form, relative to the largest phi
+   coefficient: `tests/test_symbolic.py` proves the standard form and the
+   map-weighted eigen-residual (H - E) v equal to it;
 3. the potential whose zero mode chi is (`schroedinger.zero_mode_ladders`):
    at b = 1/2 the displaced sextic Vtilde with lambda = eps(E), for any
    other b the plain V_b with lambda = 0;
 4. the ladder link (`schroedinger.ladder_links`): b^2 c_i against the
    b-free numerator N_i of rungs 1-4, lambda at rung 2b.  With stage 2 it
    certifies -chi'' + (V - lambda) chi = 0 for the zero mode chi of phi,
-   the identity `tests/test_symbolic.py` proves once;
+   an identity proven there too;
 5. when the caller asks for it, the independent finite-difference oracle
    at lambda.
 
@@ -33,7 +34,7 @@ only; `sweep` passes one memo for the command.
 
 It returns one batch `Certificate`, whose arrays are transposed once to
 [branch, b, pair] (`potential` [branch, b, pair, rung]) with a `failed`
-mask per stage of `STAGES`, by one rule: "bhe" where either BHE residual
+mask per stage of `STAGES`, by one rule: "bhe" where the BHE residual
 is not <= `BHE_RTOL`, "schrodinger" where the ladder link is not <= that
 `BHE_RTOL` (a NaN fails), "oracle" where the oracle missed; and the
 offsets of the subspaces on the pair axis.  `sweep` writes its file from
@@ -53,14 +54,7 @@ import numpy as np
 from .fdoracle import ContainmentResult, contains_eigenvalue, oracle_config
 from .fock import SubspaceLabel
 from .hamiltonian import ModeFrequencies
-from .heun import (
-    BHE_RTOL,
-    Branch,
-    bhe_params,
-    operator_residuals,
-    rho_coefficients,
-    standard_residuals,
-)
+from .heun import BHE_RTOL, Branch, operator_residuals, rho_coefficients
 from .schroedinger import PotentialSpec, RationalLike, ladder_links, zero_mode_ladders
 
 STAGES = ("bhe", "schrodinger", "oracle")
@@ -77,7 +71,6 @@ class Certificate:
     `oracle` is None when the oracle was skipped."""
 
     bhe_operator_residual: np.ndarray
-    bhe_standard_residual: np.ndarray
     potential: np.ndarray
     lam: np.ndarray
     schrodinger_residual: np.ndarray
@@ -92,7 +85,6 @@ class Certificate:
         """The view of columns `cols` of every field."""
         return Certificate(
             bhe_operator_residual=self.bhe_operator_residual[..., cols],
-            bhe_standard_residual=self.bhe_standard_residual[..., cols],
             potential=self.potential[:, :, cols],
             lam=self.lam[..., cols],
             schrodinger_residual=self.schrodinger_residual[..., cols],
@@ -200,28 +192,24 @@ def _certify_pairs(freqs, labels, energies, vecs, b_values, branches):
     pair axis; no oracle."""
     # [row, pair, branch, 1]
     phi = rho_coefficients(labels, vecs[:, :, None, None], branches)
-    scales = _worst(phi)
-    e = energies[:, None, None]
     # stages 1-2 do not depend on b: [pair, branch, 1]
-    op_rel = _worst(operator_residuals(freqs, labels, e, phi, branches)) / scales
-    std_rel = _worst(
-        standard_residuals(bhe_params(freqs, labels, e, branches), phi)
-    ) / scales
+    op_rel = _worst(
+        operator_residuals(freqs, labels, energies[:, None, None], phi, branches)
+    ) / _worst(phi)
     # stages 3-4: one ladder per (pair, branch, b), [pair, branch, b, 1]
     ladder_args = (b_values, freqs, labels, energies[:, None], branches)
     rungs, lams = zero_mode_ladders(*ladder_args)
     link = ladder_links(*ladder_args, rungs, lams)
     # transposed once: [pair, branch, (b,) 1] -> [branch, (b,) pair]
-    op_rel, std_rel = op_rel[..., 0].T, std_rel[..., 0].T
+    op_rel = op_rel[..., 0].T
     link = link[..., 0].transpose(1, 2, 0)
     shape = link.shape
     # one rule, in STAGES order; a NaN residual is not <= BHE_RTOL and fails
     failed = np.zeros((len(STAGES), *shape), dtype=bool)
-    failed[0] = (~(op_rel <= BHE_RTOL) | ~(std_rel <= BHE_RTOL))[:, None]
+    failed[0] = ~(op_rel <= BHE_RTOL)[:, None]
     failed[1] = ~(link <= BHE_RTOL)
     return Certificate(
         bhe_operator_residual=np.broadcast_to(op_rel[:, None], shape),
-        bhe_standard_residual=np.broadcast_to(std_rel[:, None], shape),
         potential=rungs[..., 0].transpose(2, 3, 1, 0),
         lam=lams[..., 0].transpose(1, 2, 0),
         schrodinger_residual=link,

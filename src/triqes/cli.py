@@ -150,7 +150,7 @@ def _json_block(items: list[str], brackets: str, indent: int) -> str:
     return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * indent + brackets[1]
 
 
-_WORST_KEYS = ("bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual")
+_WORST_KEYS = ("bhe_operator_residual", "schrodinger_residual")
 
 # one sweep tuple, by whether the oracle ran
 _SWEEP_TUPLE = {
@@ -328,7 +328,6 @@ def _check_entry(p, energy, energy_used, cert, i):
         "energy_used": energy_used,
         "lambda": cert.lam[0, 0, i],
         "bhe_operator_residual": cert.bhe_operator_residual[0, 0, i],
-        "bhe_standard_residual": cert.bhe_standard_residual[0, 0, i],
         "schrodinger_residual": cert.schrodinger_residual[0, 0, i],
     }
     if cert.oracle is not None:

@@ -8,18 +8,18 @@ of the underlying variable change is c = +sqrt(2) or -sqrt(2); both signs
 are admissible and are tracked as a branch.
 
 phi satisfies a BHE whose coefficients involve (w1, w2, w3), (l, m) and
-the eigenvalue E.  Two residual recurrences check this: one applies the
-derivation-adjacent operator directly, the other the standard-form BHE
-with the mapped parameters (alpha, beta, gamma, delta).  They are not
-independent: in real arithmetic both are one vector, the eigen-residual
-weighted by the map, c w_n ((H - E) v)_(N'-n) in row n + 1 of the
-operator form and row n of the standard form (w_n the weight of row n,
-`_rho_weights`), computed twice in floats; merging them into one check
-is on the ROADMAP.  Both recurrences are exact in the polynomial
-coefficients; no grids are involved.  The map and both recurrences are
-array operations over one column per eigenvector (`rho_coefficients`,
-`operator_residuals`, `standard_residuals`), with E entering as a
-vector.  Each of them, and `bhe_params`, also takes a
+the eigenvalue E.  The pipeline checks it by one residual recurrence, the
+derivation-adjacent operator applied directly (`operator_residuals`).
+The standard-form BHE with the mapped parameters (alpha, beta, gamma,
+delta) of `bhe_params` is a library reference (`standard_residuals`):
+`tests/test_symbolic.py` proves its row n equal to row n + 1 of the
+operator form for every phi, and that vector equal to the eigen-residual
+weighted by the map, c w_n ((H - E) v)_(N'-n) (w_n the weight of row n,
+`_rho_weights`), for every v.  Both recurrences are exact in the
+polynomial coefficients; no grids are involved.  The map and both
+recurrences are array operations over one column per eigenvector
+(`rho_coefficients`, `operator_residuals`, `standard_residuals`), with E
+entering as a vector.  Each of them, and `bhe_params`, also takes a
 sequence of labels and a sequence of branches in place of one label and
 one branch: their constants l, m, k, the w2 <-> w3 swap, the map weights
 and c then become arrays over the column axes [label, branch, column],
@@ -308,8 +308,8 @@ def bhe_standard_residual(params: BheParams, phi: RhoPolynomial) -> np.ndarray:
         y'' + ((1+alpha)/x + beta - 2x) y'
             + (-(delta + (1+alpha) beta)/(2x) + gamma - alpha - 2) y = 0
 
-    is multiplied by x to clear the simple pole.  Agreement with
-    bhe_operator_residual certifies the parameter identification.  The
+    is multiplied by x to clear the simple pole.  Its row n is row n + 1
+    of bhe_operator_residual, an identity proven once in the tests.  The
     one-column case of `standard_residuals`.
     """
     return standard_residuals(params, np.array(phi.coeffs)[:, None])[:, 0]

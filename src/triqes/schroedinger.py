@@ -52,7 +52,7 @@ coefficient column of `heun.rho_coefficients`.  With v = x^(1/b),
 P, and `tests/test_symbolic.py` proves once, with sympy, that P is minus
 the BHE operator residual of phi when each b^2 c_i (i = 1..4, less
 b^2 lambda at rung 2b) is its b-free numerator N_i.  A float error d_i
-there adds d_i v^i phi(v) to P.  So the BHE residuals check phi, and
+there adds d_i v^i phi(v) to P.  So the BHE residual checks phi, and
 `ladder_links` checks the floats of the ladder, max_i |b^2 c_i - N_i|: no
 phi, no grid.  `eval_potential` and `eval_wavefunction` evaluate V and
 chi pointwise for the curve output.

@@ -32,7 +32,7 @@ from triqes import certify
 from triqes.schroedinger import SEXTIC_B
 from triqes.cli import main as cli_main
 from triqes.fock import MAX_TOTAL_LABEL
-from triqes.heun import BHE_RTOL, rho_coefficients
+from triqes.heun import BHE_RTOL, rho_coefficients, standard_residuals
 from triqes.schroedinger import ladder_links
 
 from conftest import certify_one, frequencies, labels
@@ -58,9 +58,9 @@ def link_of(vspec, lam, b, freqs, label, energy, branch):
 
 
 def loop_chain(freqs, label, energy, vec, b, branch):
-    """The two relative BHE residuals and the ladder link of the chain by
-    plain loops, one coefficient and one term at a time: the reference
-    whose arithmetic order the array kernels keep."""
+    """The relative BHE residuals of both forms and the ladder link of the
+    chain by plain loops, one coefficient and one term at a time: the
+    reference whose arithmetic order the array kernels keep."""
     ell, m, k, n_prime = label.ell, label.m, label.k, label.n_prime
     w1, w2, w3 = freqs.as_tuple()
     c = branch.c
@@ -199,11 +199,16 @@ class TestCertifySubspace:
                     )
                     assert got == at(single, 0, 0, 0), case
                     energy, vec = float(energies[col]), vecs[:, col]
-                    assert (
-                        got["bhe_operator_residual"],
-                        got["bhe_standard_residual"],
-                        got["schrodinger_residual"],
-                    ) == loop_chain(freqs, label, energy, vec, b, branch), case
+                    op, std, link = loop_chain(freqs, label, energy, vec, b, branch)
+                    assert (got["bhe_operator_residual"], got["schrodinger_residual"]) == (
+                        op, link
+                    ), case
+                    # the standard form, left out of the pipeline, through
+                    # its library kernels on the same column
+                    phi = rho_coefficients(label, vec[:, None], branch)
+                    params = bhe_params(freqs, label, np.array([energy]), branch)
+                    res = standard_residuals(params, phi)
+                    assert np.max(np.abs(res)) / np.max(np.abs(phi)) == std, case
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -312,9 +317,8 @@ class TestCertifySubspace:
             unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors, B_VALUES,
             list(Branch),
         )
-        for residual in (cert.bhe_operator_residual, cert.bhe_standard_residual):
-            assert residual.strides[1] == 0
-            assert not residual.flags.writeable
+        assert cert.bhe_operator_residual.strides[1] == 0
+        assert not cert.bhe_operator_residual.flags.writeable
 
     def test_nan_column_fails_without_warning(self, unit_freqs, monkeypatch):
         # a NaN residual compares False against any bound, so the verdict
@@ -334,7 +338,6 @@ class TestCertifySubspace:
         expected = np.zeros((len(Branch), len(b_values), label.dim), dtype=bool)
         expected[:, :, 1] = True
         assert np.isnan(cert.bhe_operator_residual[:, :, 1]).all()
-        assert np.isnan(cert.bhe_standard_residual[:, :, 1]).all()
         assert np.array_equal(bhe, expected)
         assert not schrodinger.any()
         assert not oracle.any()

@@ -252,6 +252,18 @@ class TestWavefunction:
         assert manifest["command"] == "wavefunction"
 
 
+# (l, m, --energy-override, the constant that stops the chain, --b)
+OVERFLOWING_RESIDUALS = [
+    (2, 2, "1e308", "eps(E)", "1/2"),
+    (1, 1, "1e308", "eps(E)", "1/2"),
+    (4, 4, "1e308", "eps(E)", "1/2"),
+    (2, 2, "7e307", "eps(E)", "1/2"),
+    (1, 1, "5e307", "eps(E)", "1/2"),
+    (2, 2, "1e308", "rung 1 of V_b", "1"),
+    (2, 2, "1e308", "rung 1 of V_b", "2"),
+]
+
+
 class TestVerify:
     def test_defaults_pass(self, capsys):
         code, out, _ = run_cli(
@@ -305,21 +317,20 @@ class TestVerify:
         assert err == f"error: {constant} is not finite: it overflows a double\n"
 
     @pytest.mark.parametrize(
-        "ell,m,energy,constant",
-        [
-            (2, 2, "1e308", "BHE delta"),
-            (1, 1, "1e308", "BHE delta"),
-            (4, 4, "1e308", "BHE delta"),
-            (2, 2, "7e307", "BHE delta"),
-            (1, 1, "5e307", "eps(E)"),
+        "ell,m,energy,constant,b", OVERFLOWING_RESIDUALS,
+        # verify's default b is left out of the id
+        ids=[
+            "-".join(map(str, case if case[4] != "1/2" else case[:4]))
+            for case in OVERFLOWING_RESIDUALS
         ],
     )
-    def test_overflowing_residual_exits_1(self, capsys, ell, m, energy, constant):
+    def test_overflowing_residual_exits_1(self, capsys, ell, m, energy, constant, b):
         # P and every constant before the failing one are finite, but the
-        # residuals' c P phi products overflow on the way: one error line,
-        # no numpy warning (pytest turns any into an error)
+        # residual's c P phi products overflow on the way, and the ladder's
+        # constant at E then overflows: one error line, no numpy warning
+        # (pytest turns any into an error)
         code, out, err = run_cli(
-            capsys, "verify", "--l", str(ell), "--m", str(m), "--no-oracle",
+            capsys, "verify", "--l", str(ell), "--m", str(m), "--b", b, "--no-oracle",
             "--energy-override", energy,
         )
         assert code == 1
@@ -546,8 +557,7 @@ class TestSweep:
         assert code == 0
         for t in json.loads(out)["tuples"]:
             assert set(t["worst"]) == {
-                "bhe_operator_residual", "bhe_standard_residual",
-                "schrodinger_residual", "oracle_richardson_gap",
+                "bhe_operator_residual", "schrodinger_residual", "oracle_richardson_gap",
             }
             assert all(isinstance(v, float) for v in t["worst"].values())
 
@@ -590,7 +600,7 @@ class TestSweep:
         # the link is not vacuous: at b = 1/3, b^2 = 1/9 is inexact, and
         # A ~ 4.2e80 makes the rung-3 round trip b^2 (A / b^2) miss A by
         # 5.3e64, the miss that the v^3 row of the zero mode's P carries
-        # too; both BHE residuals pass
+        # too; the BHE residual passes
         code, out, err = run_cli(
             capsys, "sweep", "--lmax", "0", "--mmax", "0", "--w=0,-1e20,-3e80",
             "--b", "1/3", "--no-oracle",
@@ -749,9 +759,7 @@ class TestSweep:
             assert verified["pass"] is t["pass"], t
             assert v_code == (0 if t["pass"] else 1)
             assert t["worst"] == {k: max(c[k] for c in checks) for k in t["worst"]}, t
-            assert set(t["worst"]) == {
-                "bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual",
-            }
+            assert set(t["worst"]) == {"bhe_operator_residual", "schrodinger_residual"}
             assert t["failed"] == [
                 s for s in STAGES if any(s in c["failed"] for c in checks)
             ], t
@@ -938,7 +946,7 @@ def test_oracle_reuses_a_loaded_scipy_linalg(tmp_path):
     run_probe(SCIPY_FIRST_PROBE, tmp_path)
 
 
-WORST_KEYS = ["bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual"]
+WORST_KEYS = ["bhe_operator_residual", "schrodinger_residual"]
 SPECIAL_FLOATS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.5e-310, 1e308,
     1.7976931348623157e308, 1.2345678901234567e-16, 0.1,
@@ -1003,7 +1011,6 @@ def sweep_batches(draw):
     ))).reshape(3, *shape)
     batch = Certificate(
         bhe_operator_residual=floats(),
-        bhe_standard_residual=floats(),
         potential=np.zeros((*shape, 5)),
         lam=np.zeros(shape),
         schrodinger_residual=floats(),

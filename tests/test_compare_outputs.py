@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -17,7 +18,7 @@ COMMANDS = [
     ("fails", ["sweep", "--no-oracle", "--lmax", "1", "--mmax", "1", "--w=0,1e308,1e308",
                "--out", "{out}"]),
 ]
-RESIDUALS = {"bhe_operator_residual", "bhe_standard_residual", "schrodinger_residual"}
+RESIDUALS = {"bhe_operator_residual", "schrodinger_residual"}
 
 
 def copy_tree(dest):
@@ -48,3 +49,28 @@ def test_compare_outputs_flags_a_planted_writer_fault(tmp_path):
     assert moved and moved <= RESIDUALS, moved
     # a change meant to move those fields passes
     assert compare_outputs.compare(before, after, COMMANDS, RESIDUALS)[1]
+
+
+def test_dropped_key_and_moved_value_in_one_dict():
+    # a dict that loses a key is compared over its other keys: the dropped
+    # key and a value that moved beside it are each their own field
+    def result(worst, failed, passed):
+        run = {"exit_code": 0, "stderr": "", "stdout": "", "eigh_tridiagonal_calls": 0}
+        tuples = [{"failed": failed, "pass": passed, "worst": worst}]
+        return {**run, "file": json.dumps({"tuples": tuples, "pass": passed})}
+
+    before = result({"x": 1.0, "y": 2e-12, "z": 3.0}, [], True)
+    after = result({"x": 1.0, "z": 2.5}, ["bhe"], False)
+    diffs = dict(compare_outputs.differences(before, after))
+    assert diffs == {
+        "y": "file: y (removed) in 1 values",
+        "z": "file: z moved in 1 values, max |change| 0.5",
+        "failed": "file: failed moved in 1 values",
+        "pass": "file: pass moved in 2 values",
+    }
+    assert dict(compare_outputs.differences(after, before))["y"] == (
+        "file: y (added) in 1 values"
+    )
+    commands = [("one", [])]
+    assert not compare_outputs.compare([before], [after], commands, {"y"})[1]
+    assert compare_outputs.compare([before], [after], commands, {"y", "z", "failed", "pass"})[1]

@@ -1,4 +1,15 @@
-"""The zero-mode identity behind the "schrodinger" stage, proven once.
+"""The identities behind the "bhe" and "schrodinger" stages, proven once.
+
+Stage 2 runs one BHE residual, the operator form Op of
+`heun.operator_residuals`.  Two identities, over symbols w, E and the
+coefficients of phi or of the eigenvector v, for every (l, m) with
+l + m <= 12 and both branches, make it the whole check: the standard form
+St with the closed-form parameters of `heun.bhe_params` is the same
+vector, St[phi]_n = Op[phi]_(n+1) for every phi, so the parameter
+identification is proven here rather than checked per eigenpair; and
+Op of the mapped phi is the weighted eigen-residual,
+Op[omega * Jv]_(n+1) = c omega_n ((H - E) v)_(N'-n), with omega_n the map
+weights and J the reversal of v, for every v.
 
 The residual of the zero mode chi = x^s e^g phi in V_b - lambda is, in
 b-free form, a polynomial P: rung 0 and the envelope exponent s enter only
@@ -6,21 +17,24 @@ through terms that cancel whatever the eigenpair (the indicial equation,
 and every b of the envelope).  Here, over symbols, P is shown to be that
 residual, and minus the BHE operator residual of phi, and a ladder error
 d_i in b^2 c_i to add d_i v^i phi to P.  So the pipeline checks phi by the
-BHE residuals and the ladder by `schroedinger.ladder_links`, and never
+BHE residual and the ladder by `schroedinger.ladder_links`, and never
 forms P.  The symbols are then tied to the code: the rung closed forms of
-`schroedinger._ladders` and the envelope of `zero_mode_envelope`,
-evaluated at rational points, agree with the symbolic forms to a few ulps.
-That keeps rung 0 and s under test, now that the per-eigenpair check
-leaves them out.
+`schroedinger._ladders`, the envelope of `zero_mode_envelope`, the
+parameters of `bhe_params` and the weights of `heun._rho_weights`,
+evaluated at rational points, agree with the symbolic forms to a few
+ulps.  That keeps rung 0, s, the parameters and the weights under test,
+now that the per-eigenpair checks leave them out.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from triqes import Branch, ModeFrequencies, SubspaceLabel, zero_mode_ladders
+from triqes import Branch, ModeFrequencies, SubspaceLabel, bhe_params, zero_mode_ladders
+from triqes.heun import _rho_weights
 from triqes.schroedinger import _ladders, zero_mode_envelope
 
 EPS = np.finfo(float).eps
@@ -188,3 +202,132 @@ def test_closed_forms_match_the_code():
                 for col, e in enumerate(energies):
                     eps_exact = -4 * c * rational(e)
                     assert ulps(lams[0, 0, 0, col], eps_exact) <= 4
+
+
+W = sp.symbols("w1:4")
+E = sp.Symbol("E")
+# every label of the proofs below, as sympy integers
+SMALL_LABELS = [
+    (sp.Integer(ell), sp.Integer(m)) for ell in range(13) for m in range(13 - ell)
+]
+
+
+def bhe_params_of(w, ell, m, energy, c):
+    """(alpha, beta, gamma, delta) of phi's standard-form BHE, the closed
+    forms of `heun.bhe_params`: for l > m, w2 <-> w3."""
+    w1, w2, w3 = w
+    if ell > m:
+        w2, w3 = w3, w2
+    k, n_prime = max(ell, m), min(ell, m)
+    return (
+        k - n_prime,
+        -c * (w1 - w2 - w3),
+        k + n_prime + 2,
+        c * (k * (w1 - w2 - 3 * w3) - n_prime * (3 * w1 - w2 - 3 * w3)
+             + (w1 - w2 - w3 + 2 * energy)),
+    )
+
+
+def standard_form(phi, alpha, beta, gamma, delta):
+    """St: the standard form of `heun.bhe_standard_residual` times x, in
+    x = v."""
+    return (
+        v * sp.diff(phi, v, 2)
+        + (1 + alpha + beta * v - 2 * v**2) * sp.diff(phi, v)
+        + (-(delta + (1 + alpha) * beta) / 2 + (gamma - alpha - 2) * v) * phi
+    )
+
+
+def operator_form(phi, w, ell, m, energy, c):
+    """Op: `bhe_operator` at the constants of `heun.operator_residuals`."""
+    w1, w2, w3 = w
+    big_a = c * (w1 - w2 - w3)
+    big_d = c * (m * (w1 - w2) + ell * (w1 - w3) - energy)
+    return bhe_operator(phi, ell, m, abs(ell - m), big_a, big_d)
+
+
+def weights_of(ell, m, c):
+    """omega_n = c^(k+n) / sqrt(j! (l-j)! (m-j)!), j = N' - n: the map
+    weights of the `heun` docstring."""
+    k, n_prime = max(ell, m), min(ell, m)
+    return [
+        c ** (k + n) / sp.sqrt(sp.factorial(j) * sp.factorial(ell - j) * sp.factorial(m - j))
+        for n, j in enumerate(range(n_prime, -1, -1))
+    ]
+
+
+def eigen_residual(w, ell, m, energy, vec):
+    """(H - E) v from the two bands of the `hamiltonian` docstring."""
+    w1, w2, w3 = w
+    d = len(vec)
+    off = [sp.sqrt((j + 1) * (ell - j) * (m - j)) for j in range(d - 1)]
+    return [
+        (w1 * j + w2 * (ell - j) + w3 * (m - j) - energy) * vec[j]
+        + (off[j - 1] * vec[j - 1] if j > 0 else 0)
+        + (off[j] * vec[j + 1] if j < d - 1 else 0)
+        for j in range(d)
+    ]
+
+
+def test_standard_form_is_the_operator_form():
+    # Op(v) = v St(v) for every phi of degree N', every w, E and c: so
+    # St[phi]_n = Op[phi]_(n+1), and Op[phi]_0 = Op[phi]_(N'+2) = 0
+    c = sp.Symbol("c")
+    for ell, m in SMALL_LABELS:
+        n_prime = int(min(ell, m))
+        phi = sum(p * v**i for i, p in enumerate(sp.symbols(f"p0:{n_prime + 1}")))
+        op = sp.expand(operator_form(phi, W, ell, m, E, c))
+        st = standard_form(phi, *bhe_params_of(W, ell, m, E, c))
+        assert sp.expand(op - v * st) == 0, (ell, m)
+        assert op.coeff(v, 0) == op.coeff(v, n_prime + 2) == 0, (ell, m)
+    # a parameter off breaks it, gamma by 1 at the last label
+    alpha, beta, gamma, delta = bhe_params_of(W, ell, m, E, c)
+    off = standard_form(phi, alpha, beta, gamma + 1, delta)
+    assert sp.expand(op - v * off) != 0
+
+
+@pytest.mark.parametrize("branch", list(Branch), ids=lambda br: br.value)
+def test_operator_form_is_the_weighted_eigen_residual(branch):
+    # Op[omega * Jv] = sum_n c omega_n ((H - E) v)_(N'-n) v^(n+1) for
+    # every v, w and E: row n + 1 of Op is the eigen-residual's row N' - n,
+    # weighted
+    c = sp.sqrt(2) * (1 if branch is Branch.PLUS else -1)
+    for ell, m in SMALL_LABELS:
+        n_prime = int(min(ell, m))
+        vec = sp.symbols(f"u0:{n_prime + 1}")
+        omega = weights_of(ell, m, c)
+        phi = sum(om * vec[n_prime - n] * v**n for n, om in enumerate(omega))
+        res = eigen_residual(W, ell, m, E, vec)
+        mapped = sum(
+            c * om * res[n_prime - n] * v ** (n + 1) for n, om in enumerate(omega)
+        )
+        assert sp.expand(operator_form(phi, W, ell, m, E, c) - mapped) == 0, (ell, m)
+
+
+def test_bhe_params_and_weights_match_the_code():
+    # the parameters of `bhe_params` at rational w and E, one call over
+    # LABELS and both branches, and the weights of `_rho_weights` over
+    # every label of the proofs, against the symbolic forms
+    energies = [Fraction(7, 4), Fraction(-5, 16)]
+    cs = [sp.sqrt(2) * (1 if branch is Branch.PLUS else -1) for branch in Branch]
+    for w in W_POINTS:
+        params = bhe_params(
+            ModeFrequencies(*map(float, w)), LABELS,
+            np.array([[[float(e) for e in energies]]]), list(Branch),
+        )
+        got = np.broadcast_arrays(params.alpha, params.beta, params.gamma, params.delta)
+        for (u, label), (i, c), (col, e) in itertools.product(
+            enumerate(LABELS), enumerate(cs), enumerate(energies)
+        ):
+            exact = bhe_params_of(
+                [rational(x) for x in w], label.ell, label.m, rational(e), c
+            )
+            for name, g, x in zip("abgd", got, exact):
+                assert ulps(g[u, i, col], x) <= 4, (w, label, c, e, name)
+    labels = [SubspaceLabel(int(ell), int(m)) for ell, m in SMALL_LABELS]
+    weights = _rho_weights(labels, list(Branch))  # [row, label, branch, 1]
+    for (u, label), (i, c) in itertools.product(enumerate(labels), enumerate(cs)):
+        exact = weights_of(sp.Integer(label.ell), sp.Integer(label.m), c)
+        exact += [0] * (len(weights) - len(exact))
+        for n, x in enumerate(exact):
+            assert ulps(weights[n, u, i, 0], x) <= 4, (label, c, n)
