@@ -3,11 +3,12 @@
 
 Runs, for every eigenpair of W(1,1) and W(3,2) at w = (1,1,1), every
 transformation exponent b in {1, 1/2, 3/2, 2} and both branches, the
-certification pipeline, one `triqes.certify_subspace` call over both
+certification pipeline, one `triqes.certify_batch` call over both
 subspaces, both branches and the four exponents: the exact BHE residual,
 the ladder link of V_b (which with it certifies the zero mode's
 Schroedinger equation), and the independent finite-difference containment
-check.  Each row reads its subspace's `Certificate` at [branch, b, column].
+check.  Each row reads the batch `Certificate` at [branch, b, pair], the
+pair of column i of subspace n being ends[n] + i.
 
 Usage: python scripts/certify_worked_examples.py
 """
@@ -21,7 +22,7 @@ from triqes import (
     ModeFrequencies,
     SubspaceLabel,
     build_hamiltonian,
-    certify_subspace,
+    certify_batch,
     eig_sym,
 )
 
@@ -33,25 +34,24 @@ def main() -> int:
     argparse.ArgumentParser(
         description="Print the certification table of the two worked examples."
     ).parse_args()
-    all_ok = True
     header = f"{'subspace':>9} {'p':>2} {'E':>9} {'b':>4} {'branch':>6} " \
              f"{'bhe':>8} {'link':>8} {'oracle':>8} ok"
     print(header)
     print("-" * len(header))
     labels = [SubspaceLabel(1, 1), SubspaceLabel(3, 2)]
     spectra = [eig_sym(build_hamiltonian(W, label)) for label in labels]
-    certs = dict(certify_subspace(
+    cert, ends = certify_batch(
         W, [(label, sp.eigenvalues, sp.eigenvectors) for label, sp in zip(labels, spectra)],
-        B_VALUES, list(Branch), oracle={},
-    ))
+        B_VALUES, list(Branch), oracle=True,
+    )
+    all_ok = bool(cert.passed.all())
     for n, (label, spectrum) in enumerate(zip(labels, spectra)):
-        ell, m, cert = label.ell, label.m, certs[n]
-        all_ok &= bool(cert.passed.all())
+        ell, m = label.ell, label.m
         for i in range(label.dim):
             energy = float(spectrum.eigenvalues[i])
             for j, branch in enumerate(Branch):
                 for k, b in enumerate(B_VALUES):
-                    idx = (j, k, i)
+                    idx = (j, k, ends[n] + i)
                     print(
                         f"{f'W({ell},{m})':>9} {label.dim - i:>2} {energy:>9.5f} "
                         f"{str(b):>4} {branch.value:>6} "

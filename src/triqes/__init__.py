@@ -40,7 +40,7 @@ from .fdoracle import (
     oracle_config,
     suggest_domain,
 )
-from .certify import Certificate, certify_subspace
+from .certify import Certificate, certify_batch
 
 __all__ = [
     "FockState",
@@ -73,7 +73,7 @@ __all__ = [
     "oracle_config",
     "suggest_domain",
     "Certificate",
-    "certify_subspace",
+    "certify_batch",
     "zero_mode_ladders",
     "zero_mode_potentials",
 ]

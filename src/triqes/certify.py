@@ -17,30 +17,30 @@ given, every transformation exponent b and every branch:
 5. when the caller asks for it, the independent finite-difference oracle
    at lambda.
 
-`certify_batch` takes the subspaces as (label, energies, eigenvectors)
-and lays every eigenpair of every subspace along one pair axis, in
-subspace order and then column order, each pair with its own label's
-constants; phi rows are padded with zeros to the top degree (exact, see
-`heun`), columns are not padded.  Stages 1-4 are one array pass: stages
-1-2 over the axes [pair, branch, 1], shared by every b since they do not
-depend on it, and stages 3-4 as one `zero_mode_ladders` call and one
-`ladder_links` call on its float arrays as they are, over [pair, branch,
-b, 1], each column at its own b.  Every number is elementwise, so a
-column is bit for bit the same whichever subspaces share its call.  The
-oracle then runs subspace by subspace, in (branch, b, eigenvector)
-order, once per distinct (potential, lambda) in the `OracleMemo` the
-caller passes, its key a `PotentialSpec` built for each checked column
-only; `sweep` passes one memo for the command.
+`certify_batch` is the one entry to the chain.  It takes the subspaces
+as (label, energies, eigenvectors) and lays every eigenpair of every
+subspace along one pair axis, in subspace order and then column order,
+each pair with its own label's constants; phi rows are padded with zeros
+to the top degree (exact, see `heun`), columns are not padded.  Stages
+1-4 are one array pass: stages 1-2 over the axes [pair, branch, 1],
+shared by every b since they do not depend on it, and stages 3-4 as one
+`zero_mode_ladders` call and one `ladder_links` call on its float arrays
+as they are, over [pair, branch, b, 1], each column at its own b.  Every
+number is elementwise, so a column is bit for bit the same whichever
+subspaces share its call.  With `oracle=True` the oracle then runs
+subspace by subspace, in (branch, b, eigenvector) order, once per
+distinct (potential, lambda) of the call, its key a `PotentialSpec`
+built for each checked column only.
 
 It returns one batch `Certificate`, whose arrays are transposed once to
 [branch, b, pair] (`potential` [branch, b, pair, rung]) with a `failed`
 mask per stage of `STAGES`, by one rule: "bhe" where the BHE residual
 is not <= `BHE_RTOL`, "schrodinger" where the ladder link is not <= that
 `BHE_RTOL` (a NaN fails), "oracle" where the oracle missed; and the
-offsets of the subspaces on the pair axis.  `sweep` writes its file from
-that batch.  `certify_subspace` is its per-subspace view: it returns
-each subspace's `Certificate`, the subspace's columns of the batch,
-indexed [branch, b, column].
+offsets `ends` of the subspaces on the pair axis.  Subspace i holds
+pairs ends[i] .. ends[i + 1] - 1, so a one-subspace call's pair i is
+column i of its eigenvectors.  `sweep` writes its file from that batch
+and `verify` reads its one subspace straight from it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fdoracle import ContainmentResult, contains_eigenvalue, oracle_config
+from .fdoracle import contains_eigenvalue, oracle_config
 from .fock import SubspaceLabel
 from .hamiltonian import ModeFrequencies
 from .heun import BHE_RTOL, Branch, operator_residuals, rho_coefficients
@@ -59,16 +59,14 @@ from .schroedinger import PotentialSpec, RationalLike, ladder_links, zero_mode_l
 
 STAGES = ("bhe", "schrodinger", "oracle")
 
-# Oracle checks already made, by (potential, lambda).
-OracleMemo = dict[tuple[PotentialSpec, float], ContainmentResult]
-
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """The chain's numbers and verdicts for one subspace, as arrays indexed
-    [branch, b, column]; `failed` has a `STAGES` axis in front and
-    `potential`, the rungs c_0 .. c_4 of each ladder, a rung axis behind.
-    `oracle` is None when the oracle was skipped."""
+    """The chain's numbers and verdicts for every eigenpair of a
+    `certify_batch` call, as arrays indexed [branch, b, pair]; `failed` has
+    a `STAGES` axis in front and `potential`, the rungs c_0 .. c_4 of each
+    ladder, a rung axis behind.  `oracle` is None when the oracle was
+    skipped."""
 
     bhe_operator_residual: np.ndarray
     potential: np.ndarray
@@ -81,17 +79,6 @@ class Certificate:
     def passed(self) -> np.ndarray:
         return ~self.failed.any(axis=0)
 
-    def columns(self, cols: slice) -> "Certificate":
-        """The view of columns `cols` of every field."""
-        return Certificate(
-            bhe_operator_residual=self.bhe_operator_residual[..., cols],
-            potential=self.potential[:, :, cols],
-            lam=self.lam[..., cols],
-            schrodinger_residual=self.schrodinger_residual[..., cols],
-            oracle=None if self.oracle is None else self.oracle[..., cols],
-            failed=self.failed[..., cols],
-        )
-
 
 def _worst(residuals: np.ndarray) -> np.ndarray:
     return np.max(np.abs(residuals), axis=0)
@@ -101,48 +88,23 @@ def _worst(residuals: np.ndarray) -> np.ndarray:
 Subspace = tuple[SubspaceLabel, Sequence[float] | np.ndarray, np.ndarray]
 
 
-def certify_subspace(
-    freqs: ModeFrequencies,
-    subspaces: Iterable[Subspace],
-    b_values: Sequence[RationalLike],
-    branches: Sequence[Branch],
-    oracle: OracleMemo | None = None,
-) -> list[tuple[int, Certificate]]:
-    """Run the chain for every subspace (label, energies, vecs) of
-    `subspaces`, under every b in `b_values` and every branch in
-    `branches`.
-
-    Column i of `vecs` is an eigenvector of W(l, m), checked against
-    `energies[i]`; pass a wrong energy to watch its column fail.  Returns
-    the list of (i, `Certificate`), indexed [branch, b, column], one per
-    subspace in order: the i-th subspace's columns of `certify_batch`'s
-    one batch, so the whole batch, oracle included, is certified before
-    this returns.
-    """
-    batch, ends = certify_batch(freqs, subspaces, b_values, branches, oracle)
-    return [
-        (i, batch.columns(slice(start, stop)))
-        for i, (start, stop) in enumerate(zip(ends, ends[1:]))
-    ]
-
-
 def certify_batch(
     freqs: ModeFrequencies,
     subspaces: Iterable[Subspace],
     b_values: Sequence[RationalLike],
     branches: Sequence[Branch],
-    oracle: OracleMemo | None = None,
+    oracle: bool = False,
 ) -> tuple[Certificate, list[int]]:
     """The chain for every eigenpair of every subspace (label, energies,
     vecs) as one `Certificate` over [branch, b, pair], and the offsets
     `ends`: subspace i holds pairs ends[i] .. ends[i + 1] - 1.
 
     Every subspace's shapes are checked before any stage runs, and the
-    first bad one raises.  Stages 1-4 run as one array pass.  `oracle=None`
-    skips the oracle; a dict runs it subspace by subspace, then branch by
+    first bad one raises.  Stages 1-4 run as one array pass.
+    `oracle=True` runs the oracle too, subspace by subspace, then branch by
     branch, b by b, column by column.  An oracle check depends on
-    (potential, lambda) alone: a pair already in `oracle` is not solved
-    again, and every new one is added.
+    (potential, lambda) alone, so each distinct pair of the call is solved
+    once.
     """
     checked = []
     for label, energies, vecs in subspaces:
@@ -164,15 +126,16 @@ def certify_batch(
             vecs[len(vecs) - label.dim :, start:stop] = v
     energies = np.concatenate([e for _, e, _ in checked] or [np.empty(0)])
     batch = _certify_pairs(freqs, labels, energies, vecs, b_values, branches)
-    if oracle is not None:
-        batch = replace(batch, oracle=_oracle_checks(batch, ends, b_values, oracle))
+    if oracle:
+        batch = replace(batch, oracle=_oracle_checks(batch, ends, b_values))
     return batch, ends
 
 
-def _oracle_checks(batch, ends, b_values, memo):
+def _oracle_checks(batch, ends, b_values):
     """The oracle's result for every [branch, b, pair] of `batch`, in
-    (subspace, branch, b, column) order through `memo`; marks a miss in
-    `batch.failed`."""
+    (subspace, branch, b, column) order, each distinct (potential, lambda)
+    solved once; marks a miss in `batch.failed`."""
+    memo = {}
     results = np.empty(batch.lam.shape, dtype=object)
     rows = batch.potential.tolist()
     for start, stop in zip(ends, ends[1:]):

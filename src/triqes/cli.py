@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .certify import STAGES, Certificate, OracleMemo, certify_batch, certify_subspace
+from .certify import STAGES, Certificate, certify_batch
 from .fock import SubspaceLabel, subspace_basis
 from .hamiltonian import ModeFrequencies, build_hamiltonian
 from .heun import Branch, rho_coefficients
@@ -385,9 +385,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     energies = spec.eigenvalues
     if args.energy_override is not None:
         energies = np.full(label.dim, args.energy_override)
-    ((_, cert),) = certify_subspace(
+    cert, _ = certify_batch(
         freqs, [(label, energies, spec.eigenvectors)], [bfrac], [branch],
-        oracle=None if args.no_oracle else {},
+        oracle=not args.no_oracle,
     )
     found, used = spec.eigenvalues.tolist(), energies.tolist()
     checks = [
@@ -431,15 +431,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     b_values = sorted({parse_b(tok) for tok in args.b.split(",")})
     # minus before plus: tuples come out in (l, m, b, branch) order
     branches = [Branch(args.branch)] if args.branch else [Branch.MINUS, Branch.PLUS]
-    # lives for this command only: W(l, m) and W(m, l) pose the same
-    # oracle problems, often bit for bit
-    oracle: OracleMemo | None = None if args.no_oracle else {}
     labels = [
         SubspaceLabel(ell, m)
         for ell in range(args.lmax + 1) for m in range(args.mmax + 1)
     ]
     batch, ends = certify_batch(
-        freqs, _solve_labels(freqs, labels), b_values, branches, oracle=oracle
+        freqs, _solve_labels(freqs, labels), b_values, branches, oracle=not args.no_oracle
     )
     text, status, all_pass = _sweep_text(
         _manifest(args, b=",".join(map(str, b_values))), labels, ends, batch, b_values,

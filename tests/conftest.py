@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from triqes import ModeFrequencies, SubspaceLabel, certify_subspace
+from triqes import ModeFrequencies, SubspaceLabel, certify_batch
 
 
 @pytest.fixture
@@ -30,9 +32,20 @@ def random_frequency_triples(rng: np.random.Generator, count: int, scale=2.0):
     return [ModeFrequencies(*rng.uniform(-scale, scale, 3)) for _ in range(count)]
 
 
-def certify_one(freqs, label, energies, vecs, b_values, branches, oracle=None):
-    """The `Certificate` of the one-subspace `certify_subspace` call."""
-    ((_, cert),) = certify_subspace(
-        freqs, [(label, energies, vecs)], b_values, branches, oracle
-    )
+def certify_one(freqs, label, energies, vecs, b_values, branches, oracle=False):
+    """The batch `Certificate` of the one-subspace `certify_batch` call:
+    its pair i is column i of `vecs`."""
+    cert, _ = certify_batch(freqs, [(label, energies, vecs)], b_values, branches, oracle)
     return cert
+
+
+def pair_fields(cert, pairs=slice(None)):
+    """Every field of the batch `cert` at `pairs` of its pair axis, by
+    name; an oracle that did not run stays None."""
+    values = {}
+    for f in fields(cert):
+        arr = getattr(cert, f.name)
+        if arr is not None:
+            arr = arr[:, :, pairs] if f.name == "potential" else arr[..., pairs]
+        values[f.name] = arr
+    return values

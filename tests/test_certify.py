@@ -21,7 +21,7 @@ from triqes import (
     SubspaceLabel,
     bhe_params,
     build_hamiltonian,
-    certify_subspace,
+    certify_batch,
     eig_sym,
     epsilon_of,
     potential_specs,
@@ -35,7 +35,7 @@ from triqes.fock import MAX_TOTAL_LABEL
 from triqes.heun import BHE_RTOL, rho_coefficients, standard_residuals
 from triqes.schroedinger import ladder_links
 
-from conftest import certify_one, frequencies, labels
+from conftest import certify_one, frequencies, labels, pair_fields
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 B_VALUES = (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2))
@@ -129,10 +129,10 @@ def cap_labels():
     )
 
 
-def bits(cert):
-    """Every field of `cert` as its shape and exact values: floats as
-    `float.hex` (so NaNs compare equal by position), potentials as their b
-    and hex rungs."""
+def bits(cert, pairs=slice(None)):
+    """Every field of `cert` at `pairs` as its shape and exact values:
+    floats as `float.hex` (so NaNs compare equal by position), potentials
+    as their b and hex rungs."""
 
     def exact(x):
         if isinstance(x, float):
@@ -141,13 +141,10 @@ def bits(cert):
             return (x.b, tuple(map(float.hex, x.coeffs)))
         return x
 
-    values = {}
-    for f in fields(cert):
-        arr = getattr(cert, f.name)
-        values[f.name] = None if arr is None else (
-            arr.shape, [exact(x) for x in arr.ravel().tolist()]
-        )
-    return values
+    return {
+        name: None if arr is None else (arr.shape, [exact(x) for x in arr.ravel().tolist()])
+        for name, arr in pair_fields(cert, pairs).items()
+    }
 
 
 def at(cert, i, j, col):
@@ -236,11 +233,11 @@ class TestCertifySubspace:
             if n == nan_at:
                 vecs[:, -1] = np.nan
             subspaces.append((label, energies, vecs))
-        many = dict(certify_subspace(freqs, subspaces, b_values, branches))
-        assert sorted(many) == list(range(len(subspaces)))
+        batch, ends = certify_batch(freqs, subspaces, b_values, branches)
+        assert len(ends) == len(subspaces) + 1
         for n, subspace in enumerate(subspaces):
             single = certify_one(freqs, *subspace, b_values, branches)
-            assert bits(many[n]) == bits(single), n
+            assert bits(batch, slice(ends[n], ends[n + 1])) == bits(single), n
 
     def test_pair_axis_matches_one_call_per_subspace(self):
         # one call lays the eigenpairs of subspaces of dimensions 1-7 along
@@ -266,21 +263,20 @@ class TestCertifySubspace:
         assert {label.dim for label, _, _ in subspaces} == set(range(1, 8))
         assert min(len(energies) for _, energies, _ in subspaces) == 0
 
-        def reprs(cert):
+        def reprs(cert, pairs=slice(None)):
             return {
-                f.name: None if getattr(cert, f.name) is None
-                else (getattr(cert, f.name).shape, repr(getattr(cert, f.name).tolist()))
-                for f in fields(cert)
+                name: None if arr is None else (arr.shape, repr(arr.tolist()))
+                for name, arr in pair_fields(cert, pairs).items()
             }
 
         # and a subspace without columns above the top dimension of the pairs
         empty = SubspaceLabel(6, 6)
         for call in (subspaces, [(empty, [], np.empty((empty.dim, 0))), subspaces[0]]):
-            many = list(certify_subspace(freqs, call, b_values, list(Branch)))
-            assert [i for i, _ in many] == list(range(len(call)))
-            for (n, cert), subspace in zip(many, call):
+            batch, ends = certify_batch(freqs, call, b_values, list(Branch))
+            assert ends == np.cumsum([0] + [len(e) for _, e, _ in call]).tolist()
+            for n, subspace in enumerate(call):
                 single = certify_one(freqs, *subspace, b_values, list(Branch))
-                assert reprs(cert) == reprs(single), n
+                assert reprs(batch, slice(ends[n], ends[n + 1])) == reprs(single), n
 
     @pytest.mark.parametrize("first,second", [("energies", "vecs"), ("vecs", "energies")])
     def test_first_malformed_subspace_raises(self, unit_freqs, monkeypatch, first, second):
@@ -305,7 +301,7 @@ class TestCertifySubspace:
         stages = []
         monkeypatch.setattr(certify, "rho_coefficients", lambda *a: stages.append(a))
         with pytest.raises(ValueError, match=messages[first]):
-            list(certify_subspace(unit_freqs, subspaces, B_VALUES, list(Branch)))
+            certify_batch(unit_freqs, subspaces, B_VALUES, list(Branch))
         assert stages == []
 
     def test_bhe_residuals_broadcast_over_b(self, unit_freqs):
@@ -432,22 +428,29 @@ class TestCertifyEigenpair:
         assert cert.passed.shape == (len(Branch), len(B_VALUES), label.dim)
         assert cert.passed.all(), np.argwhere(~cert.passed).tolist()
 
-    def test_oracle_hit(self, unit_freqs):
+    def test_oracle_hit(self, unit_freqs, monkeypatch):
+        # one oracle solve per distinct (potential, lambda) of the call: the
+        # two eigenpairs of W(1, 1) pose two problems, each asked twice
         label = SubspaceLabel(1, 1)
         spectrum = spectrum_of(unit_freqs, label)
-        memo = {}
+        solved = []
+        contains = certify.contains_eigenvalue
+        monkeypatch.setattr(
+            certify, "contains_eigenvalue",
+            lambda spec, config, lam: solved.append((spec, lam)) or contains(spec, config, lam),
+        )
+        energies = np.tile(spectrum.eigenvalues, 2)
+        vecs = np.tile(spectrum.eigenvectors, 2)
         cert = certify_one(
-            unit_freqs, label, spectrum.eigenvalues, spectrum.eigenvectors,
-            [SEXTIC_B], [Branch.PLUS], oracle=memo,
+            unit_freqs, label, energies, vecs, [SEXTIC_B], [Branch.PLUS], oracle=True,
         )
         assert cert.passed.all()
         columns = zip(cert.potential[0, 0].tolist(), cert.lam[0, 0], cert.oracle[0, 0])
-        for rungs, lam, result in columns:
-            vspec = PotentialSpec(SEXTIC_B, tuple(rungs))
+        for col, (rungs, lam, result) in enumerate(columns):
             assert result.hit
             assert result.n_points == 2000
-            assert memo[(vspec, lam)] is result
-        assert len(memo) == label.dim
+            assert solved[col % label.dim] == (PotentialSpec(SEXTIC_B, tuple(rungs)), lam)
+        assert len(solved) == label.dim
 
     def test_oracle_runs_in_subspace_order(self, monkeypatch):
         # the oracle checks each new (potential, lambda) of the batch in
@@ -476,7 +479,7 @@ class TestCertifyEigenpair:
             certify, "contains_eigenvalue",
             lambda spec, config, lam: checked.append((spec, lam)) or SimpleNamespace(hit=True),
         )
-        certify.certify_batch(freqs, subspaces, b_values, list(Branch), oracle={})
+        certify.certify_batch(freqs, subspaces, b_values, list(Branch), oracle=True)
         assert checked == expected
         assert len(expected) == 2 * 2 * 3
 
@@ -612,7 +615,10 @@ def test_no_oracle_sweep_builds_no_potential_spec(monkeypatch, capsys):
 
 # names a module once defined and no longer does, by module
 REMOVED = {
-    "certify": ("certify_eigenpair", "zero_mode_potential", "SEXTIC_B"),
+    "certify": (
+        "certify_eigenpair", "zero_mode_potential", "SEXTIC_B", "certify_subspace",
+        "OracleMemo",
+    ),
     "schroedinger": (
         "potential_spec", "split_sextic", "AuxConstants",
         "WavefunctionSpec", "wavefunction_spec", "zero_mode_residual",
@@ -644,8 +650,12 @@ def test_public_surface():
     # phi is a coefficient column: the wrapper keeps no evaluation of its own
     assert {"__call__", "degree"}.isdisjoint(vars(triqes.RhoPolynomial))
     assert "rtol" not in inspect.signature(triqes.heun.residual_ok).parameters
-    oracle = inspect.signature(certify.certify_subspace).parameters["oracle"]
-    assert oracle.default is None
+    # one entry to the chain, whose oracle is an on switch, and one batch
+    # certificate with no per-subspace view
+    assert not hasattr(triqes, "certify_subspace")
+    oracle = inspect.signature(certify.certify_batch).parameters["oracle"]
+    assert oracle.default is False
+    assert not hasattr(triqes.Certificate, "columns")
 
 
 def load_script(name):

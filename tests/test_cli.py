@@ -631,11 +631,10 @@ class TestSweep:
 
     def test_one_pipeline_call_per_sweep(self, capsys, monkeypatch):
         # every label, both branches and every b of a sweep share one
-        # certify_batch call, written from the batch without a per-label
-        # certify_subspace view; its ladder stage is one link call over
-        # the eigenpairs of W(0..2, 0..2), whatever their dimensions
+        # certify_batch call, written from the batch; its ladder stage is
+        # one link call over the eigenpairs of W(0..2, 0..2), whatever
+        # their dimensions
         pipeline = self.count_calls(monkeypatch, triqes.cli, "certify_batch")
-        views = self.count_calls(monkeypatch, triqes.cli, "certify_subspace")
         kernel = self.count_calls(monkeypatch, triqes.certify, "ladder_links")
         code, out, _ = run_cli(
             capsys, "sweep", "--no-oracle", "--lmax", "2", "--mmax", "2",
@@ -643,7 +642,7 @@ class TestSweep:
         )
         assert code == 0
         assert json.loads(out)["count"] == 9 * 4 * 2
-        assert (len(pipeline), len(views), len(kernel)) == (1, 0, 1)
+        assert (len(pipeline), len(kernel)) == (1, 1)
 
     def test_one_eigensolve_per_dimension(self, capsys, monkeypatch):
         # the 49 labels of W(0..6, 0..6) fall into dimensions 1..7, each
@@ -668,7 +667,7 @@ class TestSweep:
         assert err == "error: ||H||_F is not finite: it overflows a double\n"
 
     def test_oracle_memo_lives_for_one_sweep(self, capsys, monkeypatch):
-        # a memo that outlived the command would answer the second sweep
+        # a memo that outlived the call would answer the second sweep
         # without a single eigensolve
         calls = self.count_eigensolves(monkeypatch)
         argv = ["sweep", "--lmax", "1", "--mmax", "1", "--b", "1/2", "--branch", "plus"]
@@ -953,16 +952,17 @@ SPECIAL_FLOATS = [
 ]
 
 
-def sweep_records(ell, m, b_values, branches, cert):
-    """The sweep tuples of one label in (b, branch) order as dicts: each
-    one's verdict, the stages any eigenpair failed and the worst value of
-    each residual and oracle gap, NaN if any is NaN; the reference the
-    column writer is checked against."""
-    worst = {k: getattr(cert, k).max(axis=2).tolist() for k in WORST_KEYS}
-    if cert.oracle is not None:
-        gaps = np.array([c.richardson_gap for c in cert.oracle.flat], dtype=float)
-        worst["oracle_richardson_gap"] = gaps.reshape(cert.oracle.shape).max(axis=2).tolist()
-    failed = cert.failed.any(axis=3).tolist()
+def sweep_records(ell, m, b_values, branches, batch, pairs):
+    """The sweep tuples of one label, the `pairs` of `batch`, in (b, branch)
+    order as dicts: each one's verdict, the stages any eigenpair failed and
+    the worst value of each residual and oracle gap, NaN if any is NaN; the
+    reference the column writer is checked against."""
+    worst = {k: getattr(batch, k)[..., pairs].max(axis=2).tolist() for k in WORST_KEYS}
+    if batch.oracle is not None:
+        oracle = batch.oracle[..., pairs]
+        gaps = np.array([c.richardson_gap for c in oracle.flat], dtype=float)
+        worst["oracle_richardson_gap"] = gaps.reshape(oracle.shape).max(axis=2).tolist()
+    failed = batch.failed[..., pairs].any(axis=3).tolist()
     for j, bfrac in enumerate(b_values):
         for i, branch in enumerate(branches):
             stages = [s for s, f in zip(STAGES, failed) if f[i][j]]
@@ -1042,7 +1042,7 @@ def test_sweep_writer_matches_json(sweep):
     tuples = [
         t for label, start, stop in zip(labels, ends, ends[1:])
         for t in sweep_records(
-            label.ell, label.m, b_values, branches, batch.columns(slice(start, stop))
+            label.ell, label.m, b_values, branches, batch, slice(start, stop)
         )
     ]
     all_pass = all(t["pass"] for t in tuples)
@@ -1062,7 +1062,7 @@ def test_sweep_writer_matches_json(sweep):
 def test_sweep_writer_rejects_a_label_without_eigenpairs():
     # reduceat reads an empty segment as the next pair, not as no value
     label = SubspaceLabel(1, 1)
-    ((_, cert),) = triqes.certify_subspace(
+    cert, _ = triqes.certify_batch(
         ModeFrequencies(1, 1, 1), [(label, [], np.empty((2, 0)))], [1], [Branch.PLUS]
     )
     with pytest.raises(ValueError, match="eigenpair"):

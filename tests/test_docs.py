@@ -1,5 +1,5 @@
 """The README and the package's own docstrings and comments name only what
-the package defines."""
+the package defines, and the README's Python examples run."""
 
 import importlib
 import io
@@ -35,6 +35,16 @@ def test_readme_names_resolve():
     names = set(DOTTED.findall(README.read_text()))
     assert "heun.residual_ok" in names
     assert not unresolved(names), unresolved(names)
+
+
+def test_readme_python_blocks_run(capsys):
+    # every ```python block of the README runs as written, in order, each
+    # in a fresh namespace: a documented call cannot rot
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks
+    for n, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {n}", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_module_docstrings_and_comments_resolve():

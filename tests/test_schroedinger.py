@@ -81,7 +81,7 @@ class TestPotentialSpec:
     )
     @pytest.mark.parametrize(
         "stage",
-        ["potential_specs", "zero_mode_envelope", "eval_wavefunction", "certify_subspace"],
+        ["potential_specs", "zero_mode_envelope", "eval_wavefunction", "certify_batch"],
     )
     def test_b_outside_double_range_rejected(self, unit_freqs, stage, b):
         # every rung divides by b^2: the library refuses a b whose square
@@ -95,7 +95,7 @@ class TestPotentialSpec:
                 b, unit_freqs, label, Branch.PLUS
             ),
             "eval_wavefunction": lambda: eval_wavefunction(b, 0.5, 0.0, np.ones(1), 1.0),
-            "certify_subspace": lambda: certify_one(
+            "certify_batch": lambda: certify_one(
                 unit_freqs, label, spec.eigenvalues, spec.eigenvectors, [b],
                 [Branch.PLUS],
             ),
