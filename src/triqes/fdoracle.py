@@ -126,7 +126,7 @@ def _flapack():
         return module
 
 
-def eigh_tridiagonal(d, e, *, select, select_range, eigvals_only=True, tol):
+def eigh_tridiagonal(d, e, *, select, select_range, tol):
     """Eigenvalues of the symmetric tridiagonal matrix with diagonal `d`
     and off-diagonal `e`, ascending: those in (lo, hi] for select="v", or
     those of index lo .. hi from 0 for select="i", (lo, hi) =
@@ -142,8 +142,6 @@ def eigh_tridiagonal(d, e, *, select, select_range, eigvals_only=True, tol):
     when the bisection does not converge.  Every solve looks this module
     attribute up at call time, so tests and tracers can replace it.
     """
-    if not eigvals_only:
-        raise ValueError("only eigenvalues are computed")
     d = np.asarray_chkfinite(d, dtype=np.float64)
     e = np.asarray_chkfinite(e, dtype=np.float64)
     if d.ndim != 1 or e.shape != (d.size - 1,):
@@ -319,8 +317,7 @@ def fd_spectrum(
     (ratio,) = _left_boundary_ratios(spec, (float(xs[0]),), bc_energy)
     diag, off = _tridiagonal(config, xs, vpot, ratio)
     vals = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1), eigvals_only=True,
-        tol=BISECTION_TOL,
+        diag, off, select="i", select_range=(0, count - 1), tol=BISECTION_TOL
     )
     return np.sort(vals)
 
@@ -344,7 +341,7 @@ def _nearest_level(
     while True:
         vals = eigh_tridiagonal(
             diag, off, select="v", select_range=(target - radius, target + radius),
-            eigvals_only=True, tol=BISECTION_TOL,
+            tol=BISECTION_TOL,
         )
         solves += 1
         if vals.size:

@@ -876,11 +876,26 @@ def test_b_outside_double_range_is_usage_error(capsys, command, flag, value, mes
     assert message in err
 
 
+# W(1, 1) and W(3, 2) at w = (1, 1, 1), b = 1/2 and 2, both branches: the
+# first arguments of a `certify_batch` call
+LIBRARY_CALL = """
+from fractions import Fraction
+import triqes
+W = triqes.ModeFrequencies(1, 1, 1)
+LABELS = [triqes.SubspaceLabel(1, 1), triqes.SubspaceLabel(3, 2)]
+SPECTRA = [triqes.eig_sym(triqes.build_hamiltonian(W, label)) for label in LABELS]
+SUBSPACES = (
+    W, [(label, sp.eigenvalues, sp.eigenvectors) for label, sp in zip(LABELS, SPECTRA)],
+    [Fraction(1, 2), 2], list(triqes.Branch),
+)
+"""
+
 SCIPY_PROBE = """
 import os, sys
 out = sys.argv[1]
 import triqes, triqes.cli
 assert "scipy" not in sys.modules, "import triqes"
+""" + LIBRARY_CALL + """
 no_solve = [
     ["spectrum", "--l", "1", "--m", "1"],
     ["basis", "--l", "1", "--m", "1"],
@@ -891,6 +906,10 @@ no_solve = [
 for argv in no_solve:
     assert triqes.cli.main(argv + ["--out", os.path.join(out, argv[0])]) == 0, argv
     assert "scipy" not in sys.modules, argv
+# the library entry without the oracle
+cert, _ = triqes.certify_batch(*SUBSPACES, oracle=False)
+assert cert.oracle is None and cert.passed.all()
+assert "scipy" not in sys.modules, "certify_batch(oracle=False)"
 rc = triqes.cli.main(["verify", "--l", "1", "--m", "1", "--out", os.path.join(out, "oracle")])
 assert rc == 0, rc
 assert "scipy.linalg" not in sys.modules
@@ -923,6 +942,18 @@ assert scipy.linalg.lapack.dstebz is dstebz
 """
 
 
+# the library entry with the oracle, in a fresh interpreter
+LIBRARY_ORACLE_PROBE = """
+import sys
+""" + LIBRARY_CALL + """
+assert "scipy" not in sys.modules
+cert, _ = triqes.certify_batch(*SUBSPACES, oracle=True)
+assert cert.passed.all() and cert.oracle.size == 2 * 2 * 5
+assert "scipy.linalg" not in sys.modules
+assert "scipy.linalg._flapack" in sys.modules
+"""
+
+
 def run_probe(probe, tmp_path):
     # a fresh interpreter, since pytest plugins may import scipy themselves
     src = str(Path(triqes.__file__).resolve().parents[1])
@@ -939,6 +970,12 @@ def test_scipy_loads_only_with_the_oracle(tmp_path):
     # the scipy.linalg package (the b = 2 zero search is one eigvalsh, with
     # no scipy.optimize); a later scipy.linalg reuses that extension
     run_probe(SCIPY_PROBE, tmp_path)
+
+
+def test_library_oracle_loads_only_the_lapack_extension(tmp_path):
+    # certify_batch(oracle=True) loads scipy.linalg._flapack alone, as
+    # the CLI's oracle does
+    run_probe(LIBRARY_ORACLE_PROBE, tmp_path)
 
 
 def test_oracle_reuses_a_loaded_scipy_linalg(tmp_path):

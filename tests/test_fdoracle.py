@@ -308,8 +308,7 @@ class TestKernelParity:
 
     def assert_same(self, d, e, select, select_range):
         got = fdoracle.eigh_tridiagonal(
-            d, e, select=select, select_range=select_range, eigvals_only=True,
-            tol=fdoracle.BISECTION_TOL,
+            d, e, select=select, select_range=select_range, tol=fdoracle.BISECTION_TOL
         )
         want = self.reference(d, e, select, select_range)
         assert got.dtype == want.dtype == np.float64
