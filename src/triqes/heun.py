@@ -126,8 +126,9 @@ def _rho_weights(label: Labels, branch: Branches) -> np.ndarray:
 
     One pass over every row of every distinct label: the factorial product
     is evaluated exactly as an integer before its single rounding to
-    double, c^(k+n) is Python's `c ** p`, and one numpy sqrt and divide
-    forms all weights, so each is the scalar formula's double.
+    double, c^p is (+-1)^p 2^(p // 2) sqrt(2)^(p % 2), whose one rounding
+    is that of sqrt(2), and one numpy sqrt and divide forms all weights,
+    so each is the scalar formula's double.
     """
     if isinstance(label, SubspaceLabel):
         return _rho_weights([label], [branch])[:, 0, 0]
@@ -136,7 +137,9 @@ def _rho_weights(label: Labels, branch: Branches) -> np.ndarray:
     # k + n and l, m, j are at most l + m
     top = max((lab.ell + lab.m for lab in distinct), default=0)
     fact = [math.factorial(i) for i in range(top + 1)]
-    powers = np.array([[br.c ** p for p in range(top + 1)] for br in branch])
+    exps = np.arange(top + 1)
+    signs = np.sign([br.c for br in branch]).reshape(-1, 1)
+    powers = signs**exps * np.ldexp(np.where(exps % 2, SQRT2, 1.0), exps // 2)
     # row n of distinct label u: its power k + n, and j! (l-j)! (m-j)! with
     # j = N' - n, in the same order
     u, n, p = np.array(

@@ -1,10 +1,11 @@
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from triqes import ModeFrequencies, SubspaceLabel, certify_batch
+from triqes import Branch, ModeFrequencies, SubspaceLabel, certify_batch
 
 
 @pytest.fixture
@@ -30,6 +31,13 @@ def labels(max_l=10, max_m=10):
 
 def random_frequency_triples(rng: np.random.Generator, count: int, scale=2.0):
     return [ModeFrequencies(*rng.uniform(-scale, scale, 3)) for _ in range(count)]
+
+
+def exact_power(branch, p):
+    """c^p as (+-1)^p 2^(p // 2) sqrt(2)^(p % 2), the phi weights' power of
+    c: its one rounding is that of sqrt(2)."""
+    sign = -1.0 if branch is Branch.MINUS and p % 2 else 1.0
+    return sign * math.ldexp(math.sqrt(2.0) if p % 2 else 1.0, p // 2)
 
 
 def certify_one(freqs, label, energies, vecs, b_values, branches, oracle=False):

@@ -35,7 +35,7 @@ from triqes.fock import MAX_TOTAL_LABEL
 from triqes.heun import BHE_RTOL, rho_coefficients, standard_residuals
 from triqes.schroedinger import ladder_links
 
-from conftest import certify_one, frequencies, labels, pair_fields
+from conftest import certify_one, exact_power, frequencies, labels, pair_fields
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 B_VALUES = (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2))
@@ -67,7 +67,7 @@ def loop_chain(freqs, label, energy, vec, b, branch):
     phi = []
     for n in range(n_prime + 1):
         j = n_prime - n
-        weight = c ** (k + n) / math.sqrt(
+        weight = exact_power(branch, k + n) / math.sqrt(
             math.factorial(j) * math.factorial(ell - j) * math.factorial(m - j)
         )
         phi.append(float(vec[j]) * weight)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from triqes import (
 from triqes.fock import MAX_TOTAL_LABEL
 from triqes.heun import BheParams, _rho_weights, residual_ok
 
-from conftest import frequencies, labels
+from conftest import exact_power, frequencies, labels
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,7 +79,7 @@ class TestPolynomialMap:
         def loop_weights(label, branch):
             ell, m, k, n_prime = label.ell, label.m, label.k, label.n_prime
             return np.array([
-                branch.c ** (k + n) / math.sqrt(
+                exact_power(branch, k + n) / math.sqrt(
                     math.factorial(n_prime - n) * math.factorial(ell - n_prime + n)
                     * math.factorial(m - n_prime + n)
                 )
@@ -102,6 +103,28 @@ class TestPolynomialMap:
                     one = _rho_weights(label, branch)
                     assert one.shape == (label.dim, 1)
                     assert one[:, 0].tobytes() == expected.tobytes(), label
+
+    @pytest.mark.parametrize("total", [12, 32, 64])
+    def test_weights_within_two_ulps(self, total):
+        # every weight of every label with l + m = total, both branches,
+        # lies within 2 ulps of c^(k+n) / sqrt(j! (l-j)! (m-j)!) in 40-digit
+        # mpmath: c^p rounds once, not p - 1 times as a power of the
+        # rounded sqrt(2) would
+        labels_ = [SubspaceLabel(ell, total - ell) for ell in range(total + 1)]
+        weights = _rho_weights(labels_, list(Branch))
+        with mpmath.workdps(40):
+            for u, label in enumerate(labels_):
+                for i, branch in enumerate(Branch):
+                    c = mpmath.sqrt(2) * (1 if branch is Branch.PLUS else -1)
+                    for n in range(label.dim):
+                        j = label.n_prime - n
+                        exact = c ** (label.k + n) / mpmath.sqrt(
+                            mpmath.factorial(j) * mpmath.factorial(label.ell - j)
+                            * mpmath.factorial(label.m - j)
+                        )
+                        err = abs(mpmath.mpf(weights[n, u, i, 0]) - exact)
+                        ulps = float(err) / math.ulp(float(exact))
+                        assert ulps <= 2.0, (label, branch, n, ulps)
 
     @given(frequencies(), labels(max_l=6, max_m=6))
     def test_branch_relation(self, freqs, label):
