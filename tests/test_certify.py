@@ -450,6 +450,7 @@ class TestCertifyEigenpair:
             assert result.hit
             assert result.n_points == 2000
             assert solved[col % label.dim] == (PotentialSpec(SEXTIC_B, tuple(rungs)), lam)
+            assert result is cert.oracle[0, 0, col % label.dim]
         assert len(solved) == label.dim
 
     def test_oracle_runs_in_subspace_order(self, monkeypatch):

@@ -108,8 +108,8 @@ class TestPolynomialMap:
     def test_weights_within_two_ulps(self, total):
         # every weight of every label with l + m = total, both branches,
         # lies within 2 ulps of c^(k+n) / sqrt(j! (l-j)! (m-j)!) in 40-digit
-        # mpmath: c^p rounds once, not p - 1 times as a power of the
-        # rounded sqrt(2) would
+        # mpmath: c^p carries one rounding, that of sqrt(2), where a power
+        # of the rounded sqrt(2) carries p times its relative error
         labels_ = [SubspaceLabel(ell, total - ell) for ell in range(total + 1)]
         weights = _rho_weights(labels_, list(Branch))
         with mpmath.workdps(40):
