@@ -42,8 +42,6 @@ def fmt(x: float) -> str:
 
 
 _json_str = json.encoder.encode_basestring_ascii
-_JSON_BOOL = {True: "true", False: "false"}
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _round15(obj: Any) -> Any:
@@ -125,54 +123,35 @@ def _write_json(payload: dict[str, Any], out: str | None) -> None:
     _write_text(json.dumps(_round15(payload), indent=2) + "\n", out)
 
 
-# normal doubles whose 15-digit rounding is below 1e15: from there on
-# %.15g writes an exponent where repr writes every digit
-_FAST_FLOATS = (sys.float_info.min, 999999999999999.5)
+def _json_at(obj: Any, depth: int) -> str:
+    """`json.dumps(obj, indent=2)` as it is written nested `depth` spaces in."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + " " * depth)
 
 
-def _json_float(x: float) -> str:
-    """`x` rounded to 15 digits and written as `json` writes a float."""
-    if _FAST_FLOATS[0] <= abs(x) < _FAST_FLOATS[1]:
-        # 15 <= DBL_DIG digits of a normal double are the shortest repr of
-        # their own rounding; %g only drops the ".0" of a whole number
-        text = "%.15g" % x
-        return text if "." in text or "e" in text else text + ".0"
-    text = repr(float(fmt(x)))
-    return _JSON_NONFINITE.get(text, text)
-
-
-def _json_block(items: list[str], brackets: str, indent: int) -> str:
-    """A list or object of already encoded `items` in `json`'s indent=2
-    layout, its closing bracket at column `indent`."""
-    if not items:
-        return brackets
-    pad = "\n" + " " * (indent + 2)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * indent + brackets[1]
+def _template(obj: Any, depth: int) -> str:
+    """`_json_at` of `obj`, each of its "%s" string values a bare `%s` slot."""
+    return _json_at(obj, depth).replace('"%s"', "%s")
 
 
 _WORST_KEYS = ("bhe_operator_residual", "schrodinger_residual")
 
-# one sweep tuple, by whether the oracle ran
+# one sweep tuple, by whether the oracle ran, and the file around the tuples
 _SWEEP_TUPLE = {
-    oracle: """{
-      "l": %d,
-      "m": %d,
-      "b": %s,
-      "branch": %s,
-      "pass": %s,
-      "failed": %s,
-      "worst": """ + _json_block(
-        [f"{_json_str(k)}: %s" for k in _WORST_KEYS + ("oracle_richardson_gap",) * oracle],
-        "{}", 6,
-    ) + "\n    }"
+    oracle: _template({
+        **dict.fromkeys(("l", "m", "b", "branch", "pass", "failed"), "%s"),
+        "worst": dict.fromkeys(_WORST_KEYS + ("oracle_richardson_gap",) * oracle, "%s"),
+    }, 4)
     for oracle in (False, True)
 }
+_SWEEP_FILE = _template(
+    {"manifest": "%s", "tuples": ["%s"], "count": "%s", "pass": "%s"}, 0
+) + "\n"
 
 
 def _verdict(stages: list[str]) -> tuple[str, str, str]:
     return (
-        _JSON_BOOL[not stages],
-        _json_block([_json_str(s) for s in stages], "[]", 6),
+        json.dumps(not stages),
+        _json_at(stages, 6),
         f"FAIL ({', '.join(stages)})" if stages else "pass",
     )
 
@@ -187,10 +166,11 @@ _STAGE_BITS = 1 << np.arange(len(STAGES))
 
 
 def _json_floats(values: np.ndarray) -> list[str]:
-    """`_json_float` of every element of the float array `values`, in
-    order, each distinct bit pattern formatted once."""
+    """`json`'s text of every element of the float array `values` rounded
+    by `fmt`, in order: each distinct bit pattern is rounded once, and all
+    of them are written by one `json.dumps`."""
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [_json_float(x) for x in bits.view(float).tolist()]
+    texts = json.dumps([float(fmt(x)) for x in bits.view(float).tolist()])[1:-1].split(", ")
     return [texts[i] for i in where.tolist()]
 
 
@@ -210,10 +190,13 @@ def _sweep_text(
     (manifest, tuples, count, pass): the manifest through `json`, each
     tuple in (l, m, b, branch) order, with its verdict, the stages any of
     its eigenpairs failed and the worst value of each residual (NaN if any
-    is NaN).  Each is one pass over the batch: one `np.maximum.reduceat`
-    for the worst values, one `np.logical_or.reduceat` for the failed
-    stages, one `_json_floats` for every float, and one `%` over the
-    repeated template for all tuples, and one for all status lines.
+    is NaN).  Every piece of the file is `json`'s own text: the templates
+    are `json.dumps` of the layout with `%s` slots, and each value is
+    `json.dumps` of its own.  Each is one pass over the batch: one
+    `np.maximum.reduceat` for the worst values, one
+    `np.logical_or.reduceat` for the failed stages, one `_json_floats` for
+    every float, and one `%` over the repeated template for all tuples,
+    and one for all status lines.
     """
     if not all(start < stop for start, stop in zip(ends, ends[1:])):
         # reduceat would read an empty label's next pair as its own
@@ -240,10 +223,10 @@ def _sweep_text(
     )
     template = _SWEEP_TUPLE[batch.oracle is not None]
     all_pass = not patterns.any()
-    text = '{\n  "manifest": %s,\n  "tuples": [\n    %s\n  ],\n  "count": %d,\n  "pass": %s\n}\n' % (
-        json.dumps(_round15(manifest), indent=2).replace("\n", "\n  "),
+    text = _SWEEP_FILE % (
+        _json_at(_round15(manifest), 2),
         ",\n    ".join([template] * len(ells)) % tuple(chain.from_iterable(tuples)),
-        len(ells), _JSON_BOOL[all_pass],
+        len(ells), json.dumps(all_pass),
     )
     status = "l=%d m=%d b=%s %5s: %s\n" * len(ells) % tuple(
         chain.from_iterable(zip(ells, ms, bs, brs, verdicts))

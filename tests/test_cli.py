@@ -28,7 +28,6 @@ from triqes import (
 from triqes.certify import STAGES, Certificate
 from triqes.cli import (
     _b2_zero_search,
-    _json_float,
     _json_floats,
     _round15,
     _sweep_text,
@@ -1129,19 +1128,17 @@ FORMAT_BORDERS = [
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
 def test_json_float_matches_json_on_any_double(patterns):
     # every 64-bit pattern, NaNs, infinities, zeros and subnormals included:
-    # the writer's float is json's float of the 15-digit rounding, and the
-    # column formatter writes `_json_float` of each element, a repeated
-    # pattern included
+    # the writer's float is json's float of the 15-digit rounding, each
+    # element in order, a repeated pattern included
     xs = list(struct.unpack(f"<{len(patterns)}d", struct.pack(f"<{len(patterns)}Q", *patterns)))
-    texts = [_json_float(x) for x in xs]
-    assert texts == [json.dumps(_round15(x)) for x in xs]
+    texts = [json.dumps(_round15(x)) for x in xs]
     assert _json_floats(np.array(xs + xs[::2])) == texts + texts[::2]
 
 
 def test_json_float_matches_json_at_format_borders():
-    for x in FORMAT_BORDERS:
-        assert _json_float(x) == json.dumps(_round15(x)), x
-    assert _json_floats(np.array(FORMAT_BORDERS)) == [_json_float(x) for x in FORMAT_BORDERS]
+    assert _json_floats(np.array(FORMAT_BORDERS)) == [
+        json.dumps(_round15(x)) for x in FORMAT_BORDERS
+    ]
 
 
 def test_sweep_writer_on_a_failing_sweep(capsys, monkeypatch):

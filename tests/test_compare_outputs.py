@@ -37,8 +37,8 @@ def test_compare_outputs_flags_a_planted_writer_fault(tmp_path):
     # the sweep writer's floats rounded to 14 digits instead of 15
     cli = change / "src" / "triqes" / "cli.py"
     text = cli.read_text()
-    assert text.count('"%.15g" % x') == 1
-    cli.write_text(text.replace('"%.15g" % x', '"%.14g" % x'))
+    assert text.count('f"{x:.15g}"') == 1
+    cli.write_text(text.replace('f"{x:.15g}"', 'f"{x:.14g}"'))
     after = compare_outputs.run_all(change, COMMANDS)
     lines, ok = compare_outputs.compare(before, after, COMMANDS)
     assert not ok
