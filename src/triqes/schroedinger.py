@@ -30,9 +30,9 @@ flip sign, which also flips the sign of the sextic pseudo-eigenvalue
 below.  (In the plus branch's variable the minus-branch x corresponds to
 (-rho)^b; evaluating each polynomial in its own variable is equivalent.)
 
-Each ladder rule is written here once.  b must be > 0 with b^2 a finite
-non-zero double, as every rung but c_0's -1/4 divides by b^2
-(`admissible_b`).  lambda enters V - lambda at x^0, rung 2b
+Each ladder rule is written here once.  b must be rational (an int or a
+`Fraction`) and > 0 with b^2 a finite non-zero double, as every rung but
+c_0's -1/4 divides by b^2 (`admissible_b`).  lambda enters V - lambda at x^0, rung 2b
 (`lambda_rung`).  At b = 1/2 that is rung 1, the only E-dependent rung, so
 V = Vtilde - eps(E), eps(E) = -4 c E: the displaced sextic Vtilde is
 E-independent and has genuine eigenvalues eps(E).
@@ -60,6 +60,7 @@ chi pointwise for the curve output.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -140,6 +141,10 @@ class PotentialSpec:
 
 def admissible_b(b: RationalLike) -> float:
     """float(b) for an admissible b, else ValueError naming the rule, not b."""
+    if not isinstance(b, numbers.Rational):
+        raise ValueError(
+            "transformation exponent b must be rational: an int or a Fraction"
+        )
     if b <= 0:
         raise ValueError("transformation exponent b must be > 0")
     try:
@@ -152,7 +157,9 @@ def admissible_b(b: RationalLike) -> float:
 
 
 def lambda_rung(b: RationalLike) -> int:
-    """The rung 2b of x^0, where lambda enters V - lambda, for an integer 2b."""
+    """The rung 2b of x^0, where lambda enters V - lambda, for an admissible
+    b with an integer 2b."""
+    admissible_b(b)
     two_b = 2 * b
     if two_b.denominator != 1:
         raise ValueError(f"lambda != 0 needs an integer 2b, got b = {b}")

@@ -20,12 +20,35 @@ from triqes import (
     zero_mode_potentials,
 )
 from triqes.heun import operator_residuals, rho_coefficients
-from triqes.schroedinger import PotentialSpec, _ladders, ladder_links, zero_mode_envelope
+from triqes.schroedinger import (
+    PotentialSpec,
+    _ladders,
+    ladder_links,
+    lambda_rung,
+    zero_mode_envelope,
+)
 
 from conftest import certify_one, frequencies, labels
 
 SQRT2 = math.sqrt(2.0)
 HALF = Fraction(1, 2)
+
+
+B_STAGES = ["potential_specs", "zero_mode_envelope", "eval_wavefunction", "certify_batch"]
+
+
+def b_stage_calls(freqs, b):
+    """Each library entry that takes a b, called at `b` on W(1, 1), by name."""
+    label = SubspaceLabel(1, 1)
+    spec = eig_sym(build_hamiltonian(freqs, label))
+    return {
+        "potential_specs": lambda: potential_specs(b, freqs, label, [0.0]),
+        "zero_mode_envelope": lambda: zero_mode_envelope(b, freqs, label, Branch.PLUS),
+        "eval_wavefunction": lambda: eval_wavefunction(b, 0.5, 0.0, np.ones(1), 1.0),
+        "certify_batch": lambda: certify_one(
+            freqs, label, spec.eigenvalues, spec.eigenvectors, [b], [Branch.PLUS],
+        ),
+    }
 
 
 def eigenpairs(freqs, label):
@@ -79,30 +102,29 @@ class TestPotentialSpec:
     @pytest.mark.parametrize(
         "b", [Fraction(1, 10**200), Fraction(10**400)], ids=["1e-200", "1e400"]
     )
-    @pytest.mark.parametrize(
-        "stage",
-        ["potential_specs", "zero_mode_envelope", "eval_wavefunction", "certify_batch"],
-    )
+    @pytest.mark.parametrize("stage", B_STAGES)
     def test_b_outside_double_range_rejected(self, unit_freqs, stage, b):
         # every rung divides by b^2: the library refuses a b whose square
         # underflows or overflows a double by the rule `--b` is held to, and
         # names the rule, not a b of hundreds of digits
-        label = SubspaceLabel(1, 1)
-        spec = eig_sym(build_hamiltonian(unit_freqs, label))
-        calls = {
-            "potential_specs": lambda: potential_specs(b, unit_freqs, label, [0.0]),
-            "zero_mode_envelope": lambda: zero_mode_envelope(
-                b, unit_freqs, label, Branch.PLUS
-            ),
-            "eval_wavefunction": lambda: eval_wavefunction(b, 0.5, 0.0, np.ones(1), 1.0),
-            "certify_batch": lambda: certify_one(
-                unit_freqs, label, spec.eigenvalues, spec.eigenvectors, [b],
-                [Branch.PLUS],
-            ),
-        }
         with pytest.raises(ValueError, match=r"b\^2 must be a non-zero finite") as exc:
-            calls[stage]()
+            b_stage_calls(unit_freqs, b)[stage]()
         assert "0" * 100 not in str(exc.value)
+
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    @pytest.mark.parametrize("stage", B_STAGES)
+    def test_float_b_rejected(self, unit_freqs, stage, b):
+        # b is exact: a float b is refused by name of the rule, whether or
+        # not 2b is an integer, where it used to end in an AttributeError
+        # (0.5) or pass (2.0)
+        with pytest.raises(ValueError, match="b must be rational: an int or a Fraction"):
+            b_stage_calls(unit_freqs, b)[stage]()
+
+    def test_float_b_rejected_by_lambda_rung(self):
+        # the oracle's entry for a spec's b holds it to the same rule
+        with pytest.raises(ValueError, match="b must be rational: an int or a Fraction"):
+            lambda_rung(0.5)
+        assert lambda_rung(HALF) == 1 and lambda_rung(2) == 4
 
 
 # Literal transcriptions of the printed b-specializations.  The printed
