@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from triqes import (
     fock_to_rho_polynomial,
 )
 from triqes.fock import MAX_TOTAL_LABEL
-from triqes.heun import BheParams, _rho_weights, residual_ok
+from triqes.heun import BHE_RTOL, BheParams, RhoPolynomial, _rho_weights, residual_ok
 
 from conftest import exact_power, frequencies, labels
 
@@ -174,6 +175,20 @@ class TestResiduals:
             phi = fock_to_rho_polynomial(label, vec, Branch.PLUS)
             res = bhe_operator_residual(unit_freqs, label, energy, phi)
             assert residual_ok(res, phi)
+
+    def test_residual_ok_is_the_pipeline_rule(self):
+        # at this boundary max|r| <= BHE_RTOL * max|phi| holds while
+        # max|r| / max|phi| rounds above BHE_RTOL: residual_ok decides by
+        # the pipeline's quotient, and a NaN fails without a warning
+        phi = RhoPolynomial((599.216167827022,), SubspaceLabel(0, 0), Branch.PLUS)
+        res = np.array([5.99216167827022e-08, 0.0])
+        assert np.all(np.abs(res) <= BHE_RTOL * phi.coeffs[0])
+        assert not np.max(np.abs(res)) / phi.coeffs[0] <= BHE_RTOL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not residual_ok(res, phi)
+            assert residual_ok(res / 2, phi)
+            assert not residual_ok(np.array([0.0, np.nan]), phi)
 
     def test_wrong_energy_detected(self, unit_freqs):
         label = SubspaceLabel(1, 1)
