@@ -3,7 +3,8 @@
 `verdicts.json` holds, for each of those commands by name, its exit code
 and, from the file it writes, `count`, `pass` and the failed stages of
 each sweep tuple or verify check, in order; a command that writes no
-file has its exit code alone.  No float is pinned: `eigh` bits vary with
+file, or a file with no tuples or checks (a spectrum or a curve), has its
+exit code alone.  No float is pinned: `eigh` bits vary with
 the BLAS.  The corpus was recorded from the outputs of the pipeline that
 still ran the standard-form BHE residual beside the operator form.  A
 change that moves a verdict edits the corpus and says so in CHANGES.md,
@@ -34,10 +35,12 @@ def verdicts(argv, workdir):
     `workdir`, and the file's verdicts."""
     out = workdir / "out"
     code = main([str(out) if a == "{out}" else a for a in argv])
-    if not out.exists():
+    text = out.read_text() if out.exists() else ""
+    # a curve's CSV opens with its manifest comment
+    payload = json.loads(text) if text.startswith("{") else {}
+    rows = payload.get("tuples", payload.get("checks"))
+    if rows is None:
         return {"exit_code": code}
-    payload = json.loads(out.read_text())
-    rows = payload["tuples"] if "tuples" in payload else payload["checks"]
     return {
         "exit_code": code,
         **{k: payload[k] for k in ("count", "pass") if k in payload},
