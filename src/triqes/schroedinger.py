@@ -32,8 +32,8 @@ below.  (In the plus branch's variable the minus-branch x corresponds to
 
 Each ladder rule is written here once.  b must be rational (an int or a
 `Fraction`) and > 0 with b^2 a finite non-zero double, as every rung but
-c_0's -1/4 divides by b^2 (`admissible_b`).  lambda enters V - lambda at x^0, rung 2b
-(`lambda_rung`).  At b = 1/2 that is rung 1, the only E-dependent rung, so
+c_0's -1/4 divides by b^2 (`admissible_b`).  lambda enters V - lambda at
+x^0, rung 2b (`lambda_rung`).  At b = 1/2 that is rung 1, the only E-dependent rung, so
 V = Vtilde - eps(E), eps(E) = -4 c E: the displaced sextic Vtilde is
 E-independent and has genuine eigenvalues eps(E).
 
