@@ -40,7 +40,7 @@ from .fdoracle import (
     oracle_config,
     suggest_domain,
 )
-from .certify import Certificate, certify_batch
+from .certify import Certificate, certify_batch, solve_subspaces
 
 __all__ = [
     "FockState",
@@ -74,6 +74,7 @@ __all__ = [
     "suggest_domain",
     "Certificate",
     "certify_batch",
+    "solve_subspaces",
     "zero_mode_ladders",
     "zero_mode_potentials",
 ]

@@ -3,6 +3,8 @@
 The chain checked link by link, for every eigenvector of every W(l, m)
 given, every transformation exponent b and every branch:
 
+0. the eigenpairs of H on W(l, m) (`solve_subspaces`): one stacked
+   `eig_sym` call per dimension, certified ||H v - E v|| <= 1e-10 ||H||_F;
 1. phi, the branch's BHE polynomial, from the eigenvector;
 2. the BHE residual, operator form, relative to the largest phi
    coefficient: `tests/test_symbolic.py` proves the standard form and the
@@ -17,7 +19,7 @@ given, every transformation exponent b and every branch:
 5. when the caller asks for it, the independent finite-difference oracle
    at lambda.
 
-`certify_batch` is the one entry to the chain.  It takes the subspaces
+`certify_batch` is the one entry to stages 1-5.  It takes the subspaces
 as (label, energies, eigenvectors) and lays every eigenpair of every
 subspace along one pair axis, in subspace order and then column order,
 each pair with its own label's constants; phi rows are padded with zeros
@@ -53,9 +55,10 @@ import numpy as np
 
 from .fdoracle import contains_eigenvalue, oracle_config
 from .fock import SubspaceLabel
-from .hamiltonian import ModeFrequencies
+from .hamiltonian import ModeFrequencies, build_hamiltonian
 from .heun import BHE_RTOL, Branch, operator_residuals, rho_coefficients
 from .schroedinger import PotentialSpec, RationalLike, ladder_links, zero_mode_ladders
+from .spectra import eig_sym
 
 STAGES = ("bhe", "schrodinger", "oracle")
 
@@ -86,6 +89,33 @@ def _worst(residuals: np.ndarray) -> np.ndarray:
 
 # (label, energies, eigenvectors as columns)
 Subspace = tuple[SubspaceLabel, Sequence[float] | np.ndarray, np.ndarray]
+
+
+def solve_subspaces(
+    freqs: ModeFrequencies, labels: Iterable[SubspaceLabel]
+) -> list[Subspace]:
+    """(label, eigenvalues, eigenvectors) of every label, in input order,
+    from one stacked `eig_sym(build_hamiltonian(freqs, group))` call per
+    dimension; each triple is bit for bit that label's own solve.
+
+    Should a matrix be rejected, the labels are re-solved one by one, so
+    the error raised is the first failing label's, in input order.
+    """
+    labels = list(labels)
+    groups: dict[int, list[SubspaceLabel]] = {}
+    for label in dict.fromkeys(labels):
+        groups.setdefault(label.dim, []).append(label)
+    try:
+        specs = [eig_sym(build_hamiltonian(freqs, group)) for group in groups.values()]
+    except (ValueError, AssertionError):
+        for label in labels:
+            eig_sym(build_hamiltonian(freqs, label))
+        raise
+    solved = {}
+    for group, spec in zip(groups.values(), specs):
+        for label, vals, vecs in zip(group, spec.eigenvalues, spec.eigenvectors):
+            solved[label] = (label, vals, vecs)
+    return [solved[label] for label in labels]
 
 
 def certify_batch(

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .certify import STAGES, Certificate, certify_batch
+from .certify import STAGES, Certificate, certify_batch, solve_subspaces
 from .fock import SubspaceLabel, subspace_basis
 from .hamiltonian import ModeFrequencies, build_hamiltonian
 from .heun import Branch, rho_coefficients
@@ -34,7 +34,6 @@ from .schroedinger import (
     zero_mode_envelope,
     zero_mode_potentials,
 )
-from .spectra import eig_sym
 
 
 def fmt(x: float) -> str:
@@ -245,10 +244,10 @@ def _basis_payload(args: argparse.Namespace, label: SubspaceLabel) -> dict[str, 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     freqs = parse_w(args.w)
     label = parse_label(args.l, args.m)
-    spec = eig_sym(build_hamiltonian(freqs, label))
+    [(_, vals, vecs)] = solve_subspaces(freqs, [label])
     payload = _basis_payload(args, label)
-    payload["eigenvalues"] = spec.eigenvalues.tolist()
-    payload["eigenvectors"] = spec.eigenvectors.T.tolist()
+    payload["eigenvalues"] = vals.tolist()
+    payload["eigenvectors"] = vecs.T.tolist()
     _write_json(payload, args.out)
     return 0
 
@@ -274,7 +273,8 @@ def cmd_potential(args: argparse.Namespace) -> int:
     # the energy index follows the worked tables: p = 1 is the largest eigenvalue
     if not (1 <= args.p <= label.dim):
         raise UsageError(f"--p must lie in 1..{label.dim}, got {args.p}")
-    energy, vec = eig_sym(build_hamiltonian(freqs, label)).pair(label.dim - args.p)
+    [(_, vals, vecs)] = solve_subspaces(freqs, [label])
+    energy, vec = float(vals[label.dim - args.p]), vecs[:, label.dim - args.p]
     phi = rho_coefficients(label, vec[:, None], branch)[:, 0]
     pref, a_ = zero_mode_envelope(bfrac, freqs, label, branch)
     if args.shifted:
@@ -349,7 +349,8 @@ def _b2_zero_search(freqs, label, branch):
     for idx in range(label.dim):
         p = label.dim - idx
         f = ModeFrequencies(w1, w2, roots[p - 1])
-        energy = float(eig_sym(build_hamiltonian(f, label)).eigenvalues[idx])
+        [(_, vals, _)] = solve_subspaces(f, [label])
+        energy = float(vals[idx])
         vspec = potential_specs(Fraction(2), f, label, [energy], branch)[0]
         results.append(
             {"p": p, "w3_zeroing_term": f.w3, "residual_coefficient": vspec.coeffs[1]}
@@ -364,15 +365,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     branch = Branch(args.branch)
     if args.energy_override is not None and not math.isfinite(args.energy_override):
         raise UsageError(f"--energy-override must be finite, got {args.energy_override}")
-    spec = eig_sym(build_hamiltonian(freqs, label))
-    energies = spec.eigenvalues
+    [(_, vals, vecs)] = solve_subspaces(freqs, [label])
+    energies = vals
     if args.energy_override is not None:
         energies = np.full(label.dim, args.energy_override)
     cert, _ = certify_batch(
-        freqs, [(label, energies, spec.eigenvectors)], [bfrac], [branch],
-        oracle=not args.no_oracle,
+        freqs, [(label, energies, vecs)], [bfrac], [branch], oracle=not args.no_oracle
     )
-    found, used = spec.eigenvalues.tolist(), energies.tolist()
+    found, used = vals.tolist(), energies.tolist()
     checks = [
         _check_entry(label.dim - i, found[i], used[i], cert, i)
         for i in range(label.dim)
@@ -384,27 +384,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         payload["b2_zero_search"] = _b2_zero_search(freqs, label, branch)
     _write_json(payload, args.out)
     return 0 if all_pass else 1
-
-
-def _solve_labels(freqs, labels):
-    """(label, eigenvalues, eigenvectors) of every label, in order, from one
-    stacked eigensolve per dimension."""
-    groups: dict[int, list[SubspaceLabel]] = {}
-    for label in labels:
-        groups.setdefault(label.dim, []).append(label)
-    try:
-        specs = [eig_sym(build_hamiltonian(freqs, group)) for group in groups.values()]
-    except (ValueError, AssertionError):
-        # report the first failing label in sweep order, as one solve per
-        # label would
-        for label in labels:
-            eig_sym(build_hamiltonian(freqs, label))
-        raise
-    solved = {}
-    for group, spec in zip(groups.values(), specs):
-        for label, vals, vecs in zip(group, spec.eigenvalues, spec.eigenvectors):
-            solved[label] = (label, vals, vecs)
-    return [solved[label] for label in labels]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -419,7 +398,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for ell in range(args.lmax + 1) for m in range(args.mmax + 1)
     ]
     batch, ends = certify_batch(
-        freqs, _solve_labels(freqs, labels), b_values, branches, oracle=not args.no_oracle
+        freqs, solve_subspaces(freqs, labels), b_values, branches, oracle=not args.no_oracle
     )
     text, status, all_pass = _sweep_text(
         _manifest(args, b=",".join(map(str, b_values))), labels, ends, batch, b_values,

@@ -26,6 +26,7 @@ from triqes import (
     oracle_config,
     potential_specs,
     rho_coefficients,
+    solve_subspaces,
     zero_mode_envelope,
     zero_mode_potentials,
 )
@@ -153,10 +154,7 @@ def test_criterion_4_bhe_certification():
     ok = True
     for _ in range(50):
         freqs = ModeFrequencies(*rng.uniform(-2.0, 2.0, 3))
-        subspaces = []
-        for label in labels:
-            spec = eig_sym(build_hamiltonian(freqs, label))
-            subspaces.append((label, spec.eigenvalues, spec.eigenvectors))
+        subspaces = solve_subspaces(freqs, labels)
         # one pipeline call per w over every label and both branches, and
         # one call of the standard form's library kernels over the same
         # eigenpairs, each eigenvector padded at the front to the top

@@ -161,6 +161,43 @@ def at(cert, i, j, col):
     return values
 
 
+class TestSolveSubspaces:
+    @staticmethod
+    def exact(subspaces):
+        return [(label, vals.shape, vals.tobytes(), vecs.shape, vecs.tobytes())
+                for label, vals, vecs in subspaces]
+
+    def test_one_stacked_solve_per_dimension(self, monkeypatch):
+        # labels of dimensions 1-4 in sweep order, W(2, 3) given twice: each
+        # triple is bit for bit its label's own solve, in input order, and
+        # each distinct dimension costs one eig_sym call
+        labels = [SubspaceLabel(ell, m) for ell in range(5) for m in range(4)]
+        labels.append(SubspaceLabel(2, 3))
+        calls = []
+
+        def counting(h):
+            calls.append(np.shape(h))
+            return eig_sym(h)
+
+        monkeypatch.setattr(certify, "eig_sym", counting)
+        solved = certify.solve_subspaces(ANCHOR, labels)
+        assert len(calls) == len({label.dim for label in labels}) == 4
+        own = []
+        for label in labels:
+            spectrum = spectrum_of(ANCHOR, label)
+            own.append((label, spectrum.eigenvalues, spectrum.eigenvectors))
+        assert self.exact(solved) == self.exact(own)
+
+    def test_labels_read_once(self):
+        # the labels are read twice inside, so a generator must give what
+        # its list gives; no labels, no triples
+        labels = [SubspaceLabel(2, 1), SubspaceLabel(0, 3), SubspaceLabel(4, 4)]
+        from_list = certify.solve_subspaces(ANCHOR, labels)
+        from_generator = certify.solve_subspaces(ANCHOR, (label for label in labels))
+        assert self.exact(from_generator) == self.exact(from_list)
+        assert certify.solve_subspaces(ANCHOR, []) == []
+
+
 class TestCertifySubspace:
     @settings(max_examples=30, deadline=None)
     @given(frequencies(), cap_labels(), st.sampled_from((0.0, 1e-9, -1e-4)))
@@ -627,6 +664,7 @@ REMOVED = {
     ),
     "hamiltonian": ("RestrictedHamiltonian",),
     "fdoracle": ("SINGULAR_XMIN",),
+    "cli": ("_solve_labels",),
 }
 
 

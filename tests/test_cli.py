@@ -109,12 +109,12 @@ class TestSpectrum:
         assert err == "error: ||H||_F is not finite: it overflows a double\n"
 
     def test_assertion_exits_1(self, capsys, monkeypatch):
-        import triqes.cli
+        import triqes.certify
 
         def broken(*args, **kwargs):
             raise AssertionError
 
-        monkeypatch.setattr(triqes.cli, "eig_sym", broken)
+        monkeypatch.setattr(triqes.certify, "eig_sym", broken)
         code, _, err = run_cli(capsys, "spectrum", "--l", "1", "--m", "1")
         assert code == 1
         assert "AssertionError" in err
