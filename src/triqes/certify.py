@@ -121,21 +121,25 @@ def solve_subspaces(
 def certify_batch(
     freqs: ModeFrequencies,
     subspaces: Iterable[Subspace],
-    b_values: Sequence[RationalLike],
-    branches: Sequence[Branch],
+    b_values: Iterable[RationalLike],
+    branches: Iterable[Branch],
     oracle: bool = False,
 ) -> tuple[Certificate, list[int]]:
     """The chain for every eigenpair of every subspace (label, energies,
     vecs) as one `Certificate` over [branch, b, pair], and the offsets
     `ends`: subspace i holds pairs ends[i] .. ends[i + 1] - 1.
 
-    Every subspace's shapes are checked before any stage runs, and the
-    first bad one raises.  Stages 1-4 run as one array pass.
+    `b_values` and `branches` are read once and must each hold at least
+    one value.  Every subspace's shapes are checked before any stage runs,
+    and the first bad one raises.  Stages 1-4 run as one array pass.
     `oracle=True` runs the oracle too, subspace by subspace, then branch by
     branch, b by b, column by column.  An oracle check depends on
     (potential, lambda) alone, so each distinct pair of the call is solved
     once.
     """
+    b_values, branches = list(b_values), list(branches)
+    if not (b_values and branches):
+        raise ValueError("certify_batch needs at least one b value and one branch")
     checked = []
     for label, energies, vecs in subspaces:
         energies, vecs = np.asarray(energies, dtype=float), np.asarray(vecs, dtype=float)
@@ -144,7 +148,9 @@ def certify_batch(
                 f"eigenvector length {vecs.shape[:1]} does not match dim {label.dim}"
             )
         if energies.shape != vecs.shape[1:]:
-            raise ValueError(f"{energies.size} energies for {vecs.shape[1]} eigenvectors")
+            raise ValueError(
+                f"energies of shape {energies.shape} for eigenvectors of shape {vecs.shape}"
+            )
         checked.append((label, energies, vecs))
     # the pair axis: every eigenpair of every subspace, in order, each with
     # its own label; eigenvectors padded at the front to the top dimension
@@ -185,10 +191,10 @@ def _certify_pairs(freqs, labels, energies, vecs, b_values, branches):
     pair axis; no oracle."""
     # [row, pair, branch, 1]
     phi = rho_coefficients(labels, vecs[:, :, None, None], branches)
-    # stages 1-2 do not depend on b: [pair, branch, 1]
-    op_rel = _worst(
-        operator_residuals(freqs, labels, energies[:, None, None], phi, branches)
-    ) / _worst(phi)
+    # stages 1-2 do not depend on b: [pair, branch, 1]; a zero phi reads NaN
+    op = operator_residuals(freqs, labels, energies[:, None, None], phi, branches)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        op_rel = _worst(op) / _worst(phi)
     # stages 3-4: one ladder per (pair, branch, b), [pair, branch, b, 1]
     ladder_args = (b_values, freqs, labels, energies[:, None], branches)
     rungs, lams = zero_mode_ladders(*ladder_args)

@@ -320,5 +320,6 @@ def bhe_standard_residual(params: BheParams, phi: RhoPolynomial) -> np.ndarray:
 
 def residual_ok(residual: np.ndarray, phi: RhoPolynomial) -> bool:
     """The pipeline's pass rule on one column: max|residual| / max|phi| is
-    at most `BHE_RTOL`, and a NaN fails."""
-    return bool(np.max(np.abs(residual)) / np.max(np.abs(phi.coeffs)) <= BHE_RTOL)
+    at most `BHE_RTOL`, and a NaN fails, as a zero phi does."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return bool(np.max(np.abs(residual)) / np.max(np.abs(phi.coeffs)) <= BHE_RTOL)

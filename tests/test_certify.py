@@ -320,7 +320,7 @@ class TestCertifySubspace:
         # every subspace's shapes are checked before any stage runs: a call
         # whose 2nd and 5th subspaces are malformed raises the 2nd's message
         messages = {
-            "energies": "^1 energies for 2 eigenvectors$",
+            "energies": r"^energies of shape \(1,\) for eigenvectors of shape \(2, 2\)$",
             "vecs": r"^eigenvector length \(1,\) does not match dim 2$",
         }
         subspaces = []
@@ -391,12 +391,60 @@ class TestCertifySubspace:
         assert np.array_equal(schrodinger, expected)
         assert not bhe.any() and not oracle.any()
 
+    def test_b_values_and_branches_read_once(self, unit_freqs):
+        # iterators of b values and branches certify as their lists do, and
+        # no b value or no branch raises rather than certify nothing: every
+        # energy here is off by 1.0, so no column may pass
+        label = SubspaceLabel(2, 3)
+        spectrum = spectrum_of(unit_freqs, label)
+        energies, vecs = spectrum.eigenvalues + 1.0, spectrum.eigenvectors
+        b_values, branches = [Fraction(1), SEXTIC_B], list(Branch)
+        expected = certify_one(unit_freqs, label, energies, vecs, b_values, branches)
+        assert expected.passed.shape == (2, 2, 3) and not expected.passed.any()
+        got = certify_one(
+            unit_freqs, label, energies, vecs, iter(b_values), (br for br in branches)
+        )
+        assert bits(got) == bits(expected)
+        for bs, brs in [
+            ([], branches), (iter([]), branches), (b_values, []), (b_values, iter([])),
+        ]:
+            with pytest.raises(ValueError, match="at least one b value and one branch"):
+                certify_one(unit_freqs, label, energies, vecs, bs, brs)
+
+    def test_zero_column_fails_bhe_alone(self, unit_freqs):
+        # a zero eigenvector column has phi = 0, and its relative BHE
+        # residual 0 / 0 reads NaN without a warning: it fails "bhe" alone,
+        # since the ladder link reads no eigenvector
+        label = SubspaceLabel(2, 2)
+        spectrum = spectrum_of(unit_freqs, label)
+        vecs = spectrum.eigenvectors.copy()
+        vecs[:, 1] = 0.0
+        cert = certify_one(
+            unit_freqs, label, spectrum.eigenvalues, vecs, [Fraction(1), SEXTIC_B],
+            list(Branch),
+        )
+        expected = np.zeros((len(Branch), 2, label.dim), dtype=bool)
+        expected[:, :, 1] = True
+        assert np.isnan(cert.bhe_operator_residual[:, :, 1]).all()
+        assert np.array_equal(cert.failed[0], expected)
+        assert not cert.failed[1:].any()
+
     def test_shape_validation(self, unit_freqs):
         label = SubspaceLabel(3, 2)
         spectrum = spectrum_of(unit_freqs, label)
-        with pytest.raises(ValueError, match="2 energies for 3 eigenvectors"):
+        with pytest.raises(
+            ValueError, match=r"energies of shape \(2,\) for eigenvectors of shape \(3, 3\)"
+        ):
             certify_one(
                 unit_freqs, label, spectrum.eigenvalues[:2], spectrum.eigenvectors,
+                B_VALUES, [Branch.PLUS],
+            )
+        # a 0-d energy is not one energy, even beside one column
+        with pytest.raises(
+            ValueError, match=r"energies of shape \(\) for eigenvectors of shape \(3, 1\)"
+        ):
+            certify_one(
+                unit_freqs, label, spectrum.eigenvalues[0], spectrum.eigenvectors[:, :1],
                 B_VALUES, [Branch.PLUS],
             )
         with pytest.raises(ValueError, match="does not match dim"):

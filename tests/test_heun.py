@@ -189,6 +189,10 @@ class TestResiduals:
             assert not residual_ok(res, phi)
             assert residual_ok(res / 2, phi)
             assert not residual_ok(np.array([0.0, np.nan]), phi)
+            # a zero phi divides by zero: 0 / 0 and 1 / 0 fail alike
+            zero = RhoPolynomial((0.0,), SubspaceLabel(0, 0), Branch.PLUS)
+            assert not residual_ok(np.zeros(2), zero)
+            assert not residual_ok(np.ones(2), zero)
 
     def test_wrong_energy_detected(self, unit_freqs):
         label = SubspaceLabel(1, 1)
