@@ -69,8 +69,9 @@ COMMANDS = (
         ("verify defect (d)", ["verify", "--l", "24", "--m", "40",
                                "--w=2.994,-0.885,-0.316", "--b", "1", "--no-oracle",
                                "--out", "{out}"]),
-        # the spectrum and the curve writers behind the paper's figures
+        # the spectrum, basis and curve writers behind the paper's figures
         ("spectrum", ["spectrum", "--l", "3", "--m", "2", "--out", "{out}"]),
+        ("basis", ["basis", "--l", "3", "--m", "2", "--out", "{out}"]),
         ("potential csv", ["potential", "--l", "3", "--m", "2", "--b", "1", "--p", "2",
                            "--out", "{out}"]),
         ("wavefunction shifted json", ["wavefunction", "--l", "3", "--m", "2", "--b", "1/2",
