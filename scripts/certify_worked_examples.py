@@ -4,11 +4,10 @@
 Runs, for every eigenpair of W(1,1) and W(3,2) at w = (1,1,1), from one
 `triqes.solve_subspaces` call, every transformation exponent b in
 {1, 1/2, 3/2, 2} and both branches, the certification pipeline, one
-`triqes.certify_batch` call over both
-subspaces, both branches and the four exponents: the exact BHE residual,
-the ladder link of V_b (which with it certifies the zero mode's
-Schroedinger equation), and the independent finite-difference containment
-check.  Each row reads the batch `Certificate` at [branch, b, pair], the
+`triqes.certify_batch` call over both subspaces, both branches and the
+four exponents: the exact BHE residual, the ladder link of V_b (which
+with it certifies the zero mode's Schroedinger equation), and the
+independent finite-difference containment check.  Each row reads the batch `Certificate` at [branch, b, pair], the
 pair of column i of subspace n being ends[n] + i.
 
 Usage: python scripts/certify_worked_examples.py
