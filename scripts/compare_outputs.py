@@ -63,6 +63,14 @@ COMMANDS = (
         ("verify", ["verify", "--l", "2", "--m", "3", "--b", "1/2", "--out", "{out}"]),
         ("verify energy-override", ["verify", "--l", "2", "--m", "3", "--b", "1/2",
                                     "--energy-override", "0.37", "--out", "{out}"]),
+        # lambda 1.5 tol above the lowest b = 1/2 level: the grid ladder
+        # hands the check to the 2000-node check, which misses
+        ("verify energy-override near a level",
+         ["verify", "--l", "2", "--m", "3", "--b", "1/2", "--energy-override", "0.777155",
+          "--out", "{out}"]),
+        # defect (a): a zero mode at its limit-circle left end
+        ("verify defect (a)", ["verify", "--l", "0", "--m", "0", "--b", "2", "--branch", "minus",
+                               "--w=-1.5,0.8,1.9", "--out", "{out}"]),
         ("verify find-b2-zero", ["verify", "--l", "2", "--m", "3", "--b", "2",
                                  "--no-oracle", "--find-b2-zero", "--out", "{out}"]),
         # defect (d): one eigenpair fails "bhe" at the label cap

@@ -37,6 +37,7 @@ from .fdoracle import (
     LogGridConfig,
     contains_eigenvalue,
     fd_spectrum,
+    oracle_check,
     oracle_config,
     suggest_domain,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "LogGridConfig",
     "contains_eigenvalue",
     "fd_spectrum",
+    "oracle_check",
     "oracle_config",
     "suggest_domain",
     "Certificate",

@@ -17,7 +17,7 @@ given, every transformation exponent b and every branch:
    certifies -chi'' + (V - lambda) chi = 0 for the zero mode chi of phi,
    an identity proven there too;
 5. when the caller asks for it, the independent finite-difference oracle
-   at lambda.
+   at lambda (`fdoracle.oracle_check`).
 
 `certify_batch` is the one entry to stages 1-5.  It takes the subspaces
 as (label, energies, eigenvectors) and lays every eigenpair of every
@@ -53,7 +53,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fdoracle import contains_eigenvalue, oracle_config
+from .fdoracle import oracle_check
 from .fock import SubspaceLabel
 from .hamiltonian import ModeFrequencies, build_hamiltonian
 from .heun import BHE_RTOL, Branch, operator_residuals, rho_coefficients
@@ -179,7 +179,7 @@ def _oracle_checks(batch, ends, b_values):
             vspec = PotentialSpec(b_values[j], tuple(rows[br][j][col]))
             lam = float(batch.lam[br, j, col])
             if (vspec, lam) not in memo:
-                memo[vspec, lam] = contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
+                memo[vspec, lam] = oracle_check(vspec, lam)
             results[br, j, col] = memo[vspec, lam]
             batch.failed[2, br, j, col] = not memo[vspec, lam].hit
     return results

@@ -321,6 +321,7 @@ def _check_entry(p, energy, energy_used, cert, i):
         entry["oracle_points"] = oracle.n_points
         entry["oracle_h"] = oracle.h
         entry["oracle_solves"] = oracle.solves
+        entry["oracle_error_estimate"] = oracle.error_estimate
     entry["failed"] = [s for s, f in zip(STAGES, cert.failed[:, 0, 0, i]) if f]
     entry["pass"] = bool(cert.passed[0, 0, i])
     return entry

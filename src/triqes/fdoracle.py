@@ -6,28 +6,39 @@ substitution x = e^t, u = e^(t/2) y turns -u'' + V u = lambda u into
 keeps the discretized problem one symmetric tridiagonal matrix (diagonal
 (2/h^2 + 1/4)/x_i^2 + V(x_i), off-diagonal -1/(h^2 x_i x_(i+1)), h the
 step in t).  Nodes crowd towards the origin, where the potentials of this
-family are singular, so 2000 nodes on [1e-4, x_max] resolve the
-limit-circle left ends below.
+family are singular, so a few hundred to 2000 nodes on [1e-4, x_max]
+resolve the limit-circle left ends below.
 
 A containment check needs one level only: bisection restricted to a
 window around the candidate lambda (LAPACK stebz by value) finds the
 level nearest lambda, widening the window geometrically until it holds
-one.  The same level is then found on the doubled grid by a window
-centred where Richardson extrapolation puts it were lambda a level,
-mu + 3/4 (lambda - mu), mu the first result.  That point lies 3/4 of the
-coarse gap g = |mu - lambda| from mu's continuation and farther from
-every other level, and a true level lands within ~1e-3 g of it, so the
-radius starts at g / `WINDOW_GROWTH`^5 clamped to [`BISECTION_TOL`, tol],
-tol the hit tolerance; a candidate that is no level pays up to five
-widenings.  The pair is Richardson-extrapolated, so the cost does not
-grow with the number of levels below lambda.  The doubled grid's nodes
-at odd positions are the coarse nodes bit for bit, so the nodes and V
-are evaluated once, on the doubled grid, and one left-boundary series
-serves both matrices.  A check is a pure function of (potential,
-lambda), and `sweep` solves a repeated pair once.  The oracle never
-touches the closed-form wavefunctions; its only inputs are the five rung
-coefficients of the potential (`PotentialSpec`) and a grid
-configuration.
+one.  The same level is then followed to the grid of half the step by a
+window centred where Richardson extrapolation puts it were lambda a
+level, mu + 3/4 (lambda - mu), mu the coarser result.  That point lies 3/4
+of the coarse gap g = |mu - lambda| from mu's continuation and farther
+from every other level, and a true level lands within ~1e-3 g of it, so
+the radius starts at g / `WINDOW_GROWTH`^5 clamped to [`BISECTION_TOL`,
+tol], tol the hit tolerance; a candidate that is no level pays up to five
+widenings.  Each pair is Richardson-extrapolated, so the cost does not
+grow with the number of levels below lambda.  A halved step's grid holds
+the coarser grid's nodes bit for bit at its odd positions, so the nodes
+and V are evaluated once, on the finest grid, and one left-boundary
+series serves every matrix.
+
+`oracle_check` is the oracle's entry.  It first solves a ladder of three
+such grids, of 249, 499 and 999 nodes (`LADDER_POINTS` the coarsest),
+and accepts when the extrapolation R2 of the finer pair and its error
+bar |R2 - R1|, R1 that of the coarser pair, fit in the tolerance
+together.  Anything else, a miss or an error on a ladder grid, goes to
+`contains_eigenvalue` on `oracle_config`'s 2000/4001-node pair, which
+decides as it did before the ladder.  On the four named sweeps (1360
+distinct checks) the ladder decides 1348, and its error bar covered the
+distance to the 2000-node level on every one of them (at most 0.43 of
+it); the h^4 figure |R2 - R1| / 15 fell short on 281.  A check is a pure
+function of (potential, lambda), and `sweep` solves a repeated pair
+once.  The oracle never touches the closed-form wavefunctions; its only
+inputs are the five rung coefficients of the potential (`PotentialSpec`)
+and a grid configuration.
 
 Every bisection runs to the absolute tolerance `BISECTION_TOL`.  LAPACK's
 default, eps times the matrix 1-norm, is ~2e-3 on the log grid, whose
@@ -67,6 +78,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -86,6 +98,8 @@ BISECTION_TOL = 1e-10
 # Containment grid: left end and node count of the log grid.
 ORACLE_X_MIN = 1e-4
 ORACLE_POINTS = 2000
+# Node count of the grid ladder's coarsest grid (see `oracle_check`).
+LADDER_POINTS = 249
 # WKB tunneling phase past the outer turning point that fixes x_max.
 DOMAIN_PHASE = 18.0
 
@@ -307,7 +321,7 @@ def fd_spectrum(
     eigenvalue `bc_energy` is supplied, the left-boundary series uses it
     for one extra order of accuracy near that level.  Containment
     checks do not come through here: they search a window around the
-    candidate instead (see `contains_eigenvalue`).
+    candidate instead (see `oracle_check`).
     """
     if count > config.n_points:
         raise ValueError(f"count {count} exceeds grid size {config.n_points}")
@@ -349,14 +363,28 @@ def _nearest_level(
         radius *= WINDOW_GROWTH
 
 
+def _richardson(mu: float, mu2: float) -> float:
+    """The second-order levels mu (step h) and mu2 (step h/2) extrapolated."""
+    return (4.0 * mu2 - mu) / 3.0
+
+
+def _hit_tolerance(lam: float) -> float:
+    return max(HIT_RTOL, HIT_RTOL * abs(lam))
+
+
 @dataclass(frozen=True)
 class ContainmentResult:
     """Outcome of one containment check.
 
-    `nearest` is the coarse-grid level nearest the candidate, `fine_nearest`
-    the same level on the doubled grid; `richardson_gap` is the distance of
-    their extrapolation from the candidate.  `n_points` and `h` describe the
-    coarse grid, `solves` counts eigensolver calls over both grids.
+    The check's level is the Richardson extrapolation R of one pair of
+    grids, the coarse one of `n_points` nodes and step `h` in ln x and its
+    doubled grid.  `nearest` is the coarse-grid level nearest the
+    candidate, `fine_nearest` the same level on the doubled grid, and
+    `richardson_gap` is |R - lambda|.  `error_estimate` estimates |R -
+    level| from above by the last correction made: |R - R'| on the grid
+    ladder (R' the extrapolation of the pair one step coarser),
+    |R - fine_nearest| for a lone pair.  `solves` counts every eigensolver
+    call of the check.
     """
 
     hit: bool
@@ -367,6 +395,36 @@ class ContainmentResult:
     n_points: int
     h: float
     solves: int
+    error_estimate: float
+
+
+def _followed_levels(
+    spec: PotentialSpec, grids: tuple[LogGridConfig, ...], lam: float, tol: float
+) -> Iterator[tuple[float, int]]:
+    """Per grid of `grids`, each the doubled grid of the one before, the
+    level nearest lam on the first grid followed to it, and the solves it
+    took, yielded grid by grid.
+
+    Grid k's nodes sit at every 2^(last - k)-th position of the last grid,
+    bit for bit, so the nodes, V and one left-boundary series are
+    evaluated once, for the last grid.
+    """
+    xs, vs = _grid_values(spec, grids[-1])
+    steps = [2 ** (len(grids) - 1 - k) for k in range(len(grids))]
+    ratios = _left_boundary_ratios(spec, tuple(float(xs[s - 1]) for s in steps), lam)
+    mu = None
+    for grid, step, ratio in zip(grids, steps, ratios):
+        matrix = _tridiagonal(grid, xs[step - 1 :: step], vs[step - 1 :: step], ratio)
+        if mu is None:
+            mu, solves = _nearest_level(*matrix, lam, tol)
+        else:
+            # were lam a level, halving h would move mu to where Richardson
+            # lands on lam: mu + 3/4 (lam - mu); that point is nearer mu's
+            # continuation than any other level, so a narrow window there
+            # finds it
+            radius = min(tol, max(BISECTION_TOL, abs(mu - lam) / WINDOW_GROWTH**5))
+            mu, solves = _nearest_level(*matrix, mu + 0.75 * (lam - mu), radius)
+        yield mu, solves
 
 
 def contains_eigenvalue(
@@ -375,40 +433,74 @@ def contains_eigenvalue(
     """Does lam sit in the fd spectrum after Richardson extrapolation?
 
     Finds the level nearest lam on the given grid, follows that level to
-    the doubled grid through a narrow window centred at the Richardson
-    prediction mu + 3/4 (lam - mu), Richardson-extrapolates the
+    the doubled grid (`_followed_levels`), Richardson-extrapolates the
     second-order scheme and accepts when the extrapolated level lies
     within max(1e-3, 1e-3 |lam|).
-    A pure function of its arguments: `sweep` solves a repeated
-    (potential, lam) once.
+    A pure function of its arguments.
     """
-    tol = max(HIT_RTOL, HIT_RTOL * abs(lam))
-    fine = config.doubled()
-    # the doubled grid's odd positions are the given grid's nodes, bit for bit
-    xf, vf = _grid_values(spec, fine)
-    ratio_fine, ratio_coarse = _left_boundary_ratios(
-        spec, (float(xf[0]), float(xf[1])), lam
+    tol = _hit_tolerance(lam)
+    (mu, solves), (mu2, fine_solves) = _followed_levels(
+        spec, (config, config.doubled()), lam, tol
     )
-    coarse = _tridiagonal(config, xf[1::2], vf[1::2], ratio_coarse)
-    mu, solves = _nearest_level(*coarse, lam, tol)
-    # were lam a level, halving h would move mu to where Richardson lands
-    # on lam: mu + 3/4 (lam - mu); that point is nearer mu's continuation
-    # than any other level, so a narrow window there finds it
-    gap = abs(mu - lam)
-    radius = min(tol, max(BISECTION_TOL, gap / WINDOW_GROWTH**5))
-    fine_matrix = _tridiagonal(fine, xf, vf, ratio_fine)
-    mu2, fine_solves = _nearest_level(*fine_matrix, mu + 0.75 * (lam - mu), radius)
-    richardson_gap = float(abs((4.0 * mu2 - mu) / 3.0 - lam))
+    level = _richardson(mu, mu2)
+    richardson_gap = float(abs(level - lam))
     return ContainmentResult(
         hit=richardson_gap <= tol,
         nearest=mu,
-        gap=float(gap),
+        gap=float(abs(mu - lam)),
         richardson_gap=richardson_gap,
         fine_nearest=mu2,
         n_points=config.n_points,
         h=config.h,
         solves=solves + fine_solves,
+        error_estimate=float(abs(level - mu2)),
     )
+
+
+def oracle_check(spec: PotentialSpec, lam: float) -> ContainmentResult:
+    """The oracle's verdict on lam: on the grid ladder when it decides,
+    else `contains_eigenvalue` on `oracle_config(spec, lam)`.
+
+    The ladder's grids hold `LADDER_POINTS`, 2n + 1 and 4n + 3 nodes on
+    `oracle_config`'s [x_min, x_max], the level followed from the coarsest
+    grid up (`_followed_levels`).  R1 and R2 are the Richardson
+    extrapolations of the (coarse, middle) and (middle, fine) pairs.  The
+    ladder accepts when |R2 - lam| + |R2 - R1| <= tol, and the result
+    describes the (middle, fine) pair with error estimate |R2 - R1|.  A
+    miss, or an error on a ladder grid, hands the check to
+    `contains_eigenvalue`, whose result is returned with the ladder's
+    solves added.  A pure function of its arguments: `certify_batch`
+    checks a repeated (potential, lam) once.
+    """
+    tol = _hit_tolerance(lam)
+    config = oracle_config(spec, lam)
+    coarse = replace(config, n_points=LADDER_POINTS)
+    grids = (coarse, coarse.doubled(), coarse.doubled().doubled())
+    levels: list[float] = []
+    solves = 0
+    try:
+        for mu, n in _followed_levels(spec, grids, lam, tol):
+            levels.append(mu)
+            solves += n
+    except (ValueError, ArithmeticError):  # a float power in the series may overflow
+        pass
+    else:
+        r1, r2 = _richardson(*levels[:2]), _richardson(*levels[1:])
+        richardson_gap, error = float(abs(r2 - lam)), float(abs(r2 - r1))
+        if richardson_gap + error <= tol:
+            return ContainmentResult(
+                hit=True,
+                nearest=levels[1],
+                gap=float(abs(levels[1] - lam)),
+                richardson_gap=richardson_gap,
+                fine_nearest=levels[2],
+                n_points=grids[1].n_points,
+                h=grids[1].h,
+                solves=solves,
+                error_estimate=error,
+            )
+    result = contains_eigenvalue(spec, config, lam)
+    return replace(result, solves=solves + result.solves)
 
 
 def _march() -> list[float]:

@@ -369,6 +369,20 @@ class TestVerify:
         payload = json.loads(out)
         assert not any(c["oracle_hit"] for c in payload["checks"])
 
+    def test_energy_override_near_a_level_misses(self, capsys):
+        # lambda = eps(0.777155) sits 1.5 tol above the lowest b = 1/2 level
+        # of W(2, 3): the grid ladder cannot accept it, and the 2000-node
+        # check it hands the check to misses
+        code, out, _ = run_cli(
+            capsys, "verify", "--l", "2", "--m", "3", "--b", "1/2",
+            "--energy-override", "0.777155",
+        )
+        assert code == 1
+        for c in json.loads(out)["checks"]:
+            assert (c["oracle_hit"], c["oracle_points"]) == (False, 2000)
+            tol = 1e-3 * abs(c["lambda"])
+            assert 1.4 * tol < c["oracle_richardson_gap"] < 1.6 * tol
+
     def test_residual_at_roundoff_floor_passes(self, capsys):
         # on the grid this residual sits below the rounding floor, where the
         # refinement order (~3.0) is noise; the ladder link has no
@@ -392,11 +406,15 @@ class TestVerify:
             [c["energy"] for c in checks],
         )
         for c, vspec, lam in zip(checks, vspecs, lams.tolist()):
-            # 2000 nodes uniform in ln x on [1e-4, x_max]; oracle_h is that step
+            # the grid ladder decides on its 499-node grid, uniform in ln x on
+            # [1e-4, x_max]; oracle_h is that step.  Its error bar fits
+            # inside the hit tolerance with the Richardson gap
             x_max = suggest_domain(vspec, lam)
-            assert c["oracle_points"] == 2000
-            assert c["oracle_h"] == pytest.approx(math.log(x_max / 1e-4) / 2001, rel=1e-12)
-            assert c["oracle_solves"] >= 2
+            assert c["oracle_points"] == 499
+            assert c["oracle_h"] == pytest.approx(math.log(x_max / 1e-4) / 500, rel=1e-12)
+            assert c["oracle_solves"] >= 3
+            tol = 1e-3 * max(1.0, abs(lam))
+            assert 0 < c["oracle_error_estimate"] <= tol - c["oracle_richardson_gap"]
 
     def test_limit_circle_zero_mode_confirmed(self, capsys):
         # defect (a): on the uniform grid the oracle missed this zero mode at
@@ -561,9 +579,11 @@ class TestSweep:
             assert all(isinstance(v, float) for v in t["worst"].values())
 
     def test_fail_line_names_stage(self, capsys, monkeypatch):
-        # an oracle grid of 100 nodes under-resolves this zero mode, which
-        # the exact checks pass
+        # oracle grids of 100 nodes under-resolve this zero mode, which the
+        # exact checks pass: the ladder's error bar hands it to the 100-node
+        # check, which misses
         monkeypatch.setattr(triqes.fdoracle, "ORACLE_POINTS", 100)
+        monkeypatch.setattr(triqes.fdoracle, "LADDER_POINTS", 100)
         code, out, err = run_cli(
             capsys, "sweep", "--lmax", "0", "--mmax", "0", "--b", "1/2",
             "--branch", "plus", "--w=-1.5,0.8,1.9",
@@ -624,9 +644,18 @@ class TestSweep:
         monkeypatch.setattr(module, name, counting)
         return calls
 
-    @classmethod
-    def count_eigensolves(cls, monkeypatch):
-        return cls.count_calls(monkeypatch, triqes.fdoracle, "eigh_tridiagonal")
+    @staticmethod
+    def count_eigensolves(monkeypatch):
+        """The node count of every fd eigensolve, in call order."""
+        nodes = []
+        solve = triqes.fdoracle.eigh_tridiagonal
+
+        def counting(d, e, **kwargs):
+            nodes.append(len(d))
+            return solve(d, e, **kwargs)
+
+        monkeypatch.setattr(triqes.fdoracle, "eigh_tridiagonal", counting)
+        return nodes
 
     def test_one_pipeline_call_per_sweep(self, capsys, monkeypatch):
         # every label, both branches and every b of a sweep share one
@@ -680,17 +709,19 @@ class TestSweep:
         assert counts[0] == counts[1]
 
     def test_oracle_memo_solves_each_problem_once(self, capsys, monkeypatch):
-        # W(l, m) and W(m, l) pose the same oracle problems; each distinct
-        # (potential, lambda) costs one coarse and one seeded fine solve
-        calls = self.count_eigensolves(monkeypatch)
+        # W(l, m) and W(m, l) pose the same oracle problems; the grid ladder
+        # decides each distinct (potential, lambda) with one solve per grid
+        # and a few widenings: 70378 nodes for 40 problems, where the
+        # 2000/4001-node pair solved 6001 per problem
+        nodes = self.count_eigensolves(monkeypatch)
         problems = []
-        contains = triqes.certify.contains_eigenvalue
+        check = triqes.certify.oracle_check
 
-        def recording(spec, config, lam):
+        def recording(spec, lam):
             problems.append((spec, lam))
-            return contains(spec, config, lam)
+            return check(spec, lam)
 
-        monkeypatch.setattr(triqes.certify, "contains_eigenvalue", recording)
+        monkeypatch.setattr(triqes.certify, "oracle_check", recording)
         code, out, _ = run_cli(
             capsys, "sweep", "--lmax", "2", "--mmax", "2", "--b", "3/2,2",
             "--w=2,0.5,-1",
@@ -698,17 +729,16 @@ class TestSweep:
         assert code == 0
         assert json.loads(out)["count"] == 36
         assert len(set(problems)) == len(problems)
-        assert len(calls) <= 2 * len(problems)
+        assert sum(nodes) <= 1.1 * (249 + 499 + 999) * len(problems)
 
     def test_oracle_eigensolve_count(self, capsys, monkeypatch):
-        # the doubled-grid window centred at the Richardson prediction holds
-        # every true level at once: at most the 162 eigensolves a window
-        # centred on the coarse level takes (the sweep of the test above
-        # stays at two per problem, 80)
-        calls = self.count_eigensolves(monkeypatch)
+        # the grid ladder decides every check of the named sweep on its
+        # 249/499/999-node grids: 165914 nodes solved, where the
+        # 2000/4001-node pair of every check solved 482080
+        nodes = self.count_eigensolves(monkeypatch)
         code, _, _ = run_cli(capsys, "sweep", "--lmax", "3", "--mmax", "3", "--b", "1,1/2")
         assert code == 0
-        assert len(calls) <= 162
+        assert sum(nodes) <= 170_000
 
     def test_oracle_sweep_matches_verify(self, capsys):
         # the memo only skips repeated problems: every tuple's verdict and
@@ -1142,9 +1172,10 @@ def test_json_float_matches_json_at_format_borders():
 
 
 def test_sweep_writer_on_a_failing_sweep(capsys, monkeypatch):
-    # an oracle grid of 100 nodes under-resolves some of these zero modes:
+    # oracle grids of 100 nodes under-resolve some of these zero modes:
     # the output of a failing oracle sweep re-encodes to itself
     monkeypatch.setattr(triqes.fdoracle, "ORACLE_POINTS", 100)
+    monkeypatch.setattr(triqes.fdoracle, "LADDER_POINTS", 100)
     code, out, _ = run_cli(
         capsys, "sweep", "--lmax", "1", "--mmax", "1", "--b", "1/2,1",
         "--w=-1.5,0.8,1.9",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from triqes import (
     contains_eigenvalue,
     eig_sym,
     fd_spectrum,
+    oracle_check,
     oracle_config,
     potential_specs,
     suggest_domain,
@@ -20,6 +22,8 @@ from triqes import (
 )
 from triqes import fdoracle
 from triqes.schroedinger import PotentialSpec, lambda_rung
+
+from conftest import random_frequency_triples
 
 SQRT2 = math.sqrt(2.0)
 HALF = Fraction(1, 2)
@@ -267,6 +271,115 @@ class TestWindowedSearch:
         )
 
 
+def richardson_level(res):
+    return (4.0 * res.fine_nearest - res.nearest) / 3.0
+
+
+class TestGridLadder:
+    """`oracle_check` decides a hit on the 249/499/999-node ladder only
+    with its error bar inside the tolerance; everything else is
+    `contains_eigenvalue` on `oracle_config`."""
+
+    # candidates off a true level, in units of the hit tolerance
+    SHIFTS = (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)
+
+    @pytest.mark.parametrize("x_max", [6.0, 21.35, 512.0])
+    def test_grids_nest(self, x_max):
+        # the 249- and 499-node grids are every fourth and every other node
+        # of the 999-node grid, bit for bit, and so is V on them
+        spec = PotentialSpec(Fraction(3, 2), (-0.25, 1.3, -2.1, 0.7, 0.44))
+        coarse = LogGridConfig(x_max, fdoracle.LADDER_POINTS)
+        finest = coarse.doubled().doubled()
+        assert finest.n_points == 999
+        xf, vf = fdoracle._grid_values(spec, finest)
+        for grid, step in ((coarse, 4), (coarse.doubled(), 2)):
+            assert np.array_equal(xf[step - 1 :: step], grid.nodes())
+            assert np.array_equal(vf[step - 1 :: step], spec.values(grid.nodes()))
+
+    @staticmethod
+    def true_levels():
+        """Zero modes whose ladder error bar is wide (b = 1/2 at w = (-1.5,
+        0.8, 1.9): up to 3.6 tol), and seeded ones whose error bar sits
+        near the rounding floor (b = 1 and 2, lambda = 0)."""
+        levels = []
+        for label in (SubspaceLabel(3, 4), SubspaceLabel(2, 4)):
+            levels += zero_modes(HALF, ModeFrequencies(-1.5, 0.8, 1.9), label)
+        for freqs in random_frequency_triples(np.random.default_rng(20261022), 2):
+            for label in (SubspaceLabel(1, 2), SubspaceLabel(2, 2)):
+                for b in (Fraction(1), Fraction(2)):
+                    for branch in Branch:
+                        levels += zero_modes(b, freqs, label, branch)
+        return levels
+
+    def test_decided_hit_describes_the_middle_grid(self, unit_freqs):
+        tilde, lam = zero_modes(HALF, unit_freqs, SubspaceLabel(1, 1))[0]
+        config = oracle_config(tilde, lam)
+        res = oracle_check(tilde, lam)
+        middle = replace(config, n_points=2 * fdoracle.LADDER_POINTS + 1)
+        assert (res.hit, res.n_points, res.h) == (True, middle.n_points, middle.h)
+        assert res.solves >= 3
+        assert res.richardson_gap == abs(richardson_level(res) - lam)
+        assert 0.0 < res.error_estimate <= 1e-3 - res.richardson_gap
+
+    def test_error_on_a_ladder_grid_falls_back(self, monkeypatch, unit_freqs):
+        # a solve that fails on the finest ladder grid hands the check to
+        # the 2000-node check, whose result comes back with the solves the
+        # ladder completed added
+        tilde, lam = zero_modes(HALF, unit_freqs, SubspaceLabel(1, 1))[0]
+        solve = fdoracle.eigh_tridiagonal
+        sizes = []
+
+        def failing_on_999(d, e, **kwargs):
+            sizes.append(d.size)
+            if d.size == 4 * fdoracle.LADDER_POINTS + 3:
+                raise np.linalg.LinAlgError("LAPACK dstebz did not converge (info=1)")
+            return solve(d, e, **kwargs)
+
+        monkeypatch.setattr(fdoracle, "eigh_tridiagonal", failing_on_999)
+        res = oracle_check(tilde, lam)
+        monkeypatch.undo()
+        fixed = contains_eigenvalue(tilde, oracle_config(tilde, lam), lam)
+        completed = sizes.index(999)
+        assert sorted(set(sizes[:completed])) == [249, 499]
+        assert res == replace(fixed, solves=fixed.solves + completed)
+
+    def test_grid_free_errors_are_the_fixed_checks(self):
+        # an error that no grid avoids comes out of the 2000-node check,
+        # message for message
+        for spec, lam in (
+            (PotentialSpec(Fraction(1, 3), (-0.25, 1.3, -2.1, 0.7, 0.44)), 2.0),
+            (bare_spec((-0.3, 0, 0, 0, 1.0)), 3.0),
+        ):
+            with pytest.raises(ValueError) as fixed:
+                contains_eigenvalue(spec, oracle_config(spec, lam), lam)
+            with pytest.raises(ValueError) as got:
+                oracle_check(spec, lam)
+            assert str(got.value) == str(fixed.value)
+
+    def test_ladder_hit_is_a_fixed_grid_hit(self):
+        # on true levels and on candidates up to 2 tol off them, a hit the
+        # ladder decides is a hit of the 2000-node check, whose level its
+        # error bar covers; what it does not decide is that check's result
+        decided = 0
+        for spec, lam in self.true_levels():
+            tol = max(fdoracle.HIT_RTOL, fdoracle.HIT_RTOL * abs(lam))
+            for shift in (0.0, *(s * k for k in self.SHIFTS for s in (1, -1))):
+                cand = lam + shift * tol
+                res = oracle_check(spec, cand)
+                fixed = contains_eigenvalue(spec, oracle_config(spec, cand), cand)
+                case = (spec, lam, shift, res, fixed)
+                if res.n_points == 2 * fdoracle.LADDER_POINTS + 1:
+                    decided += 1
+                    assert res.hit and fixed.hit, case
+                    gap = abs(richardson_level(res) - richardson_level(fixed))
+                    assert gap <= res.error_estimate, case
+                    assert res.richardson_gap + res.error_estimate <= tol, case
+                else:
+                    assert res == replace(fixed, solves=res.solves), case
+                    assert res.solves > fixed.solves
+        assert decided >= 250
+
+
 def recorded_solves(monkeypatch, run):
     """(d, e, keywords) of every solve that `run()` makes."""
     solver = fdoracle.eigh_tridiagonal
@@ -316,18 +429,25 @@ class TestKernelParity:
         return got
 
     def test_oracle_windows(self, monkeypatch):
-        # every window the checks of the W(4,4), b = 2 zero modes solve,
-        # on both grids and through every widening
-        freqs = ModeFrequencies(0.3, -1.2, 0.7)
-        modes = zero_modes(Fraction(2), freqs, SubspaceLabel(4, 4))
-        calls = recorded_solves(monkeypatch, lambda: [
-            contains_eigenvalue(vspec, oracle_config(vspec, lam), lam)
-            for vspec, lam in modes
-        ])
-        assert len(calls) >= 2 * len(modes)
+        # every window the oracle solves for the W(4,4), b = 2 zero modes
+        # (decided on the ladder), the b = 1/2 zero modes of W(3,4) at
+        # w = (-1.5, 0.8, 1.9) (some handed to the 2000-node check) and a
+        # candidate between two levels of x^2 (a miss): on the 249-, 499-
+        # and 999-node ladder grids and the 2000/4001-node pair, through
+        # every widening
+        cases = zero_modes(Fraction(2), ModeFrequencies(0.3, -1.2, 0.7), SubspaceLabel(4, 4))
+        cases += zero_modes(HALF, ModeFrequencies(-1.5, 0.8, 1.9), SubspaceLabel(3, 4))
+        cases += [(bare_spec(HARMONIC), 9.0)]
+        calls = recorded_solves(
+            monkeypatch, lambda: [oracle_check(vspec, lam) for vspec, lam in cases]
+        )
+        windows = set()
         for d, e, kwargs in calls:
             assert kwargs["select"] == "v"
-            assert self.assert_same(d, e, "v", kwargs["select_range"]).size
+            got = self.assert_same(d, e, "v", kwargs["select_range"])
+            windows.add((d.size, bool(got.size)))
+        # an empty window on every grid is a widening
+        assert windows == {(n, held) for n in (249, 499, 999, 2000, 4001) for held in (0, 1)}
 
     def test_empty_window(self):
         # x^2 on the half line has levels near 3, 7, 11: none in (4, 5]
