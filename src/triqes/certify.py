@@ -22,12 +22,13 @@ given, every transformation exponent b and every branch:
 `certify_batch` is the one entry to stages 1-5.  It takes the subspaces
 as (label, energies, eigenvectors) and lays every eigenpair of every
 subspace along one pair axis, in subspace order and then column order,
-each pair with its own label's constants; phi rows are padded with zeros
-to the top degree (exact, see `heun`), columns are not padded.  Stages
-1-4 are one array pass: stages 1-2 over the axes [pair, branch, 1],
-shared by every b since they do not depend on it, and stages 3-4 as one
+each pair's label as int arrays `ell` and `m` [pair], built once with
+`np.repeat` over the subspaces; phi rows are padded with zeros to the
+top degree (exact, see `heun`), columns are not padded.  Stages 1-4 are
+one array pass: stages 1-2 over the axes [pair, branch], shared by every
+b since they do not depend on it, and stages 3-4 as one
 `zero_mode_ladders` call and one `ladder_links` call on its float arrays
-as they are, over [pair, branch, b, 1], each column at its own b.  Every
+as they are, over [pair, branch, b], each ladder at its own b.  Every
 number is elementwise, so a column is bit for bit the same whichever
 subspaces share its call.  With `oracle=True` the oracle then runs
 subspace by subspace, in (branch, b, eigenvector) order, once per
@@ -152,16 +153,18 @@ def certify_batch(
                 f"energies of shape {energies.shape} for eigenvectors of shape {vecs.shape}"
             )
         checked.append((label, energies, vecs))
-    # the pair axis: every eigenpair of every subspace, in order, each with
-    # its own label; eigenvectors padded at the front to the top dimension
-    labels = [label for label, energies, _ in checked for _ in range(len(energies))]
-    ends = np.cumsum([0] + [len(energies) for _, energies, _ in checked]).tolist()
-    vecs = np.zeros((max((lab.dim for lab in labels), default=1), len(labels)))
+    # the pair axis: every eigenpair of every subspace, in order, with its
+    # label's (l, m); eigenvectors padded at the front to the top dimension
+    counts = [len(energies) for _, energies, _ in checked]
+    ends = np.cumsum([0] + counts).tolist()
+    labels = np.array([(label.ell, label.m) for label, _, _ in checked], dtype=int)
+    ell, m = np.repeat(labels.reshape(-1, 2), counts, axis=0).T
+    vecs = np.zeros((int(np.minimum(ell, m).max(initial=0)) + 1, len(ell)))
     for (label, _, v), start, stop in zip(checked, ends, ends[1:]):
         if stop > start:  # a subspace without columns may exceed the top dimension
             vecs[len(vecs) - label.dim :, start:stop] = v
     energies = np.concatenate([e for _, e, _ in checked] or [np.empty(0)])
-    batch = _certify_pairs(freqs, labels, energies, vecs, b_values, branches)
+    batch = _certify_pairs(freqs, ell, m, energies, vecs, b_values, branches)
     if oracle:
         batch = replace(batch, oracle=_oracle_checks(batch, ends, b_values))
     return batch, ends
@@ -185,23 +188,23 @@ def _oracle_checks(batch, ends, b_values):
     return results
 
 
-def _certify_pairs(freqs, labels, energies, vecs, b_values, branches):
-    """Stages 1-4 of eigenpairs with `labels` and `energies` [pair] and
-    `vecs` [component, pair], as one `Certificate` whose column axis is the
-    pair axis; no oracle."""
-    # [row, pair, branch, 1]
-    phi = rho_coefficients(labels, vecs[:, :, None, None], branches)
-    # stages 1-2 do not depend on b: [pair, branch, 1]; a zero phi reads NaN
-    op = operator_residuals(freqs, labels, energies[:, None, None], phi, branches)
+def _certify_pairs(freqs, ell, m, energies, vecs, b_values, branches):
+    """Stages 1-4 of the eigenpairs whose labels are `ell`, `m` and whose
+    eigenvalues are `energies` [pair], `vecs` [component, pair], as one
+    `Certificate`; no oracle."""
+    # [row, pair, branch]
+    phi = rho_coefficients(ell, m, vecs, branches)
+    # stages 1-2 do not depend on b: [pair, branch]; a zero phi reads NaN
+    op = operator_residuals(freqs, ell, m, energies, phi, branches)
     with np.errstate(divide="ignore", invalid="ignore"):
         op_rel = _worst(op) / _worst(phi)
-    # stages 3-4: one ladder per (pair, branch, b), [pair, branch, b, 1]
-    ladder_args = (b_values, freqs, labels, energies[:, None], branches)
+    # stages 3-4: one ladder per (pair, branch, b), [pair, branch, b]
+    ladder_args = (b_values, freqs, ell, m, energies, branches)
     rungs, lams = zero_mode_ladders(*ladder_args)
     link = ladder_links(*ladder_args, rungs, lams)
-    # transposed once: [pair, branch, (b,) 1] -> [branch, (b,) pair]
-    op_rel = op_rel[..., 0].T
-    link = link[..., 0].transpose(1, 2, 0)
+    # transposed once: [pair, branch, (b)] -> [branch, (b,) pair]
+    op_rel = op_rel.T
+    link = link.transpose(1, 2, 0)
     shape = link.shape
     # one rule, in STAGES order; a NaN residual is not <= BHE_RTOL and fails
     failed = np.zeros((len(STAGES), *shape), dtype=bool)
@@ -209,8 +212,8 @@ def _certify_pairs(freqs, labels, energies, vecs, b_values, branches):
     failed[1] = ~(link <= BHE_RTOL)
     return Certificate(
         bhe_operator_residual=np.broadcast_to(op_rel[:, None], shape),
-        potential=rungs[..., 0].transpose(2, 3, 1, 0),
-        lam=lams[..., 0].transpose(1, 2, 0),
+        potential=rungs.transpose(2, 3, 1, 0),
+        lam=lams.transpose(1, 2, 0),
         schrodinger_residual=link,
         oracle=None,
         failed=failed,

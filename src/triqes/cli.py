@@ -275,7 +275,7 @@ def cmd_potential(args: argparse.Namespace) -> int:
         raise UsageError(f"--p must lie in 1..{label.dim}, got {args.p}")
     [(_, vals, vecs)] = solve_subspaces(freqs, [label])
     energy, vec = float(vals[label.dim - args.p]), vecs[:, label.dim - args.p]
-    phi = rho_coefficients(label, vec[:, None], branch)[:, 0]
+    phi = rho_coefficients([label.ell], [label.m], vec[:, None], [branch])[:, 0, 0]
     pref, a_ = zero_mode_envelope(bfrac, freqs, label, branch)
     if args.shifted:
         (vspec,), (lam,) = zero_mode_potentials(bfrac, freqs, label, [energy], branch)

@@ -29,9 +29,10 @@ series serves every matrix.
 such grids, of 249, 499 and 999 nodes (`LADDER_POINTS` the coarsest),
 and accepts when the extrapolation R2 of the finer pair and its error
 bar |R2 - R1|, R1 that of the coarser pair, fit in the tolerance
-together.  Anything else, a miss or an error on a ladder grid, goes to
-`contains_eigenvalue` on `oracle_config`'s 2000/4001-node pair, which
-decides as it did before the ladder.  On the four named sweeps (1360
+together.  Anything else, a miss or an error that a finer grid may
+avoid, goes to `contains_eigenvalue` on `oracle_config`'s 2000/4001-node
+pair, which decides as it did before the ladder; an error that no grid
+avoids is raised from the ladder.  On the four named sweeps (1360
 distinct checks) the ladder decides 1348, and its error bar covered the
 distance to the 2000-node level on every one of them (at most 0.43 of
 it); the h^4 figure |R2 - R1| / 15 fell short on 281.  A check is a pure
@@ -106,6 +107,10 @@ DOMAIN_PHASE = 18.0
 
 _FLAPACK = "scipy.linalg._flapack"
 _flapack_lock = threading.Lock()
+
+
+class _GridFreeError(ValueError):
+    """A check error that no grid avoids (see `oracle_check`)."""
 
 
 def _flapack():
@@ -234,7 +239,10 @@ def _frobenius_factors(
     if bc_energy is None:
         c = [cf if i < 2 * spec.b else 0.0 for i, cf in enumerate(c)]
     elif bc_energy != 0.0:
-        rung = lambda_rung(spec.b)
+        try:
+            rung = lambda_rung(spec.b)
+        except ValueError as err:
+            raise _GridFreeError(*err.args) from None
         c += [0.0] * (rung + 1 - len(c))
         c[rung] -= bc_energy
     c[0] = 0.0  # the x^(-2) rung is carried by p
@@ -248,7 +256,7 @@ def _frobenius_factors(
         rhs = sum(c[i] * a[j - i] for i in range(1, min(j, jmax) + 1))
         den = (p + j * s) * (p + j * s - 1.0) - p * (p - 1.0)
         if den == 0.0:
-            raise ValueError(
+            raise _GridFreeError(
                 f"degenerate left-boundary series: the denominator of term {j}"
                 " rounds to 0 at this b"
             )
@@ -271,7 +279,7 @@ def _left_boundary_ratios(
     """
     c0 = spec.coeffs[0]
     if 1.0 + 4.0 * c0 < 0.0:
-        raise ValueError(f"c_0 = {c0!r} < -1/4: the potential falls to the centre")
+        raise _GridFreeError(f"c_0 = {c0!r} < -1/4: the potential falls to the centre")
     p = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c0))
     x0 = ORACLE_X_MIN
     f0, *fs = _frobenius_factors(spec, p, (x0, *xs), bc_energy)
@@ -467,9 +475,11 @@ def oracle_check(spec: PotentialSpec, lam: float) -> ContainmentResult:
     extrapolations of the (coarse, middle) and (middle, fine) pairs.  The
     ladder accepts when |R2 - lam| + |R2 - R1| <= tol, and the result
     describes the (middle, fine) pair with error estimate |R2 - R1|.  A
-    miss, or an error on a ladder grid, hands the check to
+    miss, or an error that a finer grid may avoid, hands the check to
     `contains_eigenvalue`, whose result is returned with the ladder's
-    solves added.  A pure function of its arguments: `certify_batch`
+    solves added.  An error that no grid avoids, c_0 < -1/4, a lambda != 0
+    at a non-integer 2b or a degenerate left-boundary series, is raised as
+    it comes.  A pure function of its arguments: `certify_batch`
     checks a repeated (potential, lam) once.
     """
     tol = _hit_tolerance(lam)
@@ -482,6 +492,8 @@ def oracle_check(spec: PotentialSpec, lam: float) -> ContainmentResult:
         for mu, n in _followed_levels(spec, grids, lam, tol):
             levels.append(mu)
             solves += n
+    except _GridFreeError:
+        raise
     except (ValueError, ArithmeticError):  # a float power in the series may overflow
         pass
     else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 # Subspace labels are capped so that interaction amplitudes and the
 # downstream factorial weights stay comfortably inside double precision.
@@ -63,11 +62,6 @@ class SubspaceLabel:
     @property
     def n_prime(self) -> int:
         return min(self.ell, self.m)
-
-
-# one label, or a sequence of labels: of one dimension for
-# `build_hamiltonian`, of any dimensions for the BHE kernels
-Labels = SubspaceLabel | Sequence[SubspaceLabel]
 
 
 @dataclass(frozen=True)

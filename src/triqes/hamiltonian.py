@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .fock import Labels, SubspaceLabel
+from .fock import SubspaceLabel
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,9 @@ def check_finite(name: str, values: np.typing.ArrayLike) -> None:
         raise ValueError(f"{name} is not finite: it overflows a double")
 
 
-def build_hamiltonian(freqs: ModeFrequencies, label: Labels) -> np.ndarray:
+def build_hamiltonian(
+    freqs: ModeFrequencies, label: SubspaceLabel | Sequence[SubspaceLabel]
+) -> np.ndarray:
     """The dense symmetric matrix of H on W(ell, m) in the canonical basis,
     assembled from its two bands; for a sequence of labels of one
     dimension d, the stack [label, d, d] of their matrices.

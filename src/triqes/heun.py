@@ -16,26 +16,25 @@ delta) of `bhe_params` is a library reference (`standard_residuals`):
 operator form for every phi, and that vector equal to the eigen-residual
 weighted by the map, c w_n ((H - E) v)_(N'-n) (w_n the weight of row n,
 `_rho_weights`), for every v.  Both recurrences are exact in the
-polynomial coefficients; no grids are involved.  The map and both
-recurrences are array operations over one column per eigenvector
-(`rho_coefficients`, `operator_residuals`, `standard_residuals`), with E
-entering as a vector.  Each of them, and `bhe_params`, also takes a
-sequence of labels and a sequence of branches in place of one label and
-one branch: their constants l, m, k, the w2 <-> w3 swap, the map weights
-and c then become arrays over the column axes [label, branch, column],
-and one call covers every (label, branch) pair.  Labels of several
-dimensions share one call with their phi rows padded by zeros to the
-largest degree: a polynomial with zero leading
+polynomial coefficients; no grids are involved.
+
+The map and the operator form work on a pair axis, one eigenpair per
+pair: `rho_coefficients` and `operator_residuals` take each pair's label
+as int arrays `ell` and `m` [pair], its E from `energies` [pair] and a
+sequence of branches, and return [row, pair, branch].  One eigenpair is a
+one-pair call, the eigenvectors of one label a call with that label
+repeated.  Pairs of several dimensions share one call with their phi rows
+padded by zeros to the largest degree: a polynomial with zero leading
 coefficients is the same polynomial, and each residual coefficient only
 gains +-0 terms, so its value is unchanged while the band coefficients
-are finite (one that overflows to inf makes a padded 0 a NaN).  One
-label and one branch is the same arithmetic on scalars, so a column is
-bit for bit the same either way.
-The BHE twins
-`fock_to_rho_polynomial` (which returns a `RhoPolynomial`),
-`bhe_operator_residual` and `bhe_standard_residual` are their one-column
-cases, and `residual_ok` applies `BHE_RTOL` to one column; the tests and
-the bhe-bulk benchmark use them as references.
+are finite (one that overflows to inf makes a padded 0 a NaN).  Every
+number is elementwise, so a column is bit for bit the same whichever
+pairs share its call.  `bhe_params` is one label's and one branch's, and
+`standard_residuals` applies it to that label's phis [row, column].  The
+BHE twins `fock_to_rho_polynomial` (which returns a `RhoPolynomial`),
+`bhe_operator_residual` and `bhe_standard_residual` are their one-pair,
+one-column cases, and `residual_ok` applies `BHE_RTOL` to one column; the
+tests and the bhe-bulk benchmark use them as references.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import Labels, SubspaceLabel
+from .fock import MAX_TOTAL_LABEL, SubspaceLabel
 from .hamiltonian import ModeFrequencies, check_finite
 
 SQRT2 = math.sqrt(2.0)
@@ -65,10 +64,6 @@ class Branch(enum.Enum):
     @property
     def c(self) -> float:
         return SQRT2 if self is Branch.PLUS else -SQRT2
-
-
-# one branch or several
-Branches = Branch | Sequence[Branch]
 
 
 @dataclass(frozen=True)
@@ -99,78 +94,62 @@ class BheParams:
     delta: float | np.ndarray
 
 
-def _constants(label: Labels, branch: Branches):
-    """(l, m, k, c) of one label and one branch, or, for a sequence of labels
-    and a sequence of branches, int arrays l, m, k shaped (labels, 1, 1) and
-    a float array c shaped (branches, 1), which broadcast over the column
-    axes [label, branch, column]."""
-    if isinstance(label, SubspaceLabel):
-        return label.ell, label.m, label.k, branch.c
-    ell = np.array([lab.ell for lab in label])[:, None, None]
-    m = np.array([lab.m for lab in label])[:, None, None]
-    c = np.array([br.c for br in branch])[:, None]
-    return ell, m, np.maximum(ell, m), c
+def _rho_weights(ell: np.ndarray, m: np.ndarray, branches: Sequence[Branch]) -> np.ndarray:
+    """Weight of coefficient n of each pair's phi, c^(k+n) / sqrt(j! (l-j)!
+    (m-j)!) with j = N' - n, as [row, pair, branch]: as many rows as the
+    largest dimension (one for no pairs), 0 above each pair's own N'.
 
-
-def _rows(n: int, ndim: int) -> np.ndarray:
-    """Row indices 0 .. n-1 as a column that broadcasts over `ndim - 1`
-    column axes."""
-    return np.arange(n).reshape(-1, *[1] * (ndim - 1))
-
-
-def _rho_weights(label: Labels, branch: Branches) -> np.ndarray:
-    """Weight of coefficient n: c^(k+n) / sqrt(j! (l-j)! (m-j)!), j = N' - n,
-    shaped [row, 1], or [row, label, branch, 1] for sequences, with as many
-    rows as the largest dimension (one for no labels) and 0 above each
-    label's own N'.
-
-    One pass over every row of every distinct label: the factorial product
-    is evaluated exactly as an integer before its single rounding to
-    double, c^p is (+-1)^p 2^(p // 2) sqrt(2)^(p % 2), whose one rounding
-    is that of sqrt(2), and one numpy sqrt and divide forms all weights,
-    so each is the scalar formula's double.
+    One pass over every row of every distinct label, found by one
+    `np.unique` of l (cap + 1) + m: the factorial product is evaluated
+    exactly as an integer before its single rounding to double, c^p is
+    (+-1)^p 2^(p // 2) sqrt(2)^(p % 2), whose one rounding is that of
+    sqrt(2), and one numpy sqrt and divide forms all weights, so each is
+    the scalar formula's double.
     """
-    if isinstance(label, SubspaceLabel):
-        return _rho_weights([label], [branch])[:, 0, 0]
-    distinct = {lab: u for u, lab in enumerate(dict.fromkeys(label))}
-    rows = max((lab.dim for lab in distinct), default=1)
+    keys, pairs = np.unique(
+        np.asarray(ell) * (MAX_TOTAL_LABEL + 1) + np.asarray(m), return_inverse=True
+    )
+    ells, ms = np.divmod(keys, MAX_TOTAL_LABEL + 1)
+    rows = int(np.minimum(ells, ms).max(initial=0)) + 1
     # k + n and l, m, j are at most l + m
-    top = max((lab.ell + lab.m for lab in distinct), default=0)
+    top = int((ells + ms).max(initial=0))
     fact = [math.factorial(i) for i in range(top + 1)]
     exps = np.arange(top + 1)
-    signs = np.sign([br.c for br in branch]).reshape(-1, 1)
+    signs = np.sign([br.c for br in branches]).reshape(-1, 1)
     powers = signs**exps * np.ldexp(np.where(exps % 2, SQRT2, 1.0), exps // 2)
     # row n of distinct label u: its power k + n, and j! (l-j)! (m-j)! with
     # j = N' - n, in the same order
+    labels = list(zip(ells.tolist(), ms.tolist()))
     u, n, p = np.array(
-        [(u, n, lab.k + n) for lab, u in distinct.items() for n in range(lab.dim)], dtype=int
+        [(u, n, max(lab) + n) for u, lab in enumerate(labels) for n in range(min(lab) + 1)],
+        dtype=int,
     ).reshape(-1, 3).T
     products = [
-        float(fact[j] * fact[lab.ell - j] * fact[lab.m - j])
-        for lab in distinct for j in range(lab.n_prime, -1, -1)
+        float(fact[j] * fact[l_ - j] * fact[m_ - j])
+        for l_, m_ in labels for j in range(min(l_, m_), -1, -1)
     ]
-    weights = np.zeros((rows, len(distinct), len(branch)))
+    weights = np.zeros((rows, len(keys), len(branches)))
     weights[n, u] = (powers.reshape(-1, top + 1)[:, p] / np.sqrt(products)).T
-    return weights[:, [distinct[lab] for lab in label]][..., None]
+    return weights[:, pairs]
 
 
-def rho_coefficients(label: Labels, vecs: np.ndarray, branch: Branches) -> np.ndarray:
-    """phi coefficients of every column of `vecs`, one column each.
+def rho_coefficients(
+    ell: np.ndarray, m: np.ndarray, vecs: np.ndarray, branches: Sequence[Branch]
+) -> np.ndarray:
+    """phi coefficients of every pair's eigenvector, [row, pair, branch].
 
-    Row n of the result is coefficient b_n: the canonical component
-    j = N' - n times its weight (`_rho_weights`).  For sequences of labels
-    and branches, `vecs` is [component, label, 1, column] and the result
-    [row, label, branch, column], both with as many rows as the largest
-    dimension: a label of a smaller dimension d holds its components in the
-    last d rows, zeros before, and its phi reads 0 above its degree.
+    Column i of `vecs` [component, pair] is the eigenvector of pair i, with
+    label (`ell[i]`, `m[i]`).  Row n of the result is coefficient b_n: the
+    canonical component j = N' - n times its weight (`_rho_weights`).
+    `vecs` has as many rows as the largest dimension: a pair of a smaller
+    dimension d holds its components in the last d rows, zeros before, and
+    its phi reads 0 above its degree.
     """
-    weights = _rho_weights(label, branch)
+    weights = _rho_weights(ell, m, branches)
     vecs = np.asarray(vecs, dtype=float)
-    if vecs.ndim != weights.ndim or vecs.shape[0] != weights.shape[0]:
-        raise ValueError(
-            f"eigenvector length {vecs.shape[:1]} does not match dim {weights.shape[0]}"
-        )
-    return vecs[::-1] * weights
+    if vecs.shape != weights.shape[:2]:
+        raise ValueError(f"eigenvectors of shape {vecs.shape}, expected {weights.shape[:2]}")
+    return vecs[::-1, :, None] * weights
 
 
 def fock_to_rho_polynomial(
@@ -183,27 +162,25 @@ def fock_to_rho_polynomial(
     c^(k+n) / sqrt(j! (l-j)! (m-j)!).
     """
     vec = np.asarray(eigvec, dtype=float)
-    if vec.shape != (label.dim,):
-        raise ValueError(f"eigenvector length {vec.shape} does not match dim {label.dim}")
-    coeffs = rho_coefficients(label, vec[:, None], branch)[:, 0]
+    coeffs = rho_coefficients([label.ell], [label.m], vec[:, None], [branch])[:, 0, 0]
     return RhoPolynomial(coeffs=tuple(coeffs.tolist()), label=label, branch=branch)
 
 
 def bhe_params(
     freqs: ModeFrequencies,
-    label: Labels,
+    label: SubspaceLabel,
     energy: float | np.ndarray,
-    branch: Branches,
+    branch: Branch,
 ) -> BheParams:
     """Standard-form parameters (alpha, beta, gamma, delta) of phi's BHE.
 
     The map is written for m >= l; for l > m it is the same with w2 <-> w3
     and l <-> m interchanged (ties take the unswapped rule), so in it l
-    reads N' = min(l, m) and m reads k = max(l, m).  For sequences of labels
-    and branches every parameter is an array over [label, branch, column].
-    Raises ValueError naming the first of them that is not finite.
+    reads N' = min(l, m) and m reads k = max(l, m).  delta is an array
+    when `energy` is one.  Raises ValueError naming the first parameter
+    that is not finite.
     """
-    ell, m, k, c = _constants(label, branch)
+    ell, m, k, c = label.ell, label.m, label.k, branch.c
     n_prime = ell + m - k
     swap = ell > m
     w1 = freqs.w1
@@ -224,22 +201,24 @@ def bhe_params(
 
 def operator_residuals(
     freqs: ModeFrequencies,
-    label: Labels,
+    ell: np.ndarray,
+    m: np.ndarray,
     energies: np.ndarray,
     phis: np.ndarray,
-    branch: Branches,
+    branches: Sequence[Branch],
 ) -> np.ndarray:
-    """Residual coefficients of the direct BHE operator, one column per phi.
+    """Residual coefficients of the direct BHE operator, [row, pair, branch].
 
-    Column i applies the operator at `energies[i]` to the phi whose
-    coefficients are `phis[:, i]`; see `bhe_operator_residual`.  For
-    sequences of labels and branches, `phis` is [row, label, branch,
-    column] and `energies` broadcasts over [label, branch, column].  Each
+    Pair i applies the operator of its label (`ell[i]`, `m[i]`) at
+    `energies[i]` to its phi of each branch, `phis` [row, pair, branch] as
+    `rho_coefficients` returns them; see `bhe_operator_residual`.  Each
     coefficient sums its three band terms in the same order as a scalar
-    loop over the columns would.  Raises ValueError naming the first of
-    its constants (wbar, then P) that is not finite.
+    loop over the pairs would.  Raises ValueError naming the first of its
+    constants (wbar, then P) that is not finite.
     """
-    ell, m, k, c = _constants(label, branch)
+    ell, m = np.asarray(ell)[:, None], np.asarray(m)[:, None]
+    k = np.maximum(ell, m)
+    c = np.array([br.c for br in branches])
     w1, w2, w3 = freqs.as_tuple()
     wbar = w1 - w2 - w3
     check_finite("w1 - w2 - w3", wbar)
@@ -247,10 +226,10 @@ def operator_residuals(
     with np.errstate(over="ignore", invalid="ignore"):
         p_w = m * (w1 - w2) + ell * (w1 - w3)
         check_finite("m (w1 - w2) + l (w1 - w3)", p_w)
-        p_const = p_w - np.asarray(energies, dtype=float) - k * wbar
+        p_const = p_w - np.asarray(energies, dtype=float)[:, None] - k * wbar
     check_finite("BHE operator constant P", p_const)
     n_top = phis.shape[0] - 1
-    j = _rows(n_top + 3, phis.ndim)
+    j = np.arange(n_top + 3)[:, None, None]
     res = np.zeros((n_top + 3, *phis.shape[1:]))
     # a finite P times phi can still overflow; an inf or nan residual fails
     with np.errstate(over="ignore", invalid="ignore"):
@@ -282,20 +261,22 @@ def bhe_operator_residual(
     eigenpair every returned coefficient vanishes.  The one-column case of
     `operator_residuals`.
     """
-    phis = np.array(phi.coeffs)[:, None]
-    return operator_residuals(freqs, label, np.array([energy]), phis, phi.branch)[:, 0]
+    phis = np.array(phi.coeffs)[:, None, None]
+    res = operator_residuals(freqs, [label.ell], [label.m], [energy], phis, [phi.branch])
+    return res[:, 0, 0]
 
 
 def standard_residuals(params: BheParams, phis: np.ndarray) -> np.ndarray:
-    """Residual coefficients of the standard-form BHE, one column per phi.
+    """Residual coefficients of the standard-form BHE, one column per phi
+    of `phis` [row, column].
 
-    Each parameter is a scalar or broadcasts over the column axes of
-    `phis`; see `bhe_standard_residual`.
+    Each parameter is a scalar or broadcasts over the columns; see
+    `bhe_standard_residual`.
     """
     a, bt, g, d = params.alpha, params.beta, params.gamma, params.delta
     pole = (d + (1.0 + a) * bt) / 2.0
     n_top = phis.shape[0] - 1
-    j = _rows(n_top + 2, phis.ndim)
+    j = np.arange(n_top + 2)[:, None]
     res = np.zeros((n_top + 2, *phis.shape[1:]))
     res[:n_top] += ((j + 1) * j + (1.0 + a) * (j + 1))[:n_top] * phis[1:]
     res[: n_top + 1] += (bt * j[: n_top + 1] - pole) * phis

@@ -37,14 +37,14 @@ x^0, rung 2b (`lambda_rung`).  At b = 1/2 that is rung 1, the only E-dependent r
 V = Vtilde - eps(E), eps(E) = -4 c E: the displaced sextic Vtilde is
 E-independent and has genuine eigenvalues eps(E).
 
-One builder, `zero_mode_ladders`, writes the rungs [rung, label, branch,
-b, column] and the lambdas for many zero modes at once, over sequences of
-labels, branches, b values and eigenvalues.  The rung closed forms above
+One builder, `zero_mode_ladders`, writes the rungs [rung, pair, branch,
+b] and the lambdas of many zero modes at once, pair i's label being
+(`ell[i]`, `m[i]`) and its E `energies[i]`.  The rung closed forms above
 are written once, in `_ladders`, which `potential_specs` also reads for
-V_b itself (at b = 1/2 too); `zero_mode_potentials` is the one-(label, b,
-branch) call of `zero_mode_ladders` and `zero_mode_envelope` the curve's
-envelope (s, A).  At resonance, w1 = w2 + w3, A is 0 and rung 3 of every
-V_b is exactly 0.0.
+V_b itself (at b = 1/2 too); `zero_mode_potentials` is `zero_mode_ladders`
+at one b and branch, its label repeated per energy, and
+`zero_mode_envelope` the curve's envelope (s, A).  At resonance,
+w1 = w2 + w3, A is 0 and rung 3 of every V_b is exactly 0.0.
 
 The zero mode has one format: its envelope (s, A) and phi as a
 coefficient column of `heun.rho_coefficients`.  With v = x^(1/b),
@@ -169,20 +169,20 @@ def lambda_rung(b: RationalLike) -> int:
 def _ladders(
     bb: np.ndarray,
     freqs: ModeFrequencies,
-    labels: Sequence[SubspaceLabel],
+    ell: np.ndarray,
+    m: np.ndarray,
     energies: np.ndarray,
     branches: Sequence[Branch],
 ) -> np.ndarray:
     """The rungs c_0 .. c_4 of V_b, the closed forms of the module
-    docstring, as an array [rung, label, branch, b, column].
+    docstring, as an array [rung, pair, branch, b].
 
-    `bb` holds the float b values shaped (b, 1) and `energies` broadcasts
-    over [label, branch, b, column]; only rung 1 depends on E, through D.
-    Raises ValueError naming the first rung that is not finite.
+    `bb` holds the float b values [b] and `energies` broadcasts over [pair,
+    branch, b]; only rung 1 depends on E, through D.  Raises ValueError
+    naming the first rung that is not finite.
     """
-    ell = np.array([lab.ell for lab in labels])[:, None, None, None]
-    m = np.array([lab.m for lab in labels])[:, None, None, None]
-    c = np.array([br.c for br in branches])[:, None, None]
+    ell, m = np.asarray(ell)[:, None, None], np.asarray(m)[:, None, None]
+    c = np.array([br.c for br in branches])[:, None]
     w1, w2, w3 = freqs.as_tuple()
     # the checks below report what overflows
     with np.errstate(over="ignore", invalid="ignore"):
@@ -205,7 +205,7 @@ def _ladders(
 
 
 def _admissible(b_values: Sequence[RationalLike]) -> np.ndarray:
-    return np.array([admissible_b(b) for b in b_values])[:, None]
+    return np.array([admissible_b(b) for b in b_values])
 
 
 def potential_specs(
@@ -219,9 +219,9 @@ def potential_specs(
 
     Raises ValueError on an inadmissible b or naming the first non-finite rung.
     """
-    rungs = _ladders(
-        _admissible([b]), freqs, [label], np.asarray(energies, dtype=float), [branch]
-    )
+    energies = np.asarray(energies, dtype=float)
+    ell, m = np.full(len(energies), label.ell), np.full(len(energies), label.m)
+    rungs = _ladders(_admissible([b]), freqs, ell, m, energies[:, None, None], [branch])
     return [PotentialSpec(b, tuple(r)) for r in rungs.reshape(5, -1).T.tolist()]
 
 
@@ -235,28 +235,29 @@ def epsilon_of(
 def zero_mode_ladders(
     b_values: Sequence[RationalLike],
     freqs: ModeFrequencies,
-    labels: Sequence[SubspaceLabel],
+    ell: np.ndarray,
+    m: np.ndarray,
     energies: np.ndarray,
     branches: Sequence[Branch],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per (label, branch, b, eigenvalue), the ladder of the potential whose
-    level lambda the zero mode sits at, and lambda.
+    """Per (pair, branch, b), the ladder of the potential whose level lambda
+    the zero mode sits at, and lambda.
 
-    `labels` may mix dimensions and `energies` is [label, column].
-    Returns float arrays: the rungs [rung, label, branch, b, column] and
-    the lambdas [label, branch, b, column].  At b = 1/2 the potential is
-    the E-free displaced sextic, with lambda = eps(E); at any other b it
-    is V_b, with lambda = 0.  Raises ValueError on an inadmissible b or naming the
-    first non-finite rung.
+    Pair i is the eigenpair of label (`ell[i]`, `m[i]`) at `energies[i]`.
+    Returns float arrays: the rungs [rung, pair, branch, b] and the lambdas
+    [pair, branch, b].  At b = 1/2 the potential is the E-free displaced
+    sextic, with lambda = eps(E); at any other b it is V_b, with lambda = 0.
+    Raises ValueError on an inadmissible b or naming the first non-finite
+    rung.
     """
     bb = _admissible(b_values)
-    e = np.asarray(energies, dtype=float)[:, None, None]
-    sextic = np.array([b == SEXTIC_B for b in b_values])[:, None]
+    e = np.asarray(energies, dtype=float)
+    sextic = np.array([b == SEXTIC_B for b in b_values])
     # V_(1/2) built at E = 0 is Vtilde exactly
-    rungs = _ladders(bb, freqs, labels, np.where(sextic, 0.0, e), branches)
+    rungs = _ladders(bb, freqs, ell, m, np.where(sextic, 0.0, e[:, None, None]), branches)
     with np.errstate(over="ignore"):  # only the lambdas used are checked
-        eps = np.stack([epsilon_of(e[:, 0], br) for br in branches], axis=1)
-    lams = np.where(sextic, eps, 0.0)
+        eps = np.stack([epsilon_of(e, br) for br in branches], axis=1)
+    lams = np.where(sextic, eps[:, :, None], 0.0)
     check_finite("eps(E)", lams)
     return rungs, lams
 
@@ -269,12 +270,14 @@ def zero_mode_potentials(
     branch: Branch = Branch.PLUS,
 ) -> tuple[list[PotentialSpec], np.ndarray]:
     """Per energy, the potential whose level lambda the zero mode sits at,
-    and the lambdas: the one-(label, b, branch) call of `zero_mode_ladders`."""
+    and the lambdas: `zero_mode_ladders` at one b and one branch, with
+    `label` repeated once per energy."""
+    e = np.asarray(energies, dtype=float)
     rungs, lams = zero_mode_ladders(
-        [b], freqs, [label], np.asarray(energies, dtype=float)[None], [branch]
+        [b], freqs, np.full(len(e), label.ell), np.full(len(e), label.m), e, [branch]
     )
     specs = [PotentialSpec(b, tuple(r)) for r in rungs.reshape(5, -1).T.tolist()]
-    return specs, lams[0, 0, 0]
+    return specs, lams[:, 0, 0]
 
 
 def eval_potential(spec: PotentialSpec, x: float | np.ndarray) -> float | np.ndarray:
@@ -326,7 +329,8 @@ def eval_wavefunction(
 def ladder_links(
     b_values: Sequence[RationalLike],
     freqs: ModeFrequencies,
-    labels: Sequence[SubspaceLabel],
+    ell: np.ndarray,
+    m: np.ndarray,
     energies: np.ndarray,
     branches: Sequence[Branch],
     rungs: np.ndarray,
@@ -334,14 +338,14 @@ def ladder_links(
 ) -> np.ndarray:
     """The float ladder link of many zero modes: max over rungs i = 1..4
     of |b^2 c_i - N_i|, with -b^2 lambda added at rung `lambda_rung(b)`,
-    per [label, branch, b, column].
+    per [pair, branch, b].
 
-    `rungs` [rung, label, branch, b, column] and `lams` [label, branch, b,
-    column] are ladders and lambdas as `zero_mode_ladders` returns them, a
-    ladder's b being its index on the b axis of `b_values`.  N_i, the
-    b-free numerator of rung i, is `_ladders` at b = 1 and at the column's
-    own E, `energies` being [label, column].  Where b^2 c_i misses N_i by
-    d_i, the zero mode's P is minus the BHE operator residual plus
+    `rungs` [rung, pair, branch, b] and `lams` [pair, branch, b] are
+    ladders and lambdas as `zero_mode_ladders` returns them, a ladder's b
+    being its index on the b axis of `b_values`.  N_i, the b-free numerator
+    of rung i, is `_ladders` at b = 1 and at the pair's own label and E,
+    (`ell`, `m`, `energies`) [pair].  Where b^2 c_i misses N_i by d_i, the
+    zero mode's P is minus the BHE operator residual plus
     sum_i d_i v^i phi(v), so the link is the factor by which the ladder
     enters P / max|phi| and shares `heun.BHE_RTOL`.  Rung 0 and s cancel
     in every zero mode (the indicial equation) and are left out.  Raises
@@ -349,17 +353,15 @@ def ladder_links(
     rung.
     """
     bb = _admissible(b_values)
-    numerators = _ladders(
-        np.ones((1, 1)), freqs, labels, np.asarray(energies, dtype=float)[:, None, None],
-        branches,
-    )
+    energies = np.asarray(energies, dtype=float)[:, None, None]
+    numerators = _ladders(np.ones(1), freqs, ell, m, energies, branches)
     lams = np.broadcast_to(np.asarray(lams, dtype=float), rungs.shape[1:])
-    lam_rungs = {j: lambda_rung(b) for j, b in enumerate(b_values) if lams[..., j, :].any()}
+    lam_rungs = {j: lambda_rung(b) for j, b in enumerate(b_values) if lams[..., j].any()}
     gaps = np.zeros((max([4, *lam_rungs.values()]), *rungs.shape[1:]))
     # an inf or nan link fails
     with np.errstate(over="ignore", invalid="ignore"):
         gaps[:4] = bb * bb * rungs[1:]
         for j, rung in lam_rungs.items():
-            gaps[rung - 1, ..., j, :] -= bb[j] * bb[j] * lams[..., j, :]
+            gaps[rung - 1, ..., j] -= bb[j] * bb[j] * lams[..., j]
         gaps[:4] -= numerators[1:]
     return np.max(np.abs(gaps), axis=0)

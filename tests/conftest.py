@@ -40,6 +40,14 @@ def exact_power(branch, p):
     return sign * math.ldexp(math.sqrt(2.0) if p % 2 else 1.0, p // 2)
 
 
+def label_arrays(labels):
+    """The pair-axis form of a label per pair: int arrays (ell, m) [pair]."""
+    return (
+        np.array([label.ell for label in labels], dtype=int),
+        np.array([label.m for label in labels], dtype=int),
+    )
+
+
 def certify_one(freqs, label, energies, vecs, b_values, branches, oracle=False):
     """The batch `Certificate` of the one-subspace `certify_batch` call:
     its pair i is column i of `vecs`."""

@@ -35,7 +35,7 @@ from triqes.cli import main as cli_main
 from triqes.certify import certify_batch
 from triqes.heun import BHE_RTOL, bhe_params, operator_residuals, standard_residuals
 
-from conftest import certify_one
+from conftest import certify_one, label_arrays
 
 SQRT2 = math.sqrt(2.0)
 W111 = ModeFrequencies(1.0, 1.0, 1.0)
@@ -156,19 +156,23 @@ def test_criterion_4_bhe_certification():
         freqs = ModeFrequencies(*rng.uniform(-2.0, 2.0, 3))
         subspaces = solve_subspaces(freqs, labels)
         # one pipeline call per w over every label and both branches, and
-        # one call of the standard form's library kernels over the same
-        # eigenpairs, each eigenvector padded at the front to the top
-        # dimension; each BHE residual is relative to max|phi| of its column
+        # the standard form's library kernels on the same eigenpairs: phi of
+        # every pair in one call, each eigenvector padded at the front to
+        # the top dimension, and one label's and one branch's parameters
+        # per call; each BHE residual is relative to max|phi| of its column
         batch, ends = certify_batch(freqs, subspaces, [1], list(Branch))
-        pairs = [label for label in labels for _ in range(label.dim)]
-        vecs = np.zeros((max(label.dim for label in labels), len(pairs)))
+        ell, m = label_arrays([label for label in labels for _ in range(label.dim)])
+        vecs = np.zeros((max(label.dim for label in labels), len(ell)))
         for (label, _, vec), start in zip(subspaces, ends):
             vecs[len(vecs) - label.dim :, start : start + label.dim] = vec
-        energies = np.concatenate([e for _, e, _ in subspaces])[:, None, None]
-        phi = rho_coefficients(pairs, vecs[:, :, None, None], list(Branch))
-        params = bhe_params(freqs, pairs, energies, list(Branch))
-        std = np.abs(standard_residuals(params, phi)).max(axis=0)
-        std_ok = (std / np.abs(phi).max(axis=0))[..., 0].T <= BHE_RTOL
+        phi = rho_coefficients(ell, m, vecs, list(Branch))
+        std_ok = np.zeros((len(Branch), len(ell)), dtype=bool)
+        for (label, energies, _), start in zip(subspaces, ends):
+            cols = slice(start, start + label.dim)
+            for i, branch in enumerate(Branch):
+                params = bhe_params(freqs, label, energies, branch)
+                std = np.abs(standard_residuals(params, phi[:, cols, i])).max(axis=0)
+                std_ok[i, cols] = std / np.abs(phi[:, cols, i]).max(axis=0) <= BHE_RTOL
         op_ok = batch.bhe_operator_residual[:, 0] <= BHE_RTOL
         ok &= bool(np.all(op_ok & std_ok & (op_ok == std_ok)))
         checked += op_ok.size
@@ -233,17 +237,18 @@ def test_criterion_5_zero_mode_residuals():
             ).schrodinger_residual
             ok &= bool((residual <= BHE_RTOL).all())
             worst = max(worst, float(residual.max()))
-            for branch in Branch:
+            shifted = energies * (1.0 + 1e-3)
+            ell, m = label_arrays([label] * label.dim)
+            phis = rho_coefficients(ell, m, vecs, list(Branch))
+            residuals = -operator_residuals(W111, ell, m, shifted, phis, list(Branch))
+            for k, branch in enumerate(Branch):
                 for b in b_values:
-                    shifted = energies * (1.0 + 1e-3)
                     vspecs, lams = zero_mode_potentials(b, W111, label, shifted, branch)
                     envelope = zero_mode_envelope(b, W111, label, branch)
-                    phis = rho_coefficients(label, vecs, branch)
-                    residuals = -operator_residuals(W111, label, shifted, phis, branch)
                     for i, (vspec, lam) in enumerate(zip(vspecs, lams.tolist())):
-                        wf = (b, *envelope, phis[:, i])
+                        wf = (b, *envelope, phis[:, i, k])
                         chi, potential, closed = mp_zero_mode(
-                            wf, vspec, lam, residuals[:, i]
+                            wf, vspec, lam, residuals[:, i, k]
                         )
                         for x in map(mpmath.mpf, (0.3, 0.9, 1.7)):
                             c = chi(x)
@@ -367,7 +372,7 @@ def test_criterion_7_property_suites():
         spec = eig_sym(build_hamiltonian(freqs, label))
         idx = int(rng.integers(0, label.dim))
         _, vec = spec.pair(idx)
-        phi = rho_coefficients(label, vec[:, None], branch)[:, 0]
+        phi = rho_coefficients([label.ell], [label.m], vec[:, None], [branch])[:, 0, 0]
         b = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2)][
             int(rng.integers(0, 4))
         ]

@@ -51,9 +51,9 @@ def spectrum_of(freqs, label):
 def link_of(vspec, lam, b, freqs, label, energy, branch):
     """The ladder link of one zero mode: `vspec` and `lam` read at b,
     against the rung numerators of (label, energy, branch)."""
-    rungs = np.reshape(vspec.coeffs, (5, 1, 1, 1, 1))
+    rungs = np.reshape(vspec.coeffs, (5, 1, 1, 1))
     return float(ladder_links(
-        [b], freqs, [label], np.array([[energy]]), [branch], rungs, lam
+        [b], freqs, [label.ell], [label.m], [energy], [branch], rungs, lam
     ).item())
 
 
@@ -239,9 +239,9 @@ class TestCertifySubspace:
                     ), case
                     # the standard form, left out of the pipeline, through
                     # its library kernels on the same column
-                    phi = rho_coefficients(label, vec[:, None], branch)
+                    phi = rho_coefficients([label.ell], [label.m], vec[:, None], [branch])
                     params = bhe_params(freqs, label, np.array([energy]), branch)
-                    res = standard_residuals(params, phi)
+                    res = standard_residuals(params, phi[:, :, 0])
                     assert np.max(np.abs(res)) / np.max(np.abs(phi)) == std, case
 
     @settings(max_examples=25, deadline=None)
@@ -314,6 +314,66 @@ class TestCertifySubspace:
             for n, subspace in enumerate(call):
                 single = certify_one(freqs, *subspace, b_values, list(Branch))
                 assert reprs(batch, slice(ends[n], ends[n + 1])) == reprs(single), n
+
+    def test_labels_read_per_subspace_not_per_pair(self, monkeypatch):
+        # each pair's label reaches the kernels as (l, m) int arrays built
+        # once per subspace: on the 20 x 20 rectangle (441 labels, 3311
+        # pairs) the call hashes a SubspaceLabel or reads one of its derived
+        # properties a few times per label, never once per pair
+        labels = [SubspaceLabel(ell, m) for ell in range(21) for m in range(21)]
+        subspaces = certify.solve_subspaces(ANCHOR, labels)
+        touched = dict.fromkeys(("__hash__", "dim", "k", "n_prime"), 0)
+
+        def counted(name, fn):
+            def wrapper(label):
+                touched[name] += 1
+                return fn(label)
+            return wrapper
+
+        monkeypatch.setattr(
+            SubspaceLabel, "__hash__", counted("__hash__", SubspaceLabel.__hash__)
+        )
+        for name in ("dim", "k", "n_prime"):
+            getter = getattr(SubspaceLabel, name).fget
+            monkeypatch.setattr(SubspaceLabel, name, property(counted(name, getter)))
+        _, ends = certify_batch(ANCHOR, subspaces, B_VALUES, list(Branch))
+        assert (len(labels), ends[-1]) == (441, 3311)
+        assert sum(touched.values()) <= 3 * len(labels), touched
+
+    def test_triangle_in_one_call(self):
+        # every label with l + m <= 64 at w = (1, 1, 1) in one call: 2145
+        # labels, 24,497 pairs and 195,976 certificates, all passing, and
+        # bit for bit the concatenation of one call per dimension group, so
+        # the pair axis may be cut into chunks at subspace boundaries
+        freqs = ModeFrequencies(1.0, 1.0, 1.0)
+        labels = [
+            SubspaceLabel(ell, m)
+            for ell in range(MAX_TOTAL_LABEL + 1) for m in range(MAX_TOTAL_LABEL + 1 - ell)
+        ]
+        subspaces = certify.solve_subspaces(freqs, labels)
+        batch, ends = certify_batch(freqs, subspaces, B_VALUES, list(Branch))
+        assert (len(labels), ends[-1], batch.passed.size) == (2145, 24497, 195976)
+        assert batch.passed.all()
+        groups = {}
+        for n, label in enumerate(labels):
+            groups.setdefault(label.dim, []).append(n)
+        order = np.concatenate(
+            [np.arange(ends[n], ends[n + 1]) for group in groups.values() for n in group]
+        )
+        parts = [
+            pair_fields(
+                certify_batch(freqs, [subspaces[n] for n in group], B_VALUES, list(Branch))[0]
+            )
+            for group in groups.values()
+        ]
+        for name, arr in pair_fields(batch, order).items():
+            if arr is None:
+                assert all(part[name] is None for part in parts), name
+                continue
+            joined = np.concatenate(
+                [part[name] for part in parts], axis=2 if name == "potential" else -1
+            )
+            assert (joined.shape, joined.tobytes()) == (arr.shape, arr.tobytes()), name
 
     @pytest.mark.parametrize("first,second", [("energies", "vecs"), ("vecs", "energies")])
     def test_first_malformed_subspace_raises(self, unit_freqs, monkeypatch, first, second):
@@ -628,12 +688,12 @@ class TestZeroModeResidual:
             # one at b = 1/2, each on its own b; the link of every column
             columns = [column(1, 1, 0.0), middle, column(SEXTIC_B, SEXTIC_B, 2.0)]
             vspecs, lams, bs = zip(*columns)
-            rungs = np.array([vspec.coeffs for vspec in vspecs]).T[:, None, None, :, None]
+            rungs = np.array([vspec.coeffs for vspec in vspecs]).T[:, None, None, :]
             link = ladder_links(
-                bs, unit_freqs, [label], np.array([[energy]]), [Branch.PLUS], rungs,
-                np.array(lams)[:, None],
+                bs, unit_freqs, [label.ell], [label.m], [energy], [Branch.PLUS], rungs,
+                np.array(lams),
             )
-            return link[0, 0, :, 0]
+            return link[0, 0]
 
         def single(vspec, lam, read_b):
             return link_of(vspec, lam, read_b, unit_freqs, label, energy, Branch.PLUS)
@@ -654,10 +714,10 @@ class TestZeroModeResidual:
             batch(column(third, third, 1.0))
 
     def test_cli_exits_1_off_ladder(self, capsys, monkeypatch):
-        def wrong_b(b_values, freqs, labels, energies, branches):
+        def wrong_b(b_values, freqs, ell, m, energies, branches):
             # every ladder built at b = 1, with lambda = 0
             rungs, lams = zero_mode_ladders(
-                [1] * len(b_values), freqs, labels, energies, branches
+                [1] * len(b_values), freqs, ell, m, energies, branches
             )
             return rungs, np.zeros_like(lams)
 
@@ -712,6 +772,8 @@ REMOVED = {
         "zero_mode_residuals",
     ),
     "hamiltonian": ("RestrictedHamiltonian",),
+    "fock": ("Labels",),
+    "heun": ("Branches", "_constants", "_rows"),
     "fdoracle": ("SINGULAR_XMIN",),
     "cli": ("_solve_labels",),
 }

@@ -343,18 +343,32 @@ class TestGridLadder:
         assert sorted(set(sizes[:completed])) == [249, 499]
         assert res == replace(fixed, solves=fixed.solves + completed)
 
-    def test_grid_free_errors_are_the_fixed_checks(self):
-        # an error that no grid avoids comes out of the 2000-node check,
-        # message for message
+    def test_grid_free_errors_are_the_fixed_checks(self, monkeypatch):
+        # an error that no grid avoids, a lambda != 0 at a non-integer 2b,
+        # c_0 < -1/4 or a degenerate left-boundary series, is raised from
+        # the ladder, message for message that of the 2000-node check: V is
+        # evaluated on one oracle grid, the ladder's finest, and no fallback
+        # runs
+        grid_values = fdoracle._grid_values
+        grids = []
+
+        def counted(spec, config):
+            grids.append(config.n_points)
+            return grid_values(spec, config)
+
+        monkeypatch.setattr(fdoracle, "_grid_values", counted)
         for spec, lam in (
             (PotentialSpec(Fraction(1, 3), (-0.25, 1.3, -2.1, 0.7, 0.44)), 2.0),
             (bare_spec((-0.3, 0, 0, 0, 1.0)), 3.0),
+            (PotentialSpec(Fraction(10**12), (-0.25, 1.3, -2.1, 0.7, 0.44)), 0.0),
         ):
             with pytest.raises(ValueError) as fixed:
                 contains_eigenvalue(spec, oracle_config(spec, lam), lam)
+            grids.clear()
             with pytest.raises(ValueError) as got:
                 oracle_check(spec, lam)
             assert str(got.value) == str(fixed.value)
+            assert grids == [4 * fdoracle.LADDER_POINTS + 3], str(got.value)
 
     def test_ladder_hit_is_a_fixed_grid_hit(self):
         # on true levels and on candidates up to 2 tol off them, a hit the

@@ -21,7 +21,7 @@ from triqes import (
 from triqes.fock import MAX_TOTAL_LABEL
 from triqes.heun import BHE_RTOL, BheParams, RhoPolynomial, _rho_weights, residual_ok
 
-from conftest import exact_power, frequencies, labels
+from conftest import exact_power, frequencies, label_arrays, labels
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,17 +93,19 @@ class TestPolynomialMap:
         ]
         # repeated labels, as on the pair axis
         labels_ = every + every[::7]
-        weights = _rho_weights(labels_, list(Branch))
-        assert weights.shape == (MAX_TOTAL_LABEL // 2 + 1, len(labels_), 2, 1)
+        weights = _rho_weights(*label_arrays(labels_), list(Branch))
+        assert weights.shape == (MAX_TOTAL_LABEL // 2 + 1, len(labels_), 2)
         for u, label in enumerate(labels_):
             for i, branch in enumerate(Branch):
                 expected = loop_weights(label, branch)
-                assert weights[: label.dim, u, i, 0].tobytes() == expected.tobytes(), label
-                assert not weights[label.dim :, u, i, 0].any(), label
+                assert weights[: label.dim, u, i].tobytes() == expected.tobytes(), label
+                assert not weights[label.dim :, u, i].any(), label
                 if u < len(every):
-                    one = _rho_weights(label, branch)
-                    assert one.shape == (label.dim, 1)
-                    assert one[:, 0].tobytes() == expected.tobytes(), label
+                    one = _rho_weights([label.ell], [label.m], [branch])
+                    assert one.shape == (label.dim, 1, 1)
+                    assert one[:, 0, 0].tobytes() == expected.tobytes(), label
+        # no pairs: one zero row
+        assert _rho_weights([], [], list(Branch)).shape == (1, 0, 2)
 
     @pytest.mark.parametrize("total", [12, 32, 64])
     def test_weights_within_two_ulps(self, total):
@@ -112,7 +114,7 @@ class TestPolynomialMap:
         # mpmath: c^p carries one rounding, that of sqrt(2), where a power
         # of the rounded sqrt(2) carries p times its relative error
         labels_ = [SubspaceLabel(ell, total - ell) for ell in range(total + 1)]
-        weights = _rho_weights(labels_, list(Branch))
+        weights = _rho_weights(*label_arrays(labels_), list(Branch))
         with mpmath.workdps(40):
             for u, label in enumerate(labels_):
                 for i, branch in enumerate(Branch):
@@ -123,7 +125,7 @@ class TestPolynomialMap:
                             mpmath.factorial(j) * mpmath.factorial(label.ell - j)
                             * mpmath.factorial(label.m - j)
                         )
-                        err = abs(mpmath.mpf(weights[n, u, i, 0]) - exact)
+                        err = abs(mpmath.mpf(weights[n, u, i]) - exact)
                         ulps = float(err) / math.ulp(float(exact))
                         assert ulps <= 2.0, (label, branch, n, ulps)
 

@@ -28,7 +28,7 @@ from triqes.schroedinger import (
     zero_mode_envelope,
 )
 
-from conftest import certify_one, frequencies, labels
+from conftest import certify_one, frequencies, label_arrays, labels
 
 SQRT2 = math.sqrt(2.0)
 HALF = Fraction(1, 2)
@@ -59,8 +59,8 @@ def eigenpairs(freqs, label):
 def make_wf(b, freqs, label, vec, branch):
     """The zero mode (b, s, A, phi) in the argument order of
     `eval_wavefunction`: envelope and one phi column of the pipeline."""
-    phi = rho_coefficients(label, np.asarray(vec)[:, None], branch)[:, 0]
-    return (b, *zero_mode_envelope(b, freqs, label, branch), phi)
+    phi = rho_coefficients([label.ell], [label.m], np.asarray(vec)[:, None], [branch])
+    return (b, *zero_mode_envelope(b, freqs, label, branch), phi[:, 0, 0])
 
 
 class TestPotentialSpec:
@@ -368,11 +368,11 @@ def relative(spec, lam, b, freqs, label, energy, vec, branch):
     """What the pipeline gates for the zero mode of eigenpair (energy, vec)
     in `spec` at `lam`: the larger of phi's BHE operator residual, relative
     to its largest coefficient, and the ladder link of `spec` at b."""
-    phi = rho_coefficients(label, np.asarray(vec)[:, None], branch)
-    op = operator_residuals(freqs, label, np.array([energy]), phi, branch)
+    pair = ([label.ell], [label.m])
+    phi = rho_coefficients(*pair, np.asarray(vec)[:, None], [branch])
+    op = operator_residuals(freqs, *pair, [energy], phi, [branch])
     link = ladder_links(
-        [b], freqs, [label], np.array([[energy]]), [branch],
-        np.reshape(spec.coeffs, (5, 1, 1, 1, 1)), lam,
+        [b], freqs, *pair, [energy], [branch], np.reshape(spec.coeffs, (5, 1, 1, 1)), lam
     )
     return max(float(np.max(np.abs(op)) / np.max(np.abs(phi))), float(link.item()))
 
@@ -391,9 +391,9 @@ class TestResonance:
         b_values = [Fraction(1), HALF, Fraction(3, 2), Fraction(2), Fraction(1, 3)]
         energies = eig_sym(build_hamiltonian(freqs, label)).eigenvalues
         rungs, _ = zero_mode_ladders(
-            b_values, freqs, [label], energies[None], list(Branch)
+            b_values, freqs, *label_arrays([label] * label.dim), energies, list(Branch)
         )
-        assert rungs.shape == (5, 1, len(Branch), len(b_values), label.dim)
+        assert rungs.shape == (5, label.dim, len(Branch), len(b_values))
         assert rungs[3].ravel().tolist() == [0.0] * rungs[3].size
         assert all(zero_mode_envelope(1, freqs, label, br)[1] == 0.0 for br in Branch)
 
@@ -426,13 +426,16 @@ def test_rungs_keep_their_bits(b):
     group = [SubspaceLabel(3, 1), SubspaceLabel(1, 4), SubspaceLabel(1, 1)]
     energies = eig_sym(build_hamiltonian(freqs, group)).eigenvalues
     branches = list(Branch)
-    rungs = _ladders(np.array([[float(b)]]), freqs, group, energies[:, None, None], branches)
-    for i, label in enumerate(group):
+    pairs = [label for label in group for _ in range(label.dim)]
+    rungs = _ladders(
+        np.array([float(b)]), freqs, *label_arrays(pairs), energies.ravel()[:, None, None],
+        branches,
+    )
+    for i, (label, energy) in enumerate(zip(pairs, energies.ravel().tolist())):
         for j, branch in enumerate(branches):
-            for k, energy in enumerate(energies[i].tolist()):
-                expected = old_quotient_rungs(b, freqs, label, energy, branch)
-                got = rungs[:, i, j, 0, k].tolist()
-                assert list(map(float.hex, got)) == list(map(float.hex, expected))
+            expected = old_quotient_rungs(b, freqs, label, energy, branch)
+            got = rungs[:, i, j, 0].tolist()
+            assert list(map(float.hex, got)) == list(map(float.hex, expected))
 
 
 class TestResidual:
@@ -485,15 +488,14 @@ class TestResidual:
         # eigenvalue
         b_values = [Fraction(1, 3), HALF, Fraction(1), Fraction(3, 2), Fraction(2),
                     Fraction(5, 2), Fraction(10**6)]
-        energies = eig_sym(build_hamiltonian(freqs, label)).eigenvalues[None]
+        energies = eig_sym(build_hamiltonian(freqs, label)).eigenvalues
         energies = energies + shift * np.maximum(1.0, np.abs(energies))
         branches = list(Branch)
-        rungs, lams = zero_mode_ladders(b_values, freqs, [label], energies, branches)
-        link = ladder_links(b_values, freqs, [label], energies, branches, rungs, lams)
-        numerators = _ladders(
-            np.ones((1, 1)), freqs, [label], energies[:, None, None], branches
-        )
-        bb2 = np.array([float(b) ** 2 for b in b_values])[:, None]
+        pairs = label_arrays([label] * label.dim)
+        rungs, lams = zero_mode_ladders(b_values, freqs, *pairs, energies, branches)
+        link = ladder_links(b_values, freqs, *pairs, energies, branches, rungs, lams)
+        numerators = _ladders(np.ones(1), freqs, *pairs, energies[:, None, None], branches)
+        bb2 = np.array([float(b) ** 2 for b in b_values])
         scale = np.maximum(
             np.abs(numerators[1:]).max(axis=0), np.abs(bb2 * rungs[1:]).max(axis=0)
         )

@@ -178,13 +178,14 @@ def test_closed_forms_match_the_code():
             for branch in Branch:
                 c = sp.sqrt(2) * (1 if branch is Branch.PLUS else -1)
                 a_exact = c * (w1 - w2 - w3)
+                pairs = ([label.ell] * len(energies), [label.m] * len(energies))
+                e_float = np.array([float(e) for e in energies])
                 got = _ladders(
-                    np.array([[float(x)] for x in B_POINTS]), freqs, [label],
-                    np.array([float(e) for e in energies]), [branch],
-                )[:, 0, 0]  # [rung, b, column]
+                    np.array([float(x) for x in B_POINTS]), freqs, *pairs,
+                    e_float[:, None, None], [branch],
+                )[:, :, 0]  # [rung, column, b]
                 _, lams = zero_mode_ladders(
-                    [Fraction(1, 2)], freqs, [label],
-                    np.array([[float(e) for e in energies]]), [branch],
+                    [Fraction(1, 2)], freqs, *pairs, e_float, [branch]
                 )
                 for j, bq in enumerate(B_POINTS):
                     s, a_ = zero_mode_envelope(bq, freqs, label, branch)
@@ -198,10 +199,10 @@ def test_closed_forms_match_the_code():
                         )
                         for i in range(5):
                             case = (w, label, branch, bq, e, i)
-                            assert ulps(got[i, j, col], exact[i]) <= 8, case
+                            assert ulps(got[i, col, j], exact[i]) <= 8, case
                 for col, e in enumerate(energies):
                     eps_exact = -4 * c * rational(e)
-                    assert ulps(lams[0, 0, 0, col], eps_exact) <= 4
+                    assert ulps(lams[col, 0, 0], eps_exact) <= 4
 
 
 W = sp.symbols("w1:4")
@@ -305,29 +306,30 @@ def test_operator_form_is_the_weighted_eigen_residual(branch):
 
 
 def test_bhe_params_and_weights_match_the_code():
-    # the parameters of `bhe_params` at rational w and E, one call over
-    # LABELS and both branches, and the weights of `_rho_weights` over
-    # every label of the proofs, against the symbolic forms
+    # the parameters of `bhe_params` at rational w and E, one call per
+    # label of LABELS and branch over both energies, and the weights of
+    # `_rho_weights` over every label of the proofs, one pair each, against
+    # the symbolic forms
     energies = [Fraction(7, 4), Fraction(-5, 16)]
     cs = [sp.sqrt(2) * (1 if branch is Branch.PLUS else -1) for branch in Branch]
-    for w in W_POINTS:
+    for w, label, (branch, c) in itertools.product(W_POINTS, LABELS, zip(Branch, cs)):
         params = bhe_params(
-            ModeFrequencies(*map(float, w)), LABELS,
-            np.array([[[float(e) for e in energies]]]), list(Branch),
+            ModeFrequencies(*map(float, w)), label, np.array([float(e) for e in energies]),
+            branch,
         )
         got = np.broadcast_arrays(params.alpha, params.beta, params.gamma, params.delta)
-        for (u, label), (i, c), (col, e) in itertools.product(
-            enumerate(LABELS), enumerate(cs), enumerate(energies)
-        ):
+        for col, e in enumerate(energies):
             exact = bhe_params_of(
                 [rational(x) for x in w], label.ell, label.m, rational(e), c
             )
             for name, g, x in zip("abgd", got, exact):
-                assert ulps(g[u, i, col], x) <= 4, (w, label, c, e, name)
-    labels = [SubspaceLabel(int(ell), int(m)) for ell, m in SMALL_LABELS]
-    weights = _rho_weights(labels, list(Branch))  # [row, label, branch, 1]
-    for (u, label), (i, c) in itertools.product(enumerate(labels), enumerate(cs)):
-        exact = weights_of(sp.Integer(label.ell), sp.Integer(label.m), c)
+                assert ulps(g[col], x) <= 4, (w, label, c, e, name)
+    ell, m = (np.array(side, dtype=int) for side in zip(*SMALL_LABELS))
+    weights = _rho_weights(ell, m, list(Branch))  # [row, pair, branch]
+    for (u, (ell_u, m_u)), (i, c) in itertools.product(
+        enumerate(SMALL_LABELS), enumerate(cs)
+    ):
+        exact = weights_of(ell_u, m_u, c)
         exact += [0] * (len(weights) - len(exact))
         for n, x in enumerate(exact):
-            assert ulps(weights[n, u, i, 0], x) <= 4, (label, c, n)
+            assert ulps(weights[n, u, i], x) <= 4, (ell_u, m_u, c, n)
